@@ -55,7 +55,19 @@ def possible_typical_topics(
     composite: CompositeTopicTree, query: str, params: TypingParams
 ) -> frozenset[int]:
     """Composite node ids that count as "possible typical" for this query:
-    nodes in the composite's own query-relevant region with typicality >= alpha."""
+    nodes in the composite's own query-relevant region with typicality >= alpha.
+
+    The set depends only on the norm, the query and the params, so it is
+    computed once per query and kept in the composite's index until the next
+    merge."""
+    memo = composite.index().possible_typical
+    key = (query, params)
+    if key not in memo:
+        memo[key] = _possible_typical(composite, query, params)
+    return memo[key]
+
+
+def _possible_typical(composite: CompositeTopicTree, query: str, params: TypingParams) -> frozenset[int]:
     query_node = map_query(query, composite, params.tau)
     if query_node is None:
         return frozenset()

@@ -83,8 +83,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_align_threshold(args: argparse.Namespace) -> None:
+    if not 0.0 <= args.align_threshold <= 1.0:
+        raise ValueError("align-threshold must be in [0, 1]")
+
+
+def _summarize_params(args: argparse.Namespace) -> TypingParams:
+    """Validate every summarize parameter; raises ValueError naming the first
+    bad one."""
+    if not args.query.strip():
+        raise ValueError("query must be non-empty")
+    _check_align_threshold(args)
+    if args.limit < 1:
+        raise ValueError("limit must be >= 1")
+    return TypingParams(k=args.k, alpha=args.alpha, tau=args.tau)
+
+
 def cmd_build(args: argparse.Namespace, out=None) -> int:
     out = out if out is not None else sys.stdout
+    try:
+        _check_align_threshold(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     try:
         corpus = load_corpus(args.corpus)
     except CorpusReadError as exc:
@@ -188,8 +209,10 @@ def _trace_lines(
 
 def cmd_summarize(args: argparse.Namespace, out=None) -> int:
     out = out if out is not None else sys.stdout
-    if not args.query.strip():
-        print("error: query must be non-empty", file=sys.stderr)
+    try:
+        params = _summarize_params(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     composite_path = Path(args.composite)
     if not composite_path.is_file():
@@ -213,11 +236,6 @@ def cmd_summarize(args: argparse.Namespace, out=None) -> int:
     except CorpusReadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    try:
-        params = TypingParams(k=args.k, alpha=args.alpha, tau=args.tau)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
 
     results = _run_pipeline(corpus.docs, composite, args.query, params, args.align_threshold)
     splan = plan([(r.typed, r.category) for r in results])

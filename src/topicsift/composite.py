@@ -12,10 +12,21 @@ node may only match among the children of its parent's matched composite
 node, plus that node itself so a level skip in one document can be absorbed.
 A match needs label similarity >= threshold; ties fall to the candidate with
 the lower position, then the lower id.
+
+Similarity is the best token-set Jaccard between two labels' normal forms, so
+scoring goes through the composite's index (``CompositeTopicTree.index``):
+each composite label's token sets are computed once, and each parent posts
+its children under every token of their labels. With a threshold above 0 a
+document node is scored only against the anchor and the children that share
+a token with it; any other child scores 0 and could never reach the
+threshold. A threshold of exactly 0 accepts a score of 0, so there every
+child of the anchor is scored. The index is built on the first alignment and
+``merge`` keeps it current, so no alignment re-walks the growing norm.
 """
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,6 +36,7 @@ from .model import (
     CompositeTopicTree,
     DocumentTopicTree,
     LexicalForms,
+    best_jaccard,
     node_map,
     parent_map,
     sibling_rank_map,
@@ -55,54 +67,51 @@ class Alignment:
 
 
 def label_similarity(a: LexicalForms, b: LexicalForms) -> float:
-    """Similarity in [0, 1]: 1.0 when any normalized form is shared,
-    otherwise the best token-level Jaccard over all form pairs."""
-    forms_a = a.normal_forms()
-    forms_b = b.normal_forms()
-    if forms_a & forms_b:
-        return 1.0
-    best = 0.0
-    for fa in forms_a:
-        tokens_a = set(fa.split())
-        for fb in forms_b:
-            tokens_b = set(fb.split())
-            union = tokens_a | tokens_b
-            if not union:
-                continue
-            best = max(best, len(tokens_a & tokens_b) / len(union))
-    return best
+    """Similarity in [0, 1]: the best token-level Jaccard over all pairs of
+    normalized forms, so 1.0 when a normalized form is shared."""
+    return best_jaccard(a.token_sets(), b.token_sets())
+
+
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError("threshold must be in [0, 1]")
 
 
 def align_tree(doc: DocumentTopicTree, composite: CompositeTopicTree, threshold: float) -> Alignment:
     """Greedily align a document tree against the composite."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("threshold must be in [0, 1]")
-    comp_nodes = node_map(composite.root)
+    _check_threshold(threshold)
+    index = composite.index()
     doc_parents = parent_map(doc.root)
 
     alignment = Alignment(pairs={doc.root.id: composite.root.id})
     for node in doc.nodes():
         if node.id == doc.root.id:
             continue
-        parent = doc_parents[node.id]
-        anchor_id = alignment.pairs.get(parent)
+        anchor_id = alignment.pairs.get(doc_parents[node.id])
         if anchor_id is None:
             alignment.unmatched.add(node.id)
             continue
-        anchor = comp_nodes[anchor_id]
-        best: CompositeNode | None = None
+        token_sets = node.label.token_sets()
+        if threshold > 0.0:
+            candidates = {anchor_id}
+            postings = index.children_by_token.get(anchor_id, {})
+            for tokens in token_sets:
+                for token in tokens:
+                    candidates.update(postings.get(token, ()))
+        else:
+            candidates = {anchor_id, *(child.id for child in index.nodes[anchor_id].children)}
         best_key: tuple[float, float, int] | None = None
-        for candidate in (anchor, *anchor.children):
-            similarity = label_similarity(node.label, candidate.label)
+        for candidate_id in candidates:
+            similarity = best_jaccard(token_sets, index.token_sets[candidate_id])
             if similarity < threshold:
                 continue
-            key = (-similarity, candidate.position, candidate.id)
+            key = (-similarity, index.nodes[candidate_id].position, candidate_id)
             if best_key is None or key < best_key:
-                best, best_key = candidate, key
-        if best is None:
+                best_key = key
+        if best_key is None:
             alignment.unmatched.add(node.id)
         else:
-            alignment.pairs[node.id] = best.id
+            alignment.pairs[node.id] = best_key[2]
     return alignment
 
 
@@ -112,9 +121,11 @@ def merge(composite: CompositeTopicTree, doc: DocumentTopicTree, alignment: Alig
     Matched composite nodes gain support and lexical variants (once per
     document, even if several document nodes collapsed onto them); unmatched
     document nodes are inserted as fresh children under their parent's
-    composite node. Typicality and sibling order are recomputed afterwards.
+    composite node. Typicality and sibling order are recomputed afterwards,
+    and the composite's index is updated to match.
     """
-    comp_nodes = node_map(composite.root)
+    index = composite.index()
+    comp_nodes = index.nodes
     doc_parents = parent_map(doc.root)
     doc_ranks = sibling_rank_map(doc.root)
     next_id = max(comp_nodes) + 1
@@ -133,7 +144,10 @@ def merge(composite: CompositeTopicTree, doc: DocumentTopicTree, alignment: Alig
         rank = doc_ranks[doc_node_id]
         comp.position = (comp.position * comp.support + rank) / (comp.support + 1)
         comp.support += 1
-        comp.label = comp.label.merged(doc_nodes[doc_node_id].label)
+        label = comp.label.merged(doc_nodes[doc_node_id].label)
+        if label != comp.label:
+            comp.label = label
+            index.relabel(comp)
 
     # insert unmatched nodes top-down: parents are processed before children,
     # so an unmatched parent already has its fresh composite node
@@ -155,8 +169,10 @@ def merge(composite: CompositeTopicTree, doc: DocumentTopicTree, alignment: Alig
         )
         next_id += 1
         comp_parent.children.append(fresh)
+        index.add(fresh, comp_parent.id)
         inserted[node.id] = fresh
 
+    index.possible_typical.clear()
     composite.doc_count += 1
     for comp in walk(composite.root):
         comp.typicality = comp.support / composite.doc_count
@@ -182,6 +198,7 @@ def _seed_composite(doc: DocumentTopicTree, domain_genre: str) -> CompositeTopic
 
 def build_composite(corpus: CorpusSet, threshold: float, domain_genre: str | None = None) -> CompositeTopicTree:
     """Fold a whole corpus into a composite tree, in document (name) order."""
+    _check_threshold(threshold)
     if not corpus.docs:
         raise EmptyCorpusError("cannot build norm from empty corpus")
     if domain_genre is None:
@@ -250,7 +267,13 @@ def _parse_node(payload: object, doc_count: int, seen: set[int]) -> CompositeNod
     _require(support >= 1, f"node {node_id}: support must be >= 1")
     _require(support <= doc_count, f"node {node_id}: support {support} exceeds doc_count {doc_count}")
     position = payload.get("position")
-    _require(isinstance(position, (int, float)) and not isinstance(position, bool), f"node {node_id}: position must be a number")
+    # json.loads accepts NaN and Infinity; either would make sibling order
+    # and alignment tie-breaks unstable. The bound also rejects integers too
+    # large for a float.
+    _require(
+        isinstance(position, (int, float)) and not isinstance(position, bool) and abs(position) <= sys.float_info.max,
+        f"node {node_id}: position must be a finite number",
+    )
     children = payload.get("children", [])
     _require(isinstance(children, list), f"node {node_id}: children must be a list")
     return CompositeNode(

@@ -67,9 +67,15 @@ class LexicalForms:
     def canonical(self) -> str:
         return self.forms[0]
 
-    def normal_forms(self) -> frozenset[str]:
-        """Non-empty normalized variants, used for comparison."""
-        return frozenset(n for n in (normalize(f) for f in self.forms) if n)
+    def token_sets(self) -> tuple[frozenset[str], ...]:
+        """Distinct token sets of the non-empty normal forms, in form order;
+        labels are compared by these. A label that normalizes to "" has none."""
+        sets: dict[frozenset[str], None] = {}
+        for form in self.forms:
+            normal = normalize(form)
+            if normal:
+                sets.setdefault(frozenset(normal.split()), None)
+        return tuple(sets)
 
     def merged(self, other: "LexicalForms") -> "LexicalForms":
         """Union of variants; this label's spellings keep their positions."""
@@ -83,7 +89,6 @@ class TopicNode:
     id: int
     label: LexicalForms
     children: list["TopicNode"] = field(default_factory=list)
-    composite_link: int | None = None
     source_span: tuple[int, int] | None = None
 
 
@@ -102,6 +107,18 @@ class CompositeNode:
     position: float
     support: int
     children: list["CompositeNode"] = field(default_factory=list)
+
+
+def best_jaccard(sets_a: tuple[frozenset[str], ...], sets_b: tuple[frozenset[str], ...]) -> float:
+    """Best Jaccard index over all pairs of (non-empty) token sets; 0.0 when
+    either side has none."""
+    best = 0.0
+    for tokens_a in sets_a:
+        for tokens_b in sets_b:
+            shared = len(tokens_a & tokens_b)
+            if shared:
+                best = max(best, shared / (len(tokens_a) + len(tokens_b) - shared))
+    return best
 
 
 def walk(root) -> Iterator:
@@ -196,12 +213,6 @@ class DocumentTopicTree:
         except KeyError:
             raise UnknownNodeError("no node %r in %s" % (node_id, self.doc_id)) from None
 
-    def parent_id(self, node_id: int) -> int | None:
-        parents = parent_map(self.root)
-        if node_id not in parents:
-            raise UnknownNodeError("no node %r in %s" % (node_id, self.doc_id))
-        return parents[node_id]
-
     def display_title(self) -> str:
         """Title used when referring to this document in prose."""
         if self.metadata.title:
@@ -216,20 +227,71 @@ def topic_count(tree: DocumentTopicTree) -> int:
     return len(tree.nodes())
 
 
+class CompositeIndex:
+    """Lookups over one composite tree, so no query re-walks it.
+
+    Holds id -> node, id -> the label's token sets, and per parent a posting
+    map token -> ids of the children whose label has that token.
+    ``possible_typical`` memoizes ``classify.possible_typical_topics`` per
+    (query, params); whatever changes the tree must clear it.
+    """
+
+    def __init__(self, root: CompositeNode) -> None:
+        self.nodes: dict[int, CompositeNode] = {}
+        self.token_sets: dict[int, tuple[frozenset[str], ...]] = {}
+        self.children_by_token: dict[int, dict[str, list[int]]] = {}
+        self.parents: dict[int, int | None] = {}
+        self.possible_typical: dict[tuple[str, TypingParams], frozenset[int]] = {}
+        self.add(root, None)
+        for node in walk(root):
+            for child in node.children:
+                self.add(child, node.id)
+
+    def add(self, node: CompositeNode, parent_id: int | None) -> None:
+        """Register a node that was just attached under parent_id."""
+        if node.id in self.nodes:
+            raise ValueError("duplicate node id %r" % (node.id,))
+        self.nodes[node.id] = node
+        self.parents[node.id] = parent_id
+        self.relabel(node)
+
+    def relabel(self, node: CompositeNode) -> None:
+        """Refresh a node's token sets after its label gained forms."""
+        old = self.token_sets.get(node.id, ())
+        new = node.label.token_sets()
+        self.token_sets[node.id] = new
+        parent_id = self.parents[node.id]
+        if parent_id is None:
+            return
+        postings = self.children_by_token.setdefault(parent_id, {})
+        for token in set().union(*new).difference(*old):
+            postings.setdefault(token, []).append(node.id)
+
+
 @dataclass
 class CompositeTopicTree:
-    """The norm for one domain/genre: merged topics over a reference corpus."""
+    """The norm for one domain/genre: merged topics over a reference corpus.
+
+    The index is built on first use; ``composite.merge``, the only code that
+    changes a composite, keeps it current.
+    """
 
     root: CompositeNode
     domain_genre: str
     doc_count: int
+    _index: CompositeIndex | None = field(default=None, init=False, repr=False, compare=False)
 
     def nodes(self) -> list[CompositeNode]:
         return list(walk(self.root))
 
+    def index(self) -> CompositeIndex:
+        if self._index is None:
+            self._index = CompositeIndex(self.root)
+        return self._index
+
     def node(self, node_id: int) -> CompositeNode:
         try:
-            return node_map(self.root)[node_id]
+            return self.index().nodes[node_id]
         except KeyError:
             raise UnknownNodeError("no composite node %r" % (node_id,)) from None
 

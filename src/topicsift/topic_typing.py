@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .composite import Alignment, align_tree, label_similarity
+from .composite import Alignment, align_tree
 from .model import (
     CompositeTopicTree,
     DocumentTopicTree,
@@ -19,6 +19,7 @@ from .model import (
     TopicType,
     TypingParams,
     UnknownNodeError,
+    best_jaccard,
     node_map,
     walk_depth,
 )
@@ -55,11 +56,13 @@ def map_query(query: str, tree: DocumentTopicTree | CompositeTopicTree, tau: flo
     """
     if not query or not query.strip():
         raise ValueError("query must be non-empty")
-    query_forms = LexicalForms.of(query)
+    query_sets = LexicalForms.of(query).token_sets()
+    cached = tree.index().token_sets if isinstance(tree, CompositeTopicTree) else None
     best_id: int | None = None
     best_key: tuple[float, int, int] | None = None
     for order, (node, depth) in enumerate(walk_depth(tree.root)):
-        similarity = label_similarity(query_forms, node.label)
+        node_sets = cached[node.id] if cached is not None else node.label.token_sets()
+        similarity = best_jaccard(query_sets, node_sets)
         key = (-similarity, depth, order)
         if best_key is None or key < best_key:
             best_key, best_id = key, node.id
@@ -100,7 +103,7 @@ def assign_types(
     their aligned composite node's typicality (0 when unmatched, maximally
     off-norm) and are typical when it reaches alpha, rare otherwise.
     """
-    comp_nodes = node_map(composite.root)
+    comp_nodes = composite.index().nodes
     types: dict[int, TopicType] = {}
     for node in doc.nodes():
         region = regions[node.id]

@@ -2,11 +2,15 @@
 
 Kept separate from the package on purpose: it re-reads the classification
 table with exact Fraction arithmetic and a data-driven rule loop, so tests
-can cross-check the production classifier against it.
+can cross-check the production classifier against it. The brute-force label
+similarity, alignment and query mapping below play the same part for the
+indexed norm.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+
+from topicsift.model import LexicalForms, node_map, normalize, parent_map, walk, walk_depth
 
 _RULES = (
     ("prototypical", ("typical", "coverage")),
@@ -52,3 +56,85 @@ def all_distributions(max_total: int, max_possible: int):
                     for possible in range(max_possible + 1):
                         for covered in range(possible + 1):
                             yield typical, rare, intricate, irrelevant, covered, possible
+
+
+# ---------------------------------------------------------------------------
+# Plain reference versions of the indexed scoring paths. They re-derive every
+# label's normal forms on each comparison and scan every candidate, exactly as
+# the package did before it indexed the norm; tests require the package to
+# agree with them.
+
+def oracle_label_similarity(a: LexicalForms, b: LexicalForms) -> float:
+    """1.0 when any normalized form is shared, otherwise the best token-level
+    Jaccard over all form pairs."""
+    forms_a = {n for n in (normalize(f) for f in a.forms) if n}
+    forms_b = {n for n in (normalize(f) for f in b.forms) if n}
+    if forms_a & forms_b:
+        return 1.0
+    best = 0.0
+    for fa in forms_a:
+        tokens_a = set(fa.split())
+        for fb in forms_b:
+            tokens_b = set(fb.split())
+            union = tokens_a | tokens_b
+            if not union:
+                continue
+            best = max(best, len(tokens_a & tokens_b) / len(union))
+    return best
+
+
+def oracle_align_tree(doc, composite, threshold: float) -> tuple[dict[int, int], set[int]]:
+    """Greedy top-down alignment scoring the anchor and every one of its
+    children; returns (pairs, unmatched)."""
+    comp_nodes = node_map(composite.root)
+    doc_parents = parent_map(doc.root)
+    pairs = {doc.root.id: composite.root.id}
+    unmatched: set[int] = set()
+    for node in walk(doc.root):
+        if node.id == doc.root.id:
+            continue
+        anchor_id = pairs.get(doc_parents[node.id])
+        if anchor_id is None:
+            unmatched.add(node.id)
+            continue
+        anchor = comp_nodes[anchor_id]
+        best_key = None
+        for candidate in (anchor, *anchor.children):
+            similarity = oracle_label_similarity(node.label, candidate.label)
+            if similarity < threshold:
+                continue
+            key = (-similarity, candidate.position, candidate.id)
+            if best_key is None or key < best_key:
+                best_key = key
+        if best_key is None:
+            unmatched.add(node.id)
+        else:
+            pairs[node.id] = best_key[2]
+    return pairs, unmatched
+
+
+def oracle_map_query(query: str, tree, tau: float) -> int | None:
+    """The node most similar to the query over a full scan of the tree; ties
+    go to the shallower node, then the earlier one in pre-order."""
+    query_forms = LexicalForms.of(query)
+    best_id, best_key = None, None
+    for order, (node, depth) in enumerate(walk_depth(tree.root)):
+        key = (-oracle_label_similarity(query_forms, node.label), depth, order)
+        if best_key is None or key < best_key:
+            best_key, best_id = key, node.id
+    if -best_key[0] < tau:
+        return None
+    return best_id
+
+
+def oracle_possible_typical(composite, query: str, k: int, alpha: float, tau: float) -> frozenset[int]:
+    """Composite ids within k hops below the query node with typicality >= alpha."""
+    query_node = oracle_map_query(query, composite, tau)
+    if query_node is None:
+        return frozenset()
+    start = node_map(composite.root)[query_node]
+    return frozenset(
+        node.id
+        for node, depth in walk_depth(start)
+        if depth <= k and node.typicality >= alpha
+    )

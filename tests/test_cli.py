@@ -49,6 +49,14 @@ def test_build_unreadable_file_exits_1(tmp_path, capsys):
     assert "bad.md" in err
 
 
+def test_build_checks_align_threshold_on_one_document(tmp_path, capsys):
+    corpus = write_corpus(tmp_path / "c", {"a.md": "# A\n"})
+    code, _, err = run(capsys, "build", str(corpus), str(tmp_path / "c.json"), "--align-threshold", "7")
+    assert code == 2
+    assert err.startswith("error: ") and "align-threshold" in err
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_rebuild_is_byte_identical(tmp_path, angina_reference, capsys):
     one = tmp_path / "one.json"
     two = tmp_path / "two.json"
@@ -117,6 +125,18 @@ def test_bad_params_exit_2(composite_file, angina_docs, capsys):
     )
     assert code == 2
     assert "alpha" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--align-threshold", "7"), ("--limit", "0")])
+def test_bad_params_are_rejected_before_any_file_is_read(tmp_path, capsys, flag, value):
+    code, _, err = run(
+        capsys,
+        "summarize", str(tmp_path / "no-docs"), "--composite", str(tmp_path / "no-composite.json"),
+        "--query", "angina", flag, value,
+    )
+    assert code == 2
+    assert err.startswith("error: ") and flag.lstrip("-") in err
+    assert len(err.splitlines()) == 1
 
 
 def test_empty_document_set_yields_notice_and_exit_0(tmp_path, composite_file, capsys):

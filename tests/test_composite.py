@@ -274,6 +274,8 @@ def test_alignment_threshold_validated():
     composite = build_composite(corpus_of(make_doc(("D", []))), 0.5)
     with pytest.raises(ValueError):
         align_tree(make_doc(("D", [])), composite, 1.5)
+    with pytest.raises(ValueError):
+        build_composite(corpus_of(make_doc(("D", []))), 1.5)
 
 
 # --- serialization --------------------------------------------------------------
@@ -334,6 +336,10 @@ def test_minimal_hand_written_file_loads(tmp_path):
         (lambda p: p["root"].update(support=0), ">= 1"),
         (lambda p: p["root"].update(forms=[]), "forms"),
         (lambda p: p.update(doc_count=0), "doc_count"),
+        (lambda p: p["root"].update(position=float("nan")), "finite"),
+        (lambda p: p["root"].update(position=float("inf")), "finite"),
+        (lambda p: p["root"].update(position=float("-inf")), "finite"),
+        (lambda p: p["root"].update(position=10**400), "finite"),
     ],
 )
 def test_schema_violations_are_descriptive(tmp_path, mutate, fragment):

@@ -1,0 +1,155 @@
+"""The composite index against the brute-force reference versions in
+oracles.py: label similarity, alignment, query mapping and the
+possible-typical set must agree exactly, also after merges change the norm."""
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from topicsift import (
+    CompositeNode,
+    CompositeTopicTree,
+    CorpusSet,
+    DocumentMetadata,
+    DocumentTopicTree,
+    LexicalForms,
+    TopicNode,
+    TypingParams,
+    align_tree,
+    build_composite,
+    label_similarity,
+    map_query,
+    merge,
+    possible_typical_topics,
+)
+from topicsift.model import CompositeIndex
+
+from conftest import make_doc
+from oracles import oracle_align_tree, oracle_label_similarity, oracle_map_query, oracle_possible_typical
+
+THRESHOLDS = (0.0, 0.3, 0.5, 1.0)
+
+# a small vocabulary so labels often share tokens; "??" and "..." normalize
+# to "" and must never match anything
+tokens = st.sampled_from(["angina", "drug", "treatment", "risk", "factors", "surgery", "signs"])
+words = st.lists(tokens, min_size=1, max_size=3).map(" ".join)
+surface = st.one_of(
+    words,
+    words.map(str.upper),
+    words.map(lambda w: w + ":"),
+    words.map(lambda w: " ".join(reversed(w.split()))),
+    words.map(lambda w: f"{w} {w}"),
+    st.sampled_from(["??", "...", "Risk  factors!", "factors risk"]),
+)
+labels = st.lists(surface, min_size=1, max_size=3).map(lambda forms: LexicalForms.of(*forms))
+
+
+@st.composite
+def documents(draw, doc_id="doc"):
+    """A document tree of 1..12 nodes in pre-order, random shape."""
+    size = draw(st.integers(min_value=1, max_value=12))
+    root = TopicNode(id=0, label=draw(labels))
+    stack = [root]
+    for node_id in range(1, size):
+        depth = draw(st.integers(min_value=1, max_value=len(stack)))
+        del stack[depth:]
+        node = TopicNode(id=node_id, label=draw(labels))
+        stack[-1].children.append(node)
+        stack.append(node)
+    return DocumentTopicTree(doc_id=doc_id, root=root, metadata=DocumentMetadata())
+
+
+corpora = st.lists(documents(), min_size=1, max_size=5)
+
+
+def _fold(docs, threshold):
+    return build_composite(CorpusSet(docs=docs, origin="mem"), threshold)
+
+
+def _index_contents(index: CompositeIndex):
+    postings = {
+        parent: {token: sorted(ids) for token, ids in by_token.items()}
+        for parent, by_token in index.children_by_token.items()
+    }
+    return index.nodes, index.token_sets, index.parents, postings
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels, labels)
+def test_label_similarity_matches_oracle(a, b):
+    assert label_similarity(a, b) == oracle_label_similarity(a, b)
+
+
+def test_label_similarity_edge_cases():
+    cases = [
+        (("??",), ("!!",)),
+        (("??", "angina"), ("angina:",)),
+        (("a b",), ("b a",)),
+        (("a a b",), ("a b",)),
+        (("drug treatment", "treatment"), ("Drug  Treatment!",)),
+    ]
+    for a, b in cases:
+        a, b = LexicalForms.of(*a), LexicalForms.of(*b)
+        assert label_similarity(a, b) == oracle_label_similarity(a, b)
+    assert label_similarity(LexicalForms.of("a b"), LexicalForms.of("b a")) == 1.0
+    assert LexicalForms.of("??").token_sets() == ()
+
+
+@settings(max_examples=80, deadline=None)
+@given(corpora, documents("probe"), st.sampled_from(THRESHOLDS))
+def test_alignment_matches_brute_force(docs, probe, threshold):
+    composite = _fold(docs, threshold)
+    alignment = align_tree(probe, composite, threshold)
+    assert (alignment.pairs, alignment.unmatched) == oracle_align_tree(probe, composite, threshold)
+
+
+def test_zero_threshold_scores_children_that_share_no_token():
+    """At threshold 0 a score of 0 qualifies, so a child sharing no token with
+    the label still wins on position over its parent."""
+    def node(node_id, label, position, *children):
+        return CompositeNode(id=node_id, label=LexicalForms.of(label), typicality=1.0,
+                             position=position, support=1, children=list(children))
+
+    root = node(0, "Disease", 0.0, node(1, "Treatment", 1.0, node(2, "Surgery", 0.0), node(3, "Drugs", 1.0)))
+    composite = CompositeTopicTree(root=root, domain_genre="t", doc_count=1)
+    doc = make_doc(("Disease", [("Treatment", ["Prognosis"])]))
+    for threshold in THRESHOLDS:
+        alignment = align_tree(doc, composite, threshold)
+        assert (alignment.pairs, alignment.unmatched) == oracle_align_tree(doc, composite, threshold)
+    assert align_tree(doc, composite, 0.0).pairs[2] == 2
+
+
+@settings(max_examples=50, deadline=None)
+@given(corpora, st.lists(documents("more"), min_size=1, max_size=4), st.sampled_from(THRESHOLDS), documents("probe"))
+def test_index_stays_current_across_merges(docs, more, threshold, probe):
+    composite = _fold(docs, threshold)
+    composite.index()
+    for doc in more:
+        merge(composite, doc, align_tree(doc, composite, threshold))
+        assert _index_contents(composite.index()) == _index_contents(CompositeIndex(composite.root))
+        for node in composite.nodes():
+            assert composite.node(node.id) is node
+    alignment = align_tree(probe, composite, threshold)
+    assert (alignment.pairs, alignment.unmatched) == oracle_align_tree(probe, composite, threshold)
+
+
+@settings(max_examples=80, deadline=None)
+@given(corpora, surface, st.sampled_from((0.0, 0.3, 0.5)))
+def test_map_query_matches_full_scan(docs, query, tau):
+    composite = _fold(docs, 0.5)
+    assert map_query(query, composite, tau) == oracle_map_query(query, composite, tau)
+    for doc in docs:
+        assert map_query(query, doc, tau) == oracle_map_query(query, doc, tau)
+
+
+@settings(max_examples=50, deadline=None)
+@given(corpora, documents("late"), surface, st.integers(min_value=1, max_value=3), st.sampled_from((0.3, 0.5, 1.0)))
+def test_possible_typical_memo_is_cleared_by_merge(docs, late, query, k, alpha):
+    params = TypingParams(k=k, alpha=alpha, tau=0.3)
+    composite = _fold(docs, 0.5)
+    before = possible_typical_topics(composite, query, params)
+    assert before == oracle_possible_typical(composite, query, k, alpha, 0.3)
+    assert possible_typical_topics(composite, query, params) is before
+    merge(composite, late, align_tree(late, composite, 0.5))
+    after = possible_typical_topics(composite, query, params)
+    assert after == oracle_possible_typical(composite, query, k, alpha, 0.3)
