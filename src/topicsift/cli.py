@@ -116,7 +116,11 @@ def cmd_build(args: argparse.Namespace, out=None) -> int:
     except EmptyCorpusError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    save_composite(composite, args.out)
+    try:
+        save_composite(composite, args.out)
+    except OSError as exc:
+        print(f"error: cannot write composite file {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_ERROR
     print(f"wrote {args.out} (documents={composite.doc_count}, topics={len(composite.nodes())})", file=out)
     return EXIT_OK
 

@@ -22,6 +22,15 @@ a token with it; any other child scores 0 and could never reach the
 threshold. A threshold of exactly 0 accepts a score of 0, so there every
 child of the anchor is scored. The index is built on the first alignment and
 ``merge`` keeps it current, so no alignment re-walks the growing norm.
+
+Folding a document in costs in proportion to the document, not the norm.
+Only the parents whose child lists changed are re-sorted; every other
+sibling list kept its positions and stays sorted. Nothing in the fold reads
+typicality, so ``build_composite`` refreshes it once, after the last
+document; the public ``merge`` refreshes it after every document.
+Typicality stays a stored field because readers such as ``save_composite``
+and ``classify`` take it from the node, which has no link to its tree's
+doc_count.
 """
 from __future__ import annotations
 
@@ -36,8 +45,8 @@ from .model import (
     CompositeTopicTree,
     DocumentTopicTree,
     LexicalForms,
+    TopicNode,
     best_jaccard,
-    node_map,
     parent_map,
     sibling_rank_map,
     walk,
@@ -115,14 +124,15 @@ def align_tree(doc: DocumentTopicTree, composite: CompositeTopicTree, threshold:
     return alignment
 
 
-def merge(composite: CompositeTopicTree, doc: DocumentTopicTree, alignment: Alignment) -> CompositeTopicTree:
-    """Fold one document into the composite, in place.
+def _fold_document(composite: CompositeTopicTree, doc: DocumentTopicTree, alignment: Alignment) -> None:
+    """Add one aligned document's support, positions, spellings and new topics
+    to the composite, in place, keeping its index current.
 
-    Matched composite nodes gain support and lexical variants (once per
-    document, even if several document nodes collapsed onto them); unmatched
-    document nodes are inserted as fresh children under their parent's
-    composite node. Typicality and sibling order are recomputed afterwards,
-    and the composite's index is updated to match.
+    Work is in proportion to the document: only the parents whose child lists
+    changed (a child's position moved or a child was inserted) are re-sorted.
+    Every other child list kept its positions, so if it was sorted, a stable
+    re-sort would leave it as it is. Typicality is left stale for the caller
+    to refresh; nothing here reads it.
     """
     index = composite.index()
     comp_nodes = index.nodes
@@ -132,20 +142,21 @@ def merge(composite: CompositeTopicTree, doc: DocumentTopicTree, alignment: Alig
 
     # first document node (pre-order) to hit a composite node carries the
     # support and rank contribution for this document
-    contributions: dict[int, int] = {}
+    contributions: dict[int, TopicNode] = {}
     for node in doc.nodes():
         target = alignment.pairs.get(node.id)
         if target is not None and target not in contributions:
-            contributions[target] = node.id
+            contributions[target] = node
 
-    doc_nodes = node_map(doc.root)
-    for comp_id, doc_node_id in contributions.items():
+    touched: set[int | None] = set()
+    for comp_id, node in contributions.items():
         comp = comp_nodes[comp_id]
-        rank = doc_ranks[doc_node_id]
+        rank = doc_ranks[node.id]
         comp.position = (comp.position * comp.support + rank) / (comp.support + 1)
         comp.support += 1
-        label = comp.label.merged(doc_nodes[doc_node_id].label)
-        if label != comp.label:
+        touched.add(index.parents[comp_id])
+        label = comp.label.merged(node.label)
+        if label is not comp.label:
             comp.label = label
             index.relabel(comp)
 
@@ -162,31 +173,53 @@ def merge(composite: CompositeTopicTree, doc: DocumentTopicTree, alignment: Alig
             comp_parent = inserted[parent]
         fresh = CompositeNode(
             id=next_id,
-            label=LexicalForms.of(*node.label.forms),
+            label=node.label,
             typicality=0.0,
             position=doc_ranks[node.id],
             support=1,
         )
         next_id += 1
         comp_parent.children.append(fresh)
+        touched.add(comp_parent.id)
         index.add(fresh, comp_parent.id)
         inserted[node.id] = fresh
 
+    touched.discard(None)
+    for parent_id in touched:
+        comp_nodes[parent_id].children.sort(key=lambda child: child.position)
     index.possible_typical.clear()
     composite.doc_count += 1
-    for comp in walk(composite.root):
-        comp.typicality = comp.support / composite.doc_count
-        comp.children.sort(key=lambda child: child.position)
+
+
+def _refresh_typicality(composite: CompositeTopicTree) -> None:
+    for node in walk(composite.root):
+        node.typicality = node.support / composite.doc_count
+
+
+def merge(composite: CompositeTopicTree, doc: DocumentTopicTree, alignment: Alignment) -> CompositeTopicTree:
+    """Fold one document into the composite, in place.
+
+    Matched composite nodes gain support and lexical variants (once per
+    document, even if several document nodes collapsed onto them); unmatched
+    document nodes are inserted as fresh children under their parent's
+    composite node. Only the parents whose child lists changed are re-sorted
+    by position, so sorted sibling lists (as every build and every saved file
+    has) stay sorted. Typicality is then refreshed on every node, and the
+    composite's index is updated to match. ``build_composite`` folds without
+    this per-document refresh and refreshes typicality once at the end.
+    """
+    _fold_document(composite, doc, alignment)
+    _refresh_typicality(composite)
     return composite
 
 
 def _seed_composite(doc: DocumentTopicTree, domain_genre: str) -> CompositeTopicTree:
     ranks = sibling_rank_map(doc.root)
 
-    def convert(node) -> CompositeNode:
+    def convert(node: TopicNode) -> CompositeNode:
         return CompositeNode(
             id=node.id,
-            label=LexicalForms.of(*node.label.forms),
+            label=node.label,
             typicality=1.0,
             position=ranks[node.id],
             support=1,
@@ -205,7 +238,8 @@ def build_composite(corpus: CorpusSet, threshold: float, domain_genre: str | Non
         domain_genre = Path(corpus.origin).name or "corpus"
     composite = _seed_composite(corpus.docs[0], domain_genre)
     for doc in corpus.docs[1:]:
-        composite = merge(composite, doc, align_tree(doc, composite, threshold))
+        _fold_document(composite, doc, align_tree(doc, composite, threshold))
+    _refresh_typicality(composite)
     return composite
 
 
@@ -294,12 +328,17 @@ def load_composite(path: str | Path) -> CompositeTopicTree:
         raise CompositeSchemaError(f"cannot read composite file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CompositeSchemaError(f"composite file {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise CompositeSchemaError(f"composite file {path} is nested too deeply") from exc
     _require(isinstance(payload, dict), "composite file must hold an object")
     _require(payload.get("version") == SCHEMA_VERSION, f"unsupported composite schema version {payload.get('version')!r}")
     doc_count = payload.get("doc_count")
     _require(isinstance(doc_count, int) and not isinstance(doc_count, bool) and doc_count >= 1, "doc_count must be a positive integer")
     domain_genre = payload.get("domain_genre")
     _require(isinstance(domain_genre, str), "domain_genre must be a string")
-    root = _parse_node(payload.get("root"), doc_count, set())
+    try:
+        root = _parse_node(payload.get("root"), doc_count, set())
+    except RecursionError as exc:
+        raise CompositeSchemaError(f"composite file {path} is nested too deeply") from exc
     _require(root.support == doc_count, "root support must equal doc_count (root typicality is 1.0 by construction)")
     return CompositeTopicTree(root=root, domain_genre=domain_genre, doc_count=doc_count)

@@ -84,11 +84,11 @@ def _tags(value: str) -> list[str]:
     return [n for n in (normalize(part) for part in value.split(",")) if n]
 
 
-def _split_front_matter(text: str) -> tuple[str, int]:
+def _split_front_matter(text: str, source: str) -> tuple[str, int]:
     """Return (front-matter body, offset where the document body starts).
 
     An opening fence without a closing one is not front matter; the text is
-    then treated as plain body (with a warning).
+    then treated as plain body (with a warning naming source).
     """
     lines = text.splitlines(keepends=True)
     if not lines or not _FENCE.match(lines[0].rstrip("\n")):
@@ -100,7 +100,7 @@ def _split_front_matter(text: str) -> tuple[str, int]:
             return "".join(block), offset + len(line)
         block.append(line)
         offset += len(line)
-    log.warning("unterminated front-matter fence; treating file as plain body")
+    log.warning("unterminated front-matter fence in %s; treating file as plain body", source)
     return "", 0
 
 
@@ -110,7 +110,7 @@ def parse_document(text: str, doc_id: str, source_path: str = "") -> DocumentTop
     Deterministic: identical text yields an identical tree with identical
     pre-order node ids. Documents without headers yield a single-node tree.
     """
-    front, body_start = _split_front_matter(text)
+    front, body_start = _split_front_matter(text, source_path or doc_id)
     metadata = parse_metadata(front, source_path)
 
     headers: list[tuple[int, str, tuple[int, int]]] = []

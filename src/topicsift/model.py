@@ -10,14 +10,13 @@ is the only code that mutates composite nodes, and only during a build fold.
 """
 from __future__ import annotations
 
-import re
 import string
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
-_WS_RUN = re.compile(r"\s+")
-_TRAILING_PUNCT = re.compile("[%s\\s]+$" % re.escape(string.punctuation))
+# after fold the only whitespace left is single inner spaces
+_TRAILING_JUNK = string.punctuation + " "
 
 
 class UnknownNodeError(LookupError):
@@ -25,8 +24,13 @@ class UnknownNodeError(LookupError):
 
 
 def fold(text: str) -> str:
-    """Case-fold and collapse internal whitespace (lexical-form dedup key)."""
-    return _WS_RUN.sub(" ", text).strip().casefold()
+    """Case-fold, trim and collapse runs of whitespace (``str.isspace``) to
+    one space; the lexical-form dedup key.
+
+    No non-whitespace character casefolds to whitespace, so collapsing before
+    folding leaves no leading, trailing or doubled whitespace.
+    """
+    return " ".join(text.split()).casefold()
 
 
 def normalize(text: str) -> str:
@@ -36,7 +40,7 @@ def normalize(text: str) -> str:
     "Symptoms:" and "symptoms" compare equal. May return "" for labels made
     of punctuation only; empty normal forms never count as a match.
     """
-    return _TRAILING_PUNCT.sub("", fold(text))
+    return fold(text).rstrip(_TRAILING_JUNK)
 
 
 @dataclass(frozen=True)
@@ -78,8 +82,14 @@ class LexicalForms:
         return tuple(sets)
 
     def merged(self, other: "LexicalForms") -> "LexicalForms":
-        """Union of variants; this label's spellings keep their positions."""
-        return LexicalForms.of(*self.forms, *other.forms)
+        """Union of variants; this label's spellings keep their positions.
+
+        Returns this label itself when the other brings no new spelling, so
+        callers can test ``merged is self`` for "nothing changed".
+        """
+        keys = {fold(form) for form in self.forms}
+        extra = tuple(form for form in other.forms if fold(form) not in keys)
+        return LexicalForms(self.forms + extra) if extra else self
 
 
 @dataclass

@@ -2,15 +2,26 @@
 
 Kept separate from the package on purpose: it re-reads the classification
 table with exact Fraction arithmetic and a data-driven rule loop, so tests
-can cross-check the production classifier against it. The brute-force label
-similarity, alignment and query mapping below play the same part for the
-indexed norm.
+can cross-check the production classifier against it. The regex label
+folding, brute-force label similarity, alignment, query mapping and the
+full-walk norm build below play the same part for the indexed norm.
 """
 from __future__ import annotations
 
+import re
+import string
 from fractions import Fraction
 
-from topicsift.model import LexicalForms, node_map, normalize, parent_map, walk, walk_depth
+from topicsift.model import (
+    CompositeNode,
+    CompositeTopicTree,
+    LexicalForms,
+    node_map,
+    parent_map,
+    sibling_rank_map,
+    walk,
+    walk_depth,
+)
 
 _RULES = (
     ("prototypical", ("typical", "coverage")),
@@ -64,11 +75,25 @@ def all_distributions(max_total: int, max_possible: int):
 # the package did before it indexed the norm; tests require the package to
 # agree with them.
 
+_WS_RUN = re.compile(r"\s+")
+_TRAILING_PUNCT = re.compile("[%s\\s]+$" % re.escape(string.punctuation))
+
+
+def oracle_fold(text: str) -> str:
+    """Case fold and collapse whitespace runs with a regex."""
+    return _WS_RUN.sub(" ", text).strip().casefold()
+
+
+def oracle_normalize(text: str) -> str:
+    """oracle_fold, then strip any trailing run of punctuation and whitespace."""
+    return _TRAILING_PUNCT.sub("", oracle_fold(text))
+
+
 def oracle_label_similarity(a: LexicalForms, b: LexicalForms) -> float:
     """1.0 when any normalized form is shared, otherwise the best token-level
     Jaccard over all form pairs."""
-    forms_a = {n for n in (normalize(f) for f in a.forms) if n}
-    forms_b = {n for n in (normalize(f) for f in b.forms) if n}
+    forms_a = {n for n in (oracle_normalize(f) for f in a.forms) if n}
+    forms_b = {n for n in (oracle_normalize(f) for f in b.forms) if n}
     if forms_a & forms_b:
         return 1.0
     best = 0.0
@@ -138,3 +163,64 @@ def oracle_possible_typical(composite, query: str, k: int, alpha: float, tau: fl
         for node, depth in walk_depth(start)
         if depth <= k and node.typicality >= alpha
     )
+
+
+def oracle_merge(composite, doc, pairs: dict[int, int]) -> None:
+    """Fold one aligned document into the composite in place, then walk the
+    whole norm to refresh typicality and re-sort every sibling list."""
+    comp_nodes = node_map(composite.root)
+    doc_parents = parent_map(doc.root)
+    doc_ranks = sibling_rank_map(doc.root)
+    next_id = max(comp_nodes) + 1
+    contributions = {}
+    for node in walk(doc.root):
+        target = pairs.get(node.id)
+        if target is not None and target not in contributions:
+            contributions[target] = node
+    for comp_id, node in contributions.items():
+        comp = comp_nodes[comp_id]
+        comp.position = (comp.position * comp.support + doc_ranks[node.id]) / (comp.support + 1)
+        comp.support += 1
+        comp.label = LexicalForms.of(*comp.label.forms, *node.label.forms)
+    inserted = {}
+    for node in walk(doc.root):
+        if node.id in pairs:
+            continue
+        parent = doc_parents[node.id]
+        comp_parent = comp_nodes[pairs[parent]] if parent in pairs else inserted[parent]
+        fresh = CompositeNode(
+            id=next_id,
+            label=LexicalForms.of(*node.label.forms),
+            typicality=0.0,
+            position=doc_ranks[node.id],
+            support=1,
+        )
+        next_id += 1
+        comp_parent.children.append(fresh)
+        inserted[node.id] = fresh
+    composite.doc_count += 1
+    for comp in walk(composite.root):
+        comp.typicality = comp.support / composite.doc_count
+        comp.children.sort(key=lambda child: child.position)
+
+
+def oracle_build_composite(docs, threshold: float, domain_genre: str) -> CompositeTopicTree:
+    """Seed from the first document, then align and merge every further one
+    with the brute-force versions above."""
+    ranks = sibling_rank_map(docs[0].root)
+
+    def convert(node) -> CompositeNode:
+        return CompositeNode(
+            id=node.id,
+            label=LexicalForms.of(*node.label.forms),
+            typicality=1.0,
+            position=ranks[node.id],
+            support=1,
+            children=[convert(child) for child in node.children],
+        )
+
+    composite = CompositeTopicTree(root=convert(docs[0].root), domain_genre=domain_genre, doc_count=1)
+    for doc in docs[1:]:
+        pairs, _ = oracle_align_tree(doc, composite, threshold)
+        oracle_merge(composite, doc, pairs)
+    return composite

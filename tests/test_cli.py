@@ -57,6 +57,15 @@ def test_build_checks_align_threshold_on_one_document(tmp_path, capsys):
     assert not (tmp_path / "c.json").exists()
 
 
+def test_build_to_unwritable_path_exits_1(tmp_path, angina_reference, capsys):
+    out_path = tmp_path / "missing" / "c.json"
+    code, out, err = run(capsys, "build", str(angina_reference), str(out_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot write composite file") and str(out_path) in err
+    assert err.count("\n") == 1
+
+
 def test_rebuild_is_byte_identical(tmp_path, angina_reference, capsys):
     one = tmp_path / "one.json"
     two = tmp_path / "two.json"
@@ -109,6 +118,23 @@ def test_corrupt_composite_exits_2(tmp_path, angina_docs, capsys):
     code, _, err = run(capsys, "summarize", str(angina_docs), "--composite", str(bad), "--query", "angina")
     assert code == 2
     assert "error" in err
+
+
+def test_deeply_nested_composite_exits_2(tmp_path, angina_docs, capsys):
+    depth = 3000
+    node = '{"id": %d, "forms": ["t"], "position": 0.0, "support": 1, "children": ['
+    text = (
+        '{"version": "1", "domain_genre": "g", "doc_count": 1, "root": '
+        + "".join(node % level for level in range(depth))
+        + "]}" * depth
+        + "}"
+    )
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "summarize", str(angina_docs), "--composite", str(path), "--query", "angina")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: composite file {path} is nested too deeply\n"
 
 
 def test_empty_query_exits_2(composite_file, angina_docs, capsys):

@@ -1,8 +1,14 @@
-"""The composite index against the brute-force reference versions in
-oracles.py: label similarity, alignment, query mapping and the
-possible-typical set must agree exactly, also after merges change the norm."""
+"""The composite index and the fold against the plain reference versions in
+oracles.py: label folding, label similarity, alignment, query mapping, the
+possible-typical set and the built norm must agree exactly, also after
+merges change the norm."""
 from __future__ import annotations
 
+import re
+import string
+import sys
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,11 +27,21 @@ from topicsift import (
     map_query,
     merge,
     possible_typical_topics,
+    save_composite,
 )
-from topicsift.model import CompositeIndex
+from topicsift.model import CompositeIndex, fold, normalize
 
 from conftest import make_doc
-from oracles import oracle_align_tree, oracle_label_similarity, oracle_map_query, oracle_possible_typical
+from oracles import (
+    oracle_align_tree,
+    oracle_build_composite,
+    oracle_fold,
+    oracle_label_similarity,
+    oracle_map_query,
+    oracle_merge,
+    oracle_normalize,
+    oracle_possible_typical,
+)
 
 THRESHOLDS = (0.0, 0.3, 0.5, 1.0)
 
@@ -64,6 +80,17 @@ corpora = st.lists(documents(), min_size=1, max_size=5)
 
 def _fold(docs, threshold):
     return build_composite(CorpusSet(docs=docs, origin="mem"), threshold)
+
+
+def _saved(composite, directory) -> bytes:
+    path = directory / "composite.json"
+    save_composite(composite, path)
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("saved")
 
 
 def _index_contents(index: CompositeIndex):
@@ -153,3 +180,77 @@ def test_possible_typical_memo_is_cleared_by_merge(docs, late, query, k, alpha):
     merge(composite, late, align_tree(late, composite, 0.5))
     after = possible_typical_topics(composite, query, params)
     assert after == oracle_possible_typical(composite, query, k, alpha, 0.3)
+
+
+# Unicode whitespace (including the separators \x1c-\x1f and \x85 that
+# str.isspace accepts), ASCII punctuation, and letters whose case fold differs
+# from their lower case or changes their length.
+messy_text = st.one_of(
+    st.text(),
+    st.text(alphabet=st.sampled_from(
+        list(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u2029\u202f\u3000\u200b")
+        + list(string.punctuation) + list("aZßẞİıΣσςǅﬁ")
+    )),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(messy_text)
+def test_fold_and_normalize_match_regex_versions(text):
+    assert fold(text) == oracle_fold(text)
+    assert normalize(text) == oracle_normalize(text)
+
+
+def test_whitespace_split_and_casefold_agree_with_regex_over_all_unicode():
+    """The two facts that make the split/rstrip versions equal to the regex
+    ones: str.isspace and the regex \\s accept the same code points, and no
+    other code point casefolds to anything containing whitespace."""
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    spaces = "".join(c for c in every if c.isspace())
+    assert "".join(re.findall(r"\s", every)) == spaces
+    others = "".join(c for c in every if not c.isspace())
+    assert others.casefold().split() == [others.casefold()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels, labels)
+def test_merged_label_equals_rebuilt_label(a, b):
+    merged = a.merged(b)
+    assert merged == LexicalForms.of(*a.forms, *b.forms)
+    assert (merged is a) == (merged.forms == a.forms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(corpora, st.sampled_from((0.0, 0.5, 1.0)))
+def test_build_matches_full_walk_build(scratch, docs, threshold):
+    expected = _saved(oracle_build_composite(docs, threshold, "mem"), scratch)
+    assert _saved(_fold(docs, threshold), scratch) == expected
+
+
+def test_build_keeps_the_order_of_tied_positions(scratch):
+    """B and A end on the same mean position under the root, and C and D
+    under A; a stable sort of the touched parents keeps them in first-seen
+    order, as the full re-sort did."""
+    docs = [
+        make_doc(("Root", [("A", ["C", "D"]), "B"])),
+        make_doc(("Root", ["B", ("A", ["D", "C"])])),
+        make_doc(("Root", ["E"])),
+    ]
+    for threshold in (0.0, 0.5, 1.0):
+        composite = _fold(docs, threshold)
+        assert _saved(composite, scratch) == _saved(oracle_build_composite(docs, threshold, "mem"), scratch)
+    positions = [child.position for child in composite.root.children]
+    assert len(set(positions)) < len(positions)
+
+
+@settings(max_examples=50, deadline=None)
+@given(corpora, st.lists(documents("more"), min_size=1, max_size=4), st.sampled_from((0.0, 0.5, 1.0)))
+def test_public_merge_refreshes_typicality_like_the_full_walk(scratch, docs, more, threshold):
+    composite = _fold(docs, threshold)
+    reference = oracle_build_composite(docs, threshold, "mem")
+    for doc in more:
+        merge(composite, doc, align_tree(doc, composite, threshold))
+        oracle_merge(reference, doc, oracle_align_tree(doc, reference, threshold)[0])
+        for node in composite.nodes():
+            assert node.typicality == node.support / composite.doc_count
+        assert _saved(composite, scratch) == _saved(reference, scratch)

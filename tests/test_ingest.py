@@ -108,6 +108,15 @@ def test_unterminated_front_matter_is_plain_body(caplog):
         doc = parse_document("---\ntitle: T\n# H\n", "d.md")
     assert doc.metadata.title is None
     assert shape(doc.root) == ("H", [])
+    assert [r.getMessage() for r in caplog.records] == [
+        "unterminated front-matter fence in d.md; treating file as plain body"
+    ]
+
+
+def test_unterminated_fence_warning_names_the_source_path(caplog):
+    with caplog.at_level(logging.WARNING):
+        parse_document("---\n# H\n", "d.md", source_path="corpus/d.md")
+    assert "unterminated front-matter fence in corpus/d.md" in caplog.text
 
 
 def test_hash_without_space_is_not_a_header():
