@@ -9,8 +9,10 @@ seed; warnings go to stderr.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import logging
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -99,6 +101,25 @@ def _summarize_params(args: argparse.Namespace) -> TypingParams:
     return TypingParams(k=args.k, alpha=args.alpha, tau=args.tau)
 
 
+def _unwritable_reason(path: Path) -> str | None:
+    """Why the composite file cannot be written, or None when it looks
+    writable: its directory must exist and be writable, and the path itself
+    must not be a directory."""
+    directory = path.parent
+    if not directory.is_dir():
+        return os.strerror(errno.ENOTDIR if directory.exists() else errno.ENOENT)
+    if path.is_dir():
+        return os.strerror(errno.EISDIR)
+    if not os.access(directory, os.W_OK):
+        return os.strerror(errno.EACCES)
+    return None
+
+
+def _write_error(path: str, reason: str) -> int:
+    print(f"error: cannot write composite file {path}: {reason}", file=sys.stderr)
+    return EXIT_ERROR
+
+
 def cmd_build(args: argparse.Namespace, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
@@ -106,6 +127,10 @@ def cmd_build(args: argparse.Namespace, out=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    # fail before the corpus is loaded and folded, not after
+    reason = _unwritable_reason(Path(args.out))
+    if reason is not None:
+        return _write_error(args.out, reason)
     try:
         corpus = load_corpus(args.corpus)
     except CorpusReadError as exc:
@@ -119,8 +144,7 @@ def cmd_build(args: argparse.Namespace, out=None) -> int:
     try:
         save_composite(composite, args.out)
     except OSError as exc:
-        print(f"error: cannot write composite file {args.out}: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return _write_error(args.out, exc.strerror or str(exc))
     print(f"wrote {args.out} (documents={composite.doc_count}, topics={len(composite.nodes())})", file=out)
     return EXIT_OK
 

@@ -23,6 +23,13 @@ threshold. A threshold of exactly 0 accepts a score of 0, so there every
 child of the anchor is scored. The index is built on the first alignment and
 ``merge`` keeps it current, so no alignment re-walks the growing norm.
 
+The document side is read through a ``DocumentIndex``: one pre-order pass
+records its ids, parents, sibling ranks and label token sets.
+``build_composite`` builds one per document and shares it between
+``align_tree`` and the fold, so each document is walked once; the index is
+dropped after the document and never stored on it. New composite ids come
+from the composite index's next free id, not from a scan of the norm.
+
 Folding a document in costs in proportion to the document, not the norm.
 Only the parents whose child lists changed are re-sorted; every other
 sibling list kept its positions and stays sorted. Nothing in the fold reads
@@ -43,11 +50,11 @@ from .ingest import CorpusSet
 from .model import (
     CompositeNode,
     CompositeTopicTree,
+    DocumentIndex,
     DocumentTopicTree,
     LexicalForms,
     TopicNode,
     best_jaccard,
-    parent_map,
     sibling_rank_map,
     walk,
 )
@@ -86,47 +93,57 @@ def _check_threshold(threshold: float) -> None:
         raise ValueError("threshold must be in [0, 1]")
 
 
-def align_tree(doc: DocumentTopicTree, composite: CompositeTopicTree, threshold: float) -> Alignment:
-    """Greedily align a document tree against the composite."""
+def align_tree(
+    doc: DocumentTopicTree,
+    composite: CompositeTopicTree,
+    threshold: float,
+    *,
+    index: DocumentIndex | None = None,
+) -> Alignment:
+    """Greedily align a document tree against the composite, reading the
+    document through its index (given, or built here)."""
     _check_threshold(threshold)
-    index = composite.index()
-    doc_parents = parent_map(doc.root)
+    if index is None:
+        index = DocumentIndex(doc.root)
+    norm = composite.index()
+    doc_parents = index.parents
 
     alignment = Alignment(pairs={doc.root.id: composite.root.id})
-    for node in doc.nodes():
-        if node.id == doc.root.id:
+    pairs, unmatched = alignment.pairs, alignment.unmatched
+    for node_id, token_sets in index.token_sets.items():
+        if node_id == doc.root.id:
             continue
-        anchor_id = alignment.pairs.get(doc_parents[node.id])
+        anchor_id = pairs.get(doc_parents[node_id])
         if anchor_id is None:
-            alignment.unmatched.add(node.id)
+            unmatched.add(node_id)
             continue
-        token_sets = node.label.token_sets()
         if threshold > 0.0:
             candidates = {anchor_id}
-            postings = index.children_by_token.get(anchor_id, {})
+            postings = norm.children_by_token.get(anchor_id, {})
             for tokens in token_sets:
                 for token in tokens:
                     candidates.update(postings.get(token, ()))
         else:
-            candidates = {anchor_id, *(child.id for child in index.nodes[anchor_id].children)}
+            candidates = {anchor_id, *(child.id for child in norm.nodes[anchor_id].children)}
         best_key: tuple[float, float, int] | None = None
         for candidate_id in candidates:
-            similarity = best_jaccard(token_sets, index.token_sets[candidate_id])
+            similarity = best_jaccard(token_sets, norm.token_sets[candidate_id])
             if similarity < threshold:
                 continue
-            key = (-similarity, index.nodes[candidate_id].position, candidate_id)
+            key = (-similarity, norm.nodes[candidate_id].position, candidate_id)
             if best_key is None or key < best_key:
                 best_key = key
         if best_key is None:
-            alignment.unmatched.add(node.id)
+            unmatched.add(node_id)
         else:
-            alignment.pairs[node.id] = best_key[2]
+            pairs[node_id] = best_key[2]
     return alignment
 
 
-def _fold_document(composite: CompositeTopicTree, doc: DocumentTopicTree, alignment: Alignment) -> None:
-    """Add one aligned document's support, positions, spellings and new topics
-    to the composite, in place, keeping its index current.
+def _fold_document(composite: CompositeTopicTree, alignment: Alignment, index: DocumentIndex) -> None:
+    """Add one aligned document (read through its index) to the composite:
+    support, positions, spellings and new topics, in place, keeping the
+    composite's index current.
 
     Work is in proportion to the document: only the parents whose child lists
     changed (a child's position moved or a child was inserted) are re-sorted.
@@ -134,60 +151,54 @@ def _fold_document(composite: CompositeTopicTree, doc: DocumentTopicTree, alignm
     re-sort would leave it as it is. Typicality is left stale for the caller
     to refresh; nothing here reads it.
     """
-    index = composite.index()
-    comp_nodes = index.nodes
-    doc_parents = parent_map(doc.root)
-    doc_ranks = sibling_rank_map(doc.root)
-    next_id = max(comp_nodes) + 1
+    norm = composite.index()
+    comp_nodes = norm.nodes
+    pairs = alignment.pairs
 
     # first document node (pre-order) to hit a composite node carries the
     # support and rank contribution for this document
     contributions: dict[int, TopicNode] = {}
-    for node in doc.nodes():
-        target = alignment.pairs.get(node.id)
+    for node_id, node in index.nodes.items():
+        target = pairs.get(node_id)
         if target is not None and target not in contributions:
             contributions[target] = node
 
     touched: set[int | None] = set()
     for comp_id, node in contributions.items():
         comp = comp_nodes[comp_id]
-        rank = doc_ranks[node.id]
+        rank = index.ranks[node.id]
         comp.position = (comp.position * comp.support + rank) / (comp.support + 1)
         comp.support += 1
-        touched.add(index.parents[comp_id])
+        touched.add(norm.parents[comp_id])
         label = comp.label.merged(node.label)
         if label is not comp.label:
             comp.label = label
-            index.relabel(comp)
+            norm.relabel(comp)
 
     # insert unmatched nodes top-down: parents are processed before children,
     # so an unmatched parent already has its fresh composite node
     inserted: dict[int, CompositeNode] = {}
-    for node in doc.nodes():
-        if node.id in alignment.pairs:
+    for node_id, node in index.nodes.items():
+        if node_id in pairs:
             continue
-        parent = doc_parents[node.id]
-        if parent in alignment.pairs:
-            comp_parent = comp_nodes[alignment.pairs[parent]]
-        else:
-            comp_parent = inserted[parent]
+        parent = index.parents[node_id]
+        comp_parent = comp_nodes[pairs[parent]] if parent in pairs else inserted[parent]
         fresh = CompositeNode(
-            id=next_id,
+            id=norm.next_id,
             label=node.label,
             typicality=0.0,
-            position=doc_ranks[node.id],
+            position=index.ranks[node_id],
             support=1,
         )
-        next_id += 1
         comp_parent.children.append(fresh)
         touched.add(comp_parent.id)
-        index.add(fresh, comp_parent.id)
-        inserted[node.id] = fresh
+        norm.add(fresh, comp_parent.id)
+        inserted[node_id] = fresh
 
     touched.discard(None)
     for parent_id in touched:
         comp_nodes[parent_id].children.sort(key=lambda child: child.position)
-    index.possible_typical.clear()
+    norm.possible_typical.clear()
     composite.doc_count += 1
 
 
@@ -208,7 +219,7 @@ def merge(composite: CompositeTopicTree, doc: DocumentTopicTree, alignment: Alig
     composite's index is updated to match. ``build_composite`` folds without
     this per-document refresh and refreshes typicality once at the end.
     """
-    _fold_document(composite, doc, alignment)
+    _fold_document(composite, alignment, DocumentIndex(doc.root))
     _refresh_typicality(composite)
     return composite
 
@@ -238,7 +249,8 @@ def build_composite(corpus: CorpusSet, threshold: float, domain_genre: str | Non
         domain_genre = Path(corpus.origin).name or "corpus"
     composite = _seed_composite(corpus.docs[0], domain_genre)
     for doc in corpus.docs[1:]:
-        _fold_document(composite, doc, align_tree(doc, composite, threshold))
+        index = DocumentIndex(doc.root)
+        _fold_document(composite, align_tree(doc, composite, threshold, index=index), index)
     _refresh_typicality(composite)
     return composite
 

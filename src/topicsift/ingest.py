@@ -1,9 +1,10 @@
 """Parsing of header-marked plain text into document topic trees.
 
 Input format: UTF-8 text with ATX headers ("#" * n + space + text, n in
-1..6) and an optional front-matter block at the very top, delimited by
-lines containing only "---", holding "key: value" lines. Recognized keys:
-title, content_types (comma separated), special_content (comma separated).
+1..6, the text not blank) and an optional front-matter block at the very
+top, delimited by lines containing only "---", holding "key: value" lines.
+Recognized keys: title, content_types (comma separated), special_content
+(comma separated).
 
 A level-n header becomes a child of the nearest preceding header of a
 lower level; level jumps attach to the nearest valid ancestor. The root is
@@ -27,7 +28,8 @@ from .model import (
 
 log = logging.getLogger(__name__)
 
-_HEADER = re.compile(r"^(#{1,6}) (.+?)\s*$")
+# the label must hold a non-space character: "#  " is body text, not a header
+_HEADER = re.compile(r"^(#{1,6}) (.*?\S)\s*$")
 _FENCE = re.compile(r"^---\s*$")
 _META_LINE = re.compile(r"^([A-Za-z_][A-Za-z0-9_ -]*):\s*(.*)$")
 
@@ -116,10 +118,12 @@ def parse_document(text: str, doc_id: str, source_path: str = "") -> DocumentTop
     headers: list[tuple[int, str, tuple[int, int]]] = []
     offset = body_start
     for line in text[body_start:].splitlines(keepends=True):
-        stripped = line.rstrip("\n")
-        match = _HEADER.match(stripped)
-        if match:
-            headers.append((len(match.group(1)), match.group(2), (offset, offset + len(stripped))))
+        # only a line that starts with "#" can match the header pattern
+        if line.startswith("#"):
+            stripped = line.rstrip("\n")
+            match = _HEADER.match(stripped)
+            if match:
+                headers.append((len(match.group(1)), match.group(2), (offset, offset + len(stripped))))
         offset += len(line)
 
     next_id = 0

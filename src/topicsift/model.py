@@ -54,18 +54,25 @@ class LexicalForms:
             raise ValueError("a label needs at least one form")
         if any(not f.strip() for f in self.forms):
             raise ValueError("blank lexical form in %r" % (self.forms,))
-        keys = [fold(f) for f in self.forms]
-        if len(set(keys)) != len(keys):
-            raise ValueError("duplicate lexical forms in %r" % (self.forms,))
+        if len(self.forms) > 1:
+            keys = {fold(f) for f in self.forms}
+            if len(keys) != len(self.forms):
+                raise ValueError("duplicate lexical forms in %r" % (self.forms,))
 
     @classmethod
     def of(cls, *forms: str) -> "LexicalForms":
-        """Build from raw strings, dropping blanks and duplicates (first spelling wins)."""
-        unique: dict[str, str] = {}
-        for form in forms:
-            if form and form.strip():
+        """Build from raw strings, dropping blanks and duplicates (first spelling wins).
+
+        A one-form label, such as every parsed header, is never folded: it
+        has nothing to be a duplicate of.
+        """
+        kept = tuple(form for form in forms if form and form.strip())
+        if len(kept) > 1:
+            unique: dict[str, str] = {}
+            for form in kept:
                 unique.setdefault(fold(form), form)
-        return cls(tuple(unique.values()))
+            kept = tuple(unique.values())
+        return cls(kept)
 
     @property
     def canonical(self) -> str:
@@ -85,8 +92,12 @@ class LexicalForms:
         """Union of variants; this label's spellings keep their positions.
 
         Returns this label itself when the other brings no new spelling, so
-        callers can test ``merged is self`` for "nothing changed".
+        callers can test ``merged is self`` for "nothing changed". A label
+        whose spellings all appear verbatim in this one is answered without
+        folding: equal strings have equal fold keys.
         """
+        if all(form in self.forms for form in other.forms):
+            return self
         keys = {fold(form) for form in self.forms}
         extra = tuple(form for form in other.forms if fold(form) not in keys)
         return LexicalForms(self.forms + extra) if extra else self
@@ -237,16 +248,60 @@ def topic_count(tree: DocumentTopicTree) -> int:
     return len(tree.nodes())
 
 
+class DocumentIndex:
+    """One pre-order pass over a document tree: its nodes by id (in pre-order),
+    parent ids, depths, sibling ranks and each label's token sets; rejects
+    duplicate ids.
+
+    A transient value: ``type_document`` and the norm build take one per
+    document and pass it to every stage that reads the document. It is never
+    stored on the tree, since a corpus keeps every parsed document alive.
+    """
+
+    __slots__ = ("nodes", "parents", "depths", "ranks", "token_sets")
+
+    def __init__(self, root: TopicNode) -> None:
+        nodes: dict[int, TopicNode] = {}
+        parents: dict[int, int | None] = {root.id: None}
+        depths = {root.id: 0}
+        ranks = {root.id: 0.0}
+        token_sets: dict[int, tuple[frozenset[str], ...]] = {}
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            node_id = node.id
+            if node_id in nodes:
+                raise ValueError("duplicate node id %r" % (node_id,))
+            nodes[node_id] = node
+            token_sets[node_id] = node.label.token_sets()
+            children = node.children
+            if children:
+                depth = depths[node_id] + 1
+                denom = max(len(children) - 1, 1)
+                for rank, child in enumerate(children):
+                    parents[child.id] = node_id
+                    depths[child.id] = depth
+                    ranks[child.id] = rank / denom
+                stack.extend(reversed(children))
+        self.nodes = nodes
+        self.parents = parents
+        self.depths = depths
+        self.ranks = ranks
+        self.token_sets = token_sets
+
+
 class CompositeIndex:
     """Lookups over one composite tree, so no query re-walks it.
 
-    Holds id -> node, id -> the label's token sets, and per parent a posting
-    map token -> ids of the children whose label has that token.
-    ``possible_typical`` memoizes ``classify.possible_typical_topics`` per
-    (query, params); whatever changes the tree must clear it.
+    Holds id -> node, id -> the label's token sets, per parent a posting
+    map token -> ids of the children whose label has that token, and the
+    next free id (one past the largest). ``possible_typical`` memoizes
+    ``classify.possible_typical_topics`` per (query, params); whatever
+    changes the tree must clear it.
     """
 
     def __init__(self, root: CompositeNode) -> None:
+        self.next_id = root.id + 1
         self.nodes: dict[int, CompositeNode] = {}
         self.token_sets: dict[int, tuple[frozenset[str], ...]] = {}
         self.children_by_token: dict[int, dict[str, list[int]]] = {}
@@ -263,6 +318,7 @@ class CompositeIndex:
             raise ValueError("duplicate node id %r" % (node.id,))
         self.nodes[node.id] = node
         self.parents[node.id] = parent_id
+        self.next_id = max(self.next_id, node.id + 1)
         self.relabel(node)
 
     def relabel(self, node: CompositeNode) -> None:

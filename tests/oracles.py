@@ -4,7 +4,9 @@ Kept separate from the package on purpose: it re-reads the classification
 table with exact Fraction arithmetic and a data-driven rule loop, so tests
 can cross-check the production classifier against it. The regex label
 folding, brute-force label similarity, alignment, query mapping and the
-full-walk norm build below play the same part for the indexed norm.
+full-walk norm build below play the same part for the indexed norm, and the
+full-walk typing chain and the per-line header scan for the per-document
+index and the parser.
 """
 from __future__ import annotations
 
@@ -12,10 +14,13 @@ import re
 import string
 from fractions import Fraction
 
+from topicsift.ingest import _HEADER, _split_front_matter, parse_metadata
 from topicsift.model import (
     CompositeNode,
     CompositeTopicTree,
+    DocumentTopicTree,
     LexicalForms,
+    TopicNode,
     node_map,
     parent_map,
     sibling_rank_map,
@@ -224,3 +229,54 @@ def oracle_build_composite(docs, threshold: float, domain_genre: str) -> Composi
         pairs, _ = oracle_align_tree(doc, composite, threshold)
         oracle_merge(composite, doc, pairs)
     return composite
+
+
+def oracle_type_document(doc, composite, query: str, k: int, alpha: float, tau: float, threshold: float):
+    """Align, map the query and type every topic with full walks of the
+    document; returns (query_node, {id: type name}, pairs, unmatched)."""
+    pairs, unmatched = oracle_align_tree(doc, composite, threshold)
+    query_node = oracle_map_query(query, doc, tau)
+    types = {node.id: "irrelevant" for node in walk(doc.root)}
+    if query_node is not None:
+        comp_nodes = node_map(composite.root)
+        for node, depth in walk_depth(node_map(doc.root)[query_node]):
+            if depth > k:
+                types[node.id] = "intricate"
+            else:
+                typicality = comp_nodes[pairs[node.id]].typicality if node.id in pairs else 0.0
+                types[node.id] = "typical" if typicality >= alpha else "rare"
+    return query_node, types, pairs, unmatched
+
+
+def oracle_parse_document(text: str, doc_id: str, source_path: str = "") -> DocumentTopicTree:
+    """parse_document with the header pattern tried on every body line."""
+    front, body_start = _split_front_matter(text, source_path or doc_id)
+    metadata = parse_metadata(front, source_path)
+    headers = []
+    offset = body_start
+    for line in text[body_start:].splitlines(keepends=True):
+        stripped = line.rstrip("\n")
+        match = _HEADER.match(stripped)
+        if match:
+            headers.append((len(match.group(1)), match.group(2), (offset, offset + len(stripped))))
+        offset += len(line)
+    ids = iter(range(len(headers) + 1))
+
+    def make(label, span):
+        return TopicNode(id=next(ids), label=LexicalForms.of(label), source_span=span)
+
+    if metadata.title:
+        root, root_level = make(metadata.title, None), 0
+    elif headers and headers[0][0] == 1:
+        root, root_level = make(headers[0][1], headers[0][2]), 1
+        headers = headers[1:]
+    else:
+        root, root_level = make(doc_id, None), 0
+    stack = [(root_level, root)]
+    for level, label, span in headers:
+        while len(stack) > 1 and stack[-1][0] >= level:
+            stack.pop()
+        node = make(label, span)
+        stack[-1][1].children.append(node)
+        stack.append((level, node))
+    return DocumentTopicTree(doc_id=doc_id, root=root, metadata=metadata)

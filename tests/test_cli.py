@@ -66,6 +66,22 @@ def test_build_to_unwritable_path_exits_1(tmp_path, angina_reference, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("target", ["missing/c.json", "file.txt/c.json", "outdir"])
+def test_build_rejects_unwritable_path_before_loading(tmp_path, angina_reference, capsys, monkeypatch, target):
+    def fail(directory):
+        raise AssertionError("the corpus was loaded before the output path was checked")
+
+    (tmp_path / "file.txt").write_text("x", encoding="utf-8")
+    (tmp_path / "outdir").mkdir()
+    monkeypatch.setattr(cli, "load_corpus", fail)
+    out_path = tmp_path / target
+    code, out, err = run(capsys, "build", str(angina_reference), str(out_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write composite file {out_path}: ")
+    assert err.count("\n") == 1
+
+
 def test_rebuild_is_byte_identical(tmp_path, angina_reference, capsys):
     one = tmp_path / "one.json"
     two = tmp_path / "two.json"

@@ -1,5 +1,6 @@
-"""The composite index and the fold against the plain reference versions in
-oracles.py: label folding, label similarity, alignment, query mapping, the
+"""The composite index, the per-document index and the fold against the
+plain reference versions in oracles.py: label folding, label similarity,
+alignment, query mapping, document typing, header parsing, the
 possible-typical set and the built norm must agree exactly, also after
 merges change the norm."""
 from __future__ import annotations
@@ -7,6 +8,7 @@ from __future__ import annotations
 import re
 import string
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,14 +24,28 @@ from topicsift import (
     TopicNode,
     TypingParams,
     align_tree,
+    assign_regions,
+    assign_types,
     build_composite,
     label_similarity,
+    load_composite,
     map_query,
     merge,
+    parse_document,
     possible_typical_topics,
     save_composite,
+    type_document,
 )
-from topicsift.model import CompositeIndex, fold, normalize
+from topicsift.model import (
+    CompositeIndex,
+    DocumentIndex,
+    fold,
+    normalize,
+    parent_map,
+    sibling_rank_map,
+    walk,
+    walk_depth,
+)
 
 from conftest import make_doc
 from oracles import (
@@ -40,7 +56,9 @@ from oracles import (
     oracle_map_query,
     oracle_merge,
     oracle_normalize,
+    oracle_parse_document,
     oracle_possible_typical,
+    oracle_type_document,
 )
 
 THRESHOLDS = (0.0, 0.3, 0.5, 1.0)
@@ -213,11 +231,17 @@ def test_whitespace_split_and_casefold_agree_with_regex_over_all_unicode():
 
 
 @settings(max_examples=200, deadline=None)
-@given(labels, labels)
-def test_merged_label_equals_rebuilt_label(a, b):
+@given(labels, labels, st.data())
+def test_merged_label_equals_rebuilt_label(a, b, data):
     merged = a.merged(b)
     assert merged == LexicalForms.of(*a.forms, *b.forms)
     assert (merged is a) == (merged.forms == a.forms)
+    # spellings already present verbatim come back as the label itself,
+    # without a single fold
+    verbatim = LexicalForms(tuple(data.draw(st.lists(st.sampled_from(a.forms), min_size=1, unique=True))))
+    with mock.patch("topicsift.model.fold", side_effect=AssertionError("folded")):
+        assert a.merged(verbatim) is a
+    assert a.merged(verbatim) == LexicalForms.of(*a.forms, *verbatim.forms)
 
 
 @settings(max_examples=80, deadline=None)
@@ -254,3 +278,119 @@ def test_public_merge_refreshes_typicality_like_the_full_walk(scratch, docs, mor
         for node in composite.nodes():
             assert node.typicality == node.support / composite.doc_count
         assert _saved(composite, scratch) == _saved(reference, scratch)
+
+
+def test_fresh_ids_follow_the_largest_loaded_id(tmp_path, scratch):
+    """A norm with ids 0, 5 and 9 takes new topics from 10 upward, as the
+    full-walk merge does."""
+    path = tmp_path / "gappy.json"
+    path.write_text(
+        '{"version": "1", "domain_genre": "g", "doc_count": 1, "root": '
+        '{"id": 0, "forms": ["Disease"], "position": 0.0, "support": 1, "children": ['
+        '{"id": 9, "forms": ["Symptoms"], "position": 0.0, "support": 1, "children": []}, '
+        '{"id": 5, "forms": ["Treatment"], "position": 1.0, "support": 1, "children": []}]}}',
+        encoding="utf-8",
+    )
+    doc = make_doc(("Disease", [("Symptoms", ["Chest pain"]), "Prognosis", ("Diet", ["Salt"])]))
+    composite, reference = load_composite(path), load_composite(path)
+    merge(composite, doc, align_tree(doc, composite, 0.5))
+    oracle_merge(reference, doc, oracle_align_tree(doc, reference, 0.5)[0])
+    assert sorted(node.id for node in composite.nodes()) == [0, 5, 9, 10, 11, 12, 13]
+    assert _saved(composite, scratch) == _saved(reference, scratch)
+
+
+@st.composite
+def relabeled_documents(draw):
+    """A random document whose node ids are distinct arbitrary integers, not
+    pre-order positions."""
+    doc = draw(documents())
+    nodes = list(walk(doc.root))
+    ids = draw(st.lists(st.integers(-50, 50), min_size=len(nodes), max_size=len(nodes), unique=True))
+    for node, node_id in zip(nodes, ids):
+        node.id = node_id
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(relabeled_documents())
+def test_document_index_matches_the_tree_walks(doc):
+    index = DocumentIndex(doc.root)
+    preorder = list(walk(doc.root))
+    assert list(index.nodes) == [node.id for node in preorder]
+    assert all(index.nodes[node.id] is node for node in preorder)
+    assert index.parents == parent_map(doc.root)
+    assert index.depths == {node.id: depth for node, depth in walk_depth(doc.root)}
+    assert index.ranks == sibling_rank_map(doc.root)
+    assert index.token_sets == {node.id: node.label.token_sets() for node in preorder}
+    assert list(index.token_sets) == list(index.nodes)
+
+
+@settings(max_examples=50, deadline=None)
+@given(documents(), st.data())
+def test_document_index_rejects_duplicate_ids(doc, data):
+    nodes = list(walk(doc.root))
+    if len(nodes) < 2:
+        nodes[0].children.append(TopicNode(id=nodes[0].id, label=nodes[0].label))
+    else:
+        first, second = data.draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=2, unique_by=id))
+        second.id = first.id
+    with pytest.raises(ValueError, match="duplicate node id"):
+        DocumentIndex(doc.root)
+
+
+queries = st.one_of(surface, st.sampled_from(["", "   ", "\t"]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    corpora,
+    documents("probe"),
+    queries,
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from((0.0, 0.3, 0.5, 1.0)),
+    st.sampled_from((0.0, 0.3, 0.5)),
+    st.sampled_from(THRESHOLDS),
+)
+def test_type_document_matches_the_full_walk_chain(docs, probe, query, k, alpha, tau, threshold):
+    composite = _fold(docs, 0.5)
+    params = TypingParams(k=k, alpha=alpha, tau=tau)
+    if not query.strip():
+        with pytest.raises(ValueError):
+            type_document(probe, composite, query, params, threshold)
+        with pytest.raises(ValueError):
+            oracle_type_document(probe, composite, query, k, alpha, tau, threshold)
+        return
+    typed, alignment = type_document(probe, composite, query, params, threshold)
+    query_node, types, pairs, unmatched = oracle_type_document(probe, composite, query, k, alpha, tau, threshold)
+    assert typed.query_node == query_node
+    assert {node_id: t.value for node_id, t in typed.types.items()} == types
+    assert list(typed.types) == list(types)
+    assert (alignment.pairs, alignment.unmatched) == (pairs, unmatched)
+    # the same stages called one by one, each building its own index
+    assert map_query(query, probe, tau) == query_node
+    assert align_tree(probe, composite, threshold) == alignment
+    if query_node is not None:
+        regions = assign_regions(probe, query_node, k)
+        alone = assign_types(probe, regions, composite, alignment, alpha, query=query, query_node=query_node)
+        assert alone == typed
+
+
+line_breaks = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+line_text = st.text(alphabet=st.sampled_from(list("#- :\tab\r\x85")), max_size=8)
+body_lines = st.one_of(
+    st.builds(lambda hashes, label: "#" * hashes + " " + label, st.integers(1, 7), line_text),
+    st.builds(lambda label: "#" + label, line_text),
+    st.sampled_from(["#", "# ", "#\tTab", "####### seven", "  # indented", "#  spaced  ", "---", "title: T", "plain"]),
+    line_text,
+)
+header_texts = st.tuples(
+    st.sampled_from(["", "---\ntitle: Front\n---\n", "---\nkind: x\n---\r\n", "---\n"]),
+    st.lists(st.tuples(body_lines, line_breaks), max_size=12),
+    st.sampled_from(["", "# last", "#"]),
+).map(lambda parts: parts[0] + "".join(line + end for line, end in parts[1]) + parts[2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(header_texts)
+def test_prefiltered_parse_matches_the_per_line_scan(text):
+    assert parse_document(text, "d.md") == oracle_parse_document(text, "d.md")

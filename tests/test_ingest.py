@@ -124,6 +124,11 @@ def test_hash_without_space_is_not_a_header():
     assert labels(doc) == ["Real"]
 
 
+def test_blank_header_is_body_text():
+    doc = parse_document("# Disease\n#  \n## \t\n## Symptoms\n", "d")
+    assert labels(doc) == ["Disease", "Symptoms"]
+
+
 def test_source_spans_point_at_header_lines():
     text = "# A\n\n## B\n"
     doc = parse_document(text, "d.md")
