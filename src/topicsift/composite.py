@@ -38,12 +38,21 @@ document; the public ``merge`` refreshes it after every document.
 Typicality stays a stored field because readers such as ``save_composite``
 and ``classify`` take it from the node, which has no link to its tree's
 doc_count.
+
+A label merge costs in proportion to the spellings the document brings, not
+to those the composite label has gathered (the root gains one per distinct
+document title). The composite index keeps each label's fold keys once a
+document brings it a spelling it lacks verbatim, so each new spelling is
+folded once, and only the new spellings' token sets and postings are added.
+Topics the fold inserts take their token sets from the document's index.
 """
 from __future__ import annotations
 
 import json
+import operator
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from .ingest import CorpusSet
@@ -140,6 +149,9 @@ def align_tree(
     return alignment
 
 
+_by_position = operator.attrgetter("position")
+
+
 def _fold_document(composite: CompositeTopicTree, alignment: Alignment, index: DocumentIndex) -> None:
     """Add one aligned document (read through its index) to the composite:
     support, positions, spellings and new topics, in place, keeping the
@@ -170,10 +182,7 @@ def _fold_document(composite: CompositeTopicTree, alignment: Alignment, index: D
         comp.position = (comp.position * comp.support + rank) / (comp.support + 1)
         comp.support += 1
         touched.add(norm.parents[comp_id])
-        label = comp.label.merged(node.label)
-        if label is not comp.label:
-            comp.label = label
-            norm.relabel(comp)
+        norm.merge_label(comp, node.label)
 
     # insert unmatched nodes top-down: parents are processed before children,
     # so an unmatched parent already has its fresh composite node
@@ -192,12 +201,12 @@ def _fold_document(composite: CompositeTopicTree, alignment: Alignment, index: D
         )
         comp_parent.children.append(fresh)
         touched.add(comp_parent.id)
-        norm.add(fresh, comp_parent.id)
+        norm.add(fresh, comp_parent.id, index.token_sets[node_id])
         inserted[node_id] = fresh
 
     touched.discard(None)
     for parent_id in touched:
-        comp_nodes[parent_id].children.sort(key=lambda child: child.position)
+        comp_nodes[parent_id].children.sort(key=_by_position)
     norm.possible_typical.clear()
     composite.doc_count += 1
 
@@ -261,12 +270,15 @@ def build_composite(corpus: CorpusSet, threshold: float, domain_genre: str | Non
 # decimals for readability but re-derived as support / doc_count on load.
 
 def _emit_node(node: CompositeNode, out: list[str], indent: str) -> None:
+    # encode_basestring and float.__repr__ are what json.dumps writes for a
+    # str (ensure_ascii=False) and for a finite float, which every position
+    # is, without setting up an encoder per call
     inner = indent + "  "
     out.append(indent + "{\n")
     out.append(f'{inner}"id": {node.id},\n')
-    out.append(f'{inner}"forms": {json.dumps(list(node.label.forms), ensure_ascii=False)},\n')
+    out.append(f'{inner}"forms": [{", ".join(map(encode_basestring, node.label.forms))}],\n')
     out.append(f'{inner}"typicality": {node.typicality:.12f},\n')
-    out.append(f'{inner}"position": {json.dumps(node.position)},\n')
+    out.append(f'{inner}"position": {float.__repr__(node.position)},\n')
     out.append(f'{inner}"support": {node.support},\n')
     if node.children:
         out.append(f'{inner}"children": [\n')

@@ -128,22 +128,24 @@ def parse_document(text: str, doc_id: str, source_path: str = "") -> DocumentTop
 
     next_id = 0
 
-    def make(label: str, span: tuple[int, int] | None) -> TopicNode:
+    def make(label: LexicalForms, span: tuple[int, int] | None) -> TopicNode:
         nonlocal next_id
-        node = TopicNode(id=next_id, label=LexicalForms.of(label), source_span=span)
+        node = TopicNode(id=next_id, label=label, source_span=span)
         next_id += 1
         return node
 
+    # a title is stripped and non-empty, and a header label ends in a
+    # non-space character, so neither can be blank: one form, as it stands
     if metadata.title:
-        root = make(metadata.title, None)
+        root = make(LexicalForms((metadata.title,)), None)
         root_level = 0
     elif headers and headers[0][0] == 1:
         level, text_, span = headers[0]
-        root = make(text_, span)
+        root = make(LexicalForms((text_,)), span)
         root_level = 1
         headers = headers[1:]
     else:
-        root = make(doc_id, None)
+        root = make(LexicalForms.of(doc_id), None)
         root_level = 0
 
     # stack of (level, node); never popped past the root, so level jumps and
@@ -152,7 +154,7 @@ def parse_document(text: str, doc_id: str, source_path: str = "") -> DocumentTop
     for level, text_, span in headers:
         while len(stack) > 1 and stack[-1][0] >= level:
             stack.pop()
-        node = make(text_, span)
+        node = make(LexicalForms((text_,)), span)
         stack[-1][1].children.append(node)
         stack.append((level, node))
 

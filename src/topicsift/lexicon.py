@@ -151,12 +151,15 @@ def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
+    """Load and validate a lexicon file; any fault raises LexiconError."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise LexiconError(f"cannot read lexicon file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise LexiconError(f"lexicon file {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise LexiconError(f"lexicon file {path} is nested too deeply") from exc
     if not isinstance(payload, dict) or payload.get("version") != SCHEMA_VERSION:
         raise LexiconError(f"unsupported lexicon schema version {payload.get('version')!r}" if isinstance(payload, dict) else "lexicon file must hold an object")
     descriptions = payload.get("descriptions")

@@ -74,6 +74,14 @@ class LexicalForms:
             kept = tuple(unique.values())
         return cls(kept)
 
+    @classmethod
+    def _trusted(cls, forms: tuple[str, ...]) -> "LexicalForms":
+        """A label over forms the caller already knows to be non-blank with
+        distinct fold keys; skips the validating fold of every form."""
+        label = object.__new__(cls)
+        object.__setattr__(label, "forms", forms)
+        return label
+
     @property
     def canonical(self) -> str:
         return self.forms[0]
@@ -87,20 +95,6 @@ class LexicalForms:
             if normal:
                 sets.setdefault(frozenset(normal.split()), None)
         return tuple(sets)
-
-    def merged(self, other: "LexicalForms") -> "LexicalForms":
-        """Union of variants; this label's spellings keep their positions.
-
-        Returns this label itself when the other brings no new spelling, so
-        callers can test ``merged is self`` for "nothing changed". A label
-        whose spellings all appear verbatim in this one is answered without
-        folding: equal strings have equal fold keys.
-        """
-        if all(form in self.forms for form in other.forms):
-            return self
-        keys = {fold(form) for form in self.forms}
-        extra = tuple(form for form in other.forms if fold(form) not in keys)
-        return LexicalForms(self.forms + extra) if extra else self
 
 
 @dataclass
@@ -295,7 +289,9 @@ class CompositeIndex:
 
     Holds id -> node, id -> the label's token sets, per parent a posting
     map token -> ids of the children whose label has that token, and the
-    next free id (one past the largest). ``possible_typical`` memoizes
+    next free id (one past the largest). ``fold_keys`` holds the fold keys
+    of a node's spellings, built the first time a document brings the node
+    a spelling it lacks verbatim. ``possible_typical`` memoizes
     ``classify.possible_typical_topics`` per (query, params); whatever
     changes the tree must clear it.
     """
@@ -306,32 +302,79 @@ class CompositeIndex:
         self.token_sets: dict[int, tuple[frozenset[str], ...]] = {}
         self.children_by_token: dict[int, dict[str, list[int]]] = {}
         self.parents: dict[int, int | None] = {}
+        self.fold_keys: dict[int, set[str]] = {}
         self.possible_typical: dict[tuple[str, TypingParams], frozenset[int]] = {}
         self.add(root, None)
         for node in walk(root):
             for child in node.children:
                 self.add(child, node.id)
 
-    def add(self, node: CompositeNode, parent_id: int | None) -> None:
-        """Register a node that was just attached under parent_id."""
+    def add(
+        self,
+        node: CompositeNode,
+        parent_id: int | None,
+        token_sets: tuple[frozenset[str], ...] | None = None,
+    ) -> None:
+        """Register a node that was just attached under parent_id; token_sets
+        are its label's, when the caller already has them."""
         if node.id in self.nodes:
             raise ValueError("duplicate node id %r" % (node.id,))
         self.nodes[node.id] = node
         self.parents[node.id] = parent_id
         self.next_id = max(self.next_id, node.id + 1)
-        self.relabel(node)
+        if token_sets is None:
+            token_sets = node.label.token_sets()
+        self.token_sets[node.id] = token_sets
+        if parent_id is not None:
+            postings = self.children_by_token.setdefault(parent_id, {})
+            for token in set().union(*token_sets):
+                postings.setdefault(token, []).append(node.id)
 
-    def relabel(self, node: CompositeNode) -> None:
-        """Refresh a node's token sets after its label gained forms."""
-        old = self.token_sets.get(node.id, ())
-        new = node.label.token_sets()
-        self.token_sets[node.id] = new
-        parent_id = self.parents[node.id]
-        if parent_id is None:
+    def merge_label(self, node: CompositeNode, label: LexicalForms) -> None:
+        """Give a node the spellings of label whose fold key it lacks, in
+        label order, and post their new token sets.
+
+        Costs in proportion to label, not to the spellings the node holds:
+        a spelling the node holds verbatim is skipped without folding, and
+        each other one is folded once, checked against the node's fold keys
+        and, when new, normalized from that fold.
+        """
+        held = node.label.forms
+        fresh = [form for form in label.forms if form not in held]
+        if not fresh:
             return
-        postings = self.children_by_token.setdefault(parent_id, {})
-        for token in set().union(*new).difference(*old):
-            postings.setdefault(token, []).append(node.id)
+        keys = self.fold_keys.get(node.id)
+        if keys is None:
+            keys = self.fold_keys[node.id] = {fold(form) for form in held}
+        extra: list[str] = []
+        old_sets = self.token_sets[node.id]
+        new_sets: list[frozenset[str]] = []
+        for form in fresh:
+            key = fold(form)
+            if key in keys:
+                continue
+            keys.add(key)
+            extra.append(form)
+            normal = key.rstrip(_TRAILING_JUNK)
+            if normal:
+                tokens = frozenset(normal.split())
+                if tokens not in old_sets and tokens not in new_sets:
+                    new_sets.append(tokens)
+        if not extra:
+            return
+        # valid by construction: non-blank spellings with distinct fold keys
+        node.label = LexicalForms._trusted(held + tuple(extra))
+        if not new_sets:
+            return
+        self.token_sets[node.id] = old_sets + tuple(new_sets)
+        parent_id = self.parents[node.id]
+        if parent_id is not None:
+            postings = self.children_by_token.setdefault(parent_id, {})
+            for tokens in new_sets:
+                for token in tokens:
+                    ids = postings.setdefault(token, [])
+                    if node.id not in ids:
+                        ids.append(node.id)
 
 
 @dataclass

@@ -235,6 +235,19 @@ def test_invalid_lexicon_file_exits_2(tmp_path, composite_file, angina_docs, cap
     assert "lexicon" in err
 
 
+def test_deeply_nested_lexicon_exits_2(tmp_path, composite_file, angina_docs, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    code, out, err = run(
+        capsys,
+        "summarize", str(angina_docs), "--composite", str(composite_file),
+        "--query", "angina", "--lexicon", str(path),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: lexicon file {path} is nested too deeply\n"
+
+
 def test_trace_categories_match_the_brute_force_oracle(composite_file, angina_docs, capsys):
     """Every per-document category in the trace equals what the independent
     table evaluator derives from the traced distribution counts."""

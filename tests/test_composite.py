@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topicsift import (
     CompositeNode,
@@ -23,6 +25,7 @@ from topicsift import (
     normalize,
     save_composite,
 )
+from topicsift.composite import _emit_node
 from topicsift.model import node_map, parent_map, walk
 
 from conftest import make_doc, write_corpus
@@ -316,6 +319,25 @@ def _minimal_payload(**overrides):
     }
     payload.update(overrides)
     return payload
+
+
+# quotes, backslashes, control characters, line and paragraph separators
+# (which JSON leaves unescaped) and non-ASCII text
+json_text = st.text(alphabet=st.one_of(st.sampled_from('"\\/\x00\x08\x1f\x7f\x85\u2028\u2029é中😀'), st.characters()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(json_text.filter(str.strip), min_size=1, max_size=4),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+def test_emitted_forms_and_position_match_json_dumps(texts, position):
+    label = LexicalForms.of(*texts)
+    out: list[str] = []
+    _emit_node(CompositeNode(id=3, label=label, typicality=1.0, position=position, support=1), out, "")
+    lines = "".join(out).split("\n")
+    assert lines[2] == '  "forms": ' + json.dumps(list(label.forms), ensure_ascii=False) + ","
+    assert lines[4] == '  "position": ' + json.dumps(position) + ","
 
 
 def test_minimal_hand_written_file_loads(tmp_path):

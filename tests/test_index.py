@@ -5,6 +5,7 @@ possible-typical set and the built norm must agree exactly, also after
 merges change the norm."""
 from __future__ import annotations
 
+import random
 import re
 import string
 import sys
@@ -36,6 +37,7 @@ from topicsift import (
     save_composite,
     type_document,
 )
+from topicsift.composite import _fold_document
 from topicsift.model import (
     CompositeIndex,
     DocumentIndex,
@@ -231,17 +233,33 @@ def test_whitespace_split_and_casefold_agree_with_regex_over_all_unicode():
 
 
 @settings(max_examples=200, deadline=None)
-@given(labels, labels, st.data())
-def test_merged_label_equals_rebuilt_label(a, b, data):
-    merged = a.merged(b)
-    assert merged == LexicalForms.of(*a.forms, *b.forms)
-    assert (merged is a) == (merged.forms == a.forms)
-    # spellings already present verbatim come back as the label itself,
-    # without a single fold
-    verbatim = LexicalForms(tuple(data.draw(st.lists(st.sampled_from(a.forms), min_size=1, unique=True))))
+@given(labels, st.lists(labels, min_size=1, max_size=4), st.data())
+def test_merged_label_equals_rebuilt_label(a, others, data):
+    """Merging labels into a composite node's label one by one, as the fold
+    does, equals building the label from every spelling at once, and leaves
+    the index as a fresh one would be."""
+    node = CompositeNode(id=1, label=a, typicality=1.0, position=0.0, support=1)
+    sibling = CompositeNode(id=2, label=LexicalForms.of("risk drug"), typicality=1.0, position=1.0, support=1)
+    root = CompositeNode(id=0, label=LexicalForms.of("Root"), typicality=1.0, position=0.0, support=1,
+                         children=[node, sibling])
+    index = CompositeIndex(root)
+    spellings = list(a.forms)
+    for other in others:
+        before = node.label
+        index.merge_label(node, other)
+        spellings += other.forms
+        assert node.label == LexicalForms.of(*spellings)
+        assert (node.label is before) == (node.label.forms == before.forms)
+        assert _index_contents(index) == _index_contents(CompositeIndex(root))
+        if node.id in index.fold_keys:
+            assert index.fold_keys[node.id] == {fold(form) for form in node.label.forms}
+    # spellings already present verbatim leave the label as it is, without
+    # a single fold
+    label = node.label
+    verbatim = LexicalForms(tuple(data.draw(st.lists(st.sampled_from(label.forms), min_size=1, unique=True))))
     with mock.patch("topicsift.model.fold", side_effect=AssertionError("folded")):
-        assert a.merged(verbatim) is a
-    assert a.merged(verbatim) == LexicalForms.of(*a.forms, *verbatim.forms)
+        index.merge_label(node, verbatim)
+    assert node.label is label
 
 
 @settings(max_examples=80, deadline=None)
@@ -278,6 +296,59 @@ def test_public_merge_refreshes_typicality_like_the_full_walk(scratch, docs, mor
         for node in composite.nodes():
             assert node.typicality == node.support / composite.doc_count
         assert _saved(composite, scratch) == _saved(reference, scratch)
+
+
+def test_fold_cost_does_not_grow_with_a_labels_spellings():
+    """Every document has its own title, so the root gains one spelling per
+    document; folding document 200 in folds no more strings than folding
+    document 20 did."""
+    docs = [
+        make_doc((f"Angina guide {number}", ["Symptoms" if number % 2 else "SYMPTOMS:", ("Treatment", ["Drugs"])]))
+        for number in range(1, 201)
+    ]
+    composite = _fold(docs[:1], 0.5)
+    calls = {}
+    for number, doc in enumerate(docs[1:], start=2):
+        index = DocumentIndex(doc.root)
+        alignment = align_tree(doc, composite, 0.5, index=index)
+        with mock.patch("topicsift.model.fold", side_effect=fold) as counter:
+            _fold_document(composite, alignment, index)
+        calls[number] = counter.call_count
+    assert len(composite.root.label.forms) == 200
+    assert calls[20] == calls[200]
+
+
+def _variant_corpus(count: int, seed: int):
+    """Documents with distinct titles whose headers come from one small set,
+    each spelled in one of several case and colon variants."""
+    rng = random.Random(seed)
+    headers = ["Symptoms", "Treatment", "Drug treatment", "Risk factors", "Surgery", "Diet", "Prognosis", "Causes"]
+    spellings = (str, str.upper, str.lower, lambda h: h + ":", lambda h: h.lower() + ":", lambda h: h.upper() + " :", lambda h: h + ".")
+
+    def spelled(header):
+        return rng.choice(spellings)(header)
+
+    docs = []
+    for number in range(count):
+        children = [
+            (spelled(header), [spelled(sub) for sub in rng.sample(headers, rng.randint(0, 2))])
+            for header in rng.sample(headers, rng.randint(2, 6))
+        ]
+        docs.append(make_doc((f"Angina guide {number}: part {number % 7}", children), doc_id=f"d{number:02}"))
+    return docs
+
+
+def test_labels_with_many_spellings_build_like_the_full_walk(scratch):
+    docs = _variant_corpus(60, seed=11)
+    for threshold in (0.0, 0.5, 1.0):
+        composite = _fold(docs, threshold)
+        assert _saved(composite, scratch) == _saved(oracle_build_composite(docs, threshold, "mem"), scratch)
+        index = composite.index()
+        assert _index_contents(index) == _index_contents(CompositeIndex(composite.root))
+        for node_id, keys in index.fold_keys.items():
+            assert keys == {fold(form) for form in index.nodes[node_id].label.forms}
+    assert len(composite.root.label.forms) == 60
+    assert max(len(node.label.forms) for node in composite.root.children) > 3
 
 
 def test_fresh_ids_follow_the_largest_loaded_id(tmp_path, scratch):

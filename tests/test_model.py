@@ -5,9 +5,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from topicsift import (
+    CompositeNode,
+    CompositeTopicTree,
+    DocumentMetadata,
+    DocumentTopicTree,
     LexicalForms,
+    TopicNode,
     UnknownNodeError,
+    align_tree,
     depth_below,
+    merge,
     normalize,
     topic_count,
 )
@@ -49,9 +56,11 @@ def test_lexical_forms_require_content():
 
 
 def test_lexical_forms_merge_keeps_first_spelling():
-    a = LexicalForms.of("Symptoms")
-    b = LexicalForms.of("Signs", "SYMPTOMS")
-    assert a.merged(b).forms == ("Symptoms", "Signs")
+    root = CompositeNode(id=0, label=LexicalForms.of("Symptoms"), typicality=1.0, position=0.0, support=1)
+    composite = CompositeTopicTree(root=root, domain_genre="t", doc_count=1)
+    doc = DocumentTopicTree("d", TopicNode(id=0, label=LexicalForms.of("Signs", "SYMPTOMS")), DocumentMetadata())
+    merge(composite, doc, align_tree(doc, composite, 0.5))
+    assert composite.root.label.forms == ("Symptoms", "Signs")
 
 
 def test_walk_is_preorder():

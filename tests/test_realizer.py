@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topicsift import (
     CategoryPlan,
@@ -10,6 +13,7 @@ from topicsift import (
     DocumentCategory,
     HasFeature,
     HasTopics,
+    LexiconError,
     LexiconGapError,
     SetElements,
     SummaryPlan,
@@ -326,6 +330,66 @@ def test_lexicon_rejects_bad_schema(tmp_path):
 
     with pytest.raises(LexiconError):
         load_lexicon(path)
+
+
+_SAVED_LEXICON_MARKER = "\x00mutation\x00"
+
+
+def _paths(value, path=()):
+    """Every path to a value in a decoded JSON document, the root first."""
+    yield path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _paths(item, path + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _paths(item, path + (index,))
+
+
+json_values = st.one_of(
+    st.sampled_from([None, True, 0, -1, 1.5, "", "x", [], {}, ["a"], ["a", "b", "c"], [1, 2], {"id": 1}]),
+    st.text(max_size=5),
+)
+deep_text = st.builds(
+    lambda bracket, depth: ("[" * depth + "]" * depth) if bracket == "[" else ('{"a": ' * depth + "1" + "}" * depth),
+    st.sampled_from("[{"),
+    st.one_of(st.integers(1, 1200), st.sampled_from([5000, 200_000])),
+)
+
+
+@st.composite
+def mutated_lexicons(draw, saved: str):
+    """The saved default lexicon truncated, or with one value swapped for
+    another type or for deeply nested arrays or objects."""
+    kind = draw(st.sampled_from(["truncate", "swap", "nest"]))
+    data = saved.encode("utf-8")
+    if kind == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    payload = json.loads(saved)
+    path = draw(st.sampled_from(list(_paths(payload))))
+    replacement = json.dumps(draw(json_values)) if kind == "swap" else draw(deep_text)
+    if not path:
+        return replacement.encode("utf-8")
+    holder = payload
+    for step in path[:-1]:
+        holder = holder[step]
+    holder[path[-1]] = _SAVED_LEXICON_MARKER
+    return json.dumps(payload).replace(json.dumps(_SAVED_LEXICON_MARKER), replacement).encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_lexicon_files_raise_only_lexicon_errors(tmp_path_factory, data):
+    directory = tmp_path_factory.mktemp("lexicon")
+    saved = directory / "saved.json"
+    save_lexicon(default_lexicon(), saved)
+    mutated = directory / "mutated.json"
+    mutated.write_bytes(data.draw(mutated_lexicons(saved.read_text(encoding="utf-8"))))
+    try:
+        lexicon = load_lexicon(mutated)
+    except LexiconError:
+        return
+    assert isinstance(lexicon, Lexicon)
 
 
 def test_feature_bullet_second_sentence_is_the_range_form():
