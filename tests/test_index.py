@@ -320,10 +320,13 @@ def test_fold_cost_does_not_grow_with_a_labels_spellings():
 
 def _variant_corpus(count: int, seed: int):
     """Documents with distinct titles whose headers come from one small set,
-    each spelled in one of several case and colon variants."""
+    each spelled in one of several case, colon and period variants."""
     rng = random.Random(seed)
     headers = ["Symptoms", "Treatment", "Drug treatment", "Risk factors", "Surgery", "Diet", "Prognosis", "Causes"]
-    spellings = (str, str.upper, str.lower, lambda h: h + ":", lambda h: h.lower() + ":", lambda h: h.upper() + " :", lambda h: h + ".")
+    spellings = (
+        str, str.upper, str.lower,
+        lambda h: h + ":", lambda h: h.lower() + ":", lambda h: h.upper() + " :", lambda h: h + ".",
+    )
 
     def spelled(header):
         return rng.choice(spellings)(header)
