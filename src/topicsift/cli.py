@@ -5,16 +5,20 @@ reference corpus; ``summarize`` characterizes a document set against a norm
 for a query, emitting either the prose summary or a line-oriented trace of
 every intermediate stage. All output is deterministic for fixed inputs and
 seed; warnings go to stderr.
+
+The trace is rendered in one pass: one explicit pre-order walk per
+document, with each norm node's typicality text formatted once per run and
+one region/type text per topic type.
 """
 from __future__ import annotations
 
 import argparse
 import errno
-import json
 import logging
 import os
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from .classify import TypeDistribution, classify, distribution
@@ -28,7 +32,7 @@ from .composite import (
 )
 from .ingest import CorpusReadError, load_corpus
 from .lexicon import Lexicon, LexiconError, LexiconGapError, default_lexicon, load_lexicon
-from .model import CompositeTopicTree, DocumentCategory, TopicType, TypingParams, walk_depth
+from .model import CompositeTopicTree, DocumentCategory, TopicType, TypingParams
 from .planner import HasFeature, HasTopics, SetElements, SummaryPlan, plan
 from .realizer import NO_MATCH_NOTICE, RealizedCategory, realize_plan
 from .topic_typing import TypedTree, type_document
@@ -40,11 +44,12 @@ EXIT_ERROR = 1
 EXIT_BAD_INPUT = 2
 EXIT_LEXICON_GAP = 3
 
-_REGION_OF_TYPE = {
-    TopicType.TYPICAL: "relevant",
-    TopicType.RARE: "relevant",
-    TopicType.INTRICATE: "intricate",
-    TopicType.IRRELEVANT: "irrelevant",
+# the "region=... type=..." text of a trace node line, per topic type
+_REGION_AND_TYPE = {
+    TopicType.TYPICAL: "region=relevant type=typical",
+    TopicType.RARE: "region=relevant type=rare",
+    TopicType.INTRICATE: "region=intricate type=intricate",
+    TopicType.IRRELEVANT: "region=irrelevant type=irrelevant",
 }
 
 
@@ -160,6 +165,12 @@ def _run_pipeline(corpus_docs, composite: CompositeTopicTree, query: str, params
     return results
 
 
+def _json_strings(items: tuple[str, ...]) -> str:
+    """The JSON array json.dumps(list(items), ensure_ascii=False) writes,
+    without setting up an encoder per call."""
+    return "[" + ", ".join(map(encode_basestring, items)) + "]"
+
+
 def _trace_lines(
     query: str,
     params: TypingParams,
@@ -169,36 +180,55 @@ def _trace_lines(
     splan: SummaryPlan,
     realized: list[RealizedCategory],
 ) -> list[str]:
+    norm_nodes = composite.index().nodes
     lines = [
         "trace-version: 1",
         f"query: {query}",
         f"params: k={params.k} alpha={params.alpha:g} tau={params.tau:g} limit={args.limit}"
         f" seed={args.seed} align-threshold={args.align_threshold:g}",
         f"composite: domain-genre={composite.domain_genre} doc-count={composite.doc_count}"
-        f" nodes={len(composite.nodes())}",
+        f" nodes={len(norm_nodes)}",
         f"documents: {len(results)}",
     ]
+    append = lines.append
+    # "composite=... typicality=..." per norm node, formatted on first use
+    unaligned = f"composite=- typicality={0.0:.10f}"
+    aligned_text: dict[int, str] = {}
     for result in results:
         typed = result.typed
-        lines.append(f"document: {typed.doc.doc_id}")
-        lines.append(f"  title: {typed.doc.display_title()}")
-        lines.append(f"  query-node: {'-' if typed.query_node is None else typed.query_node}")
-        for node, depth in walk_depth(typed.doc.root):
-            topic_type = typed.types[node.id]
-            comp_id = result.alignment.pairs.get(node.id)
-            typicality = composite.node(comp_id).typicality if comp_id is not None else 0.0
-            lines.append(
-                f"  node: id={node.id} depth={depth} region={_REGION_OF_TYPE[topic_type]}"
-                f" type={topic_type.value} composite={'-' if comp_id is None else comp_id}"
-                f" typicality={typicality:.10f} label={json.dumps(node.label.canonical, ensure_ascii=False)}"
+        types = typed.types
+        pairs = result.alignment.pairs
+        append(f"document: {typed.doc.doc_id}")
+        append(f"  title: {typed.doc.display_title()}")
+        append(f"  query-node: {'-' if typed.query_node is None else typed.query_node}")
+        stack = [(typed.doc.root, 0)]
+        while stack:
+            node, depth = stack.pop()
+            node_id = node.id
+            comp_id = pairs.get(node_id)
+            if comp_id is None:
+                norm_text = unaligned
+            else:
+                norm_text = aligned_text.get(comp_id)
+                if norm_text is None:
+                    norm_text = aligned_text[comp_id] = (
+                        f"composite={comp_id} typicality={norm_nodes[comp_id].typicality:.10f}"
+                    )
+            # encode_basestring writes what json.dumps(ensure_ascii=False) does for a str
+            append(
+                f"  node: id={node_id} depth={depth} {_REGION_AND_TYPE[types[node_id]]}"
+                f" {norm_text} label={encode_basestring(node.label.canonical)}"
             )
+            if node.children:
+                below = depth + 1
+                stack.extend([(child, below) for child in reversed(node.children)])
         d = result.dist
-        lines.append(
+        append(
             f"  distribution: typical={d.typical} rare={d.rare} intricate={d.intricate}"
             f" irrelevant={d.irrelevant} total={d.total}"
             f" covered-typical={d.covered_typical} possible-typical={d.possible_typical}"
         )
-        lines.append(f"  category: {result.category.value}")
+        append(f"  category: {result.category.value}")
     lines.append(f"plan: categories={len(splan.categories)}")
     for item in realized:
         lines.append(f"category: {item.plan.category.value}")
@@ -208,15 +238,15 @@ def _trace_lines(
             if isinstance(message, SetElements):
                 lines.append(
                     f"  message: set-elements count={len(message.members)}"
-                    f" members={json.dumps(list(message.members), ensure_ascii=False)}"
+                    f" members={_json_strings(message.members)}"
                 )
             elif isinstance(message, HasTopics):
-                lines.append(f"  message: has-topics topics={json.dumps(list(message.topics), ensure_ascii=False)}")
+                lines.append(f"  message: has-topics topics={_json_strings(message.topics)}")
             elif isinstance(message, HasFeature):
                 lines.append(
                     f"  message: has-feature kind={message.kind}"
-                    f" values={json.dumps(list(message.values), ensure_ascii=False)}"
-                    f" members={json.dumps(list(message.members), ensure_ascii=False)}"
+                    f" values={_json_strings(message.values)}"
+                    f" members={_json_strings(message.members)}"
                 )
             else:
                 lines.append("  message: description")
@@ -224,7 +254,7 @@ def _trace_lines(
             variant = "-" if sentence.chosen_description is None else str(sentence.chosen_description)
             lines.append(
                 f"  sentence: relation={sentence.relation} pattern={sentence.chosen_pattern}"
-                f" description-variant={variant} text={json.dumps(text, ensure_ascii=False)}"
+                f" description-variant={variant} text={encode_basestring(text)}"
             )
         lines.append(f"  bullet: {item.bullet}")
     lines.append("summary:")
@@ -282,8 +312,12 @@ def cmd_summarize(args: argparse.Namespace, out=None) -> int:
         return EXIT_LEXICON_GAP
 
     if args.format == "trace":
+        # write, not print, per line: the trace runs to thousands of lines,
+        # and joining them into one string first would double its memory
+        write = out.write
         for line in _trace_lines(args.query, params, args, composite, results, splan, realized):
-            print(line, file=out)
+            write(line)
+            write("\n")
     else:
         if realized:
             for item in realized:

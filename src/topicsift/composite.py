@@ -64,6 +64,7 @@ from .model import (
     LexicalForms,
     TopicNode,
     best_jaccard,
+    brief_repr,
     sibling_rank_map,
     walk,
 )
@@ -350,12 +351,13 @@ def load_composite(path: str | Path) -> CompositeTopicTree:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise CompositeSchemaError(f"cannot read composite file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer too long to convert
         raise CompositeSchemaError(f"composite file {path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise CompositeSchemaError(f"composite file {path} is nested too deeply") from exc
     _require(isinstance(payload, dict), "composite file must hold an object")
-    _require(payload.get("version") == SCHEMA_VERSION, f"unsupported composite schema version {payload.get('version')!r}")
+    _require(payload.get("version") == SCHEMA_VERSION, f"unsupported composite schema version {brief_repr(payload.get('version'))}")
     doc_count = payload.get("doc_count")
     _require(isinstance(doc_count, int) and not isinstance(doc_count, bool) and doc_count >= 1, "doc_count must be a positive integer")
     domain_genre = payload.get("domain_genre")

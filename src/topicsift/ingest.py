@@ -10,6 +10,12 @@ A level-n header becomes a child of the nearest preceding header of a
 lower level; level jumps attach to the nearest valid ancestor. The root is
 the front-matter title when present, else the first header when that
 header is level 1, else a synthesized node labeled with the doc id.
+
+Headers are found in one multi-line regex scan of the body when the text
+breaks lines only with "\n", the common case. Text holding any other
+line boundary ``str.splitlines`` knows ("\r", "\x0b", "\x85", "\u2028",
+...) is scanned line by line instead, so both give the same headers and
+spans.
 """
 from __future__ import annotations
 
@@ -30,6 +36,13 @@ log = logging.getLogger(__name__)
 
 # the label must hold a non-space character: "#  " is body text, not a header
 _HEADER = re.compile(r"^(#{1,6}) (.*?\S)\s*$")
+# the same headers in one scan of a "\n"-only body: trailing whitespace must
+# stop at the line's "\n", where $ matches. The label still ends at the
+# line's last non-space character; matching it greedily backtracks only
+# over the trailing whitespace.
+_HEADER_LINES = re.compile(r"^(#{1,6}) (.*\S)[^\S\n]*$", re.M)
+# every line boundary of str.splitlines except "\n"
+_OTHER_BREAK = re.compile("[\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 _FENCE = re.compile(r"^---\s*$")
 _META_LINE = re.compile(r"^([A-Za-z_][A-Za-z0-9_ -]*):\s*(.*)$")
 
@@ -92,8 +105,11 @@ def _split_front_matter(text: str, source: str) -> tuple[str, int]:
     An opening fence without a closing one is not front matter; the text is
     then treated as plain body (with a warning naming source).
     """
+    # the opening fence is a first line of "---" and trailing whitespace
+    if not text.startswith("---"):
+        return "", 0
     lines = text.splitlines(keepends=True)
-    if not lines or not _FENCE.match(lines[0].rstrip("\n")):
+    if not _FENCE.match(lines[0].rstrip("\n")):
         return "", 0
     offset = len(lines[0])
     block: list[str] = []
@@ -106,6 +122,34 @@ def _split_front_matter(text: str, source: str) -> tuple[str, int]:
     return "", 0
 
 
+_Header = tuple[int, str, tuple[int, int]]
+
+
+def _scan_headers(text: str, start: int) -> list[_Header]:
+    """(level, label, span) of every header from start on, in one scan of a
+    text whose only line break is "\n"."""
+    return [
+        (len(match.group(1)), match.group(2), match.span())
+        for match in _HEADER_LINES.finditer(text, start)
+    ]
+
+
+def _scan_header_lines(text: str, start: int) -> list[_Header]:
+    """(level, label, span) of every header from start on, line by line; a
+    span ends before the line's break."""
+    headers: list[_Header] = []
+    offset = start
+    for line in text[start:].splitlines(keepends=True):
+        # only a line that starts with "#" can match the header pattern
+        if line.startswith("#"):
+            stripped = line.rstrip("\n")
+            match = _HEADER.match(stripped)
+            if match:
+                headers.append((len(match.group(1)), match.group(2), (offset, offset + len(stripped))))
+        offset += len(line)
+    return headers
+
+
 def parse_document(text: str, doc_id: str, source_path: str = "") -> DocumentTopicTree:
     """Build a document topic tree from header-marked text.
 
@@ -114,47 +158,33 @@ def parse_document(text: str, doc_id: str, source_path: str = "") -> DocumentTop
     """
     front, body_start = _split_front_matter(text, source_path or doc_id)
     metadata = parse_metadata(front, source_path)
-
-    headers: list[tuple[int, str, tuple[int, int]]] = []
-    offset = body_start
-    for line in text[body_start:].splitlines(keepends=True):
-        # only a line that starts with "#" can match the header pattern
-        if line.startswith("#"):
-            stripped = line.rstrip("\n")
-            match = _HEADER.match(stripped)
-            if match:
-                headers.append((len(match.group(1)), match.group(2), (offset, offset + len(stripped))))
-        offset += len(line)
-
-    next_id = 0
-
-    def make(label: LexicalForms, span: tuple[int, int] | None) -> TopicNode:
-        nonlocal next_id
-        node = TopicNode(id=next_id, label=label, source_span=span)
-        next_id += 1
-        return node
+    # body_start is 0 or just past a "\n" in a "\n"-only text, so ^ matches there
+    if _OTHER_BREAK.search(text) is None:
+        headers = _scan_headers(text, body_start)
+    else:
+        headers = _scan_header_lines(text, body_start)
 
     # a title is stripped and non-empty, and a header label ends in a
     # non-space character, so neither can be blank: one form, as it stands
+    trusted = LexicalForms._trusted
     if metadata.title:
-        root = make(LexicalForms((metadata.title,)), None)
+        root = TopicNode(0, trusted((metadata.title,)), [], None)
         root_level = 0
     elif headers and headers[0][0] == 1:
-        level, text_, span = headers[0]
-        root = make(LexicalForms((text_,)), span)
+        root = TopicNode(0, trusted((headers[0][1],)), [], headers[0][2])
         root_level = 1
         headers = headers[1:]
     else:
-        root = make(LexicalForms.of(doc_id), None)
+        root = TopicNode(0, LexicalForms.of(doc_id), [], None)
         root_level = 0
 
     # stack of (level, node); never popped past the root, so level jumps and
     # repeated top-level headers land on the nearest valid ancestor
     stack: list[tuple[int, TopicNode]] = [(root_level, root)]
-    for level, text_, span in headers:
+    for node_id, (level, label, span) in enumerate(headers, 1):
         while len(stack) > 1 and stack[-1][0] >= level:
             stack.pop()
-        node = make(LexicalForms((text_,)), span)
+        node = TopicNode(node_id, trusted((label,)), [], span)
         stack[-1][1].children.append(node)
         stack.append((level, node))
 

@@ -19,6 +19,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .model import brief_repr
+
 SCHEMA_VERSION = "1"
 
 # pattern-group keys, one per realized sentence kind
@@ -156,12 +158,13 @@ def load_lexicon(path: str | Path) -> Lexicon:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise LexiconError(f"cannot read lexicon file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer too long to convert
         raise LexiconError(f"lexicon file {path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise LexiconError(f"lexicon file {path} is nested too deeply") from exc
     if not isinstance(payload, dict) or payload.get("version") != SCHEMA_VERSION:
-        raise LexiconError(f"unsupported lexicon schema version {payload.get('version')!r}" if isinstance(payload, dict) else "lexicon file must hold an object")
+        raise LexiconError(f"unsupported lexicon schema version {brief_repr(payload.get('version'))}" if isinstance(payload, dict) else "lexicon file must hold an object")
     descriptions = payload.get("descriptions")
     patterns_raw = payload.get("patterns")
     morphology_raw = payload.get("morphology")

@@ -10,6 +10,7 @@ is the only code that mutates composite nodes, and only during a build fold.
 """
 from __future__ import annotations
 
+import reprlib
 import string
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -31,6 +32,14 @@ def fold(text: str) -> str:
     folding leaves no leading, trailing or doubled whitespace.
     """
     return " ".join(text.split()).casefold()
+
+
+def brief_repr(value: object) -> str:
+    """repr of a value read from an input file, for an error line: at most
+    40 characters, then "...". reprlib bounds the nesting and the lengths it
+    renders, so a huge or deeply nested value costs little."""
+    text = reprlib.repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
 
 
 def normalize(text: str) -> str:
@@ -89,6 +98,10 @@ class LexicalForms:
     def token_sets(self) -> tuple[frozenset[str], ...]:
         """Distinct token sets of the non-empty normal forms, in form order;
         labels are compared by these. A label that normalizes to "" has none."""
+        if len(self.forms) == 1:
+            # every parsed header: nothing to deduplicate
+            normal = normalize(self.forms[0])
+            return (frozenset(normal.split()),) if normal else ()
         sets: dict[frozenset[str], None] = {}
         for form in self.forms:
             normal = normalize(form)

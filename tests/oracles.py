@@ -6,15 +6,16 @@ can cross-check the production classifier against it. The regex label
 folding, brute-force label similarity, alignment, query mapping and the
 full-walk norm build below play the same part for the indexed norm, and the
 full-walk typing chain and the per-line header scan for the per-document
-index and the parser.
+index and the parser, and the walk_depth renderer for the one-pass trace.
 """
 from __future__ import annotations
 
+import json
 import re
 import string
 from fractions import Fraction
 
-from topicsift.ingest import _HEADER, _split_front_matter, parse_metadata
+from topicsift.ingest import _FENCE, _HEADER, parse_metadata
 from topicsift.model import (
     CompositeNode,
     CompositeTopicTree,
@@ -27,6 +28,8 @@ from topicsift.model import (
     walk,
     walk_depth,
 )
+from topicsift.planner import HasFeature, HasTopics, SetElements
+from topicsift.realizer import NO_MATCH_NOTICE
 
 _RULES = (
     ("prototypical", ("typical", "coverage")),
@@ -248,9 +251,25 @@ def oracle_type_document(doc, composite, query: str, k: int, alpha: float, tau: 
     return query_node, types, pairs, unmatched
 
 
+def oracle_split_front_matter(text: str) -> tuple[str, int]:
+    """_split_front_matter, without its warning, splitting every text into
+    lines before it looks for the opening fence."""
+    lines = text.splitlines(keepends=True)
+    if not lines or not _FENCE.match(lines[0].rstrip("\n")):
+        return "", 0
+    offset = len(lines[0])
+    block: list[str] = []
+    for line in lines[1:]:
+        if _FENCE.match(line.rstrip("\n")):
+            return "".join(block), offset + len(line)
+        block.append(line)
+        offset += len(line)
+    return "", 0
+
+
 def oracle_parse_document(text: str, doc_id: str, source_path: str = "") -> DocumentTopicTree:
     """parse_document with the header pattern tried on every body line."""
-    front, body_start = _split_front_matter(text, source_path or doc_id)
+    front, body_start = oracle_split_front_matter(text)
     metadata = parse_metadata(front, source_path)
     headers = []
     offset = body_start
@@ -280,3 +299,84 @@ def oracle_parse_document(text: str, doc_id: str, source_path: str = "") -> Docu
         stack[-1][1].children.append(node)
         stack.append((level, node))
     return DocumentTopicTree(doc_id=doc_id, root=root, metadata=metadata)
+
+
+_TRACE_REGIONS = {"typical": "relevant", "rare": "relevant", "intricate": "intricate", "irrelevant": "irrelevant"}
+
+
+def oracle_trace_lines(
+    query: str,
+    params,
+    args,
+    composite,
+    results,
+    splan,
+    realized,
+) -> list[str]:
+    """The version-1 trace as cli._trace_lines rendered it before the
+    one-pass walk: walk_depth per document, composite.node() per node and
+    json.dumps per label."""
+    lines = [
+        "trace-version: 1",
+        f"query: {query}",
+        f"params: k={params.k} alpha={params.alpha:g} tau={params.tau:g} limit={args.limit}"
+        f" seed={args.seed} align-threshold={args.align_threshold:g}",
+        f"composite: domain-genre={composite.domain_genre} doc-count={composite.doc_count}"
+        f" nodes={len(composite.nodes())}",
+        f"documents: {len(results)}",
+    ]
+    for result in results:
+        typed = result.typed
+        lines.append(f"document: {typed.doc.doc_id}")
+        lines.append(f"  title: {typed.doc.display_title()}")
+        lines.append(f"  query-node: {'-' if typed.query_node is None else typed.query_node}")
+        for node, depth in walk_depth(typed.doc.root):
+            topic_type = typed.types[node.id]
+            comp_id = result.alignment.pairs.get(node.id)
+            typicality = composite.node(comp_id).typicality if comp_id is not None else 0.0
+            lines.append(
+                f"  node: id={node.id} depth={depth} region={_TRACE_REGIONS[topic_type.value]}"
+                f" type={topic_type.value} composite={'-' if comp_id is None else comp_id}"
+                f" typicality={typicality:.10f} label={json.dumps(node.label.canonical, ensure_ascii=False)}"
+            )
+        d = result.dist
+        lines.append(
+            f"  distribution: typical={d.typical} rare={d.rare} intricate={d.intricate}"
+            f" irrelevant={d.irrelevant} total={d.total}"
+            f" covered-typical={d.covered_typical} possible-typical={d.possible_typical}"
+        )
+        lines.append(f"  category: {result.category.value}")
+    lines.append(f"plan: categories={len(splan.categories)}")
+    for item in realized:
+        lines.append(f"category: {item.plan.category.value}")
+        if item.plan.reordered:
+            lines.append("  reordered: true")
+        for message in item.plan.messages:
+            if isinstance(message, SetElements):
+                lines.append(
+                    f"  message: set-elements count={len(message.members)}"
+                    f" members={json.dumps(list(message.members), ensure_ascii=False)}"
+                )
+            elif isinstance(message, HasTopics):
+                lines.append(f"  message: has-topics topics={json.dumps(list(message.topics), ensure_ascii=False)}")
+            elif isinstance(message, HasFeature):
+                lines.append(
+                    f"  message: has-feature kind={message.kind}"
+                    f" values={json.dumps(list(message.values), ensure_ascii=False)}"
+                    f" members={json.dumps(list(message.members), ensure_ascii=False)}"
+                )
+            else:
+                lines.append("  message: description")
+        for sentence, text in zip(item.sentences, item.texts):
+            variant = "-" if sentence.chosen_description is None else str(sentence.chosen_description)
+            lines.append(
+                f"  sentence: relation={sentence.relation} pattern={sentence.chosen_pattern}"
+                f" description-variant={variant} text={json.dumps(text, ensure_ascii=False)}"
+            )
+        lines.append(f"  bullet: {item.bullet}")
+    lines.append("summary:")
+    if realized:
+        lines.extend(item.bullet for item in realized)
+    else:
+        lines.append(NO_MATCH_NOTICE)
+    return lines

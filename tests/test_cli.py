@@ -248,6 +248,44 @@ def test_deeply_nested_lexicon_exits_2(tmp_path, composite_file, angina_docs, ca
     assert err == f"error: lexicon file {path} is nested too deeply\n"
 
 
+# JSON texts of version values whose repr runs to kilobytes
+HUGE_VERSIONS = {
+    "nested-900": "[" * 900 + "]" * 900,
+    "string-10kB": json.dumps("v" * 10_000),
+    "integer-5000-digits": "1" * 5000,
+}
+
+
+def _assert_one_short_error_line(err: str, path) -> None:
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert len(err.replace(str(path), "")) <= 200
+
+
+@pytest.mark.parametrize("version", HUGE_VERSIONS.values(), ids=HUGE_VERSIONS.keys())
+def test_huge_composite_version_gives_one_short_error_line(tmp_path, angina_docs, capsys, version):
+    path = tmp_path / "composite.json"
+    path.write_text('{"version": %s, "domain_genre": "g", "doc_count": 1, "root": {}}' % version, encoding="utf-8")
+    code, out, err = run(capsys, "summarize", str(angina_docs), "--composite", str(path), "--query", "angina")
+    assert code == 2
+    assert out == ""
+    _assert_one_short_error_line(err, path)
+
+
+@pytest.mark.parametrize("version", HUGE_VERSIONS.values(), ids=HUGE_VERSIONS.keys())
+def test_huge_lexicon_version_gives_one_short_error_line(tmp_path, composite_file, angina_docs, capsys, version):
+    path = tmp_path / "lexicon.json"
+    path.write_text('{"version": %s, "descriptions": {}, "patterns": {}, "morphology": {}}' % version, encoding="utf-8")
+    code, out, err = run(
+        capsys,
+        "summarize", str(angina_docs), "--composite", str(composite_file),
+        "--query", "angina", "--lexicon", str(path),
+    )
+    assert code == 2
+    assert out == ""
+    _assert_one_short_error_line(err, path)
+
+
 def test_trace_categories_match_the_brute_force_oracle(composite_file, angina_docs, capsys):
     """Every per-document category in the trace equals what the independent
     table evaluator derives from the traced distribution counts."""

@@ -1,14 +1,16 @@
 """The composite index, the per-document index and the fold against the
 plain reference versions in oracles.py: label folding, label similarity,
 alignment, query mapping, document typing, header parsing, the
-possible-typical set and the built norm must agree exactly, also after
-merges change the norm."""
+possible-typical set, the built norm and the rendered trace must agree
+exactly, also after merges change the norm."""
 from __future__ import annotations
 
+import argparse
 import random
 import re
 import string
 import sys
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
@@ -28,15 +30,19 @@ from topicsift import (
     assign_regions,
     assign_types,
     build_composite,
+    default_lexicon,
     label_similarity,
     load_composite,
     map_query,
     merge,
     parse_document,
+    plan,
     possible_typical_topics,
+    realize_plan,
     save_composite,
     type_document,
 )
+from topicsift import cli, ingest
 from topicsift.composite import _fold_document
 from topicsift.model import (
     CompositeIndex,
@@ -60,6 +66,7 @@ from oracles import (
     oracle_normalize,
     oracle_parse_document,
     oracle_possible_typical,
+    oracle_trace_lines,
     oracle_type_document,
 )
 
@@ -81,15 +88,15 @@ labels = st.lists(surface, min_size=1, max_size=3).map(lambda forms: LexicalForm
 
 
 @st.composite
-def documents(draw, doc_id="doc"):
+def documents(draw, doc_id="doc", node_labels=labels):
     """A document tree of 1..12 nodes in pre-order, random shape."""
     size = draw(st.integers(min_value=1, max_value=12))
-    root = TopicNode(id=0, label=draw(labels))
+    root = TopicNode(id=0, label=draw(node_labels))
     stack = [root]
     for node_id in range(1, size):
         depth = draw(st.integers(min_value=1, max_value=len(stack)))
         del stack[depth:]
-        node = TopicNode(id=node_id, label=draw(labels))
+        node = TopicNode(id=node_id, label=draw(node_labels))
         stack[-1].children.append(node)
         stack.append(node)
     return DocumentTopicTree(doc_id=doc_id, root=root, metadata=DocumentMetadata())
@@ -449,12 +456,32 @@ def test_type_document_matches_the_full_walk_chain(docs, probe, query, k, alpha,
         assert alone == typed
 
 
+def _breaks_only_at_newlines(text: str) -> bool:
+    """True when "\n" is the only character of text that str.splitlines
+    splits at."""
+    return all(char == "\n" or len(f"a{char}b".splitlines()) == 1 for char in set(text))
+
+
+@contextmanager
+def _watched_scans():
+    """Count the calls of the one-scan and the per-line header scan."""
+    with mock.patch.object(ingest, "_scan_headers", wraps=ingest._scan_headers) as one_scan, \
+            mock.patch.object(ingest, "_scan_header_lines", wraps=ingest._scan_header_lines) as per_line:
+        yield one_scan, per_line
+
+
 line_breaks = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
 line_text = st.text(alphabet=st.sampled_from(list("#- :\tab\r\x85")), max_size=8)
+# whitespace a header's trailing match must take, up to the line break
+trailing_space = st.text(alphabet=st.sampled_from([" ", "\t", "\x1f", "\xa0"]), max_size=3)
+odd_lines = st.sampled_from([
+    "", "#", "# ", "#\t", "#\tTab", "#  ", "#  spaced  ", "#######", "####### seven", "  # indented",
+    "---", "title: T", "plain",
+])
 body_lines = st.one_of(
-    st.builds(lambda hashes, label: "#" * hashes + " " + label, st.integers(1, 7), line_text),
+    st.builds(lambda hashes, label, tail: "#" * hashes + " " + label + tail, st.integers(1, 7), line_text, trailing_space),
     st.builds(lambda label: "#" + label, line_text),
-    st.sampled_from(["#", "# ", "#\tTab", "####### seven", "  # indented", "#  spaced  ", "---", "title: T", "plain"]),
+    odd_lines,
     line_text,
 )
 header_texts = st.tuples(
@@ -467,4 +494,119 @@ header_texts = st.tuples(
 @settings(max_examples=300, deadline=None)
 @given(header_texts)
 def test_prefiltered_parse_matches_the_per_line_scan(text):
-    assert parse_document(text, "d.md") == oracle_parse_document(text, "d.md")
+    with _watched_scans() as (one_scan, per_line):
+        assert parse_document(text, "d.md") == oracle_parse_document(text, "d.md")
+    assert (one_scan.call_count, per_line.call_count) == ((1, 0) if _breaks_only_at_newlines(text) else (0, 1))
+
+
+# "\n"-only text: every line below, header or not, ends in "\n"
+newline_text = st.text(alphabet=st.sampled_from(list("#- :\tab\x1f\xa0")), max_size=8)
+newline_lines = st.one_of(
+    st.builds(lambda hashes, label, tail: "#" * hashes + " " + label + tail, st.integers(1, 7), newline_text, trailing_space),
+    st.builds(lambda label: "#" + label, newline_text),
+    odd_lines,
+    newline_text,
+    st.integers(1, 4).map(lambda run: "\n" * run),
+)
+newline_texts = st.tuples(
+    st.sampled_from([
+        "", "---\ntitle: Front\n---\n", "---  \ntitle: Spaced fence\n---\t\n", "---\nkind: x\n---\n",
+        "---\ntitle: Unclosed\n", "---\n", "---", "---\n---",
+    ]),
+    st.lists(newline_lines, max_size=16),
+    st.sampled_from(["", "# last", "## last \t\x1f\xa0", "#", "\n\n"]),
+).map(lambda parts: parts[0] + "".join(line + "\n" for line in parts[1]) + parts[2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(newline_texts)
+def test_one_scan_parse_matches_the_per_line_scan(text):
+    with _watched_scans() as (one_scan, per_line):
+        assert parse_document(text, "d.md") == oracle_parse_document(text, "d.md")
+    assert (one_scan.call_count, per_line.call_count) == (1, 0)
+
+
+def test_each_line_break_style_takes_its_scan():
+    text = "---\ntitle: T\n---\n# Top  \n## Sub\t\n\n\nbody\n####### no\n#\tno\n### Deep\xa0\n## Last"
+    with _watched_scans() as (one_scan, per_line):
+        newline_doc = parse_document(text, "d.md")
+        assert (one_scan.call_count, per_line.call_count) == (1, 0)
+        crlf_doc = parse_document(text.replace("\n", "\r\n"), "d.md")
+        assert (one_scan.call_count, per_line.call_count) == (1, 1)
+    assert newline_doc == oracle_parse_document(text, "d.md")
+    assert crlf_doc == oracle_parse_document(text.replace("\n", "\r\n"), "d.md")
+    assert [node.label.canonical for node in walk(newline_doc.root)] == ["T", "Top", "Sub", "Deep", "Last"]
+    spans = [text[slice(*node.source_span)] for node in walk(newline_doc.root) if node.source_span]
+    assert spans == ["# Top  ", "## Sub\t", "### Deep\xa0", "## Last"]
+
+
+# labels whose JSON text needs escapes, or differs with ensure_ascii: quotes,
+# backslashes, control and separator characters, non-ASCII text and lone
+# surrogates, around the shared vocabulary so documents still align
+escaped = st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\t", "é", "漢", "\u2028", "\ud800", "\udfff", "\U0001f600"])
+trace_labels = st.one_of(
+    labels,
+    st.builds(lambda word, marks, first: marks + " " + word if first else word + marks,
+              words, st.lists(escaped, min_size=1, max_size=3).map("".join), st.booleans()).map(LexicalForms.of),
+)
+
+
+def _trace_documents(count_range=(1, 4)):
+    return st.integers(*count_range).flatmap(
+        lambda count: st.tuples(*(documents(f"d{index}.md", trace_labels) for index in range(count))).map(list)
+    )
+
+
+def _both_traces(docs, composite, query, params, threshold, seed=0, limit=5):
+    """cli._trace_lines and the walk_depth oracle over one summarize run."""
+    results = cli._run_pipeline(docs, composite, query, params, threshold)
+    splan = plan([(result.typed, result.category) for result in results])
+    titles = {result.typed.doc.doc_id: result.typed.doc.display_title() for result in results}
+    realized = realize_plan(splan, default_lexicon(), seed, titles=titles, limit=limit)
+    args = argparse.Namespace(limit=limit, seed=seed, align_threshold=threshold)
+    rendered = (query, params, args, composite, results, splan, realized)
+    return cli._trace_lines(*rendered), oracle_trace_lines(*rendered)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _trace_documents(),
+    _trace_documents(),
+    st.one_of(surface, trace_labels.map(lambda label: label.canonical)),
+    st.sampled_from(THRESHOLDS),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from((0.3, 0.5, 1.0)),
+    st.sampled_from((0.3, 0.5, 1.0)),
+)
+def test_trace_lines_match_the_walk_depth_renderer(norm_docs, docs, query, threshold, k, alpha, tau):
+    composite = build_composite(CorpusSet(docs=norm_docs, origin="mem"), threshold)
+    lines, expected = _both_traces(docs, composite, query, TypingParams(k=k, alpha=alpha, tau=tau), threshold)
+    assert lines == expected
+
+
+def test_trace_lines_cover_unmatched_nodes_shared_norm_nodes_and_unmatched_queries():
+    norm_a = build_composite(CorpusSet(docs=[
+        make_doc(("Angina", ["Signs", ("Treatment", ["Drug \"A\""])]), doc_id="r1.md"),
+        make_doc(("Angina", ["Signs", "Risk"]), doc_id="r2.md"),
+        make_doc(("Angina", ["Surgery"]), doc_id="r3.md"),
+    ], origin="mem"), 0.5)
+    # the same ids, other typicalities: a memo kept across runs goes stale
+    norm_b = build_composite(CorpusSet(docs=[
+        make_doc(("Angina", ["Signs", ("Treatment", ["Drug \"A\""])]), doc_id="r1.md"),
+        make_doc(("Angina", ["Surgery", "Risk"]), doc_id="r2.md"),
+    ], origin="mem"), 0.5)
+    docs = [
+        make_doc(("Angina", ["Signs", ("Treatment", ["Drug \"A\"", "Diet \\ é\u2028\ud800"])]), doc_id="a.md"),
+        make_doc(("Angina", ["Signs", "Risk"]), doc_id="b.md"),
+        make_doc(("Weather", ["Rain", ("Wind", [("Gusts", ["Calm"])])]), doc_id="c.md"),
+    ]
+    params = TypingParams(k=1, alpha=0.5, tau=0.5)
+    for composite in (norm_a, norm_b, norm_a):
+        lines, expected = _both_traces(docs, composite, "treatment", params, 0.5)
+        assert lines == expected
+    node_lines = [line for line in lines if line.startswith("  node: ")]
+    assert "  query-node: -" in lines  # c.md has no treatment topic
+    assert any("composite=-" in line for line in node_lines)  # Diet, and every topic below Weather
+    assert sum(" composite=1 " in line for line in node_lines) == 2  # Signs in a.md and b.md
+    assert any(" depth=3 " in line for line in node_lines)
+    assert any('label="Diet \\\\ é\u2028\ud800"' in line for line in node_lines)
