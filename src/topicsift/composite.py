@@ -23,6 +23,18 @@ threshold. A threshold of exactly 0 accepts a score of 0, so there every
 child of the anchor is scored. The index is built on the first alignment and
 ``merge`` keeps it current, so no alignment re-walks the growing norm.
 
+A header's match depends on the norm and on nothing else but the threshold,
+the header's anchor (the match of its parent) and its label's token sets.
+``align_tree`` memoizes it in the composite index: ``alignments`` maps
+(threshold, anchor id, token sets) to the matched composite id or None, so
+against a norm loaded once each distinct header is scored once per anchor,
+however many documents repeat it. The memo holds one entry per distinct key
+seen and lives as long as the norm's index; the fold clears it, together
+with the possible-typical memo, whenever it changes the norm.
+``build_composite`` aligns without the memo: each of its documents is
+aligned against a norm that the next fold changes, so no entry could ever be
+read back.
+
 The document side is read through a ``DocumentIndex``: one pre-order pass
 records its ids, parents, sibling ranks and label token sets.
 ``build_composite`` builds one per document and shares it between
@@ -57,6 +69,7 @@ from pathlib import Path
 
 from .ingest import CorpusSet
 from .model import (
+    CompositeIndex,
     CompositeNode,
     CompositeTopicTree,
     DocumentIndex,
@@ -103,19 +116,29 @@ def _check_threshold(threshold: float) -> None:
         raise ValueError("threshold must be in [0, 1]")
 
 
+_UNSEEN = object()
+
+
 def align_tree(
     doc: DocumentTopicTree,
     composite: CompositeTopicTree,
     threshold: float,
     *,
     index: DocumentIndex | None = None,
+    _memoize: bool = True,
 ) -> Alignment:
     """Greedily align a document tree against the composite, reading the
-    document through its index (given, or built here)."""
+    document through its index (given, or built here).
+
+    Each header's match is looked up in, or stored to, the composite index's
+    alignment memo; ``build_composite`` passes ``_memoize=False``, as the
+    norm it aligns against changes before any entry could be read back.
+    """
     _check_threshold(threshold)
     if index is None:
         index = DocumentIndex(doc.root)
     norm = composite.index()
+    memo = norm.alignments if _memoize else None
     doc_parents = index.parents
 
     alignment = Alignment(pairs={doc.root.id: composite.root.id})
@@ -127,27 +150,45 @@ def align_tree(
         if anchor_id is None:
             unmatched.add(node_id)
             continue
-        if threshold > 0.0:
-            candidates = {anchor_id}
-            postings = norm.children_by_token.get(anchor_id, {})
-            for tokens in token_sets:
-                for token in tokens:
-                    candidates.update(postings.get(token, ()))
+        if memo is None:
+            match = _best_match(norm, anchor_id, token_sets, threshold)
         else:
-            candidates = {anchor_id, *(child.id for child in norm.nodes[anchor_id].children)}
-        best_key: tuple[float, float, int] | None = None
-        for candidate_id in candidates:
-            similarity = best_jaccard(token_sets, norm.token_sets[candidate_id])
-            if similarity < threshold:
-                continue
-            key = (-similarity, norm.nodes[candidate_id].position, candidate_id)
-            if best_key is None or key < best_key:
-                best_key = key
-        if best_key is None:
+            key = (threshold, anchor_id, token_sets)
+            match = memo.get(key, _UNSEEN)
+            if match is _UNSEEN:
+                match = memo[key] = _best_match(norm, anchor_id, token_sets, threshold)
+        if match is None:
             unmatched.add(node_id)
         else:
-            pairs[node_id] = best_key[2]
+            pairs[node_id] = match
     return alignment
+
+
+def _best_match(
+    norm: CompositeIndex,
+    anchor_id: int,
+    token_sets: tuple[frozenset[str], ...],
+    threshold: float,
+) -> int | None:
+    """The id of the composite node a header with these token sets matches
+    under the anchor (the anchor itself or one of its children), or None."""
+    if threshold > 0.0:
+        candidates = {anchor_id}
+        postings = norm.children_by_token.get(anchor_id, {})
+        for tokens in token_sets:
+            for token in tokens:
+                candidates.update(postings.get(token, ()))
+    else:
+        candidates = {anchor_id, *(child.id for child in norm.nodes[anchor_id].children)}
+    best_key: tuple[float, float, int] | None = None
+    for candidate_id in candidates:
+        similarity = best_jaccard(token_sets, norm.token_sets[candidate_id])
+        if similarity < threshold:
+            continue
+        key = (-similarity, norm.nodes[candidate_id].position, candidate_id)
+        if best_key is None or key < best_key:
+            best_key = key
+    return None if best_key is None else best_key[2]
 
 
 _by_position = operator.attrgetter("position")
@@ -156,7 +197,7 @@ _by_position = operator.attrgetter("position")
 def _fold_document(composite: CompositeTopicTree, alignment: Alignment, index: DocumentIndex) -> None:
     """Add one aligned document (read through its index) to the composite:
     support, positions, spellings and new topics, in place, keeping the
-    composite's index current.
+    composite's index current and clearing its memos.
 
     Work is in proportion to the document: only the parents whose child lists
     changed (a child's position moved or a child was inserted) are re-sorted.
@@ -208,7 +249,7 @@ def _fold_document(composite: CompositeTopicTree, alignment: Alignment, index: D
     touched.discard(None)
     for parent_id in touched:
         comp_nodes[parent_id].children.sort(key=_by_position)
-    norm.possible_typical.clear()
+    norm.clear_memos()
     composite.doc_count += 1
 
 
@@ -260,7 +301,7 @@ def build_composite(corpus: CorpusSet, threshold: float, domain_genre: str | Non
     composite = _seed_composite(corpus.docs[0], domain_genre)
     for doc in corpus.docs[1:]:
         index = DocumentIndex(doc.root)
-        _fold_document(composite, align_tree(doc, composite, threshold, index=index), index)
+        _fold_document(composite, align_tree(doc, composite, threshold, index=index, _memoize=False), index)
     _refresh_typicality(composite)
     return composite
 

@@ -15,7 +15,9 @@ Headers are found in one multi-line regex scan of the body when the text
 breaks lines only with "\n", the common case. Text holding any other
 line boundary ``str.splitlines`` knows ("\r", "\x0b", "\x85", "\u2028",
 ...) is scanned line by line instead, so both give the same headers and
-spans.
+spans. The front matter is found by matching the opening fence and searching
+for the closing one, with the same line boundaries, so the text is read only
+up to the closing fence.
 """
 from __future__ import annotations
 
@@ -41,9 +43,15 @@ _HEADER = re.compile(r"^(#{1,6}) (.*?\S)\s*$")
 # line's last non-space character; matching it greedily backtracks only
 # over the trailing whitespace.
 _HEADER_LINES = re.compile(r"^(#{1,6}) (.*\S)[^\S\n]*$", re.M)
+# every line boundary of str.splitlines ("\r\n" is one as well)
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 # every line boundary of str.splitlines except "\n"
-_OTHER_BREAK = re.compile("[\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
-_FENCE = re.compile(r"^---\s*$")
+_OTHER_BREAK = re.compile(f"[{_BREAKS[1:]}]")
+# a front-matter fence: a line of "---" and whitespace, up to its break or
+# the end of the text; a closing fence starts a line, so it follows a break
+_FENCE_LINE = f"---[^\\S{_BREAKS}]*(?:\r\n|[{_BREAKS}]|\\Z)"
+_OPENING_FENCE = re.compile(_FENCE_LINE)
+_CLOSING_FENCE = re.compile(f"(?<=[{_BREAKS}]){_FENCE_LINE}")
 _META_LINE = re.compile(r"^([A-Za-z_][A-Za-z0-9_ -]*):\s*(.*)$")
 
 SOURCE_EXTENSIONS = (".md", ".txt")
@@ -102,24 +110,18 @@ def _tags(value: str) -> list[str]:
 def _split_front_matter(text: str, source: str) -> tuple[str, int]:
     """Return (front-matter body, offset where the document body starts).
 
-    An opening fence without a closing one is not front matter; the text is
-    then treated as plain body (with a warning naming source).
+    Reads the text only up to the closing fence. An opening fence without a
+    closing one is not front matter; the text is then treated as plain body
+    (with a warning naming source).
     """
-    # the opening fence is a first line of "---" and trailing whitespace
-    if not text.startswith("---"):
+    opening = _OPENING_FENCE.match(text)
+    if opening is None:
         return "", 0
-    lines = text.splitlines(keepends=True)
-    if not _FENCE.match(lines[0].rstrip("\n")):
+    closing = _CLOSING_FENCE.search(text, opening.end())
+    if closing is None:
+        log.warning("unterminated front-matter fence in %s; treating file as plain body", source)
         return "", 0
-    offset = len(lines[0])
-    block: list[str] = []
-    for line in lines[1:]:
-        if _FENCE.match(line.rstrip("\n")):
-            return "".join(block), offset + len(line)
-        block.append(line)
-        offset += len(line)
-    log.warning("unterminated front-matter fence in %s; treating file as plain body", source)
-    return "", 0
+    return text[opening.end():closing.start()], closing.end()
 
 
 _Header = tuple[int, str, tuple[int, int]]

@@ -73,15 +73,19 @@ class LexicalForms:
         """Build from raw strings, dropping blanks and duplicates (first spelling wins).
 
         A one-form label, such as every parsed header, is never folded: it
-        has nothing to be a duplicate of.
+        has nothing to be a duplicate of. Every other form is folded once,
+        to deduplicate; the result is then valid by construction and skips
+        the validating fold.
         """
         kept = tuple(form for form in forms if form and form.strip())
+        if not kept:
+            raise ValueError("a label needs at least one form")
         if len(kept) > 1:
             unique: dict[str, str] = {}
             for form in kept:
                 unique.setdefault(fold(form), form)
             kept = tuple(unique.values())
-        return cls(kept)
+        return cls._trusted(kept)
 
     @classmethod
     def _trusted(cls, forms: tuple[str, ...]) -> "LexicalForms":
@@ -304,9 +308,16 @@ class CompositeIndex:
     map token -> ids of the children whose label has that token, and the
     next free id (one past the largest). ``fold_keys`` holds the fold keys
     of a node's spellings, built the first time a document brings the node
-    a spelling it lacks verbatim. ``possible_typical`` memoizes
-    ``classify.possible_typical_topics`` per (query, params); whatever
-    changes the tree must clear it.
+    a spelling it lacks verbatim.
+
+    Two memos hold results derived from the tree, so a norm loaded once
+    computes each only once: ``possible_typical`` maps (query, params) to
+    ``classify.possible_typical_topics``, and ``alignments`` maps
+    (threshold, anchor id, a header's token sets) to the id of the composite
+    node ``composite.align_tree`` matches that header to, or None. The
+    alignment memo holds one entry per distinct key seen; the norm build
+    aligns without it, since each of its folds changes the norm. Whatever
+    changes the tree calls ``clear_memos``.
     """
 
     def __init__(self, root: CompositeNode) -> None:
@@ -317,10 +328,16 @@ class CompositeIndex:
         self.parents: dict[int, int | None] = {}
         self.fold_keys: dict[int, set[str]] = {}
         self.possible_typical: dict[tuple[str, TypingParams], frozenset[int]] = {}
+        self.alignments: dict[tuple[float, int, tuple[frozenset[str], ...]], int | None] = {}
         self.add(root, None)
         for node in walk(root):
             for child in node.children:
                 self.add(child, node.id)
+
+    def clear_memos(self) -> None:
+        """Forget every memoized result; called by whatever changes the tree."""
+        self.possible_typical.clear()
+        self.alignments.clear()
 
     def add(
         self,

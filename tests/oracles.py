@@ -15,7 +15,7 @@ import re
 import string
 from fractions import Fraction
 
-from topicsift.ingest import _FENCE, _HEADER, parse_metadata
+from topicsift.ingest import _HEADER, parse_metadata
 from topicsift.model import (
     CompositeNode,
     CompositeTopicTree,
@@ -83,6 +83,7 @@ def all_distributions(max_total: int, max_possible: int):
 # the package did before it indexed the norm; tests require the package to
 # agree with them.
 
+_FENCE = re.compile(r"^---\s*$")
 _WS_RUN = re.compile(r"\s+")
 _TRAILING_PUNCT = re.compile("[%s\\s]+$" % re.escape(string.punctuation))
 

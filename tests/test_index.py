@@ -47,6 +47,7 @@ from topicsift.composite import _fold_document
 from topicsift.model import (
     CompositeIndex,
     DocumentIndex,
+    best_jaccard,
     fold,
     normalize,
     parent_map,
@@ -209,6 +210,57 @@ def test_possible_typical_memo_is_cleared_by_merge(docs, late, query, k, alpha):
     assert after == oracle_possible_typical(composite, query, k, alpha, 0.3)
 
 
+@settings(max_examples=60, deadline=None)
+@given(corpora, st.lists(st.tuples(documents("probe"), st.sampled_from(THRESHOLDS)), min_size=1, max_size=6))
+def test_memoized_alignment_matches_brute_force_across_probes_and_thresholds(docs, probes):
+    """One norm aligns every probe in turn, at mixed thresholds, then the
+    probes again and its own documents; every header seen before at the
+    same threshold under the same anchor is served from the memo."""
+    composite = _fold(docs, 0.5)
+    rounds = probes + probes + [(doc, threshold) for doc in docs for threshold in THRESHOLDS]
+    for probe, threshold in rounds:
+        alignment = align_tree(probe, composite, threshold)
+        assert (alignment.pairs, alignment.unmatched) == oracle_align_tree(probe, composite, threshold)
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpora, documents("late"), documents("probe"), st.booleans(), st.sampled_from(THRESHOLDS))
+def test_alignment_memo_is_cleared_by_merge(docs, late, probe, merge_probe, threshold):
+    composite = _fold(docs, threshold)
+    before = align_tree(probe, composite, threshold)
+    assert (before.pairs, before.unmatched) == oracle_align_tree(probe, composite, threshold)
+    if merge_probe:
+        late = probe
+    merge(composite, late, align_tree(late, composite, threshold))
+    assert composite.index().alignments == {}
+    after = align_tree(probe, composite, threshold)
+    assert (after.pairs, after.unmatched) == oracle_align_tree(probe, composite, threshold)
+
+
+def test_a_repeated_alignment_scores_no_candidate_and_the_build_fills_no_memo():
+    docs = _variant_corpus(30, seed=5)
+    memo_sizes = []
+    clear_memos = CompositeIndex.clear_memos
+
+    def watched(index):
+        memo_sizes.append(len(index.alignments))
+        clear_memos(index)
+
+    with mock.patch.object(CompositeIndex, "clear_memos", watched):
+        composite = _fold(docs, 0.5)
+    assert memo_sizes == [0] * (len(docs) - 1)
+    assert composite.index().alignments == {}
+    probe = docs[7]
+    with mock.patch("topicsift.composite.best_jaccard", side_effect=best_jaccard) as counter:
+        first = align_tree(probe, composite, 0.5)
+        scored = counter.call_count
+        again = align_tree(probe, composite, 0.5)
+    assert scored > 0
+    assert counter.call_count == scored
+    assert again == first
+    assert 0 < len(composite.index().alignments) <= len(probe.nodes()) - 1
+
+
 # Unicode whitespace (including the separators \x1c-\x1f and \x85 that
 # str.isspace accepts), ASCII punctuation, and letters whose case fold differs
 # from their lower case or changes their length.
@@ -361,6 +413,18 @@ def test_labels_with_many_spellings_build_like_the_full_walk(scratch):
     assert max(len(node.label.forms) for node in composite.root.children) > 3
 
 
+def test_loading_a_norm_folds_each_spelling_once(tmp_path):
+    """Only labels of several spellings are folded, each spelling once, to
+    drop duplicates; the deduplicated label is not validated again."""
+    path = tmp_path / "norm.json"
+    save_composite(_fold(_variant_corpus(40, seed=3), 0.5), path)
+    with mock.patch("topicsift.model.fold", side_effect=fold) as counter:
+        loaded = load_composite(path)
+    spellings = sum(len(node.label.forms) for node in walk(loaded.root) if len(node.label.forms) > 1)
+    assert spellings > 40
+    assert counter.call_count == spellings
+
+
 def test_fresh_ids_follow_the_largest_loaded_id(tmp_path, scratch):
     """A norm with ids 0, 5 and 9 takes new topics from 10 upward, as the
     full-walk merge does."""
@@ -485,7 +549,11 @@ body_lines = st.one_of(
     line_text,
 )
 header_texts = st.tuples(
-    st.sampled_from(["", "---\ntitle: Front\n---\n", "---\nkind: x\n---\r\n", "---\n"]),
+    st.sampled_from([
+        "", "---\ntitle: Front\n---\n", "---\nkind: x\n---\r\n", "---\n", "---\r\ntitle: Crlf\r\n--- \r\n",
+        "---\x85title: Nel\x85---\x85", "---\u2028title: Separator\u2028---\t\u2028", "---\r\ntitle: Unclosed\r\n",
+        "---\ntitle: Dashes---\n---\n",
+    ]),
     st.lists(st.tuples(body_lines, line_breaks), max_size=12),
     st.sampled_from(["", "# last", "#"]),
 ).map(lambda parts: parts[0] + "".join(line + end for line, end in parts[1]) + parts[2])

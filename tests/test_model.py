@@ -50,6 +50,8 @@ def test_lexical_forms_require_content():
     with pytest.raises(ValueError):
         LexicalForms.of()
     with pytest.raises(ValueError):
+        LexicalForms.of("", "  ", "\t")
+    with pytest.raises(ValueError):
         LexicalForms(())
     with pytest.raises(ValueError):
         LexicalForms(("", "x"))
