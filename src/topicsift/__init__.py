@@ -4,6 +4,11 @@ Documents are parsed into topic trees from their section headers, compared
 against a composite norm built from a reference corpus, classified into
 seven categories by their topic-type distribution, and described by a short
 templated summary, one bullet per instantiated category.
+
+``summarize`` runs that pipeline over a parsed document set and a norm and
+returns a ``Summary`` of every stage; ``summary_lines`` gives its bullets
+(or the no-match notice) and ``render_trace`` its line-oriented trace. The
+``topicsift`` command (``cli``) only parses flags, loads files and prints.
 """
 from .classify import TypeDistribution, classify, distribution, possible_typical_topics
 from .composite import (
@@ -32,9 +37,7 @@ from .model import (
     TopicType,
     TypingParams,
     UnknownNodeError,
-    depth_below,
     normalize,
-    topic_count,
 )
 from .planner import (
     CategoryPlan,
@@ -59,7 +62,9 @@ from .realizer import (
     realize_plan,
     realize_summary,
     refer_to_set,
+    summary_lines,
 )
+from .pipeline import DocResult, Summary, render_trace, summarize
 from .topic_typing import Region, TypedTree, assign_regions, assign_types, map_query, type_document
 
 __version__ = "0.1.0"
@@ -74,6 +79,7 @@ __all__ = [
     "CorpusReadError",
     "CorpusSet",
     "Description",
+    "DocResult",
     "DocumentCategory",
     "DocumentIndex",
     "DocumentMetadata",
@@ -94,6 +100,7 @@ __all__ = [
     "Region",
     "SentencePlan",
     "SetElements",
+    "Summary",
     "SummaryPlan",
     "TopicNode",
     "TopicType",
@@ -108,7 +115,6 @@ __all__ = [
     "build_sentence_plans",
     "classify",
     "default_lexicon",
-    "depth_below",
     "distribution",
     "instantiate",
     "label_similarity",
@@ -126,8 +132,10 @@ __all__ = [
     "realize_plan",
     "realize_summary",
     "refer_to_set",
+    "render_trace",
     "save_composite",
     "save_lexicon",
-    "topic_count",
+    "summarize",
+    "summary_lines",
     "type_document",
 ]

@@ -3,12 +3,10 @@
 Two subcommands: ``build`` compiles a composite topic tree (the norm) from a
 reference corpus; ``summarize`` characterizes a document set against a norm
 for a query, emitting either the prose summary or a line-oriented trace of
-every intermediate stage. All output is deterministic for fixed inputs and
-seed; warnings go to stderr.
-
-The trace is rendered in one pass: one explicit pre-order walk per
-document, with each norm node's typicality text formatted once per run and
-one region/type text per topic type.
+every intermediate stage. The command only checks flags, loads its inputs,
+maps errors to exit codes and prints: the pipeline and the trace renderer
+are ``pipeline.summarize`` and ``pipeline.render_trace``. All output is
+deterministic for fixed inputs and seed; warnings go to stderr.
 """
 from __future__ import annotations
 
@@ -17,48 +15,19 @@ import errno
 import logging
 import os
 import sys
-from dataclasses import dataclass
-from json.encoder import encode_basestring
 from pathlib import Path
 
-from .classify import TypeDistribution, classify, distribution
-from .composite import (
-    Alignment,
-    CompositeSchemaError,
-    EmptyCorpusError,
-    build_composite,
-    load_composite,
-    save_composite,
-)
+from .composite import CompositeSchemaError, EmptyCorpusError, build_composite, load_composite, save_composite
 from .ingest import CorpusReadError, load_corpus
 from .lexicon import Lexicon, LexiconError, LexiconGapError, default_lexicon, load_lexicon
-from .model import CompositeTopicTree, DocumentCategory, TopicType, TypingParams
-from .planner import HasFeature, HasTopics, SetElements, SummaryPlan, plan
-from .realizer import NO_MATCH_NOTICE, RealizedCategory, realize_plan
-from .topic_typing import TypedTree, type_document
-
-log = logging.getLogger(__name__)
+from .model import TypingParams
+from .pipeline import render_trace, summarize
+from .realizer import summary_lines
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_BAD_INPUT = 2
 EXIT_LEXICON_GAP = 3
-
-# the "region=... type=..." text of a trace node line, per topic type
-_REGION_AND_TYPE = {
-    TopicType.TYPICAL: "region=relevant type=typical",
-    TopicType.RARE: "region=relevant type=rare",
-    TopicType.INTRICATE: "region=intricate type=intricate",
-    TopicType.IRRELEVANT: "region=irrelevant type=irrelevant",
-}
-
-
-@dataclass
-class DocResult:
-    typed: TypedTree
-    alignment: Alignment
-    dist: TypeDistribution
-    category: DocumentCategory
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -154,117 +123,6 @@ def cmd_build(args: argparse.Namespace, out=None) -> int:
     return EXIT_OK
 
 
-def _run_pipeline(corpus_docs, composite: CompositeTopicTree, query: str, params: TypingParams, align_threshold: float) -> list[DocResult]:
-    results = []
-    for doc in corpus_docs:
-        typed, alignment = type_document(doc, composite, query, params, align_threshold)
-        if typed.query_node is None:
-            log.warning("query %r matched no topic in %s", query, doc.doc_id)
-        dist = distribution(typed, composite, alignment, params)
-        results.append(DocResult(typed=typed, alignment=alignment, dist=dist, category=classify(dist)))
-    return results
-
-
-def _json_strings(items: tuple[str, ...]) -> str:
-    """The JSON array json.dumps(list(items), ensure_ascii=False) writes,
-    without setting up an encoder per call."""
-    return "[" + ", ".join(map(encode_basestring, items)) + "]"
-
-
-def _trace_lines(
-    query: str,
-    params: TypingParams,
-    args: argparse.Namespace,
-    composite: CompositeTopicTree,
-    results: list[DocResult],
-    splan: SummaryPlan,
-    realized: list[RealizedCategory],
-) -> list[str]:
-    norm_nodes = composite.index().nodes
-    lines = [
-        "trace-version: 1",
-        f"query: {query}",
-        f"params: k={params.k} alpha={params.alpha:g} tau={params.tau:g} limit={args.limit}"
-        f" seed={args.seed} align-threshold={args.align_threshold:g}",
-        f"composite: domain-genre={composite.domain_genre} doc-count={composite.doc_count}"
-        f" nodes={len(norm_nodes)}",
-        f"documents: {len(results)}",
-    ]
-    append = lines.append
-    # "composite=... typicality=..." per norm node, formatted on first use
-    unaligned = f"composite=- typicality={0.0:.10f}"
-    aligned_text: dict[int, str] = {}
-    for result in results:
-        typed = result.typed
-        types = typed.types
-        pairs = result.alignment.pairs
-        append(f"document: {typed.doc.doc_id}")
-        append(f"  title: {typed.doc.display_title()}")
-        append(f"  query-node: {'-' if typed.query_node is None else typed.query_node}")
-        stack = [(typed.doc.root, 0)]
-        while stack:
-            node, depth = stack.pop()
-            node_id = node.id
-            comp_id = pairs.get(node_id)
-            if comp_id is None:
-                norm_text = unaligned
-            else:
-                norm_text = aligned_text.get(comp_id)
-                if norm_text is None:
-                    norm_text = aligned_text[comp_id] = (
-                        f"composite={comp_id} typicality={norm_nodes[comp_id].typicality:.10f}"
-                    )
-            # encode_basestring writes what json.dumps(ensure_ascii=False) does for a str
-            append(
-                f"  node: id={node_id} depth={depth} {_REGION_AND_TYPE[types[node_id]]}"
-                f" {norm_text} label={encode_basestring(node.label.canonical)}"
-            )
-            if node.children:
-                below = depth + 1
-                stack.extend([(child, below) for child in reversed(node.children)])
-        d = result.dist
-        append(
-            f"  distribution: typical={d.typical} rare={d.rare} intricate={d.intricate}"
-            f" irrelevant={d.irrelevant} total={d.total}"
-            f" covered-typical={d.covered_typical} possible-typical={d.possible_typical}"
-        )
-        append(f"  category: {result.category.value}")
-    lines.append(f"plan: categories={len(splan.categories)}")
-    for item in realized:
-        lines.append(f"category: {item.plan.category.value}")
-        if item.plan.reordered:
-            lines.append("  reordered: true")
-        for message in item.plan.messages:
-            if isinstance(message, SetElements):
-                lines.append(
-                    f"  message: set-elements count={len(message.members)}"
-                    f" members={_json_strings(message.members)}"
-                )
-            elif isinstance(message, HasTopics):
-                lines.append(f"  message: has-topics topics={_json_strings(message.topics)}")
-            elif isinstance(message, HasFeature):
-                lines.append(
-                    f"  message: has-feature kind={message.kind}"
-                    f" values={_json_strings(message.values)}"
-                    f" members={_json_strings(message.members)}"
-                )
-            else:
-                lines.append("  message: description")
-        for sentence, text in zip(item.sentences, item.texts):
-            variant = "-" if sentence.chosen_description is None else str(sentence.chosen_description)
-            lines.append(
-                f"  sentence: relation={sentence.relation} pattern={sentence.chosen_pattern}"
-                f" description-variant={variant} text={encode_basestring(text)}"
-            )
-        lines.append(f"  bullet: {item.bullet}")
-    lines.append("summary:")
-    if realized:
-        lines.extend(item.bullet for item in realized)
-    else:
-        lines.append(NO_MATCH_NOTICE)
-    return lines
-
-
 def cmd_summarize(args: argparse.Namespace, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
@@ -295,35 +153,22 @@ def cmd_summarize(args: argparse.Namespace, out=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    results = _run_pipeline(corpus.docs, composite, args.query, params, args.align_threshold)
-    splan = plan([(r.typed, r.category) for r in results])
-    titles = {r.typed.doc.doc_id: r.typed.doc.display_title() for r in results}
     try:
-        realized = realize_plan(
-            splan,
-            lexicon,
-            args.seed,
-            titles=titles,
-            limit=args.limit,
-            extract_exists=args.assume_extract,
+        summary = summarize(
+            corpus.docs, composite, args.query, params, lexicon, seed=args.seed, limit=args.limit,
+            align_threshold=args.align_threshold, extract_exists=args.assume_extract,
         )
     except LexiconGapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LEXICON_GAP
 
-    if args.format == "trace":
-        # write, not print, per line: the trace runs to thousands of lines,
-        # and joining them into one string first would double its memory
-        write = out.write
-        for line in _trace_lines(args.query, params, args, composite, results, splan, realized):
-            write(line)
-            write("\n")
-    else:
-        if realized:
-            for item in realized:
-                print(item.bullet, file=out)
-        else:
-            print(NO_MATCH_NOTICE, file=out)
+    # write, not print, per line: the trace runs to thousands of lines, and
+    # joining them into one string first would double its memory
+    lines = render_trace(summary) if args.format == "trace" else summary_lines(summary.realized)
+    write = out.write
+    for line in lines:
+        write(line)
+        write("\n")
     return EXIT_OK
 
 

@@ -78,7 +78,6 @@ from .model import (
     TopicNode,
     best_jaccard,
     brief_repr,
-    sibling_rank_map,
     walk,
 )
 
@@ -276,7 +275,7 @@ def merge(composite: CompositeTopicTree, doc: DocumentTopicTree, alignment: Alig
 
 
 def _seed_composite(doc: DocumentTopicTree, domain_genre: str) -> CompositeTopicTree:
-    ranks = sibling_rank_map(doc.root)
+    ranks = DocumentIndex(doc.root).ranks
 
     def convert(node: TopicNode) -> CompositeNode:
         return CompositeNode(

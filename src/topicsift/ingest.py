@@ -196,17 +196,25 @@ def parse_document(text: str, doc_id: str, source_path: str = "") -> DocumentTop
 def load_corpus(directory: str | Path) -> CorpusSet:
     """Parse every .md/.txt file in a directory, in file-name order.
 
-    An unreadable or non-UTF-8 file aborts the load with an error naming the
-    file. An empty directory yields an empty corpus.
+    A directory that cannot be listed, or an unreadable or non-UTF-8 file,
+    aborts the load with an error naming it. An empty directory yields an
+    empty corpus.
     """
     root = Path(directory)
     if not root.is_dir():
         raise CorpusReadError(f"not a readable directory: {root}")
+    try:
+        paths = sorted(root.iterdir(), key=lambda p: p.name)
+    except OSError as exc:
+        raise CorpusReadError(f"cannot list corpus directory {root}: {exc.strerror or exc}") from exc
     docs: list[DocumentTopicTree] = []
-    for path in sorted(root.iterdir(), key=lambda p: p.name):
-        if not path.is_file() or path.suffix.lower() not in SOURCE_EXTENSIONS:
+    for path in paths:
+        if path.suffix.lower() not in SOURCE_EXTENSIONS:
             continue
         try:
+            # is_file raises when the directory lets names be listed but not looked up
+            if not path.is_file():
+                continue
             text = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise CorpusReadError(f"cannot read corpus file {path.name}: {exc}") from exc

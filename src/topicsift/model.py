@@ -171,53 +171,6 @@ def walk_depth(root) -> Iterator[tuple[object, int]]:
         stack.extend((child, depth + 1) for child in reversed(node.children))
 
 
-def node_map(root) -> dict[int, object]:
-    """id -> node for a whole tree; rejects duplicate ids."""
-    nodes: dict[int, object] = {}
-    for node in walk(root):
-        if node.id in nodes:
-            raise ValueError("duplicate node id %r" % (node.id,))
-        nodes[node.id] = node
-    return nodes
-
-
-def parent_map(root) -> dict[int, int | None]:
-    """id -> parent id (None for the root)."""
-    parents: dict[int, int | None] = {root.id: None}
-    for node in walk(root):
-        for child in node.children:
-            parents[child.id] = node.id
-    return parents
-
-
-def depth_map(root) -> dict[int, int]:
-    return {node.id: depth for node, depth in walk_depth(root)}
-
-
-def sibling_rank_map(root) -> dict[int, float]:
-    """id -> sibling index / max(sibling count - 1, 1); root ranks 0.0."""
-    ranks = {root.id: 0.0}
-    for node in walk(root):
-        denom = max(len(node.children) - 1, 1)
-        for index, child in enumerate(node.children):
-            ranks[child.id] = index / denom
-    return ranks
-
-
-def depth_below(root: TopicNode, ancestor: int, target: int) -> int | None:
-    """Edges on the downward path ancestor -> target, or None if target is
-    not in ancestor's subtree. Both ids must exist in the tree."""
-    nodes = node_map(root)
-    if ancestor not in nodes:
-        raise UnknownNodeError("unknown ancestor id %r" % (ancestor,))
-    if target not in nodes:
-        raise UnknownNodeError("unknown target id %r" % (target,))
-    for node, depth in walk_depth(nodes[ancestor]):
-        if node.id == target:
-            return depth
-    return None
-
-
 @dataclass(frozen=True)
 class DocumentMetadata:
     """Extra document features carried alongside the topic tree."""
@@ -239,12 +192,6 @@ class DocumentTopicTree:
     def nodes(self) -> list[TopicNode]:
         return list(walk(self.root))
 
-    def node(self, node_id: int) -> TopicNode:
-        try:
-            return node_map(self.root)[node_id]
-        except KeyError:
-            raise UnknownNodeError("no node %r in %s" % (node_id, self.doc_id)) from None
-
     def display_title(self) -> str:
         """Title used when referring to this document in prose."""
         if self.metadata.title:
@@ -252,11 +199,6 @@ class DocumentTopicTree:
         if self.root.label.canonical:
             return self.root.label.canonical
         return self.doc_id
-
-
-def topic_count(tree: DocumentTopicTree) -> int:
-    """Number of topics in the document, root included."""
-    return len(tree.nodes())
 
 
 class DocumentIndex:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import CATEGORY_ORDER, DocumentCategory, TopicType, fold
+from .model import CATEGORY_ORDER, DocumentCategory, TopicType, fold, walk
 from .topic_typing import TypedTree
 
 FEATURE_KINDS = ("content_types", "special_content")
@@ -64,32 +64,26 @@ class SummaryPlan:
     query: str = ""
 
 
-def _display_topic(raw: str) -> str:
-    # message topics are shown folded ("Definition" -> "definition") but keep
-    # their punctuation; full normalization is for comparison only
-    return fold(raw)
-
-
 def _sample_topics(members: list[TypedTree], wanted: TopicType, cap: int) -> tuple[str, ...]:
     """Distinct topic labels of the wanted type, most frequent (by document)
-    first, then alphabetical."""
-    display: dict[str, str] = {}
+    first, then alphabetical.
+
+    Topics are shown folded ("Definition" -> "definition") but keep their
+    punctuation; full normalization is for comparison only.
+    """
     doc_freq: dict[str, int] = {}
     for typed in members:
-        nodes = {node.id: node for node in typed.doc.nodes()}
+        types = typed.types
         seen: set[str] = set()
-        for node_id, topic_type in typed.types.items():
-            if topic_type is not wanted:
+        for node in walk(typed.doc.root):
+            if types[node.id] is not wanted:
                 continue
-            label = nodes[node_id].label.canonical
-            key = fold(label)
+            key = fold(node.label.canonical)
             if key in seen:
                 continue
             seen.add(key)
-            display.setdefault(key, _display_topic(label))
             doc_freq[key] = doc_freq.get(key, 0) + 1
-    ranked = sorted(doc_freq, key=lambda key: (-doc_freq[key], display[key]))
-    return tuple(display[key] for key in ranked[:cap])
+    return tuple(sorted(doc_freq, key=lambda key: (-doc_freq[key], key))[:cap])
 
 
 def _feature_groups(members: list[TypedTree], kind: str) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:

@@ -347,9 +347,12 @@ def realize_summary(
     extract_exists: bool = False,
 ) -> str:
     """The whole summary: one bullet per category, fixed notice when empty."""
-    if not plan.categories:
-        return NO_MATCH_NOTICE
     realized = realize_plan(
         plan, lexicon, seed, titles=titles, limit=limit, extract_exists=extract_exists
     )
-    return "\n".join(item.bullet for item in realized)
+    return "\n".join(summary_lines(realized))
+
+
+def summary_lines(realized: Sequence[RealizedCategory]) -> list[str]:
+    """The summary's lines: one bullet per category, or the no-match notice."""
+    return [item.bullet for item in realized] or [NO_MATCH_NOTICE]

@@ -7,6 +7,8 @@ folding, brute-force label similarity, alignment, query mapping and the
 full-walk norm build below play the same part for the indexed norm, and the
 full-walk typing chain and the per-line header scan for the per-document
 index and the parser, and the walk_depth renderer for the one-pass trace.
+The plain tree walks (node_map, parent_map, sibling_rank_map) are the
+references for DocumentIndex and serve the oracles above.
 """
 from __future__ import annotations
 
@@ -22,14 +24,41 @@ from topicsift.model import (
     DocumentTopicTree,
     LexicalForms,
     TopicNode,
-    node_map,
-    parent_map,
-    sibling_rank_map,
     walk,
     walk_depth,
 )
 from topicsift.planner import HasFeature, HasTopics, SetElements
 from topicsift.realizer import NO_MATCH_NOTICE
+
+
+def node_map(root) -> dict[int, object]:
+    """id -> node for a whole tree; rejects duplicate ids."""
+    nodes: dict[int, object] = {}
+    for node in walk(root):
+        if node.id in nodes:
+            raise ValueError("duplicate node id %r" % (node.id,))
+        nodes[node.id] = node
+    return nodes
+
+
+def parent_map(root) -> dict[int, int | None]:
+    """id -> parent id (None for the root)."""
+    parents: dict[int, int | None] = {root.id: None}
+    for node in walk(root):
+        for child in node.children:
+            parents[child.id] = node.id
+    return parents
+
+
+def sibling_rank_map(root) -> dict[int, float]:
+    """id -> sibling index / max(sibling count - 1, 1); root ranks 0.0."""
+    ranks = {root.id: 0.0}
+    for node in walk(root):
+        denom = max(len(node.children) - 1, 1)
+        for index, child in enumerate(node.children):
+            ranks[child.id] = index / denom
+    return ranks
+
 
 _RULES = (
     ("prototypical", ("typical", "coverage")),
@@ -314,9 +343,10 @@ def oracle_trace_lines(
     splan,
     realized,
 ) -> list[str]:
-    """The version-1 trace as cli._trace_lines rendered it before the
-    one-pass walk: walk_depth per document, composite.node() per node and
-    json.dumps per label."""
+    """The version-1 trace as the CLI rendered it before the one-pass walk
+    of pipeline.render_trace: walk_depth per document, composite.node() per
+    node and json.dumps per label. args carries limit, seed and
+    align_threshold; a pipeline.Summary does."""
     lines = [
         "trace-version: 1",
         f"query: {query}",

@@ -31,12 +31,11 @@ from topicsift import (
     refer_to_set,
     type_document,
 )
-from topicsift.model import node_map
 from topicsift.realizer import Enumeration, Exemplar, SentencePlan, render_subset
 from topicsift.topic_typing import Region, assign_regions, assign_types
 
 from conftest import GOLDEN, make_doc, write_corpus
-from oracles import all_distributions, oracle_classify
+from oracles import all_distributions, node_map, oracle_classify
 
 
 def report(number: int, name: str) -> None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -309,3 +310,30 @@ def test_trace_categories_match_the_brute_force_oracle(composite_file, angina_do
         assert category == oracle_classify(
             int(typical), int(rare), int(intricate), int(irrelevant), int(covered), int(possible)
         )
+
+
+@pytest.mark.parametrize("command", ["build", "summarize"])
+@pytest.mark.parametrize("method, error", [
+    ("iterdir", "cannot list corpus directory {docs}: Permission denied"),
+    ("is_file", "cannot read corpus file ama_angina_guide.md: [Errno 13] Permission denied"),
+], ids=["iterdir", "is_file"])
+def test_unreadable_corpus_directory_exits_1(
+    tmp_path, composite_file, angina_docs, capsys, monkeypatch, command, method, error
+):
+    # patched rather than chmod, which does not stop root from reading
+    original = getattr(Path, method)
+
+    def refuse(self):
+        if angina_docs in (self, self.parent):
+            raise PermissionError(13, "Permission denied")
+        return original(self)
+
+    monkeypatch.setattr(Path, method, refuse)
+    if command == "build":
+        args = ["build", str(angina_docs), str(tmp_path / "c.json")]
+    else:
+        args = ["summarize", str(angina_docs), "--composite", str(composite_file), "--query", "angina"]
+    code, out, err = run(capsys, *args)
+    assert code == 1
+    assert out == ""
+    assert err == "error: " + error.format(docs=angina_docs) + "\n"

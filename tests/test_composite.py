@@ -26,9 +26,10 @@ from topicsift import (
     save_composite,
 )
 from topicsift.composite import _emit_node
-from topicsift.model import node_map, parent_map, walk
+from topicsift.model import walk
 
 from conftest import make_doc, write_corpus
+from oracles import node_map, parent_map
 
 
 def forms(*texts):

@@ -5,7 +5,6 @@ possible-typical set, the built norm and the rendered trace must agree
 exactly, also after merges change the norm."""
 from __future__ import annotations
 
-import argparse
 import random
 import re
 import string
@@ -36,13 +35,13 @@ from topicsift import (
     map_query,
     merge,
     parse_document,
-    plan,
     possible_typical_topics,
-    realize_plan,
+    render_trace,
     save_composite,
+    summarize,
     type_document,
 )
-from topicsift import cli, ingest
+from topicsift import ingest
 from topicsift.composite import _fold_document
 from topicsift.model import (
     CompositeIndex,
@@ -50,8 +49,6 @@ from topicsift.model import (
     best_jaccard,
     fold,
     normalize,
-    parent_map,
-    sibling_rank_map,
     walk,
     walk_depth,
 )
@@ -69,6 +66,8 @@ from oracles import (
     oracle_possible_typical,
     oracle_trace_lines,
     oracle_type_document,
+    parent_map,
+    sibling_rank_map,
 )
 
 THRESHOLDS = (0.0, 0.3, 0.5, 1.0)
@@ -626,14 +625,12 @@ def _trace_documents(count_range=(1, 4)):
 
 
 def _both_traces(docs, composite, query, params, threshold, seed=0, limit=5):
-    """cli._trace_lines and the walk_depth oracle over one summarize run."""
-    results = cli._run_pipeline(docs, composite, query, params, threshold)
-    splan = plan([(result.typed, result.category) for result in results])
-    titles = {result.typed.doc.doc_id: result.typed.doc.display_title() for result in results}
-    realized = realize_plan(splan, default_lexicon(), seed, titles=titles, limit=limit)
-    args = argparse.Namespace(limit=limit, seed=seed, align_threshold=threshold)
-    rendered = (query, params, args, composite, results, splan, realized)
-    return cli._trace_lines(*rendered), oracle_trace_lines(*rendered)
+    """pipeline.render_trace and the walk_depth oracle over one summarize run."""
+    s = summarize(
+        docs, composite, query, params, default_lexicon(),
+        seed=seed, limit=limit, align_threshold=threshold, extract_exists=False,
+    )
+    return render_trace(s), oracle_trace_lines(s.query, s.params, s, s.composite, s.results, s.plan, s.realized)
 
 
 @settings(max_examples=100, deadline=None)

@@ -7,20 +7,19 @@ from hypothesis import strategies as st
 from topicsift import (
     CompositeNode,
     CompositeTopicTree,
+    DocumentIndex,
     DocumentMetadata,
     DocumentTopicTree,
     LexicalForms,
     TopicNode,
-    UnknownNodeError,
     align_tree,
-    depth_below,
     merge,
     normalize,
-    topic_count,
 )
-from topicsift.model import node_map, walk, walk_depth
+from topicsift.model import walk, walk_depth
 
 from conftest import make_doc, make_node
+from oracles import node_map
 
 
 def test_normalize_strips_case_whitespace_and_trailing_punctuation():
@@ -82,52 +81,8 @@ def test_node_map_rejects_duplicate_ids():
     root.children[0].id = 0
     with pytest.raises(ValueError):
         node_map(root)
-
-
-def test_depth_below_identity_is_zero():
-    root = make_node(("r", ["a"]))
-    assert depth_below(root, 0, 0) == 0
-    assert depth_below(root, 1, 1) == 0
-
-
-def test_depth_below_three_level_chain():
-    root = make_node(("r", [("a", ["b"])]))
-    assert depth_below(root, 0, 2) == 2
-
-
-def test_depth_below_sibling_is_absent():
-    root = make_node(("r", ["a", "b"]))
-    assert depth_below(root, 1, 2) is None
-
-
-def test_depth_below_unknown_id():
-    root = make_node(("r", ["a"]))
-    with pytest.raises(UnknownNodeError):
-        depth_below(root, 0, 99)
-    with pytest.raises(UnknownNodeError):
-        depth_below(root, 99, 0)
-
-
-def test_topic_count_counts_root():
-    assert topic_count(make_doc("only")) == 1
-    assert topic_count(make_doc(("r", ["a", "b", "c"]))) == 4
-
-
-def test_topic_count_nine_header_document():
-    # desk-scale disease article: 9 section headers under the title
-    doc = make_doc(
-        (
-            "Coronary Artery Disease",
-            [
-                "Definition",
-                "Causes",
-                ("Symptoms", ["Angina", "Shortness of breath"]),
-                "Diagnosis",
-                ("Treatment", ["Drug treatment", "Surgery"]),
-            ],
-        )
-    )
-    assert topic_count(doc) == 10
+    with pytest.raises(ValueError):
+        DocumentIndex(root)
 
 
 def test_display_title_prefers_metadata_then_root():
@@ -136,24 +91,3 @@ def test_display_title_prefers_metadata_then_root():
     doc = make_doc(("Root label", []), doc_id="x.md")
     assert doc.display_title() == "Root label"
 
-
-def test_depth_below_agrees_with_naive_traversal():
-    import random
-
-    from topicsift.model import walk_depth
-
-    rng = random.Random(3)
-    for _ in range(30):
-        spec = "n0"
-        nodes = [("n0", [])]
-        tree = nodes[0]
-        for index in range(1, rng.randint(2, 12)):
-            node = (f"n{index}", [])
-            nodes[rng.randrange(len(nodes))][1].append(node)
-            nodes.append(node)
-        doc = make_doc(tree)
-        ids = [n.id for n in doc.nodes()]
-        ancestor = rng.choice(ids)
-        target = rng.choice(ids)
-        subtree = {node.id: depth for node, depth in walk_depth(doc.node(ancestor))}
-        assert depth_below(doc.root, ancestor, target) == subtree.get(target)

@@ -71,6 +71,12 @@ def test_duplicate_topic_in_one_document_counts_once():
     cp = instantiate(DocumentCategory.ATYPICAL, members_of(DocumentCategory.ATYPICAL, doc, other))
     topics = next(m for m in cp.messages if isinstance(m, HasTopics))
     assert topics.topics == ("alpha", "beta")
+    # counted per node, alpha would tie beta at 2 and come first
+    doc = make_typed("a.md", [("Alpha", RARE), ("alpha", RARE)])
+    others = [make_typed(f"{name}.md", [("Beta", RARE)]) for name in ("b", "c")]
+    cp = instantiate(DocumentCategory.ATYPICAL, members_of(DocumentCategory.ATYPICAL, doc, *others))
+    topics = next(m for m in cp.messages if isinstance(m, HasTopics))
+    assert topics.topics == ("beta", "alpha")
 
 
 def test_members_ordered_by_relevant_count_then_doc_id():

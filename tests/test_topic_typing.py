@@ -17,10 +17,10 @@ from topicsift import (
     map_query,
     type_document,
 )
-from topicsift.model import depth_map, node_map
 from topicsift.topic_typing import Region, assign_regions, assign_types
 
 from conftest import make_doc
+from oracles import node_map
 
 
 def corpus_of(*docs):
