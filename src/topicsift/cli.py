@@ -80,10 +80,14 @@ def _unwritable_reason(path: Path) -> str | None:
     writable: its directory must exist and be writable, and the path itself
     must not be a directory."""
     directory = path.parent
-    if not directory.is_dir():
-        return os.strerror(errno.ENOTDIR if directory.exists() else errno.ENOENT)
-    if path.is_dir():
-        return os.strerror(errno.EISDIR)
+    try:
+        if not directory.is_dir():
+            return os.strerror(errno.ENOTDIR if directory.exists() else errno.ENOENT)
+        if path.is_dir():
+            return os.strerror(errno.EISDIR)
+    except OSError as exc:
+        # before Python 3.13 a denied lookup raises instead of returning False
+        return exc.strerror or str(exc)
     if not os.access(directory, os.W_OK):
         return os.strerror(errno.EACCES)
     return None
@@ -130,12 +134,8 @@ def cmd_summarize(args: argparse.Namespace, out=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    composite_path = Path(args.composite)
-    if not composite_path.is_file():
-        print(f"error: composite file not found: {composite_path}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     try:
-        composite = load_composite(composite_path)
+        composite = load_composite(args.composite)
     except CompositeSchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -389,6 +389,8 @@ def load_composite(path: str | Path) -> CompositeTopicTree:
     """Load and validate a composite file; typicality is re-derived."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise CompositeSchemaError(f"composite file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise CompositeSchemaError(f"cannot read composite file {path}: {exc}") from exc
     except ValueError as exc:

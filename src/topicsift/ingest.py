@@ -11,13 +11,10 @@ lower level; level jumps attach to the nearest valid ancestor. The root is
 the front-matter title when present, else the first header when that
 header is level 1, else a synthesized node labeled with the doc id.
 
-Headers are found in one multi-line regex scan of the body when the text
-breaks lines only with "\n", the common case. Text holding any other
-line boundary ``str.splitlines`` knows ("\r", "\x0b", "\x85", "\u2028",
-...) is scanned line by line instead, so both give the same headers and
-spans. The front matter is found by matching the opening fence and searching
-for the closing one, with the same line boundaries, so the text is read only
-up to the closing fence.
+A text that breaks lines with anything but "\n" ("\r\n", "\r", "\x85",
+"\u2028", or any other line boundary ``str.splitlines`` knows) is first
+rewritten with "\n" breaks. The front-matter fences and then the headers
+are each found in one multi-line regex scan of that text.
 """
 from __future__ import annotations
 
@@ -36,22 +33,14 @@ from .model import (
 
 log = logging.getLogger(__name__)
 
-# the label must hold a non-space character: "#  " is body text, not a header
-_HEADER = re.compile(r"^(#{1,6}) (.*?\S)\s*$")
-# the same headers in one scan of a "\n"-only body: trailing whitespace must
-# stop at the line's "\n", where $ matches. The label still ends at the
-# line's last non-space character; matching it greedily backtracks only
-# over the trailing whitespace.
-_HEADER_LINES = re.compile(r"^(#{1,6}) (.*\S)[^\S\n]*$", re.M)
-# every line boundary of str.splitlines ("\r\n" is one as well)
-_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-# every line boundary of str.splitlines except "\n"
-_OTHER_BREAK = re.compile(f"[{_BREAKS[1:]}]")
-# a front-matter fence: a line of "---" and whitespace, up to its break or
-# the end of the text; a closing fence starts a line, so it follows a break
-_FENCE_LINE = f"---[^\\S{_BREAKS}]*(?:\r\n|[{_BREAKS}]|\\Z)"
-_OPENING_FENCE = re.compile(_FENCE_LINE)
-_CLOSING_FENCE = re.compile(f"(?<=[{_BREAKS}]){_FENCE_LINE}")
+# the label runs to the line's last non-space character, so "#  " is body
+# text, not a header; matching it greedily backtracks only over the trailing
+# whitespace
+_HEADER = re.compile(r"^(#{1,6}) (.*\S)[^\S\n]*$", re.M)
+# every line boundary of str.splitlines except "\n" ("\r\n" is one as well)
+_OTHER_BREAK = re.compile("[\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+# a front-matter fence: a line of "---" and whitespace
+_FENCE = re.compile(r"^---[^\S\n]*$", re.M)
 _META_LINE = re.compile(r"^([A-Za-z_][A-Za-z0-9_ -]*):\s*(.*)$")
 
 SOURCE_EXTENSIONS = (".md", ".txt")
@@ -108,48 +97,22 @@ def _tags(value: str) -> list[str]:
 
 
 def _split_front_matter(text: str, source: str) -> tuple[str, int]:
-    """Return (front-matter body, offset where the document body starts).
+    """Return (front-matter body, offset where the document body starts) of
+    a text whose only line break is "\n".
 
     Reads the text only up to the closing fence. An opening fence without a
     closing one is not front matter; the text is then treated as plain body
     (with a warning naming source).
     """
-    opening = _OPENING_FENCE.match(text)
+    opening = _FENCE.match(text)
     if opening is None:
         return "", 0
-    closing = _CLOSING_FENCE.search(text, opening.end())
+    # the search starts at the opening fence's "\n", so ^ first matches on the next line
+    closing = _FENCE.search(text, opening.end())
     if closing is None:
         log.warning("unterminated front-matter fence in %s; treating file as plain body", source)
         return "", 0
     return text[opening.end():closing.start()], closing.end()
-
-
-_Header = tuple[int, str, tuple[int, int]]
-
-
-def _scan_headers(text: str, start: int) -> list[_Header]:
-    """(level, label, span) of every header from start on, in one scan of a
-    text whose only line break is "\n"."""
-    return [
-        (len(match.group(1)), match.group(2), match.span())
-        for match in _HEADER_LINES.finditer(text, start)
-    ]
-
-
-def _scan_header_lines(text: str, start: int) -> list[_Header]:
-    """(level, label, span) of every header from start on, line by line; a
-    span ends before the line's break."""
-    headers: list[_Header] = []
-    offset = start
-    for line in text[start:].splitlines(keepends=True):
-        # only a line that starts with "#" can match the header pattern
-        if line.startswith("#"):
-            stripped = line.rstrip("\n")
-            match = _HEADER.match(stripped)
-            if match:
-                headers.append((len(match.group(1)), match.group(2), (offset, offset + len(stripped))))
-        offset += len(line)
-    return headers
 
 
 def parse_document(text: str, doc_id: str, source_path: str = "") -> DocumentTopicTree:
@@ -158,35 +121,33 @@ def parse_document(text: str, doc_id: str, source_path: str = "") -> DocumentTop
     Deterministic: identical text yields an identical tree with identical
     pre-order node ids. Documents without headers yield a single-node tree.
     """
+    if _OTHER_BREAK.search(text) is not None:
+        text = "\n".join(text.splitlines())
     front, body_start = _split_front_matter(text, source_path or doc_id)
     metadata = parse_metadata(front, source_path)
-    # body_start is 0 or just past a "\n" in a "\n"-only text, so ^ matches there
-    if _OTHER_BREAK.search(text) is None:
-        headers = _scan_headers(text, body_start)
-    else:
-        headers = _scan_header_lines(text, body_start)
+    headers = [(len(match.group(1)), match.group(2)) for match in _HEADER.finditer(text, body_start)]
 
     # a title is stripped and non-empty, and a header label ends in a
     # non-space character, so neither can be blank: one form, as it stands
     trusted = LexicalForms._trusted
     if metadata.title:
-        root = TopicNode(0, trusted((metadata.title,)), [], None)
+        root = TopicNode(0, trusted((metadata.title,)), [])
         root_level = 0
     elif headers and headers[0][0] == 1:
-        root = TopicNode(0, trusted((headers[0][1],)), [], headers[0][2])
+        root = TopicNode(0, trusted((headers[0][1],)), [])
         root_level = 1
         headers = headers[1:]
     else:
-        root = TopicNode(0, LexicalForms.of(doc_id), [], None)
+        root = TopicNode(0, LexicalForms.of(doc_id), [])
         root_level = 0
 
     # stack of (level, node); never popped past the root, so level jumps and
     # repeated top-level headers land on the nearest valid ancestor
     stack: list[tuple[int, TopicNode]] = [(root_level, root)]
-    for node_id, (level, label, span) in enumerate(headers, 1):
+    for node_id, (level, label) in enumerate(headers, 1):
         while len(stack) > 1 and stack[-1][0] >= level:
             stack.pop()
-        node = TopicNode(node_id, trusted((label,)), [], span)
+        node = TopicNode(node_id, trusted((label,)), [])
         stack[-1][1].children.append(node)
         stack.append((level, node))
 
@@ -201,8 +162,6 @@ def load_corpus(directory: str | Path) -> CorpusSet:
     empty corpus.
     """
     root = Path(directory)
-    if not root.is_dir():
-        raise CorpusReadError(f"not a readable directory: {root}")
     try:
         paths = sorted(root.iterdir(), key=lambda p: p.name)
     except OSError as exc:

@@ -121,7 +121,6 @@ class TopicNode:
     id: int
     label: LexicalForms
     children: list["TopicNode"] = field(default_factory=list)
-    source_span: tuple[int, int] | None = None
 
 
 @dataclass
@@ -369,12 +368,6 @@ class CompositeTopicTree:
         if self._index is None:
             self._index = CompositeIndex(self.root)
         return self._index
-
-    def node(self, node_id: int) -> CompositeNode:
-        try:
-            return self.index().nodes[node_id]
-        except KeyError:
-            raise UnknownNodeError("no composite node %r" % (node_id,)) from None
 
 
 @dataclass(frozen=True)

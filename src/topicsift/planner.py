@@ -64,9 +64,9 @@ class SummaryPlan:
     query: str = ""
 
 
-def _sample_topics(members: list[TypedTree], wanted: TopicType, cap: int) -> tuple[str, ...]:
-    """Distinct topic labels of the wanted type, most frequent (by document)
-    first, then alphabetical.
+def _sample_topics(members: list[TypedTree], wanted: TopicType) -> tuple[str, ...]:
+    """At most TOPIC_CAP distinct topic labels of the wanted type, most
+    frequent (by document) first, then alphabetical.
 
     Topics are shown folded ("Definition" -> "definition") but keep their
     punctuation; full normalization is for comparison only.
@@ -83,7 +83,7 @@ def _sample_topics(members: list[TypedTree], wanted: TopicType, cap: int) -> tup
                 continue
             seen.add(key)
             doc_freq[key] = doc_freq.get(key, 0) + 1
-    return tuple(sorted(doc_freq, key=lambda key: (-doc_freq[key], key))[:cap])
+    return tuple(sorted(doc_freq, key=lambda key: (-doc_freq[key], key))[:TOPIC_CAP])
 
 
 def _feature_groups(members: list[TypedTree], kind: str) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
@@ -98,11 +98,7 @@ def _feature_groups(members: list[TypedTree], kind: str) -> list[tuple[tuple[str
     return [(values, tuple(ids)) for values, ids in ordered]
 
 
-def instantiate(
-    category: DocumentCategory,
-    members: list[tuple[TypedTree, DocumentCategory]],
-    topic_cap: int = TOPIC_CAP,
-) -> CategoryPlan:
+def instantiate(category: DocumentCategory, members: list[tuple[TypedTree, DocumentCategory]]) -> CategoryPlan:
     """Build the message list for one instantiated category.
 
     Members are ordered by descending relevant-topic count (doc id breaks
@@ -138,11 +134,11 @@ def instantiate(
         SetElements(category=category, members=tuple(t.doc.doc_id for t in trees)),
     ]
     if category is DocumentCategory.ATYPICAL:
-        topics = _sample_topics(trees, TopicType.RARE, topic_cap)
+        topics = _sample_topics(trees, TopicType.RARE)
         if topics:
             messages.append(HasTopics(category=category, topics=topics))
     elif category is DocumentCategory.DEEP:
-        topics = _sample_topics(trees, TopicType.INTRICATE, topic_cap)
+        topics = _sample_topics(trees, TopicType.INTRICATE)
         if topics:
             messages.append(HasTopics(category=category, topics=topics))
     messages.extend(features)

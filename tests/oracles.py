@@ -17,7 +17,7 @@ import re
 import string
 from fractions import Fraction
 
-from topicsift.ingest import _HEADER, parse_metadata
+from topicsift.ingest import parse_metadata
 from topicsift.model import (
     CompositeNode,
     CompositeTopicTree,
@@ -113,6 +113,9 @@ def all_distributions(max_total: int, max_possible: int):
 # agree with them.
 
 _FENCE = re.compile(r"^---\s*$")
+# one line's header, tried on every body line; the package scans for headers
+# in one multi-line pass instead
+_HEADER = re.compile(r"^(#{1,6}) (.*?\S)\s*$")
 _WS_RUN = re.compile(r"\s+")
 _TRAILING_PUNCT = re.compile("[%s\\s]+$" % re.escape(string.punctuation))
 
@@ -302,30 +305,27 @@ def oracle_parse_document(text: str, doc_id: str, source_path: str = "") -> Docu
     front, body_start = oracle_split_front_matter(text)
     metadata = parse_metadata(front, source_path)
     headers = []
-    offset = body_start
-    for line in text[body_start:].splitlines(keepends=True):
-        stripped = line.rstrip("\n")
-        match = _HEADER.match(stripped)
+    for line in text[body_start:].splitlines():
+        match = _HEADER.match(line)
         if match:
-            headers.append((len(match.group(1)), match.group(2), (offset, offset + len(stripped))))
-        offset += len(line)
+            headers.append((len(match.group(1)), match.group(2)))
     ids = iter(range(len(headers) + 1))
 
-    def make(label, span):
-        return TopicNode(id=next(ids), label=LexicalForms.of(label), source_span=span)
+    def make(label):
+        return TopicNode(id=next(ids), label=LexicalForms.of(label))
 
     if metadata.title:
-        root, root_level = make(metadata.title, None), 0
+        root, root_level = make(metadata.title), 0
     elif headers and headers[0][0] == 1:
-        root, root_level = make(headers[0][1], headers[0][2]), 1
+        root, root_level = make(headers[0][1]), 1
         headers = headers[1:]
     else:
-        root, root_level = make(doc_id, None), 0
+        root, root_level = make(doc_id), 0
     stack = [(root_level, root)]
-    for level, label, span in headers:
+    for level, label in headers:
         while len(stack) > 1 and stack[-1][0] >= level:
             stack.pop()
-        node = make(label, span)
+        node = make(label)
         stack[-1][1].children.append(node)
         stack.append((level, node))
     return DocumentTopicTree(doc_id=doc_id, root=root, metadata=metadata)
@@ -344,9 +344,10 @@ def oracle_trace_lines(
     realized,
 ) -> list[str]:
     """The version-1 trace as the CLI rendered it before the one-pass walk
-    of pipeline.render_trace: walk_depth per document, composite.node() per
-    node and json.dumps per label. args carries limit, seed and
-    align_threshold; a pipeline.Summary does."""
+    of pipeline.render_trace: walk_depth per document, a lookup in the
+    reference walk node_map(composite.root) per node and json.dumps per
+    label. args carries limit, seed and align_threshold; a pipeline.Summary
+    does."""
     lines = [
         "trace-version: 1",
         f"query: {query}",
@@ -356,6 +357,7 @@ def oracle_trace_lines(
         f" nodes={len(composite.nodes())}",
         f"documents: {len(results)}",
     ]
+    comp_nodes = node_map(composite.root)
     for result in results:
         typed = result.typed
         lines.append(f"document: {typed.doc.doc_id}")
@@ -364,7 +366,7 @@ def oracle_trace_lines(
         for node, depth in walk_depth(typed.doc.root):
             topic_type = typed.types[node.id]
             comp_id = result.alignment.pairs.get(node.id)
-            typicality = composite.node(comp_id).typicality if comp_id is not None else 0.0
+            typicality = comp_nodes[comp_id].typicality if comp_id is not None else 0.0
             lines.append(
                 f"  node: id={node.id} depth={depth} region={_TRACE_REGIONS[topic_type.value]}"
                 f" type={topic_type.value} composite={'-' if comp_id is None else comp_id}"

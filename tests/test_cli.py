@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import errno
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -337,3 +339,50 @@ def test_unreadable_corpus_directory_exits_1(
     assert code == 1
     assert out == ""
     assert err == "error: " + error.format(docs=angina_docs) + "\n"
+
+
+def _deny_lookup(monkeypatch, target):
+    """Make stat, listing and opening target fail with EACCES, as they do
+    under a directory without search permission; patched rather than chmod,
+    which does not stop root. Before Python 3.13, Path.is_file, is_dir and
+    exists raise this error instead of returning False."""
+    def denied(call):
+        def refuse(path, *args, **kwargs):
+            if isinstance(path, (str, os.PathLike)) and os.fspath(path) == os.fspath(target):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+            return call(path, *args, **kwargs)
+        return refuse
+
+    monkeypatch.setattr(os, "stat", denied(os.stat))
+    for method in ("stat", "iterdir", "open"):
+        monkeypatch.setattr(Path, method, denied(getattr(Path, method)))
+
+
+def test_denied_composite_lookup_exits_2(composite_file, angina_docs, capsys, monkeypatch):
+    _deny_lookup(monkeypatch, composite_file)
+    code, out, err = run(capsys, "summarize", str(angina_docs), "--composite", str(composite_file), "--query", "angina")
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read composite file {composite_file}: [Errno 13] Permission denied\n"
+
+
+@pytest.mark.parametrize("command", ["build", "summarize"])
+def test_denied_corpus_directory_lookup_exits_1(tmp_path, composite_file, angina_docs, capsys, monkeypatch, command):
+    _deny_lookup(monkeypatch, angina_docs)
+    if command == "build":
+        args = ["build", str(angina_docs), str(tmp_path / "c.json")]
+    else:
+        args = ["summarize", str(angina_docs), "--composite", str(composite_file), "--query", "angina"]
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot list corpus directory {angina_docs}: Permission denied\n"
+
+
+def test_denied_output_directory_lookup_exits_1(tmp_path, angina_reference, capsys, monkeypatch):
+    (tmp_path / "out").mkdir()
+    _deny_lookup(monkeypatch, tmp_path / "out")
+    out_path = tmp_path / "out" / "c.json"
+    code, out, err = run(capsys, "build", str(angina_reference), str(out_path))
+    assert (code, out) == (1, "")
+    # from Python 3.13 on, is_dir and exists return False: the directory then looks missing
+    prefix = f"error: cannot write composite file {out_path}: "
+    assert err in (prefix + "Permission denied\n", prefix + "No such file or directory\n")

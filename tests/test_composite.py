@@ -131,7 +131,7 @@ def test_level_skip_absorbed_by_parent_match():
     assert alignment.pairs[drug.id] == alignment.pairs[treatment.id]
     # the document still raises that topic's support only once
     merged = merge(composite, doc, alignment)
-    comp_treatment = merged.node(alignment.pairs[treatment.id])
+    comp_treatment = merged.index().nodes[alignment.pairs[treatment.id]]
     assert comp_treatment.support == 2
     assert merged.doc_count == 2
 

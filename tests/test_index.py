@@ -9,7 +9,6 @@ import random
 import re
 import string
 import sys
-from contextlib import contextmanager
 from unittest import mock
 
 import pytest
@@ -41,7 +40,6 @@ from topicsift import (
     summarize,
     type_document,
 )
-from topicsift import ingest
 from topicsift.composite import _fold_document
 from topicsift.model import (
     CompositeIndex,
@@ -182,7 +180,7 @@ def test_index_stays_current_across_merges(docs, more, threshold, probe):
         merge(composite, doc, align_tree(doc, composite, threshold))
         assert _index_contents(composite.index()) == _index_contents(CompositeIndex(composite.root))
         for node in composite.nodes():
-            assert composite.node(node.id) is node
+            assert composite.index().nodes[node.id] is node
     alignment = align_tree(probe, composite, threshold)
     assert (alignment.pairs, alignment.unmatched) == oracle_align_tree(probe, composite, threshold)
 
@@ -519,21 +517,8 @@ def test_type_document_matches_the_full_walk_chain(docs, probe, query, k, alpha,
         assert alone == typed
 
 
-def _breaks_only_at_newlines(text: str) -> bool:
-    """True when "\n" is the only character of text that str.splitlines
-    splits at."""
-    return all(char == "\n" or len(f"a{char}b".splitlines()) == 1 for char in set(text))
-
-
-@contextmanager
-def _watched_scans():
-    """Count the calls of the one-scan and the per-line header scan."""
-    with mock.patch.object(ingest, "_scan_headers", wraps=ingest._scan_headers) as one_scan, \
-            mock.patch.object(ingest, "_scan_header_lines", wraps=ingest._scan_header_lines) as per_line:
-        yield one_scan, per_line
-
-
-line_breaks = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028")
+line_breaks = st.sampled_from(LINE_BREAKS)
 line_text = st.text(alphabet=st.sampled_from(list("#- :\tab\r\x85")), max_size=8)
 # whitespace a header's trailing match must take, up to the line break
 trailing_space = st.text(alphabet=st.sampled_from([" ", "\t", "\x1f", "\xa0"]), max_size=3)
@@ -561,9 +546,7 @@ header_texts = st.tuples(
 @settings(max_examples=300, deadline=None)
 @given(header_texts)
 def test_prefiltered_parse_matches_the_per_line_scan(text):
-    with _watched_scans() as (one_scan, per_line):
-        assert parse_document(text, "d.md") == oracle_parse_document(text, "d.md")
-    assert (one_scan.call_count, per_line.call_count) == ((1, 0) if _breaks_only_at_newlines(text) else (0, 1))
+    assert parse_document(text, "d.md") == oracle_parse_document(text, "d.md")
 
 
 # "\n"-only text: every line below, header or not, ends in "\n"
@@ -588,23 +571,21 @@ newline_texts = st.tuples(
 @settings(max_examples=300, deadline=None)
 @given(newline_texts)
 def test_one_scan_parse_matches_the_per_line_scan(text):
-    with _watched_scans() as (one_scan, per_line):
-        assert parse_document(text, "d.md") == oracle_parse_document(text, "d.md")
-    assert (one_scan.call_count, per_line.call_count) == (1, 0)
+    doc = parse_document(text, "d.md")
+    assert doc == oracle_parse_document(text, "d.md")
+    # every line break style gives the tree of the "\n" text
+    for end in LINE_BREAKS[1:]:
+        assert parse_document(text.replace("\n", end), "d.md") == doc
 
 
-def test_each_line_break_style_takes_its_scan():
+def test_each_line_break_style_gives_the_newline_tree():
     text = "---\ntitle: T\n---\n# Top  \n## Sub\t\n\n\nbody\n####### no\n#\tno\n### Deep\xa0\n## Last"
-    with _watched_scans() as (one_scan, per_line):
-        newline_doc = parse_document(text, "d.md")
-        assert (one_scan.call_count, per_line.call_count) == (1, 0)
-        crlf_doc = parse_document(text.replace("\n", "\r\n"), "d.md")
-        assert (one_scan.call_count, per_line.call_count) == (1, 1)
+    newline_doc = parse_document(text, "d.md")
     assert newline_doc == oracle_parse_document(text, "d.md")
-    assert crlf_doc == oracle_parse_document(text.replace("\n", "\r\n"), "d.md")
     assert [node.label.canonical for node in walk(newline_doc.root)] == ["T", "Top", "Sub", "Deep", "Last"]
-    spans = [text[slice(*node.source_span)] for node in walk(newline_doc.root) if node.source_span]
-    assert spans == ["# Top  ", "## Sub\t", "### Deep\xa0", "## Last"]
+    for end in LINE_BREAKS[1:]:
+        other = text.replace("\n", end)
+        assert parse_document(other, "d.md") == oracle_parse_document(other, "d.md") == newline_doc
 
 
 # labels whose JSON text needs escapes, or differs with ensure_ascii: quotes,

@@ -129,14 +129,6 @@ def test_blank_header_is_body_text():
     assert labels(doc) == ["Disease", "Symptoms"]
 
 
-def test_source_spans_point_at_header_lines():
-    text = "# A\n\n## B\n"
-    doc = parse_document(text, "d.md")
-    spans = [n.source_span for n in walk(doc.root)]
-    assert text[slice(*spans[0])] == "# A"
-    assert text[slice(*spans[1])] == "## B"
-
-
 def test_parse_is_deterministic():
     text = "# A\n## B\n### C\n## D\n"
     assert parse_document(text, "d.md") == parse_document(text, "d.md")

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import importlib
 
+import pytest
+
 from topicsift import (
     NO_MATCH_NOTICE,
     TypingParams,
@@ -35,7 +37,22 @@ def _angina_summary(angina_reference, angina_docs):
     )
 
 
-def test_summarize_and_render_trace_reproduce_the_golden_files(angina_reference, angina_docs):
+def _with_line_break(source, target, line_break):
+    """Copy a fixture directory to target, every "\n" written as line_break."""
+    target.mkdir(parents=True)
+    for path in source.iterdir():
+        (target / path.name).write_bytes(path.read_text(encoding="utf-8").replace("\n", line_break).encode("utf-8"))
+    return target
+
+
+@pytest.mark.parametrize("line_break", ["\n", "\r\n", "\r", "\u2028"], ids=["lf", "crlf", "cr", "u2028"])
+def test_summarize_and_render_trace_reproduce_the_golden_files(angina_reference, angina_docs, tmp_path, line_break):
+    if line_break != "\n":
+        # same directory and file names: the trace shows the domain-genre and doc ids
+        angina_reference, angina_docs = (
+            _with_line_break(source, tmp_path / "angina" / source.name, line_break)
+            for source in (angina_reference, angina_docs)
+        )
     summary = _angina_summary(angina_reference, angina_docs)
     trace = "".join(line + "\n" for line in render_trace(summary))
     assert trace == (GOLDEN / "angina_trace.txt").read_text(encoding="utf-8")
