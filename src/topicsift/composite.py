@@ -14,14 +14,21 @@ A match needs label similarity >= threshold; ties fall to the candidate with
 the lower position, then the lower id.
 
 Similarity is the best token-set Jaccard between two labels' normal forms, so
-scoring goes through the composite's index (``CompositeTopicTree.index``):
-each composite label's token sets are computed once, and each parent posts
-its children under every token of their labels. With a threshold above 0 a
-document node is scored only against the anchor and the children that share
-a token with it; any other child scores 0 and could never reach the
-threshold. A threshold of exactly 0 accepts a score of 0, so there every
-child of the anchor is scored. The index is built on the first alignment and
-``merge`` keeps it current, so no alignment re-walks the growing norm.
+scoring goes through the composite's index (``CompositeTopicTree.index``),
+which the fold keeps current, so no alignment re-walks the growing norm.
+Each composite label's token sets are computed once, and each parent posts
+its children by every token of their labels and by every token set they
+hold. A candidate that holds one of the header's token sets scores 1.0, the
+best there is, so when the anchor or one of its children holds one, the
+lowest (position, id) among those holders wins and nothing is scored.
+Otherwise, with a threshold above 0, a document node is scored only against
+the anchor and the children that share a token with it; any other child
+scores 0 and could never reach the threshold. A threshold of exactly 0
+accepts a score of 0, so there every child of the anchor is scored. A label
+of several token sets is scored only over the sets that share a token with
+the header, through its set postings (token -> indices of its sets): every
+other set scores 0. This matters for the root, which gains one token set
+per distinct document title and is the anchor of every top-level header.
 
 A header's match depends on the norm and on nothing else but the threshold,
 the header's anchor (the match of its parent) and its label's token sets.
@@ -39,30 +46,42 @@ The document side is read through a ``DocumentIndex``: one pre-order pass
 records its ids, parents, sibling ranks and label token sets.
 ``build_composite`` builds one per document and shares it between
 ``align_tree`` and the fold, so each document is walked once; the index is
-dropped after the document and never stored on it. New composite ids come
+dropped after the document and never stored on it. Its token sets come from
+the norm's label memo (``CompositeIndex.label_sets``, label forms -> token
+sets), so each distinct header string of the corpus is folded, normalized
+and split once per build, not once per occurrence. The memo depends only on
+the strings, so the fold's ``clear_memos`` leaves it. New composite ids come
 from the composite index's next free id, not from a scan of the norm.
 
 Folding a document in costs in proportion to the document, not the norm.
-Only the parents whose child lists changed are re-sorted; every other
-sibling list kept its positions and stays sorted. Nothing in the fold reads
-typicality, so ``build_composite`` refreshes it once, after the last
-document; the public ``merge`` refreshes it after every document.
+Sibling lists stay sorted by position, with ties in the order a stable
+re-sort after every document gives. The fold does not re-sort them: in each
+list it finds the children whose position the document changed by
+bisection, and if their new positions keep the order, only inserts the new
+children, each by bisection; otherwise it takes the moved children out and
+puts each moved or new child back by bisection, at the place its key
+(position, index before the fold) takes among the others. Nothing in the
+fold reads typicality, so ``build_composite`` refreshes it once, after the
+last document; the public ``merge`` refreshes it after every document.
 Typicality stays a stored field because readers such as ``save_composite``
 and ``classify`` take it from the node, which has no link to its tree's
 doc_count.
 
 A label merge costs in proportion to the spellings the document brings, not
 to those the composite label has gathered (the root gains one per distinct
-document title). The composite index keeps each label's fold keys once a
-document brings it a spelling it lacks verbatim, so each new spelling is
-folded once, and only the new spellings' token sets and postings are added.
-Topics the fold inserts take their token sets from the document's index.
+document title). The composite index keeps each label's spellings and fold
+keys as sets once it needs them, so each new spelling is looked up, never
+scanned for, and folded once; only the new spellings' token sets and
+postings are added. Topics the fold inserts take their token sets from the
+document's index.
 """
 from __future__ import annotations
 
 import json
 import operator
 import sys
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -134,9 +153,9 @@ def align_tree(
     norm it aligns against changes before any entry could be read back.
     """
     _check_threshold(threshold)
-    if index is None:
-        index = DocumentIndex(doc.root)
     norm = composite.index()
+    if index is None:
+        index = DocumentIndex(doc.root, norm.label_sets)
     memo = norm.alignments if _memoize else None
     doc_parents = index.parents
 
@@ -171,6 +190,23 @@ def _best_match(
 ) -> int | None:
     """The id of the composite node a header with these token sets matches
     under the anchor (the anchor itself or one of its children), or None."""
+    nodes = norm.nodes
+    # a candidate holding one of the header's token sets scores 1.0, which
+    # no other can beat: the lowest (position, id) among those wins
+    held_below = norm.children_by_set.get(anchor_id, {})
+    held_beside = norm.children_by_set[norm.parents[anchor_id]]
+    exact: tuple[float, int] | None = None
+    for tokens in token_sets:
+        for candidate_id in held_below.get(tokens, ()):
+            key = (nodes[candidate_id].position, candidate_id)
+            if exact is None or key < exact:
+                exact = key
+        if anchor_id in held_beside.get(tokens, ()):
+            key = (nodes[anchor_id].position, anchor_id)
+            if exact is None or key < exact:
+                exact = key
+    if exact is not None:
+        return exact[1]
     if threshold > 0.0:
         candidates = {anchor_id}
         postings = norm.children_by_token.get(anchor_id, {})
@@ -178,13 +214,20 @@ def _best_match(
             for token in tokens:
                 candidates.update(postings.get(token, ()))
     else:
-        candidates = {anchor_id, *(child.id for child in norm.nodes[anchor_id].children)}
+        candidates = {anchor_id, *(child.id for child in nodes[anchor_id].children)}
+    sets_of, set_postings = norm.token_sets, norm.set_postings
     best_key: tuple[float, float, int] | None = None
     for candidate_id in candidates:
-        similarity = best_jaccard(token_sets, norm.token_sets[candidate_id])
+        sets = sets_of[candidate_id]
+        by_token = set_postings.get(candidate_id)
+        if by_token is not None:
+            # a set that shares no token with the header scores 0: skip it
+            shared = {offset for tokens in token_sets for token in tokens for offset in by_token.get(token, ())}
+            sets = [sets[offset] for offset in shared]
+        similarity = best_jaccard(token_sets, sets)
         if similarity < threshold:
             continue
-        key = (-similarity, norm.nodes[candidate_id].position, candidate_id)
+        key = (-similarity, nodes[candidate_id].position, candidate_id)
         if best_key is None or key < best_key:
             best_key = key
     return None if best_key is None else best_key[2]
@@ -198,58 +241,123 @@ def _fold_document(composite: CompositeTopicTree, alignment: Alignment, index: D
     support, positions, spellings and new topics, in place, keeping the
     composite's index current and clearing its memos.
 
-    Work is in proportion to the document: only the parents whose child lists
-    changed (a child's position moved or a child was inserted) are re-sorted.
-    Every other child list kept its positions, so if it was sorted, a stable
-    re-sort would leave it as it is. Typicality is left stale for the caller
-    to refresh; nothing here reads it.
+    Work is in proportion to the document: in each sibling list, only the
+    children whose position the document changed and the children it
+    inserts are moved into place (``_place``); every other child keeps its
+    place. Typicality is left stale for the caller to refresh; nothing here
+    reads it.
     """
     norm = composite.index()
     comp_nodes = norm.nodes
+    parents = norm.parents
     pairs = alignment.pairs
+    ranks = index.ranks
 
-    # first document node (pre-order) to hit a composite node carries the
-    # support and rank contribution for this document
-    contributions: dict[int, TopicNode] = {}
+    # per parent: the children whose position moves, with the new position,
+    # and the children inserted under it
+    moved: dict[int, list[tuple[CompositeNode, float]]] = {}
+    arrived: dict[int, list[CompositeNode]] = {}
+    contributed: set[int] = set()
+    inserted: dict[int, CompositeNode] = {}
+    # pre-order: the first document node to hit a composite node carries the
+    # support and rank contribution for this document, and an unmatched
+    # parent is inserted before its children
     for node_id, node in index.nodes.items():
         target = pairs.get(node_id)
-        if target is not None and target not in contributions:
-            contributions[target] = node
+        if target is None:
+            fresh = CompositeNode(id=norm.next_id, label=node.label, typicality=0.0, position=ranks[node_id], support=1)
+            parent = index.parents[node_id]
+            comp_parent = inserted.get(parent)
+            if comp_parent is None:
+                comp_parent = comp_nodes[pairs[parent]]
+                arrived.setdefault(comp_parent.id, []).append(fresh)
+            else:
+                # a fresh parent's children arrive in document order, so by ascending rank
+                comp_parent.children.append(fresh)
+            norm.add(fresh, comp_parent.id, index.token_sets[node_id])
+            inserted[node_id] = fresh
+        elif target not in contributed:
+            contributed.add(target)
+            comp = comp_nodes[target]
+            position = (comp.position * comp.support + ranks[node_id]) / (comp.support + 1)
+            parent_id = parents[target]
+            if parent_id is None or position == comp.position:
+                comp.position = position
+            else:
+                moved.setdefault(parent_id, []).append((comp, position))
+            comp.support += 1
+            norm.merge_label(comp, node.label)
 
-    touched: set[int | None] = set()
-    for comp_id, node in contributions.items():
-        comp = comp_nodes[comp_id]
-        rank = index.ranks[node.id]
-        comp.position = (comp.position * comp.support + rank) / (comp.support + 1)
-        comp.support += 1
-        touched.add(norm.parents[comp_id])
-        norm.merge_label(comp, node.label)
-
-    # insert unmatched nodes top-down: parents are processed before children,
-    # so an unmatched parent already has its fresh composite node
-    inserted: dict[int, CompositeNode] = {}
-    for node_id, node in index.nodes.items():
-        if node_id in pairs:
-            continue
-        parent = index.parents[node_id]
-        comp_parent = comp_nodes[pairs[parent]] if parent in pairs else inserted[parent]
-        fresh = CompositeNode(
-            id=norm.next_id,
-            label=node.label,
-            typicality=0.0,
-            position=index.ranks[node_id],
-            support=1,
-        )
-        comp_parent.children.append(fresh)
-        touched.add(comp_parent.id)
-        norm.add(fresh, comp_parent.id, index.token_sets[node_id])
-        inserted[node_id] = fresh
-
-    touched.discard(None)
-    for parent_id in touched:
-        comp_nodes[parent_id].children.sort(key=_by_position)
+    for parent_id in moved.keys() | arrived.keys():
+        _place(comp_nodes[parent_id].children, moved.get(parent_id, ()), arrived.get(parent_id, ()))
     norm.clear_memos()
     composite.doc_count += 1
+
+
+def _place(
+    children: list[CompositeNode],
+    moved: Sequence[tuple[CompositeNode, float]],
+    arrived: Sequence[CompositeNode],
+) -> None:
+    """Give the moved children (child, new position) their new positions and
+    put them and the arrived children where a stable sort by position puts
+    them, had the arrived ones been appended in order.
+
+    children is sorted by position, the moved ones at their old positions,
+    so each moved child is found by bisection. If the new positions keep the
+    order, only the arrived children are inserted, each by bisection.
+    Otherwise the moved children are taken out; the rest stay sorted, and
+    each moved or arrived child goes back where its key (position, index
+    before the fold) falls among them, found by bisection too. Costs
+    O(m log n) steps for m moved or arrived children out of n, plus a scan
+    over the children tied at a moved child's old position.
+    """
+    size = len(children)
+    found: list[int] = []
+    for child, _ in moved:
+        at = bisect_left(children, child.position, key=_by_position)
+        while at < size and children[at] is not child:
+            at += 1
+        if at == size:
+            break
+        found.append(at)
+    for child, position in moved:
+        child.position = position
+    if len(found) < len(moved):
+        # out of position order, as a hand-written norm file may be: sort it whole
+        children.extend(arrived)
+        children.sort(key=_by_position)
+        return
+    last = size - 1
+    for at in found:
+        position = children[at].position
+        if (at and children[at - 1].position > position) or (at < last and position > children[at + 1].position):
+            break
+    else:
+        for child in arrived:
+            children.insert(bisect_right(children, child.position, key=_by_position), child)
+        return
+    removed = sorted(found)
+    for at in reversed(removed):
+        del children[at]
+    placing = [(child.position, at, child) for (child, _), at in zip(moved, found)]
+    placing.extend((child.position, at, child) for at, child in enumerate(arrived, start=size))
+    # (position, index) keys are distinct, so no two nodes are compared
+    placing.sort()
+    kept = len(children)
+    targets = []
+    for rank, (position, at, _) in enumerate(placing):
+        # the kept children before it: those at a lower position, and those
+        # tied with it that came before index at
+        low = bisect_left(children, position, key=_by_position)
+        before = min(at - bisect_left(removed, at), kept)
+        if before > low:
+            if children[before - 1].position > position:
+                before = bisect_right(children, position, low, before, key=_by_position)
+            low = before
+        targets.append(low + rank)
+    for target, (_, _, child) in zip(targets, placing):
+        children.insert(target, child)
 
 
 def _refresh_typicality(composite: CompositeTopicTree) -> None:
@@ -263,13 +371,14 @@ def merge(composite: CompositeTopicTree, doc: DocumentTopicTree, alignment: Alig
     Matched composite nodes gain support and lexical variants (once per
     document, even if several document nodes collapsed onto them); unmatched
     document nodes are inserted as fresh children under their parent's
-    composite node. Only the parents whose child lists changed are re-sorted
-    by position, so sorted sibling lists (as every build and every saved file
-    has) stay sorted. Typicality is then refreshed on every node, and the
-    composite's index is updated to match. ``build_composite`` folds without
-    this per-document refresh and refreshes typicality once at the end.
+    composite node. Moved and inserted children are put into place by
+    bisection, so sorted sibling lists (as every build and every saved file
+    has) stay sorted; a list found out of position order is sorted whole.
+    Typicality is then refreshed on every node, and the composite's index is
+    updated to match. ``build_composite`` folds without this per-document
+    refresh and refreshes typicality once at the end.
     """
-    _fold_document(composite, alignment, DocumentIndex(doc.root))
+    _fold_document(composite, alignment, DocumentIndex(doc.root, composite.index().label_sets))
     _refresh_typicality(composite)
     return composite
 
@@ -298,8 +407,9 @@ def build_composite(corpus: CorpusSet, threshold: float, domain_genre: str | Non
     if domain_genre is None:
         domain_genre = Path(corpus.origin).name or "corpus"
     composite = _seed_composite(corpus.docs[0], domain_genre)
+    label_sets = composite.index().label_sets
     for doc in corpus.docs[1:]:
-        index = DocumentIndex(doc.root)
+        index = DocumentIndex(doc.root, label_sets)
         _fold_document(composite, align_tree(doc, composite, threshold, index=index, _memoize=False), index)
     _refresh_typicality(composite)
     return composite
@@ -386,9 +496,10 @@ def _parse_node(payload: object, doc_count: int, seen: set[int]) -> CompositeNod
 
 
 def load_composite(path: str | Path) -> CompositeTopicTree:
-    """Load and validate a composite file; typicality is re-derived."""
+    """Load and validate a composite file (UTF-8, a leading byte-order mark
+    dropped); typicality is re-derived."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except FileNotFoundError:
         raise CompositeSchemaError(f"composite file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:

@@ -159,7 +159,8 @@ def load_corpus(directory: str | Path) -> CorpusSet:
 
     A directory that cannot be listed, or an unreadable or non-UTF-8 file,
     aborts the load with an error naming it. An empty directory yields an
-    empty corpus.
+    empty corpus. A leading UTF-8 byte-order mark is dropped, so it hides
+    neither front matter nor a first header.
     """
     root = Path(directory)
     try:
@@ -174,7 +175,7 @@ def load_corpus(directory: str | Path) -> CorpusSet:
             # is_file raises when the directory lets names be listed but not looked up
             if not path.is_file():
                 continue
-            text = path.read_text(encoding="utf-8")
+            text = path.read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise CorpusReadError(f"cannot read corpus file {path.name}: {exc}") from exc
         docs.append(parse_document(text, doc_id=path.name, source_path=str(path)))

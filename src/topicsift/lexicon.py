@@ -153,9 +153,10 @@ def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
-    """Load and validate a lexicon file; any fault raises LexiconError."""
+    """Load and validate a lexicon file (UTF-8, a leading byte-order mark
+    dropped); any fault raises LexiconError."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError) as exc:
         raise LexiconError(f"cannot read lexicon file {path}: {exc}") from exc
     except ValueError as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import reprlib
 import string
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -140,7 +140,7 @@ class CompositeNode:
     children: list["CompositeNode"] = field(default_factory=list)
 
 
-def best_jaccard(sets_a: tuple[frozenset[str], ...], sets_b: tuple[frozenset[str], ...]) -> float:
+def best_jaccard(sets_a: Sequence[frozenset[str]], sets_b: Sequence[frozenset[str]]) -> float:
     """Best Jaccard index over all pairs of (non-empty) token sets; 0.0 when
     either side has none."""
     best = 0.0
@@ -208,16 +208,27 @@ class DocumentIndex:
     A transient value: ``type_document`` and the norm build take one per
     document and pass it to every stage that reads the document. It is never
     stored on the tree, since a corpus keeps every parsed document alive.
+
+    ``label_sets`` is a memo of label forms -> token sets to read and fill,
+    normally the ``CompositeIndex.label_sets`` of the norm the document is
+    read against: a genre's documents repeat their headers, so each distinct
+    header is folded, normalized and split once per loaded norm, not once
+    per occurrence. Without one, every label is tokenized here.
     """
 
     __slots__ = ("nodes", "parents", "depths", "ranks", "token_sets")
 
-    def __init__(self, root: TopicNode) -> None:
+    def __init__(
+        self,
+        root: TopicNode,
+        label_sets: dict[tuple[str, ...], tuple[frozenset[str], ...]] | None = None,
+    ) -> None:
         nodes: dict[int, TopicNode] = {}
         parents: dict[int, int | None] = {root.id: None}
         depths = {root.id: 0}
         ranks = {root.id: 0.0}
         token_sets: dict[int, tuple[frozenset[str], ...]] = {}
+        memo = {} if label_sets is None else label_sets
         stack = [root]
         while stack:
             node = stack.pop()
@@ -225,7 +236,11 @@ class DocumentIndex:
             if node_id in nodes:
                 raise ValueError("duplicate node id %r" % (node_id,))
             nodes[node_id] = node
-            token_sets[node_id] = node.label.token_sets()
+            forms = node.label.forms
+            sets = memo.get(forms)
+            if sets is None:
+                sets = memo[forms] = node.label.token_sets()
+            token_sets[node_id] = sets
             children = node.children
             if children:
                 depth = depths[node_id] + 1
@@ -245,11 +260,30 @@ class DocumentIndex:
 class CompositeIndex:
     """Lookups over one composite tree, so no query re-walks it.
 
-    Holds id -> node, id -> the label's token sets, per parent a posting
-    map token -> ids of the children whose label has that token, and the
-    next free id (one past the largest). ``fold_keys`` holds the fold keys
-    of a node's spellings, built the first time a document brings the node
-    a spelling it lacks verbatim.
+    Holds id -> node, id -> the label's token sets, the next free id (one
+    past the largest) and, per parent, two posting maps over its children:
+    ``children_by_token`` maps token -> ids of the children whose label has
+    that token, and ``children_by_set`` maps token set -> ids of the
+    children whose label holds that very set (the root's own sets are under
+    the parent None). Siblings rarely hold one identical set, as a header
+    that has an exact holder among the candidates matches it, so those
+    lists are short. For each label of more than one token set, such as the
+    root's, which gains one per distinct document title, ``set_postings``
+    maps token -> indices of that label's sets holding it, so a header is
+    scored only over the sets it shares a token with; every other set
+    scores 0.
+
+    ``merge_label`` keeps, per node, the spellings it holds (``spellings``,
+    for labels of more than one) and the fold keys of those spellings
+    (``fold_keys``, built the first time a document brings the node a
+    spelling it lacks verbatim), so no merge scans a label's spellings; a
+    new token set is checked against ``children_by_set``.
+
+    ``label_sets`` maps a label's forms to their token sets; the
+    ``DocumentIndex`` of every document read against the norm fills and
+    reads it. It holds one entry per distinct header seen, and as it
+    depends only on the strings, not on the norm, ``clear_memos`` leaves it:
+    it lives as long as the index, across every fold of a build.
 
     Two memos hold results derived from the tree, so a norm loaded once
     computes each only once: ``possible_typical`` maps (query, params) to
@@ -266,8 +300,12 @@ class CompositeIndex:
         self.nodes: dict[int, CompositeNode] = {}
         self.token_sets: dict[int, tuple[frozenset[str], ...]] = {}
         self.children_by_token: dict[int, dict[str, list[int]]] = {}
+        self.children_by_set: dict[int | None, dict[frozenset[str], list[int]]] = {}
+        self.set_postings: dict[int, dict[str, list[int]]] = {}
         self.parents: dict[int, int | None] = {}
+        self.spellings: dict[int, set[str]] = {}
         self.fold_keys: dict[int, set[str]] = {}
+        self.label_sets: dict[tuple[str, ...], tuple[frozenset[str], ...]] = {}
         self.possible_typical: dict[tuple[str, TypingParams], frozenset[int]] = {}
         self.alignments: dict[tuple[float, int, tuple[frozenset[str], ...]], int | None] = {}
         self.add(root, None)
@@ -276,7 +314,8 @@ class CompositeIndex:
                 self.add(child, node.id)
 
     def clear_memos(self) -> None:
-        """Forget every memoized result; called by whatever changes the tree."""
+        """Forget every memoized result derived from the tree; called by
+        whatever changes it. ``label_sets`` depends on no tree and stays."""
         self.possible_typical.clear()
         self.alignments.clear()
 
@@ -296,10 +335,22 @@ class CompositeIndex:
         if token_sets is None:
             token_sets = node.label.token_sets()
         self.token_sets[node.id] = token_sets
+        if len(token_sets) > 1:
+            self._post_sets(node.id, token_sets, 0)
+        holders = self.children_by_set.setdefault(parent_id, {})
+        for tokens in token_sets:
+            holders.setdefault(tokens, []).append(node.id)
         if parent_id is not None:
             postings = self.children_by_token.setdefault(parent_id, {})
             for token in set().union(*token_sets):
                 postings.setdefault(token, []).append(node.id)
+
+    def _post_sets(self, node_id: int, sets: tuple[frozenset[str], ...], first: int) -> None:
+        """Post sets, the node's token sets from index first on, in its set postings."""
+        by_token = self.set_postings.setdefault(node_id, {})
+        for offset, tokens in enumerate(sets, start=first):
+            for token in tokens:
+                by_token.setdefault(token, []).append(offset)
 
     def merge_label(self, node: CompositeNode, label: LexicalForms) -> None:
         """Give a node the spellings of label whose fold key it lacks, in
@@ -308,17 +359,27 @@ class CompositeIndex:
         Costs in proportion to label, not to the spellings the node holds:
         a spelling the node holds verbatim is skipped without folding, and
         each other one is folded once, checked against the node's fold keys
-        and, when new, normalized from that fold.
+        and, when new, normalized from that fold. Held spellings, fold keys
+        and token sets are looked up in sets, never scanned.
         """
-        held = node.label.forms
+        node_id = node.id
+        held = self.spellings.get(node_id)
+        if held is None:
+            # a one-spelling label, as every parsed header starts, is its own set
+            held = node.label.forms
+            if held == label.forms:
+                return
+            if len(held) > 1:
+                held = self.spellings[node_id] = set(held)
         fresh = [form for form in label.forms if form not in held]
         if not fresh:
             return
-        keys = self.fold_keys.get(node.id)
+        keys = self.fold_keys.get(node_id)
         if keys is None:
-            keys = self.fold_keys[node.id] = {fold(form) for form in held}
+            keys = self.fold_keys[node_id] = {fold(form) for form in node.label.forms}
+        parent_id = self.parents[node_id]
+        holders = self.children_by_set[parent_id]
         extra: list[str] = []
-        old_sets = self.token_sets[node.id]
         new_sets: list[frozenset[str]] = []
         for form in fresh:
             key = fold(form)
@@ -329,23 +390,32 @@ class CompositeIndex:
             normal = key.rstrip(_TRAILING_JUNK)
             if normal:
                 tokens = frozenset(normal.split())
-                if tokens not in old_sets and tokens not in new_sets:
+                ids = holders.setdefault(tokens, [])
+                if node_id not in ids:
+                    ids.append(node_id)
                     new_sets.append(tokens)
         if not extra:
             return
         # valid by construction: non-blank spellings with distinct fold keys
-        node.label = LexicalForms._trusted(held + tuple(extra))
+        forms = node.label.forms + tuple(extra)
+        node.label = LexicalForms._trusted(forms)
+        if isinstance(held, set):
+            held.update(extra)
+        else:
+            self.spellings[node_id] = set(forms)
         if not new_sets:
             return
-        self.token_sets[node.id] = old_sets + tuple(new_sets)
-        parent_id = self.parents[node.id]
+        old_sets = self.token_sets[node_id]
         if parent_id is not None:
+            # post the node under the tokens its label did not have yet
+            had = self.set_postings.get(node_id) or (old_sets[0] if old_sets else ())
             postings = self.children_by_token.setdefault(parent_id, {})
-            for tokens in new_sets:
-                for token in tokens:
-                    ids = postings.setdefault(token, [])
-                    if node.id not in ids:
-                        ids.append(node.id)
+            for token in set().union(*new_sets).difference(had):
+                postings.setdefault(token, []).append(node_id)
+        sets = self.token_sets[node_id] = old_sets + tuple(new_sets)
+        if len(sets) > 1:
+            first = len(old_sets) if len(old_sets) > 1 else 0
+            self._post_sets(node_id, sets[first:], first)
 
 
 @dataclass

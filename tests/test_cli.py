@@ -226,6 +226,21 @@ def test_explicit_lexicon_file_matches_builtin(tmp_path, composite_file, angina_
     assert builtin_out == file_out
 
 
+def test_byte_order_marked_composite_and_lexicon_load(tmp_path, composite_file, angina_docs, capsys):
+    """A composite or lexicon file saved with a leading UTF-8 byte-order
+    mark reads as the file without it."""
+    lex_path = tmp_path / "lexicon.json"
+    save_lexicon(default_lexicon(), lex_path)
+    marked_composite, marked_lexicon = tmp_path / "marked_composite.json", tmp_path / "marked_lexicon.json"
+    marked_composite.write_bytes(b"\xef\xbb\xbf" + composite_file.read_bytes())
+    marked_lexicon.write_bytes(b"\xef\xbb\xbf" + lex_path.read_bytes())
+    base = ["summarize", str(angina_docs), "--query", "angina", "--format", "trace"]
+    plain = run(capsys, *base, "--composite", str(composite_file), "--lexicon", str(lex_path))
+    marked = run(capsys, *base, "--composite", str(marked_composite), "--lexicon", str(marked_lexicon))
+    assert plain[0] == 0
+    assert marked == plain
+
+
 def test_invalid_lexicon_file_exits_2(tmp_path, composite_file, angina_docs, capsys):
     bad = tmp_path / "bad_lexicon.json"
     bad.write_text(json.dumps({"version": "0"}), encoding="utf-8")

@@ -40,7 +40,7 @@ from topicsift import (
     summarize,
     type_document,
 )
-from topicsift.composite import _fold_document
+from topicsift.composite import _fold_document, _place
 from topicsift.model import (
     CompositeIndex,
     DocumentIndex,
@@ -119,11 +119,27 @@ def scratch(tmp_path_factory):
 
 
 def _index_contents(index: CompositeIndex):
+    """What a fresh index over the same tree must hold too; the state only
+    merges and document indexes fill is checked against the tree here."""
     postings = {
         parent: {token: sorted(ids) for token, ids in by_token.items()}
         for parent, by_token in index.children_by_token.items()
     }
-    return index.nodes, index.token_sets, index.parents, postings
+    holders = {
+        parent: {tokens: sorted(ids) for tokens, ids in by_set.items()}
+        for parent, by_set in index.children_by_set.items()
+    }
+    set_postings = {
+        node_id: {token: sorted(offsets) for token, offsets in by_token.items()}
+        for node_id, by_token in index.set_postings.items()
+    }
+    for forms, sets in index.label_sets.items():
+        assert sets == LexicalForms(forms).token_sets()
+    for node_id, held in index.spellings.items():
+        assert held == set(index.nodes[node_id].label.forms)
+    for node_id, keys in index.fold_keys.items():
+        assert keys == {fold(form) for form in index.nodes[node_id].label.forms}
+    return index.nodes, index.token_sets, index.parents, postings, holders, set_postings
 
 
 @settings(max_examples=200, deadline=None)
@@ -247,7 +263,8 @@ def test_a_repeated_alignment_scores_no_candidate_and_the_build_fills_no_memo():
         composite = _fold(docs, 0.5)
     assert memo_sizes == [0] * (len(docs) - 1)
     assert composite.index().alignments == {}
-    probe = docs[7]
+    # headers with no exact holder in the norm, so the first alignment scores
+    probe = make_doc(("Angina guide 7", ["Symptoms of angina", ("Drug treatment plan", ["Diet and surgery"])]))
     with mock.patch("topicsift.composite.best_jaccard", side_effect=best_jaccard) as counter:
         first = align_tree(probe, composite, 0.5)
         scored = counter.call_count
@@ -307,8 +324,6 @@ def test_merged_label_equals_rebuilt_label(a, others, data):
         assert node.label == LexicalForms.of(*spellings)
         assert (node.label is before) == (node.label.forms == before.forms)
         assert _index_contents(index) == _index_contents(CompositeIndex(root))
-        if node.id in index.fold_keys:
-            assert index.fold_keys[node.id] == {fold(form) for form in node.label.forms}
     # spellings already present verbatim leave the label as it is, without
     # a single fold
     label = node.label
@@ -323,6 +338,28 @@ def test_merged_label_equals_rebuilt_label(a, others, data):
 def test_build_matches_full_walk_build(scratch, docs, threshold):
     expected = _saved(oracle_build_composite(docs, threshold, "mem"), scratch)
     assert _saved(_fold(docs, threshold), scratch) == expected
+
+
+@st.composite
+def titled_corpora(draw):
+    """2..8 documents, each titled with words of the shared vocabulary and
+    its own number: the norm root gains one token set per document, and
+    top-level headers share tokens with some of them."""
+    docs = []
+    for number in range(draw(st.integers(min_value=2, max_value=8))):
+        doc = draw(documents(f"d{number}"))
+        doc.root.label = LexicalForms.of(f"{draw(words)} {number}")
+        docs.append(doc)
+    return docs
+
+
+@settings(max_examples=80, deadline=None)
+@given(titled_corpora(), st.sampled_from((0.0, 0.5, 1.0)))
+def test_build_over_many_titles_matches_full_walk_build(scratch, docs, threshold):
+    composite = _fold(docs, threshold)
+    assert _saved(composite, scratch) == _saved(oracle_build_composite(docs, threshold, "mem"), scratch)
+    assert _index_contents(composite.index()) == _index_contents(CompositeIndex(composite.root))
+    assert len(composite.index().token_sets[composite.root.id]) == len(docs)
 
 
 def test_build_keeps_the_order_of_tied_positions(scratch):
@@ -341,6 +378,32 @@ def test_build_keeps_the_order_of_tied_positions(scratch):
     assert len(set(positions)) < len(positions)
 
 
+# few distinct positions, so many children tie
+positions = st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(positions, max_size=12).map(sorted), st.data())
+def test_moving_children_into_place_matches_a_stable_sort(old, data):
+    """_place gives the order a stable sort by position gives the list with
+    the new positions and the arrived children appended."""
+    def node(node_id, position):
+        return CompositeNode(id=node_id, label=LexicalForms.of("t"), typicality=1.0, position=position, support=1)
+
+    children = [node(node_id, position) for node_id, position in enumerate(old)]
+    chosen = data.draw(st.lists(st.sampled_from(range(len(old))), unique=True, max_size=len(old))) if old else []
+    moved = [(children[at], data.draw(positions)) for at in chosen]
+    arrived = [node(100 + k, position) for k, position in enumerate(data.draw(st.lists(positions, max_size=4)))]
+    new_positions = {child.id: position for child, position in moved}
+    expected = sorted(
+        [(new_positions.get(child.id, child.position), child.id) for child in children]
+        + [(child.position, child.id) for child in arrived],
+        key=lambda entry: entry[0],
+    )
+    _place(children, moved, arrived)
+    assert [(child.position, child.id) for child in children] == expected
+
+
 @settings(max_examples=50, deadline=None)
 @given(corpora, st.lists(documents("more"), min_size=1, max_size=4), st.sampled_from((0.0, 0.5, 1.0)))
 def test_public_merge_refreshes_typicality_like_the_full_walk(scratch, docs, more, threshold):
@@ -354,24 +417,55 @@ def test_public_merge_refreshes_typicality_like_the_full_walk(scratch, docs, mor
         assert _saved(composite, scratch) == _saved(reference, scratch)
 
 
+class _Counted(str):
+    """A label string that counts the equality tests made on it."""
+
+    compared = 0
+
+    def __eq__(self, other):
+        _Counted.compared += 1
+        return str.__eq__(self, other)
+
+    __hash__ = str.__hash__
+
+
 def test_fold_cost_does_not_grow_with_a_labels_spellings():
-    """Every document has its own title, so the root gains one spelling per
-    document; folding document 200 in folds no more strings than folding
-    document 20 did."""
+    """Every document has its own title, so the root gains one spelling and
+    one token set per document, and a top-level header of its own, which
+    only the root can match. For document 200, aligning the top-level
+    headers scores no more token-set pairs, and the fold folds no more
+    strings and compares no more spellings, than for document 20."""
     docs = [
-        make_doc((f"Angina guide {number}", ["Symptoms" if number % 2 else "SYMPTOMS:", ("Treatment", ["Drugs"])]))
+        make_doc((_Counted(f"Angina guide {number}"), [
+            _Counted("Symptoms" if number % 2 else "SYMPTOMS:"), (_Counted("Treatment"), [_Counted("Drugs")]),
+            _Counted(f"Appendix{number}"),
+        ]))
         for number in range(1, 201)
     ]
     composite = _fold(docs[:1], 0.5)
-    calls = {}
+    pairs, folds, compared = {}, {}, {}
     for number, doc in enumerate(docs[1:], start=2):
         index = DocumentIndex(doc.root)
-        alignment = align_tree(doc, composite, 0.5, index=index)
+        top_level = [index.token_sets[child.id] for child in doc.root.children]
+        scored = []
+
+        def counting(sets_a, sets_b):
+            scored.append((sets_a, len(sets_a) * len(sets_b)))
+            return best_jaccard(sets_a, sets_b)
+
+        with mock.patch("topicsift.composite.best_jaccard", side_effect=counting):
+            alignment = align_tree(doc, composite, 0.5, index=index)
+        pairs[number] = sum(count for sets, count in scored if sets in top_level)
+        _Counted.compared = 0
         with mock.patch("topicsift.model.fold", side_effect=fold) as counter:
             _fold_document(composite, alignment, index)
-        calls[number] = counter.call_count
+        folds[number] = counter.call_count
+        compared[number] = _Counted.compared
     assert len(composite.root.label.forms) == 200
-    assert calls[20] == calls[200]
+    assert len(composite.index().token_sets[composite.root.id]) == 200
+    assert pairs[20] == pairs[200]
+    assert folds[20] == folds[200]
+    assert compared[20] == compared[200]
 
 
 def _variant_corpus(count: int, seed: int):
@@ -404,8 +498,6 @@ def test_labels_with_many_spellings_build_like_the_full_walk(scratch):
         assert _saved(composite, scratch) == _saved(oracle_build_composite(docs, threshold, "mem"), scratch)
         index = composite.index()
         assert _index_contents(index) == _index_contents(CompositeIndex(composite.root))
-        for node_id, keys in index.fold_keys.items():
-            assert keys == {fold(form) for form in index.nodes[node_id].label.forms}
     assert len(composite.root.label.forms) == 60
     assert max(len(node.label.forms) for node in composite.root.children) > 3
 
@@ -441,6 +533,26 @@ def test_fresh_ids_follow_the_largest_loaded_id(tmp_path, scratch):
     assert _saved(composite, scratch) == _saved(reference, scratch)
 
 
+def test_merge_sorts_a_hand_written_sibling_list_out_of_position_order(tmp_path, scratch):
+    """A norm file may list siblings out of position order, where no moved
+    child can be found by bisection: merging sorts that list whole, as the
+    full-walk merge does."""
+    path = tmp_path / "unsorted.json"
+    path.write_text(
+        '{"version": "1", "domain_genre": "g", "doc_count": 1, "root": '
+        '{"id": 0, "forms": ["Disease"], "position": 0.0, "support": 1, "children": ['
+        '{"id": 1, "forms": ["Treatment"], "position": 1.0, "support": 1, "children": []}, '
+        '{"id": 2, "forms": ["Symptoms"], "position": 0.0, "support": 1, "children": []}]}}',
+        encoding="utf-8",
+    )
+    doc = make_doc(("Disease", ["Treatment", "Diet"]))
+    composite, reference = load_composite(path), load_composite(path)
+    merge(composite, doc, align_tree(doc, composite, 0.5))
+    oracle_merge(reference, doc, oracle_align_tree(doc, reference, 0.5)[0])
+    assert [child.label.canonical for child in composite.root.children] == ["Symptoms", "Treatment", "Diet"]
+    assert _saved(composite, scratch) == _saved(reference, scratch)
+
+
 @st.composite
 def relabeled_documents(draw):
     """A random document whose node ids are distinct arbitrary integers, not
@@ -454,17 +566,24 @@ def relabeled_documents(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(relabeled_documents())
-def test_document_index_matches_the_tree_walks(doc):
-    index = DocumentIndex(doc.root)
+@given(relabeled_documents(), documents("other"))
+def test_document_index_matches_the_tree_walks(doc, other):
+    """Built alone, and through a label memo that another document and then
+    this one filled, as documents read against one norm share it."""
+    label_sets = {}
+    DocumentIndex(other.root, label_sets)
     preorder = list(walk(doc.root))
-    assert list(index.nodes) == [node.id for node in preorder]
-    assert all(index.nodes[node.id] is node for node in preorder)
-    assert index.parents == parent_map(doc.root)
-    assert index.depths == {node.id: depth for node, depth in walk_depth(doc.root)}
-    assert index.ranks == sibling_rank_map(doc.root)
-    assert index.token_sets == {node.id: node.label.token_sets() for node in preorder}
-    assert list(index.token_sets) == list(index.nodes)
+    for index in (DocumentIndex(doc.root), DocumentIndex(doc.root, label_sets), DocumentIndex(doc.root, label_sets)):
+        assert list(index.nodes) == [node.id for node in preorder]
+        assert all(index.nodes[node.id] is node for node in preorder)
+        assert index.parents == parent_map(doc.root)
+        assert index.depths == {node.id: depth for node, depth in walk_depth(doc.root)}
+        assert index.ranks == sibling_rank_map(doc.root)
+        assert index.token_sets == {node.id: node.label.token_sets() for node in preorder}
+        assert list(index.token_sets) == list(index.nodes)
+    assert label_sets == {node.label.forms: node.label.token_sets() for node in walk(other.root)} | {
+        node.label.forms: node.label.token_sets() for node in preorder
+    }
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import logging
 
 import pytest
@@ -175,6 +176,24 @@ def test_load_corpus_names_undecodable_file(tmp_path):
     (corpus_dir / "b.md").write_bytes(b"# B\n\xff\xfe broken")
     with pytest.raises(CorpusReadError, match="b.md"):
         load_corpus(corpus_dir)
+
+
+def test_load_corpus_drops_a_byte_order_mark(tmp_path, angina_docs):
+    """Editors often save UTF-8 with a leading byte-order mark; it must hide
+    neither the front matter nor the first header."""
+    files = {path.name: path.read_text(encoding="utf-8") for path in angina_docs.iterdir()}
+    files["front.md"] = "---\ntitle: Angina guide\ncontent_types: tables\n---\n# Symptoms\nChest pain.\n"
+    files["top.md"] = "# Angina\n## Symptoms\n"
+    plain = load_corpus(write_corpus(tmp_path / "plain", files))
+    marked = load_corpus(write_corpus(tmp_path / "marked", {name: "\ufeff" + text for name, text in files.items()}))
+    assert [doc.doc_id for doc in marked.docs] == [doc.doc_id for doc in plain.docs]
+    for original, copy in zip(plain.docs, marked.docs):
+        assert copy.root == original.root
+        assert copy.metadata == dataclasses.replace(original.metadata, source_path=copy.metadata.source_path)
+    by_name = {doc.doc_id: doc for doc in marked.docs}
+    assert by_name["front.md"].metadata.title == "Angina guide"
+    assert shape(by_name["front.md"].root) == ("Angina guide", [("Symptoms", [])])
+    assert shape(by_name["top.md"].root) == ("Angina", [("Symptoms", [])])
 
 
 def test_load_corpus_rejects_missing_directory(tmp_path):
