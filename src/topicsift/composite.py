@@ -47,25 +47,22 @@ records its ids, parents, sibling ranks and label token sets.
 ``build_composite`` builds one per document and shares it between
 ``align_tree`` and the fold, so each document is walked once; the index is
 dropped after the document and never stored on it. Its token sets come from
-the norm's label memo (``CompositeIndex.label_sets``, label forms -> token
-sets), so each distinct header string of the corpus is folded, normalized
-and split once per build, not once per occurrence. The memo depends only on
-the strings, so the fold's ``clear_memos`` leaves it. New composite ids come
-from the composite index's next free id, not from a scan of the norm.
+a label memo (label forms -> token sets) that lives for one build, so each
+distinct header string of the corpus is folded, normalized and split once
+per build, not once per occurrence; it is dropped with the build. New
+composite ids come from the composite index's next free id, not from a scan
+of the norm.
 
-Folding a document in costs in proportion to the document, not the norm.
-Sibling lists stay sorted by position, with ties in the order a stable
-re-sort after every document gives. The fold does not re-sort them: in each
-list it finds the children whose position the document changed by
-bisection, and if their new positions keep the order, only inserts the new
-children, each by bisection; otherwise it takes the moved children out and
-puts each moved or new child back by bisection, at the place its key
-(position, index before the fold) takes among the others. Nothing in the
-fold reads typicality, so ``build_composite`` refreshes it once, after the
-last document; the public ``merge`` refreshes it after every document.
-Typicality stays a stored field because readers such as ``save_composite``
-and ``classify`` take it from the node, which has no link to its tree's
-doc_count.
+Folding a document walks the document and the sibling lists it changes,
+never the whole norm. Sibling lists are sorted by position:
+``load_composite`` sorts each list it reads (stably, so ties keep file
+order), and the fold re-sorts only the lists in which the document moved a
+child's position or inserted a child, with a stable sort, so ties keep the
+order they had, new children last. Nothing in the fold reads typicality,
+so ``build_composite`` refreshes it once, after the last document; the
+public ``merge`` refreshes it after every document. Typicality stays a
+stored field because readers such as ``save_composite`` and ``classify``
+take it from the node, which has no link to its tree's doc_count.
 
 A label merge costs in proportion to the spellings the document brings, not
 to those the composite label has gathered (the root gains one per distinct
@@ -80,8 +77,6 @@ from __future__ import annotations
 import json
 import operator
 import sys
-from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -153,9 +148,9 @@ def align_tree(
     norm it aligns against changes before any entry could be read back.
     """
     _check_threshold(threshold)
-    norm = composite.index()
     if index is None:
-        index = DocumentIndex(doc.root, norm.label_sets)
+        index = DocumentIndex(doc.root)
+    norm = composite.index()
     memo = norm.alignments if _memoize else None
     doc_parents = index.parents
 
@@ -241,22 +236,18 @@ def _fold_document(composite: CompositeTopicTree, alignment: Alignment, index: D
     support, positions, spellings and new topics, in place, keeping the
     composite's index current and clearing its memos.
 
-    Work is in proportion to the document: in each sibling list, only the
-    children whose position the document changed and the children it
-    inserts are moved into place (``_place``); every other child keeps its
-    place. Typicality is left stale for the caller to refresh; nothing here
-    reads it.
+    Work is in proportion to the document: only the parents whose child lists
+    changed (a child's position moved or a child was inserted) are re-sorted.
+    Every other child list kept its positions and, as every list is sorted
+    from the start, stays sorted. Typicality is left stale for the caller to
+    refresh; nothing here reads it.
     """
     norm = composite.index()
     comp_nodes = norm.nodes
-    parents = norm.parents
     pairs = alignment.pairs
     ranks = index.ranks
 
-    # per parent: the children whose position moves, with the new position,
-    # and the children inserted under it
-    moved: dict[int, list[tuple[CompositeNode, float]]] = {}
-    arrived: dict[int, list[CompositeNode]] = {}
+    touched: set[int] = set()
     contributed: set[int] = set()
     inserted: dict[int, CompositeNode] = {}
     # pre-order: the first document node to hit a composite node carries the
@@ -270,94 +261,27 @@ def _fold_document(composite: CompositeTopicTree, alignment: Alignment, index: D
             comp_parent = inserted.get(parent)
             if comp_parent is None:
                 comp_parent = comp_nodes[pairs[parent]]
-                arrived.setdefault(comp_parent.id, []).append(fresh)
-            else:
-                # a fresh parent's children arrive in document order, so by ascending rank
-                comp_parent.children.append(fresh)
+                touched.add(comp_parent.id)
+            # else a fresh parent, whose children arrive in document order,
+            # so by ascending rank
+            comp_parent.children.append(fresh)
             norm.add(fresh, comp_parent.id, index.token_sets[node_id])
             inserted[node_id] = fresh
         elif target not in contributed:
             contributed.add(target)
             comp = comp_nodes[target]
             position = (comp.position * comp.support + ranks[node_id]) / (comp.support + 1)
-            parent_id = parents[target]
-            if parent_id is None or position == comp.position:
-                comp.position = position
-            else:
-                moved.setdefault(parent_id, []).append((comp, position))
+            parent_id = norm.parents[target]
+            if parent_id is not None and position != comp.position:
+                touched.add(parent_id)
+            comp.position = position
             comp.support += 1
             norm.merge_label(comp, node.label)
 
-    for parent_id in moved.keys() | arrived.keys():
-        _place(comp_nodes[parent_id].children, moved.get(parent_id, ()), arrived.get(parent_id, ()))
+    for parent_id in touched:
+        comp_nodes[parent_id].children.sort(key=_by_position)
     norm.clear_memos()
     composite.doc_count += 1
-
-
-def _place(
-    children: list[CompositeNode],
-    moved: Sequence[tuple[CompositeNode, float]],
-    arrived: Sequence[CompositeNode],
-) -> None:
-    """Give the moved children (child, new position) their new positions and
-    put them and the arrived children where a stable sort by position puts
-    them, had the arrived ones been appended in order.
-
-    children is sorted by position, the moved ones at their old positions,
-    so each moved child is found by bisection. If the new positions keep the
-    order, only the arrived children are inserted, each by bisection.
-    Otherwise the moved children are taken out; the rest stay sorted, and
-    each moved or arrived child goes back where its key (position, index
-    before the fold) falls among them, found by bisection too. Costs
-    O(m log n) steps for m moved or arrived children out of n, plus a scan
-    over the children tied at a moved child's old position.
-    """
-    size = len(children)
-    found: list[int] = []
-    for child, _ in moved:
-        at = bisect_left(children, child.position, key=_by_position)
-        while at < size and children[at] is not child:
-            at += 1
-        if at == size:
-            break
-        found.append(at)
-    for child, position in moved:
-        child.position = position
-    if len(found) < len(moved):
-        # out of position order, as a hand-written norm file may be: sort it whole
-        children.extend(arrived)
-        children.sort(key=_by_position)
-        return
-    last = size - 1
-    for at in found:
-        position = children[at].position
-        if (at and children[at - 1].position > position) or (at < last and position > children[at + 1].position):
-            break
-    else:
-        for child in arrived:
-            children.insert(bisect_right(children, child.position, key=_by_position), child)
-        return
-    removed = sorted(found)
-    for at in reversed(removed):
-        del children[at]
-    placing = [(child.position, at, child) for (child, _), at in zip(moved, found)]
-    placing.extend((child.position, at, child) for at, child in enumerate(arrived, start=size))
-    # (position, index) keys are distinct, so no two nodes are compared
-    placing.sort()
-    kept = len(children)
-    targets = []
-    for rank, (position, at, _) in enumerate(placing):
-        # the kept children before it: those at a lower position, and those
-        # tied with it that came before index at
-        low = bisect_left(children, position, key=_by_position)
-        before = min(at - bisect_left(removed, at), kept)
-        if before > low:
-            if children[before - 1].position > position:
-                before = bisect_right(children, position, low, before, key=_by_position)
-            low = before
-        targets.append(low + rank)
-    for target, (_, _, child) in zip(targets, placing):
-        children.insert(target, child)
 
 
 def _refresh_typicality(composite: CompositeTopicTree) -> None:
@@ -371,14 +295,12 @@ def merge(composite: CompositeTopicTree, doc: DocumentTopicTree, alignment: Alig
     Matched composite nodes gain support and lexical variants (once per
     document, even if several document nodes collapsed onto them); unmatched
     document nodes are inserted as fresh children under their parent's
-    composite node. Moved and inserted children are put into place by
-    bisection, so sorted sibling lists (as every build and every saved file
-    has) stay sorted; a list found out of position order is sorted whole.
-    Typicality is then refreshed on every node, and the composite's index is
-    updated to match. ``build_composite`` folds without this per-document
-    refresh and refreshes typicality once at the end.
+    composite node. Every sibling list the document changed is re-sorted by
+    position, stably. Typicality is then refreshed on every node, and the
+    composite's index is updated to match. ``build_composite`` folds without
+    this per-document refresh and refreshes typicality once at the end.
     """
-    _fold_document(composite, alignment, DocumentIndex(doc.root, composite.index().label_sets))
+    _fold_document(composite, alignment, DocumentIndex(doc.root))
     _refresh_typicality(composite)
     return composite
 
@@ -407,7 +329,8 @@ def build_composite(corpus: CorpusSet, threshold: float, domain_genre: str | Non
     if domain_genre is None:
         domain_genre = Path(corpus.origin).name or "corpus"
     composite = _seed_composite(corpus.docs[0], domain_genre)
-    label_sets = composite.index().label_sets
+    # one label memo for the build: the corpus repeats its headers
+    label_sets: dict[tuple[str, ...], tuple[frozenset[str], ...]] = {}
     for doc in corpus.docs[1:]:
         index = DocumentIndex(doc.root, label_sets)
         _fold_document(composite, align_tree(doc, composite, threshold, index=index, _memoize=False), index)
@@ -485,19 +408,24 @@ def _parse_node(payload: object, doc_count: int, seen: set[int]) -> CompositeNod
     )
     children = payload.get("children", [])
     _require(isinstance(children, list), f"node {node_id}: children must be a list")
+    nodes = [_parse_node(child, doc_count, seen) for child in children]
+    # siblings are kept sorted by position; a hand-written file may list them
+    # in any order, and a stable sort keeps the file order of ties
+    nodes.sort(key=_by_position)
     return CompositeNode(
         id=node_id,
         label=LexicalForms.of(*forms),
         typicality=support / doc_count,
         position=float(position),
         support=support,
-        children=[_parse_node(child, doc_count, seen) for child in children],
+        children=nodes,
     )
 
 
 def load_composite(path: str | Path) -> CompositeTopicTree:
     """Load and validate a composite file (UTF-8, a leading byte-order mark
-    dropped); typicality is re-derived."""
+    dropped); typicality is re-derived and sibling lists are sorted by
+    position."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except FileNotFoundError:

@@ -209,11 +209,13 @@ class DocumentIndex:
     document and pass it to every stage that reads the document. It is never
     stored on the tree, since a corpus keeps every parsed document alive.
 
-    ``label_sets`` is a memo of label forms -> token sets to read and fill,
-    normally the ``CompositeIndex.label_sets`` of the norm the document is
-    read against: a genre's documents repeat their headers, so each distinct
-    header is folded, normalized and split once per loaded norm, not once
-    per occurrence. Without one, every label is tokenized here.
+    ``label_sets`` is a memo of label forms -> token sets to read and fill.
+    ``composite.build_composite`` passes one dict to every document of a
+    build: a genre's documents repeat their headers, so each distinct
+    header is folded, normalized and split once per build, not once per
+    occurrence; the memo holds one entry per distinct header of the corpus
+    and is dropped with the build. Without one, every label is tokenized
+    here.
     """
 
     __slots__ = ("nodes", "parents", "depths", "ranks", "token_sets")
@@ -228,7 +230,6 @@ class DocumentIndex:
         depths = {root.id: 0}
         ranks = {root.id: 0.0}
         token_sets: dict[int, tuple[frozenset[str], ...]] = {}
-        memo = {} if label_sets is None else label_sets
         stack = [root]
         while stack:
             node = stack.pop()
@@ -236,11 +237,14 @@ class DocumentIndex:
             if node_id in nodes:
                 raise ValueError("duplicate node id %r" % (node_id,))
             nodes[node_id] = node
-            forms = node.label.forms
-            sets = memo.get(forms)
-            if sets is None:
-                sets = memo[forms] = node.label.token_sets()
-            token_sets[node_id] = sets
+            if label_sets is None:
+                token_sets[node_id] = node.label.token_sets()
+            else:
+                forms = node.label.forms
+                sets = label_sets.get(forms)
+                if sets is None:
+                    sets = label_sets[forms] = node.label.token_sets()
+                token_sets[node_id] = sets
             children = node.children
             if children:
                 depth = depths[node_id] + 1
@@ -279,12 +283,6 @@ class CompositeIndex:
     spelling it lacks verbatim), so no merge scans a label's spellings; a
     new token set is checked against ``children_by_set``.
 
-    ``label_sets`` maps a label's forms to their token sets; the
-    ``DocumentIndex`` of every document read against the norm fills and
-    reads it. It holds one entry per distinct header seen, and as it
-    depends only on the strings, not on the norm, ``clear_memos`` leaves it:
-    it lives as long as the index, across every fold of a build.
-
     Two memos hold results derived from the tree, so a norm loaded once
     computes each only once: ``possible_typical`` maps (query, params) to
     ``classify.possible_typical_topics``, and ``alignments`` maps
@@ -305,7 +303,6 @@ class CompositeIndex:
         self.parents: dict[int, int | None] = {}
         self.spellings: dict[int, set[str]] = {}
         self.fold_keys: dict[int, set[str]] = {}
-        self.label_sets: dict[tuple[str, ...], tuple[frozenset[str], ...]] = {}
         self.possible_typical: dict[tuple[str, TypingParams], frozenset[int]] = {}
         self.alignments: dict[tuple[float, int, tuple[frozenset[str], ...]], int | None] = {}
         self.add(root, None)
@@ -315,7 +312,7 @@ class CompositeIndex:
 
     def clear_memos(self) -> None:
         """Forget every memoized result derived from the tree; called by
-        whatever changes it. ``label_sets`` depends on no tree and stays."""
+        whatever changes it."""
         self.possible_typical.clear()
         self.alignments.clear()
 

@@ -11,9 +11,7 @@ the norm typicality they inherit through the composite alignment.
 passes it as ``index=`` to ``align_tree``, ``map_query``, ``assign_regions``
 and ``assign_types``, so no stage re-walks the tree or re-tokenizes a label.
 Each of them called without an index builds its own. The index lives only
-for the call; it is never stored on the document. It takes its labels'
-token sets from the norm's label memo (``CompositeIndex.label_sets``), so
-a header repeated across documents is tokenized once per loaded norm.
+for the call; it is never stored on the document.
 """
 from __future__ import annotations
 
@@ -162,7 +160,7 @@ def type_document(
     When the query matches no topic (best similarity below tau) every topic
     is irrelevant and the document will land in the irrelevant/generic bins.
     """
-    index = DocumentIndex(doc.root, composite.index().label_sets)
+    index = DocumentIndex(doc.root)
     alignment = align_tree(doc, composite, align_threshold, index=index)
     query_node = map_query(query, doc, params.tau, index=index)
     if query_node is None:
