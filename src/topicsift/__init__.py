@@ -17,9 +17,7 @@ from .composite import (
     EmptyCorpusError,
     align_tree,
     build_composite,
-    label_similarity,
     load_composite,
-    merge,
     save_composite,
 )
 from .ingest import CorpusReadError, CorpusSet, load_corpus, parse_document, parse_metadata
@@ -117,13 +115,11 @@ __all__ = [
     "default_lexicon",
     "distribution",
     "instantiate",
-    "label_similarity",
     "lexicalize",
     "load_composite",
     "load_corpus",
     "load_lexicon",
     "map_query",
-    "merge",
     "normalize",
     "parse_document",
     "parse_metadata",

@@ -58,8 +58,8 @@ def possible_typical_topics(
     nodes in the composite's own query-relevant region with typicality >= alpha.
 
     The set depends only on the norm, the query and the params, so it is
-    computed once per query and kept in the composite's index until the next
-    merge."""
+    computed once per query and kept in the composite's index until a fold
+    changes the norm."""
     memo = composite.index().possible_typical
     key = (query, params)
     if key not in memo:

@@ -1,11 +1,12 @@
 """Building the composite topic tree (the domain/genre norm) by aligning and
-merging document topic trees from a reference corpus.
+folding document topic trees from a reference corpus.
 
 The build is a deterministic fold: the composite is seeded from the first
 document (file-name order) and every further document is aligned against the
-current composite, then merged in. Per node the composite tracks support
-(how many documents contributed the topic), typicality (support / documents
-seen) and position (mean normalized sibling rank over contributors).
+current composite, then folded in. ``build_composite`` is the only public way
+to change a norm. Per node the composite tracks support (how many documents
+contributed the topic), typicality (support / documents seen) and position
+(mean normalized sibling rank over contributors).
 
 Alignment is greedy and top-down. Roots always align. Every other document
 node may only match among the children of its parent's matched composite
@@ -59,18 +60,18 @@ never the whole norm. Sibling lists are sorted by position:
 order), and the fold re-sorts only the lists in which the document moved a
 child's position or inserted a child, with a stable sort, so ties keep the
 order they had, new children last. Nothing in the fold reads typicality,
-so ``build_composite`` refreshes it once, after the last document; the
-public ``merge`` refreshes it after every document. Typicality stays a
-stored field because readers such as ``save_composite`` and ``classify``
-take it from the node, which has no link to its tree's doc_count.
+so ``build_composite`` refreshes it once, after the last document.
+Typicality stays a stored field because readers such as ``save_composite``
+and ``classify`` take it from the node, which has no link to its tree's
+doc_count.
 
 A label merge costs in proportion to the spellings the document brings, not
 to those the composite label has gathered (the root gains one per distinct
-document title). The composite index keeps each label's spellings and fold
-keys as sets once it needs them, so each new spelling is looked up, never
-scanned for, and folded once; only the new spellings' token sets and
-postings are added. Topics the fold inserts take their token sets from the
-document's index.
+document title). The composite index keeps each label's fold keys as a set
+once it needs them, so each incoming spelling is folded once and looked up,
+never scanned for; only the new spellings' token sets and postings are
+added. Topics the fold inserts take their token sets from the document's
+index.
 """
 from __future__ import annotations
 
@@ -116,12 +117,6 @@ class Alignment:
 
     pairs: dict[int, int] = field(default_factory=dict)
     unmatched: set[int] = field(default_factory=set)
-
-
-def label_similarity(a: LexicalForms, b: LexicalForms) -> float:
-    """Similarity in [0, 1]: the best token-level Jaccard over all pairs of
-    normalized forms, so 1.0 when a normalized form is shared."""
-    return best_jaccard(a.token_sets(), b.token_sets())
 
 
 def _check_threshold(threshold: float) -> None:
@@ -287,22 +282,6 @@ def _fold_document(composite: CompositeTopicTree, alignment: Alignment, index: D
 def _refresh_typicality(composite: CompositeTopicTree) -> None:
     for node in walk(composite.root):
         node.typicality = node.support / composite.doc_count
-
-
-def merge(composite: CompositeTopicTree, doc: DocumentTopicTree, alignment: Alignment) -> CompositeTopicTree:
-    """Fold one document into the composite, in place.
-
-    Matched composite nodes gain support and lexical variants (once per
-    document, even if several document nodes collapsed onto them); unmatched
-    document nodes are inserted as fresh children under their parent's
-    composite node. Every sibling list the document changed is re-sorted by
-    position, stably. Typicality is then refreshed on every node, and the
-    composite's index is updated to match. ``build_composite`` folds without
-    this per-document refresh and refreshes typicality once at the end.
-    """
-    _fold_document(composite, alignment, DocumentIndex(doc.root))
-    _refresh_typicality(composite)
-    return composite
 
 
 def _seed_composite(doc: DocumentTopicTree, domain_genre: str) -> CompositeTopicTree:

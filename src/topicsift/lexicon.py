@@ -31,6 +31,11 @@ SHARED_FEATURES = "shared_features"
 
 RELATIONS = (OVERVIEW_LIST, OVERVIEW_EXEMPLAR, SAMPLE_TOPICS, SHARED_FEATURES)
 
+# the content slots the realizer binds; a morphology lemma is bound as its
+# upper-cased self after them, so a lemma of one of these names would replace
+# the content
+CONTENT_SLOTS = frozenset({"DESCRIPTION", "QUERY", "MEMBERS", "COUNT", "EXEMPLAR", "TOPICS", "FEATURES", "SUBSET"})
+
 
 class LexiconError(ValueError):
     """A lexicon file failed schema validation."""
@@ -179,12 +184,17 @@ def load_lexicon(path: str | Path) -> Lexicon:
         for entry in entries:
             if not isinstance(entry, dict) or not isinstance(entry.get("text"), str):
                 raise LexiconError(f"malformed pattern entry under {relation!r}")
-            parsed.append(Pattern(id=str(entry.get("id", "")), text=entry["text"], agree=str(entry.get("agree", "members"))))
+            pattern_id, agree = entry.get("id", ""), entry.get("agree", "members")
+            if not isinstance(pattern_id, str) or not isinstance(agree, str):
+                raise LexiconError(f"pattern id and agree under {relation!r} must be strings")
+            parsed.append(Pattern(id=pattern_id, text=entry["text"], agree=agree))
         patterns[relation] = parsed
     morphology: dict[str, tuple[str, str]] = {}
     for lemma, forms in morphology_raw.items():
         if not isinstance(forms, list) or len(forms) != 2 or not all(isinstance(f, str) for f in forms):
             raise LexiconError(f"morphology entry {lemma!r} must be [singular, plural]")
+        if lemma.upper() in CONTENT_SLOTS:
+            raise LexiconError(f"morphology entry {lemma!r} would replace the content slot {{{lemma.upper()}}}")
         morphology[lemma] = (forms[0], forms[1])
     for category, phrases in descriptions.items():
         if not isinstance(phrases, list) or not all(isinstance(p, str) for p in phrases):

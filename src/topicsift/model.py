@@ -277,11 +277,10 @@ class CompositeIndex:
     scored only over the sets it shares a token with; every other set
     scores 0.
 
-    ``merge_label`` keeps, per node, the spellings it holds (``spellings``,
-    for labels of more than one) and the fold keys of those spellings
-    (``fold_keys``, built the first time a document brings the node a
-    spelling it lacks verbatim), so no merge scans a label's spellings; a
-    new token set is checked against ``children_by_set``.
+    ``merge_label`` keeps, per node, the fold keys of its label's spellings
+    (``fold_keys``, built the first time a document brings the node a label
+    other than its own), so no merge scans a label's spellings; a new token
+    set is checked against ``children_by_set``.
 
     Two memos hold results derived from the tree, so a norm loaded once
     computes each only once: ``possible_typical`` maps (query, params) to
@@ -301,7 +300,6 @@ class CompositeIndex:
         self.children_by_set: dict[int | None, dict[frozenset[str], list[int]]] = {}
         self.set_postings: dict[int, dict[str, list[int]]] = {}
         self.parents: dict[int, int | None] = {}
-        self.spellings: dict[int, set[str]] = {}
         self.fold_keys: dict[int, set[str]] = {}
         self.possible_typical: dict[tuple[str, TypingParams], frozenset[int]] = {}
         self.alignments: dict[tuple[float, int, tuple[frozenset[str], ...]], int | None] = {}
@@ -354,23 +352,15 @@ class CompositeIndex:
         label order, and post their new token sets.
 
         Costs in proportion to label, not to the spellings the node holds:
-        a spelling the node holds verbatim is skipped without folding, and
-        each other one is folded once, checked against the node's fold keys
-        and, when new, normalized from that fold. Held spellings, fold keys
+        a label identical to the node's is skipped without folding, and
+        otherwise each of its spellings is folded once, checked against the
+        node's fold keys and, when new, normalized from that fold. Fold keys
         and token sets are looked up in sets, never scanned.
         """
-        node_id = node.id
-        held = self.spellings.get(node_id)
-        if held is None:
-            # a one-spelling label, as every parsed header starts, is its own set
-            held = node.label.forms
-            if held == label.forms:
-                return
-            if len(held) > 1:
-                held = self.spellings[node_id] = set(held)
-        fresh = [form for form in label.forms if form not in held]
-        if not fresh:
+        if label.forms == node.label.forms:
+            # every parsed header has one spelling: a repeat is this tuple
             return
+        node_id = node.id
         keys = self.fold_keys.get(node_id)
         if keys is None:
             keys = self.fold_keys[node_id] = {fold(form) for form in node.label.forms}
@@ -378,7 +368,7 @@ class CompositeIndex:
         holders = self.children_by_set[parent_id]
         extra: list[str] = []
         new_sets: list[frozenset[str]] = []
-        for form in fresh:
+        for form in label.forms:
             key = fold(form)
             if key in keys:
                 continue
@@ -394,12 +384,7 @@ class CompositeIndex:
         if not extra:
             return
         # valid by construction: non-blank spellings with distinct fold keys
-        forms = node.label.forms + tuple(extra)
-        node.label = LexicalForms._trusted(forms)
-        if isinstance(held, set):
-            held.update(extra)
-        else:
-            self.spellings[node_id] = set(forms)
+        node.label = LexicalForms._trusted(node.label.forms + tuple(extra))
         if not new_sets:
             return
         old_sets = self.token_sets[node_id]
@@ -419,8 +404,9 @@ class CompositeIndex:
 class CompositeTopicTree:
     """The norm for one domain/genre: merged topics over a reference corpus.
 
-    The index is built on first use; ``composite.merge``, the only code that
-    changes a composite, keeps it current.
+    The index is built on first use; the build's fold
+    (``composite._fold_document``), the only code that changes a composite,
+    keeps it current.
     """
 
     root: CompositeNode

@@ -253,6 +253,23 @@ def test_invalid_lexicon_file_exits_2(tmp_path, composite_file, angina_docs, cap
     assert "lexicon" in err
 
 
+def test_lexicon_lemma_named_after_a_content_slot_exits_2(tmp_path, composite_file, angina_docs, capsys):
+    lexicon = default_lexicon()
+    lexicon.morphology["members"] = ("MEMBER-VERB", "MEMBER-VERBS")
+    lexicon.morphology["description"] = ("D1", "D2")
+    path = tmp_path / "slot_lemmas.json"
+    save_lexicon(lexicon, path)
+    code, out, err = run(
+        capsys,
+        "summarize", str(angina_docs), "--composite", str(composite_file),
+        "--query", "angina", "--lexicon", str(path),
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "content slot" in err
+
+
 def test_deeply_nested_lexicon_exits_2(tmp_path, composite_file, angina_docs, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")

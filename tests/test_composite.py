@@ -19,14 +19,12 @@ from topicsift import (
     TopicNode,
     align_tree,
     build_composite,
-    label_similarity,
     load_composite,
-    merge,
     normalize,
     save_composite,
 )
 from topicsift.composite import _emit_node
-from topicsift.model import walk
+from topicsift.model import best_jaccard, walk
 
 from conftest import make_doc, write_corpus
 from oracles import node_map, parent_map
@@ -40,23 +38,28 @@ def corpus_of(*docs):
     return CorpusSet(docs=list(docs), origin="mem")
 
 
+def similarity(a, b):
+    """What alignment scores two labels by: the best token-set Jaccard."""
+    return best_jaccard(a.token_sets(), b.token_sets())
+
+
 # --- label similarity ---------------------------------------------------------
 
 def test_shared_variant_unifies():
-    assert label_similarity(forms("Symptoms"), forms("Signs", "Symptoms")) == 1.0
+    assert similarity(forms("Symptoms"), forms("Signs", "Symptoms")) == 1.0
 
 
 def test_identical_label():
-    assert label_similarity(forms("Definition"), forms("Definition")) == 1.0
+    assert similarity(forms("Definition"), forms("Definition")) == 1.0
 
 
 def test_token_jaccard_half():
     # hand-derived: |{treatment}| / |{drug, treatment}| = 0.5
-    assert label_similarity(forms("drug treatment"), forms("treatment")) == 0.5
+    assert similarity(forms("drug treatment"), forms("treatment")) == 0.5
 
 
 def test_similarity_ignores_case_and_trailing_punctuation():
-    assert label_similarity(forms("Symptoms:"), forms("symptoms")) == 1.0
+    assert similarity(forms("Symptoms:"), forms("symptoms")) == 1.0
 
 
 def test_similarity_symmetric_and_bounded():
@@ -65,13 +68,13 @@ def test_similarity_symmetric_and_bounded():
     for _ in range(50):
         a = forms(rng.choice(pool))
         b = forms(rng.choice(pool))
-        s = label_similarity(a, b)
-        assert s == label_similarity(b, a)
+        s = similarity(a, b)
+        assert s == similarity(b, a)
         assert 0.0 <= s <= 1.0
 
 
 def test_punctuation_only_labels_never_match():
-    assert label_similarity(forms("??"), forms("!!")) == 0.0
+    assert similarity(forms("??"), forms("!!")) == 0.0
 
 
 # --- alignment ------------------------------------------------------------------
@@ -123,14 +126,15 @@ def test_position_tie_breaks_to_lower_id():
 
 
 def test_level_skip_absorbed_by_parent_match():
-    composite = build_composite(corpus_of(make_doc(("Disease", ["Treatment"]))), 0.5)
+    first = make_doc(("Disease", ["Treatment"]))
+    composite = build_composite(corpus_of(first), 0.5)
     doc = make_doc(("Disease", [("Treatment", ["Drug treatment"])]), doc_id="d2")
     alignment = align_tree(doc, composite, 0.5)
     treatment = doc.root.children[0]
     drug = treatment.children[0]
     assert alignment.pairs[drug.id] == alignment.pairs[treatment.id]
     # the document still raises that topic's support only once
-    merged = merge(composite, doc, alignment)
+    merged = build_composite(corpus_of(first, doc), 0.5)
     comp_treatment = merged.index().nodes[alignment.pairs[treatment.id]]
     assert comp_treatment.support == 2
     assert merged.doc_count == 2
@@ -171,13 +175,12 @@ def test_alignment_invariants_on_random_trees():
         _check_alignment_invariants(other, composite, alignment)
 
 
-# --- merge and build ----------------------------------------------------------
+# --- build ----------------------------------------------------------------------
 
 def test_merging_identical_document_is_structural_fixed_point():
     doc = make_doc(("Disease", ["Symptoms", "Treatment"]))
-    composite = build_composite(corpus_of(doc), 0.5)
     again = make_doc(("Disease", ["Symptoms", "Treatment"]), doc_id="again")
-    merged = merge(composite, again, align_tree(again, composite, 0.5))
+    merged = build_composite(corpus_of(doc, again), 0.5)
     assert merged.doc_count == 2
     for node in merged.nodes():
         assert node.support == 2

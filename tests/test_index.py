@@ -2,7 +2,7 @@
 plain reference versions in oracles.py: label folding, label similarity,
 alignment, query mapping, document typing, header parsing, the
 possible-typical set, the built norm and the rendered trace must agree
-exactly, also after merges change the norm."""
+exactly, also after folds change the norm."""
 from __future__ import annotations
 
 import random
@@ -29,10 +29,8 @@ from topicsift import (
     assign_types,
     build_composite,
     default_lexicon,
-    label_similarity,
     load_composite,
     map_query,
-    merge,
     parse_document,
     possible_typical_topics,
     render_trace,
@@ -40,7 +38,7 @@ from topicsift import (
     summarize,
     type_document,
 )
-from topicsift.composite import _fold_document
+from topicsift.composite import _fold_document, _refresh_typicality
 from topicsift.model import (
     CompositeIndex,
     DocumentIndex,
@@ -107,6 +105,13 @@ def _fold(docs, threshold):
     return build_composite(CorpusSet(docs=docs, origin="mem"), threshold)
 
 
+def _fold_in(composite, doc, threshold):
+    """Align one more document against the norm, fold it in and refresh
+    typicality, as a build does after its last document."""
+    _fold_document(composite, align_tree(doc, composite, threshold), DocumentIndex(doc.root))
+    _refresh_typicality(composite)
+
+
 def _saved(composite, directory) -> bytes:
     path = directory / "composite.json"
     save_composite(composite, path)
@@ -120,7 +125,7 @@ def scratch(tmp_path_factory):
 
 def _index_contents(index: CompositeIndex):
     """What a fresh index over the same tree must hold too; the state only
-    merges fill is checked against the tree here."""
+    folds fill is checked against the tree here."""
     postings = {
         parent: {token: sorted(ids) for token, ids in by_token.items()}
         for parent, by_token in index.children_by_token.items()
@@ -133,8 +138,6 @@ def _index_contents(index: CompositeIndex):
         node_id: {token: sorted(offsets) for token, offsets in by_token.items()}
         for node_id, by_token in index.set_postings.items()
     }
-    for node_id, held in index.spellings.items():
-        assert held == set(index.nodes[node_id].label.forms)
     for node_id, keys in index.fold_keys.items():
         assert keys == {fold(form) for form in index.nodes[node_id].label.forms}
     return index.nodes, index.token_sets, index.parents, postings, holders, set_postings
@@ -143,7 +146,7 @@ def _index_contents(index: CompositeIndex):
 @settings(max_examples=200, deadline=None)
 @given(labels, labels)
 def test_label_similarity_matches_oracle(a, b):
-    assert label_similarity(a, b) == oracle_label_similarity(a, b)
+    assert best_jaccard(a.token_sets(), b.token_sets()) == oracle_label_similarity(a, b)
 
 
 def test_label_similarity_edge_cases():
@@ -156,8 +159,8 @@ def test_label_similarity_edge_cases():
     ]
     for a, b in cases:
         a, b = LexicalForms.of(*a), LexicalForms.of(*b)
-        assert label_similarity(a, b) == oracle_label_similarity(a, b)
-    assert label_similarity(LexicalForms.of("a b"), LexicalForms.of("b a")) == 1.0
+        assert best_jaccard(a.token_sets(), b.token_sets()) == oracle_label_similarity(a, b)
+    assert best_jaccard(LexicalForms.of("a b").token_sets(), LexicalForms.of("b a").token_sets()) == 1.0
     assert LexicalForms.of("??").token_sets() == ()
 
 
@@ -191,7 +194,7 @@ def test_index_stays_current_across_merges(docs, more, threshold, probe):
     composite = _fold(docs, threshold)
     composite.index()
     for doc in more:
-        merge(composite, doc, align_tree(doc, composite, threshold))
+        _fold_in(composite, doc, threshold)
         assert _index_contents(composite.index()) == _index_contents(CompositeIndex(composite.root))
         for node in composite.nodes():
             assert composite.index().nodes[node.id] is node
@@ -216,7 +219,7 @@ def test_possible_typical_memo_is_cleared_by_merge(docs, late, query, k, alpha):
     before = possible_typical_topics(composite, query, params)
     assert before == oracle_possible_typical(composite, query, k, alpha, 0.3)
     assert possible_typical_topics(composite, query, params) is before
-    merge(composite, late, align_tree(late, composite, 0.5))
+    _fold_in(composite, late, 0.5)
     after = possible_typical_topics(composite, query, params)
     assert after == oracle_possible_typical(composite, query, k, alpha, 0.3)
 
@@ -242,7 +245,7 @@ def test_alignment_memo_is_cleared_by_merge(docs, late, probe, merge_probe, thre
     assert (before.pairs, before.unmatched) == oracle_align_tree(probe, composite, threshold)
     if merge_probe:
         late = probe
-    merge(composite, late, align_tree(late, composite, threshold))
+    _fold_in(composite, late, threshold)
     assert composite.index().alignments == {}
     after = align_tree(probe, composite, threshold)
     assert (after.pairs, after.unmatched) == oracle_align_tree(probe, composite, threshold)
@@ -322,12 +325,15 @@ def test_merged_label_equals_rebuilt_label(a, others, data):
         assert node.label == LexicalForms.of(*spellings)
         assert (node.label is before) == (node.label.forms == before.forms)
         assert _index_contents(index) == _index_contents(CompositeIndex(root))
-    # spellings already present verbatim leave the label as it is, without
-    # a single fold
+    # spellings already present verbatim leave the label as it is, and the
+    # label's own spellings, in its order, without a single fold
     label = node.label
     verbatim = LexicalForms(tuple(data.draw(st.lists(st.sampled_from(label.forms), min_size=1, unique=True))))
+    index.merge_label(node, verbatim)
+    assert node.label is label
+    same = LexicalForms(label.forms)
     with mock.patch("topicsift.model.fold", side_effect=AssertionError("folded")):
-        index.merge_label(node, verbatim)
+        index.merge_label(node, same)
     assert node.label is label
 
 
@@ -378,11 +384,11 @@ def test_build_keeps_the_order_of_tied_positions(scratch):
 
 @settings(max_examples=50, deadline=None)
 @given(corpora, st.lists(documents("more"), min_size=1, max_size=4), st.sampled_from((0.0, 0.5, 1.0)))
-def test_public_merge_refreshes_typicality_like_the_full_walk(scratch, docs, more, threshold):
+def test_folding_more_documents_into_a_built_norm_matches_the_full_walk(scratch, docs, more, threshold):
     composite = _fold(docs, threshold)
     reference = oracle_build_composite(docs, threshold, "mem")
     for doc in more:
-        merge(composite, doc, align_tree(doc, composite, threshold))
+        _fold_in(composite, doc, threshold)
         oracle_merge(reference, doc, oracle_align_tree(doc, reference, threshold)[0])
         for node in composite.nodes():
             assert node.typicality == node.support / composite.doc_count
@@ -474,6 +480,24 @@ def test_labels_with_many_spellings_build_like_the_full_walk(scratch):
     assert max(len(node.label.forms) for node in composite.root.children) > 3
 
 
+def test_save_load_and_continue_equals_a_full_build(tmp_path, scratch):
+    """Building the first n documents, saving, loading and folding the rest
+    into the loaded norm writes the file one build over every document
+    writes."""
+    docs = _variant_corpus(40, seed=7)
+    path = tmp_path / "partial.json"
+    for threshold in (0.0, 0.5, 1.0):
+        expected = _saved(_fold(docs, threshold), scratch)
+        for count in (1, 13, 27, 39):
+            save_composite(_fold(docs[:count], threshold), path)
+            composite = load_composite(path)
+            for doc in docs[count:]:
+                index = DocumentIndex(doc.root)
+                _fold_document(composite, align_tree(doc, composite, threshold, index=index), index)
+            _refresh_typicality(composite)
+            assert _saved(composite, scratch) == expected
+
+
 def test_loading_a_norm_folds_each_spelling_once(tmp_path):
     """Only labels of several spellings are folded, each spelling once, to
     drop duplicates; the deduplicated label is not validated again."""
@@ -488,7 +512,7 @@ def test_loading_a_norm_folds_each_spelling_once(tmp_path):
 
 def test_fresh_ids_follow_the_largest_loaded_id(tmp_path, scratch):
     """A norm with ids 0, 5 and 9 takes new topics from 10 upward, as the
-    full-walk merge does."""
+    full-walk fold does."""
     path = tmp_path / "gappy.json"
     path.write_text(
         '{"version": "1", "domain_genre": "g", "doc_count": 1, "root": '
@@ -499,7 +523,7 @@ def test_fresh_ids_follow_the_largest_loaded_id(tmp_path, scratch):
     )
     doc = make_doc(("Disease", [("Symptoms", ["Chest pain"]), "Prognosis", ("Diet", ["Salt"])]))
     composite, reference = load_composite(path), load_composite(path)
-    merge(composite, doc, align_tree(doc, composite, 0.5))
+    _fold_in(composite, doc, 0.5)
     oracle_merge(reference, doc, oracle_align_tree(doc, reference, 0.5)[0])
     assert sorted(node.id for node in composite.nodes()) == [0, 5, 9, 10, 11, 12, 13]
     assert _saved(composite, scratch) == _saved(reference, scratch)
@@ -507,8 +531,8 @@ def test_fresh_ids_follow_the_largest_loaded_id(tmp_path, scratch):
 
 def test_a_hand_written_sibling_list_out_of_position_order_loads_sorted(tmp_path, scratch):
     """A norm file may list siblings out of position order: loading sorts
-    each list stably, so a merge that moves a child and one that only adds
-    children give what the full-walk merge, which sorts every list, gives."""
+    each list stably, so a fold that moves a child and one that only adds
+    children give what the full-walk fold, which sorts every list, gives."""
     path = tmp_path / "unsorted.json"
     path.write_text(
         '{"version": "1", "domain_genre": "g", "doc_count": 1, "root": '
@@ -526,7 +550,7 @@ def test_a_hand_written_sibling_list_out_of_position_order_loads_sorted(tmp_path
     for tree, order in cases:
         doc = make_doc(tree)
         composite, reference = load_composite(path), load_composite(path)
-        merge(composite, doc, align_tree(doc, composite, 0.5))
+        _fold_in(composite, doc, 0.5)
         oracle_merge(reference, doc, oracle_align_tree(doc, reference, 0.5)[0])
         assert [child.label.canonical for child in composite.root.children] == order
         assert _saved(composite, scratch) == _saved(reference, scratch)

@@ -5,15 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from topicsift import (
-    CompositeNode,
-    CompositeTopicTree,
+    CorpusSet,
     DocumentIndex,
     DocumentMetadata,
     DocumentTopicTree,
     LexicalForms,
     TopicNode,
-    align_tree,
-    merge,
+    build_composite,
     normalize,
 )
 from topicsift.model import walk, walk_depth
@@ -57,10 +55,9 @@ def test_lexical_forms_require_content():
 
 
 def test_lexical_forms_merge_keeps_first_spelling():
-    root = CompositeNode(id=0, label=LexicalForms.of("Symptoms"), typicality=1.0, position=0.0, support=1)
-    composite = CompositeTopicTree(root=root, domain_genre="t", doc_count=1)
+    first = make_doc(("Symptoms", []))
     doc = DocumentTopicTree("d", TopicNode(id=0, label=LexicalForms.of("Signs", "SYMPTOMS")), DocumentMetadata())
-    merge(composite, doc, align_tree(doc, composite, 0.5))
+    composite = build_composite(CorpusSet(docs=[first, doc], origin="mem"), 0.5)
     assert composite.root.label.forms == ("Symptoms", "Signs")
 
 

@@ -4,9 +4,11 @@ module."""
 from __future__ import annotations
 
 import importlib
+import inspect
 
 import pytest
 
+import topicsift
 from topicsift import (
     NO_MATCH_NOTICE,
     TypingParams,
@@ -104,3 +106,13 @@ def test_realize_summary_joins_the_summary_lines(angina_reference, angina_docs):
     titles = {r.typed.doc.doc_id: r.typed.doc.display_title() for r in summary.results}
     text = realize_summary(summary.plan, default_lexicon(), summary.seed, titles=titles, limit=summary.limit)
     assert text == "\n".join(summary_lines(summary.realized))
+
+
+def test_all_lists_exactly_the_public_names():
+    """A name removed from the package cannot stay in __all__, nor one added
+    be left out of it."""
+    public = {
+        name for name, value in vars(topicsift).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert sorted(topicsift.__all__) == sorted(public)

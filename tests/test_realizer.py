@@ -25,7 +25,7 @@ from topicsift import (
     refer_to_set,
     save_lexicon,
 )
-from topicsift.lexicon import OVERVIEW_EXEMPLAR, Lexicon, Pattern
+from topicsift.lexicon import CONTENT_SLOTS, OVERVIEW_EXEMPLAR, Lexicon, Pattern
 from topicsift.realizer import (
     NO_MATCH_NOTICE,
     Enumeration,
@@ -330,6 +330,48 @@ def test_lexicon_rejects_bad_schema(tmp_path):
 
     with pytest.raises(LexiconError):
         load_lexicon(path)
+
+
+def _saved_default_payload(tmp_path):
+    path = tmp_path / "lexicon.json"
+    save_lexicon(default_lexicon(), path)
+    return path, json.loads(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("slot", sorted(CONTENT_SLOTS))
+def test_lexicon_rejects_a_lemma_named_after_a_content_slot(tmp_path, slot):
+    """Verb lemmas are bound as {LEMMA} after the content slots, so a lemma
+    named after one would silently replace that content."""
+    path, payload = _saved_default_payload(tmp_path)
+    payload["morphology"][slot.lower()] = ["X", "Y"]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(LexiconError, match=re.escape("{" + slot + "}")):
+        load_lexicon(path)
+
+
+@pytest.mark.parametrize("key, value", [("id", 7), ("id", None), ("agree", ["members"]), ("agree", 1)])
+def test_lexicon_rejects_a_pattern_id_or_agree_that_is_not_a_string(tmp_path, key, value):
+    path, payload = _saved_default_payload(tmp_path)
+    payload["patterns"]["sample_topics"][0][key] = value
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(LexiconError, match="sample_topics"):
+        load_lexicon(path)
+
+
+def test_content_slots_cover_every_slot_the_realizer_binds():
+    category = DocumentCategory.SPECIALIZED
+    bound = {"DESCRIPTION"}
+    for count in (2, 8):
+        members = tuple(f"d{i}.md" for i in range(count))
+        plan = CategoryPlan(category=category, messages=[
+            Description(category=category),
+            SetElements(category=category, members=members),
+            HasTopics(category=category, topics=("diet",)),
+            HasFeature(category=category, kind="content_types", values=("figures",), members=members[:1]),
+        ])
+        for sentence in build_sentence_plans(plan, query="angina", titles={}):
+            bound.update(sentence.slots)
+    assert bound == CONTENT_SLOTS
 
 
 _SAVED_LEXICON_MARKER = "\x00mutation\x00"
