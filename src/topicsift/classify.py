@@ -13,6 +13,12 @@ from .composite import Alignment
 from .model import CompositeTopicTree, DocumentCategory, TopicType, TypingParams
 from .topic_typing import Region, TypedTree, assign_regions, map_query
 
+# read per node by distribution; on Python 3.11 a module global is several
+# times cheaper to read than an Enum member through its class
+_TYPICAL = TopicType.TYPICAL
+_RARE = TopicType.RARE
+_INTRICATE = TopicType.INTRICATE
+
 
 @dataclass(frozen=True)
 class TypeDistribution:
@@ -85,19 +91,28 @@ def distribution(
     alignment: Alignment,
     params: TypingParams,
 ) -> TypeDistribution:
-    """Count topic types over all nodes (root included) and norm coverage."""
+    """Count topic types over all nodes (root included) and norm coverage,
+    in one pass over the types."""
     possible = possible_typical_topics(composite, typed.query, params)
-    covered = {
-        alignment.pairs[node_id]
-        for node_id, topic_type in typed.types.items()
-        if topic_type is TopicType.TYPICAL and node_id in alignment.pairs
-    }
+    pairs = alignment.pairs
+    covered: set[int] = set()
+    typical = rare = intricate = 0
+    for node_id, topic_type in typed.types.items():
+        if topic_type is _TYPICAL:
+            typical += 1
+            if node_id in pairs:
+                covered.add(pairs[node_id])
+        elif topic_type is _RARE:
+            rare += 1
+        elif topic_type is _INTRICATE:
+            intricate += 1
+    total = len(typed.types)
     return TypeDistribution(
-        typical=typed.count(TopicType.TYPICAL),
-        rare=typed.count(TopicType.RARE),
-        intricate=typed.count(TopicType.INTRICATE),
-        irrelevant=typed.count(TopicType.IRRELEVANT),
-        total=len(typed.types),
+        typical=typical,
+        rare=rare,
+        intricate=intricate,
+        irrelevant=total - typical - rare - intricate,
+        total=total,
         covered_typical=len(covered & possible),
         possible_typical=len(possible),
     )

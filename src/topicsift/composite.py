@@ -49,10 +49,9 @@ records its ids, parents, sibling ranks and label token sets.
 ``align_tree`` and the fold, so each document is walked once; the index is
 dropped after the document and never stored on it. Its token sets come from
 a label memo (label forms -> token sets) that lives for one build, so each
-distinct header string of the corpus is folded, normalized and split once
-per build, not once per occurrence; it is dropped with the build. New
-composite ids come from the composite index's next free id, not from a scan
-of the norm.
+distinct header string of the corpus is tokenized once per build, not once
+per occurrence; it is dropped with the build. New composite ids come from
+the composite index's next free id, not from a scan of the norm.
 
 Folding a document walks the document and the sibling lists it changes,
 never the whole norm. Sibling lists are sorted by position:
@@ -362,31 +361,37 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _parse_node(payload: object, doc_count: int, seen: set[int]) -> CompositeNode:
-    _require(isinstance(payload, dict), "composite node must be an object")
-    assert isinstance(payload, dict)
+    # each message is formatted only when its check fails: a norm file holds
+    # thousands of nodes, and nearly all of them pass
+    if not isinstance(payload, dict):
+        raise CompositeSchemaError("composite node must be an object")
     node_id = payload.get("id")
-    _require(isinstance(node_id, int) and not isinstance(node_id, bool), "node id must be an integer")
-    _require(node_id not in seen, f"duplicate node id {node_id}")
+    if not isinstance(node_id, int) or isinstance(node_id, bool):
+        raise CompositeSchemaError("node id must be an integer")
+    if node_id in seen:
+        raise CompositeSchemaError(f"duplicate node id {node_id}")
     seen.add(node_id)
     forms = payload.get("forms")
-    _require(
-        isinstance(forms, list) and forms and all(isinstance(f, str) and f.strip() for f in forms),
-        f"node {node_id}: forms must be a non-empty list of strings",
-    )
+    if not (isinstance(forms, list) and forms and all(isinstance(f, str) and f.strip() for f in forms)):
+        raise CompositeSchemaError(f"node {node_id}: forms must be a non-empty list of strings")
     support = payload.get("support")
-    _require(isinstance(support, int) and not isinstance(support, bool), f"node {node_id}: support must be an integer")
-    _require(support >= 1, f"node {node_id}: support must be >= 1")
-    _require(support <= doc_count, f"node {node_id}: support {support} exceeds doc_count {doc_count}")
+    if not isinstance(support, int) or isinstance(support, bool):
+        raise CompositeSchemaError(f"node {node_id}: support must be an integer")
+    if support < 1:
+        raise CompositeSchemaError(f"node {node_id}: support must be >= 1")
+    if support > doc_count:
+        raise CompositeSchemaError(f"node {node_id}: support {support} exceeds doc_count {doc_count}")
     position = payload.get("position")
     # json.loads accepts NaN and Infinity; either would make sibling order
     # and alignment tie-breaks unstable. The bound also rejects integers too
     # large for a float.
-    _require(
-        isinstance(position, (int, float)) and not isinstance(position, bool) and abs(position) <= sys.float_info.max,
-        f"node {node_id}: position must be a finite number",
-    )
+    if not (
+        isinstance(position, (int, float)) and not isinstance(position, bool) and abs(position) <= sys.float_info.max
+    ):
+        raise CompositeSchemaError(f"node {node_id}: position must be a finite number")
     children = payload.get("children", [])
-    _require(isinstance(children, list), f"node {node_id}: children must be a list")
+    if not isinstance(children, list):
+        raise CompositeSchemaError(f"node {node_id}: children must be a list")
     nodes = [_parse_node(child, doc_count, seen) for child in children]
     # siblings are kept sorted by position; a hand-written file may list them
     # in any order, and a stable sort keeps the file order of ties

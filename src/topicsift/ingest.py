@@ -125,31 +125,35 @@ def parse_document(text: str, doc_id: str, source_path: str = "") -> DocumentTop
         text = "\n".join(text.splitlines())
     front, body_start = _split_front_matter(text, source_path or doc_id)
     metadata = parse_metadata(front, source_path)
-    headers = [(len(match.group(1)), match.group(2)) for match in _HEADER.finditer(text, body_start)]
+    # (marks, label) per header
+    headers = _HEADER.findall(text, body_start)
 
     # a title is stripped and non-empty, and a header label ends in a
     # non-space character, so neither can be blank: one form, as it stands
     trusted = LexicalForms._trusted
+    first = 0
     if metadata.title:
         root = TopicNode(0, trusted((metadata.title,)), [])
-        root_level = 0
-    elif headers and headers[0][0] == 1:
+    elif headers and headers[0][0] == "#":
         root = TopicNode(0, trusted((headers[0][1],)), [])
-        root_level = 1
-        headers = headers[1:]
+        first = 1
     else:
         root = TopicNode(0, LexicalForms.of(doc_id), [])
-        root_level = 0
 
-    # stack of (level, node); never popped past the root, so level jumps and
-    # repeated top-level headers land on the nearest valid ancestor
-    stack: list[tuple[int, TopicNode]] = [(root_level, root)]
-    for node_id, (level, label) in enumerate(headers, 1):
-        while len(stack) > 1 and stack[-1][0] >= level:
-            stack.pop()
+    # the open headers, as parallel stacks of levels and nodes. The root
+    # sits at level 0, below every header, so it is never popped: level
+    # jumps and repeated top-level headers land on the nearest valid ancestor
+    levels = [0]
+    open_nodes = [root]
+    for node_id, (marks, label) in enumerate(headers[first:], 1):
+        level = len(marks)
+        while levels[-1] >= level:
+            levels.pop()
+            open_nodes.pop()
         node = TopicNode(node_id, trusted((label,)), [])
-        stack[-1][1].children.append(node)
-        stack.append((level, node))
+        open_nodes[-1].children.append(node)
+        levels.append(level)
+        open_nodes.append(node)
 
     return DocumentTopicTree(doc_id=doc_id, root=root, metadata=metadata)
 

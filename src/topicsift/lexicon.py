@@ -179,24 +179,24 @@ def load_lexicon(path: str | Path) -> Lexicon:
     patterns: dict[str, list[Pattern]] = {}
     for relation, entries in patterns_raw.items():
         if not isinstance(entries, list):
-            raise LexiconError(f"patterns for {relation!r} must be a list")
+            raise LexiconError(f"patterns for {brief_repr(relation)} must be a list")
         parsed = []
         for entry in entries:
             if not isinstance(entry, dict) or not isinstance(entry.get("text"), str):
-                raise LexiconError(f"malformed pattern entry under {relation!r}")
+                raise LexiconError(f"malformed pattern entry under {brief_repr(relation)}")
             pattern_id, agree = entry.get("id", ""), entry.get("agree", "members")
             if not isinstance(pattern_id, str) or not isinstance(agree, str):
-                raise LexiconError(f"pattern id and agree under {relation!r} must be strings")
+                raise LexiconError(f"pattern id and agree under {brief_repr(relation)} must be strings")
             parsed.append(Pattern(id=pattern_id, text=entry["text"], agree=agree))
         patterns[relation] = parsed
     morphology: dict[str, tuple[str, str]] = {}
     for lemma, forms in morphology_raw.items():
         if not isinstance(forms, list) or len(forms) != 2 or not all(isinstance(f, str) for f in forms):
-            raise LexiconError(f"morphology entry {lemma!r} must be [singular, plural]")
+            raise LexiconError(f"morphology entry {brief_repr(lemma)} must be [singular, plural]")
         if lemma.upper() in CONTENT_SLOTS:
-            raise LexiconError(f"morphology entry {lemma!r} would replace the content slot {{{lemma.upper()}}}")
+            raise LexiconError(f"morphology entry {brief_repr(lemma)} would replace the content slot {{{lemma.upper()}}}")
         morphology[lemma] = (forms[0], forms[1])
     for category, phrases in descriptions.items():
         if not isinstance(phrases, list) or not all(isinstance(p, str) for p in phrases):
-            raise LexiconError(f"descriptions for {category!r} must be a list of strings")
+            raise LexiconError(f"descriptions for {brief_repr(category)} must be a list of strings")
     return Lexicon(descriptions=dict(descriptions), patterns=patterns, morphology=morphology)

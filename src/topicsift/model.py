@@ -103,9 +103,17 @@ class LexicalForms:
         """Distinct token sets of the non-empty normal forms, in form order;
         labels are compared by these. A label that normalizes to "" has none."""
         if len(self.forms) == 1:
-            # every parsed header: nothing to deduplicate
-            normal = normalize(self.forms[0])
-            return (frozenset(normal.split()),) if normal else ()
+            # every parsed header: nothing to deduplicate. Splitting the
+            # case-folded form gives normalize's tokens, save the trailing
+            # punctuation: no character casefolds to or from whitespace
+            tokens = self.forms[0].casefold().split()
+            while tokens:
+                last = tokens[-1].rstrip(string.punctuation)
+                if last:
+                    tokens[-1] = last
+                    return (frozenset(tokens),)
+                tokens.pop()
+            return ()
         sets: dict[frozenset[str], None] = {}
         for form in self.forms:
             normal = normalize(form)
@@ -212,10 +220,9 @@ class DocumentIndex:
     ``label_sets`` is a memo of label forms -> token sets to read and fill.
     ``composite.build_composite`` passes one dict to every document of a
     build: a genre's documents repeat their headers, so each distinct
-    header is folded, normalized and split once per build, not once per
-    occurrence; the memo holds one entry per distinct header of the corpus
-    and is dropped with the build. Without one, every label is tokenized
-    here.
+    header is tokenized once per build, not once per occurrence; the memo
+    holds one entry per distinct header of the corpus and is dropped with
+    the build. Without one, every label is tokenized here.
     """
 
     __slots__ = ("nodes", "parents", "depths", "ranks", "token_sets")

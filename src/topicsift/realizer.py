@@ -31,6 +31,7 @@ from .planner import CategoryPlan, HasFeature, HasTopics, SetElements, SummaryPl
 NO_MATCH_NOTICE = "No documents matched the query."
 
 _SLOT = re.compile(r"\{([A-Z_]+)\}")
+_FINAL_PERIOD = re.compile(r"([.?!])\.$")
 
 _NUMBER_WORDS = (
     "zero", "one", "two", "three", "four", "five", "six", "seven", "eight",
@@ -256,7 +257,8 @@ def lexicalize(plan: SentencePlan, lexicon: Lexicon, rng_seed: int) -> str:
     pattern = patterns[rng.randrange(len(patterns))]
     plan.chosen_pattern = pattern.id
 
-    bindings = dict(plan.slots)
+    slots = plan.slots
+    description = None
     if "{DESCRIPTION}" in pattern.text:
         variants = lexicon.descriptions.get(plan.category.value, [])
         eligible = [
@@ -270,22 +272,27 @@ def lexicalize(plan: SentencePlan, lexicon: Lexicon, rng_seed: int) -> str:
             )
         index, phrase = eligible[rng.randrange(len(eligible))]
         plan.chosen_description = index
-        phrase = phrase.replace("{QUERY}", plan.slots.get("QUERY", ""))
-        phrase = phrase.replace("{EXTRACT_REF}", "the extract above")
-        bindings["DESCRIPTION"] = phrase
+        phrase = phrase.replace("{QUERY}", slots.get("QUERY", ""))
+        description = phrase.replace("{EXTRACT_REF}", "the extract above")
 
+    # a verb slot is a lemma's upper-cased self and wins over a content slot
+    # of that name; of the lemmas sharing an upper case, the last wins.
+    # Only the slots the pattern names are looked up
+    verbs = {lemma.upper(): lemma for lemma in lexicon.morphology}
     plural = plan.counts.get(pattern.agree, 1) != 1
-    for lemma in lexicon.morphology:
-        bindings[lemma.upper()] = lexicon.verb(lemma, plural)
-
     missing: list[str] = []
 
     def fill(match: re.Match) -> str:
         name = match.group(1)
-        if name not in bindings:
+        lemma = verbs.get(name)
+        if lemma is not None:
+            return lexicon.verb(lemma, plural)
+        if name == "DESCRIPTION" and description is not None:
+            return description
+        if name not in slots:
             missing.append(name)
             return match.group(0)
-        return bindings[name]
+        return slots[name]
 
     text = _SLOT.sub(fill, pattern.text)
     if missing:
@@ -294,7 +301,7 @@ def lexicalize(plan: SentencePlan, lexicon: Lexicon, rng_seed: int) -> str:
         )
     # slot values may end in their own punctuation ("what are the risks?");
     # drop the pattern's final period rather than stacking marks
-    text = re.sub(r"([.?!])\.$", r"\1", text)
+    text = _FINAL_PERIOD.sub(r"\1", text)
     return text[:1].upper() + text[1:]
 
 

@@ -38,6 +38,18 @@ class Region(Enum):
     IRRELEVANT = "irrelevant"
 
 
+# The members the per-node loops below compare against. On Python 3.11 the
+# Enum metaclass hooks attribute lookup, so reading a member through its
+# class (``TopicType.RARE``) costs several times a module global's read.
+_TYPICAL = TopicType.TYPICAL
+_RARE = TopicType.RARE
+_INTRICATE = TopicType.INTRICATE
+_IRRELEVANT = TopicType.IRRELEVANT
+_RELEVANT_REGION = Region.RELEVANT
+_INTRICATE_REGION = Region.INTRICATE
+_IRRELEVANT_REGION = Region.IRRELEVANT
+
+
 @dataclass
 class TypedTree:
     """A document tree with one TopicType per node, under one query."""
@@ -52,7 +64,7 @@ class TypedTree:
 
     def relevant_count(self) -> int:
         """Topics in the relevant region (typical + rare)."""
-        return self.count(TopicType.TYPICAL) + self.count(TopicType.RARE)
+        return sum(1 for t in self.types.values() if t is _TYPICAL or t is _RARE)
 
 
 def map_query(
@@ -107,9 +119,9 @@ def assign_regions(
         nodes = (index if index is not None else DocumentIndex(tree.root)).nodes
     if query_node not in nodes:
         raise UnknownNodeError(f"query node {query_node!r} is not in the tree")
-    regions = dict.fromkeys(nodes, Region.IRRELEVANT)
+    regions = dict.fromkeys(nodes, _IRRELEVANT_REGION)
     for node, depth in walk_depth(nodes[query_node]):
-        regions[node.id] = Region.RELEVANT if depth <= k else Region.INTRICATE
+        regions[node.id] = _RELEVANT_REGION if depth <= k else _INTRICATE_REGION
     return regions
 
 
@@ -137,14 +149,14 @@ def assign_types(
     types: dict[int, TopicType] = {}
     for node_id in index.nodes:
         region = regions[node_id]
-        if region is Region.IRRELEVANT:
-            types[node_id] = TopicType.IRRELEVANT
-        elif region is Region.INTRICATE:
-            types[node_id] = TopicType.INTRICATE
+        if region is _IRRELEVANT_REGION:
+            types[node_id] = _IRRELEVANT
+        elif region is _INTRICATE_REGION:
+            types[node_id] = _INTRICATE
         else:
             comp_id = pairs.get(node_id)
             typicality = comp_nodes[comp_id].typicality if comp_id is not None else 0.0
-            types[node_id] = TopicType.TYPICAL if typicality >= alpha else TopicType.RARE
+            types[node_id] = _TYPICAL if typicality >= alpha else _RARE
     return TypedTree(doc=doc, query=query, query_node=query_node, types=types)
 
 

@@ -6,18 +6,22 @@ can cross-check the production classifier against it. The regex label
 folding, brute-force label similarity, alignment, query mapping and the
 full-walk norm build below play the same part for the indexed norm, and the
 full-walk typing chain and the per-line header scan for the per-document
-index and the parser, and the walk_depth renderer for the one-pass trace.
+index and the parser, the walk_depth renderer for the one-pass trace, and
+the one-type-at-a-time counts and the bind-every-lemma realizer for the
+one-pass distribution and lexicalize.
 The plain tree walks (node_map, parent_map, sibling_rank_map) are the
 references for DocumentIndex and serve the oracles above.
 """
 from __future__ import annotations
 
 import json
+import random
 import re
 import string
 from fractions import Fraction
 
 from topicsift.ingest import parse_metadata
+from topicsift.lexicon import LexiconGapError
 from topicsift.model import (
     CompositeNode,
     CompositeTopicTree,
@@ -413,3 +417,51 @@ def oracle_trace_lines(
     else:
         lines.append(NO_MATCH_NOTICE)
     return lines
+
+
+def oracle_distribution_counts(types: dict, pairs: dict[int, int], possible: frozenset[int]) -> tuple[int, ...]:
+    """(typical, rare, intricate, irrelevant, total, covered, possible) of one
+    typed document, counted one type at a time."""
+    counts = [sum(1 for t in types.values() if t.value == name) for name in ("typical", "rare", "intricate", "irrelevant")]
+    covered = {pairs[node_id] for node_id, t in types.items() if t.value == "typical" and node_id in pairs}
+    return (*counts, len(types), len(covered & possible), len(possible))
+
+
+def oracle_lexicalize(plan, lexicon, rng_seed: int) -> str:
+    """lexicalize as it was before it bound only the slots a pattern names:
+    a copy of the plan's slots, the description phrase, then every
+    morphology lemma's verb form under its upper-cased name, last one
+    winning, whether the pattern names it or not."""
+    rng = random.Random(rng_seed)
+    patterns = lexicon.patterns.get(plan.relation)
+    if not patterns:
+        raise LexiconGapError(
+            f"lexicon gap: no patterns for relation {plan.relation!r} (category {plan.category.value!r})"
+        )
+    pattern = patterns[rng.randrange(len(patterns))]
+    bindings = dict(plan.slots)
+    if "{DESCRIPTION}" in pattern.text:
+        variants = lexicon.descriptions.get(plan.category.value, [])
+        eligible = [
+            (index, phrase)
+            for index, phrase in enumerate(variants)
+            if plan.extract_available or "{EXTRACT_REF}" not in phrase
+        ]
+        if not eligible:
+            raise LexiconGapError(
+                f"lexicon gap: no description for category {plan.category.value!r} (relation {plan.relation!r})"
+            )
+        _, phrase = eligible[rng.randrange(len(eligible))]
+        phrase = phrase.replace("{QUERY}", plan.slots.get("QUERY", ""))
+        bindings["DESCRIPTION"] = phrase.replace("{EXTRACT_REF}", "the extract above")
+    plural = plan.counts.get(pattern.agree, 1) != 1
+    for lemma in lexicon.morphology:
+        bindings[lemma.upper()] = lexicon.verb(lemma, plural)
+    missing = [name for name in re.findall(r"\{([A-Z_]+)\}", pattern.text) if name not in bindings]
+    if missing:
+        raise LexiconGapError(
+            f"lexicon gap: pattern {pattern.id!r} leaves slots unbound: {', '.join(sorted(set(missing)))}"
+        )
+    text = re.sub(r"\{([A-Z_]+)\}", lambda match: bindings[match.group(1)], pattern.text)
+    text = re.sub(r"([.?!])\.$", r"\1", text)
+    return text[:1].upper() + text[1:]

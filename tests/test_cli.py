@@ -321,6 +321,24 @@ def test_huge_lexicon_version_gives_one_short_error_line(tmp_path, composite_fil
     _assert_one_short_error_line(err, path)
 
 
+@pytest.mark.parametrize("section", ["morphology", "patterns", "descriptions"])
+def test_huge_lexicon_key_gives_one_short_error_line(tmp_path, composite_file, angina_docs, capsys, section):
+    """A bad entry under a 10,000-character lemma, relation or category key."""
+    path = tmp_path / "lexicon.json"
+    save_lexicon(default_lexicon(), path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload[section]["k" * 10_000] = 1
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code, out, err = run(
+        capsys,
+        "summarize", str(angina_docs), "--composite", str(composite_file),
+        "--query", "angina", "--lexicon", str(path),
+    )
+    assert code == 2
+    assert out == ""
+    _assert_one_short_error_line(err, path)
+
+
 def test_trace_categories_match_the_brute_force_oracle(composite_file, angina_docs, capsys):
     """Every per-document category in the trace equals what the independent
     table evaluator derives from the traced distribution counts."""

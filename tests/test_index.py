@@ -12,10 +12,11 @@ import sys
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from topicsift import (
+    Alignment,
     CompositeNode,
     CompositeTopicTree,
     CorpusSet,
@@ -23,12 +24,15 @@ from topicsift import (
     DocumentTopicTree,
     LexicalForms,
     TopicNode,
+    TopicType,
+    TypedTree,
     TypingParams,
     align_tree,
     assign_regions,
     assign_types,
     build_composite,
     default_lexicon,
+    distribution,
     load_composite,
     map_query,
     parse_document,
@@ -53,6 +57,7 @@ from conftest import make_doc
 from oracles import (
     oracle_align_tree,
     oracle_build_composite,
+    oracle_distribution_counts,
     oracle_fold,
     oracle_label_similarity,
     oracle_map_query,
@@ -293,6 +298,28 @@ messy_text = st.one_of(
 def test_fold_and_normalize_match_regex_versions(text):
     assert fold(text) == oracle_fold(text)
     assert normalize(text) == oracle_normalize(text)
+
+
+# every code point str.isspace accepts, between letters that casefold to
+# more than one character and punctuation
+spaced_text = st.text(alphabet=st.sampled_from(
+    [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()] + list("aZßẞİﬁ.:?!-")
+))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(messy_text, spaced_text), st.sampled_from(["", ":", " : .", "??", " ?? ", "!\u3000.", "\x85-"]))
+@example("a : .", "")
+@example("??", "")
+@example("Straße", "")
+@example("ﬁle?", "")
+def test_one_form_token_sets_split_the_normal_form(text, tail):
+    """A one-form label splits its case-folded form once and strips the
+    trailing punctuation token by token; that equals splitting the normal form."""
+    form = text + tail
+    assume(form.strip())
+    normal = oracle_normalize(form)
+    assert LexicalForms.of(form).token_sets() == ((frozenset(normal.split()),) if normal else ())
 
 
 def test_whitespace_split_and_casefold_agree_with_regex_over_all_unicode():
@@ -637,6 +664,32 @@ def test_type_document_matches_the_full_walk_chain(docs, probe, query, k, alpha,
         regions = assign_regions(probe, query_node, k)
         alone = assign_types(probe, regions, composite, alignment, alpha, query=query, query_node=query_node)
         assert alone == typed
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(documents(), min_size=1, max_size=2),
+    documents("probe"),
+    st.sampled_from(["angina", "drug treatment", "risk factors", "gardening"]),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from((0.0, 0.5, 1.0)),
+    st.data(),
+)
+def test_distribution_matches_counting_each_type_alone(docs, probe, query, k, alpha, data):
+    """Any types over any document, typical nodes with and without a match,
+    against a norm where the query matches or ("gardening") offers no
+    possible typical topic."""
+    composite = _fold(docs, 0.5)
+    params = TypingParams(k=k, alpha=alpha)
+    ids = [node.id for node in walk(probe.root)]
+    types = dict(zip(ids, data.draw(st.lists(st.sampled_from(TopicType), min_size=len(ids), max_size=len(ids)))))
+    pairs = data.draw(st.dictionaries(st.sampled_from(ids), st.sampled_from(sorted(composite.index().nodes))))
+    typed = TypedTree(doc=probe, query=query, query_node=None, types=types)
+    d = distribution(typed, composite, Alignment(pairs=pairs, unmatched=set(ids) - set(pairs)), params)
+    possible = oracle_possible_typical(composite, query, k, alpha, params.tau)
+    assert (d.typical, d.rare, d.intricate, d.irrelevant, d.total, d.covered_typical, d.possible_typical) == (
+        oracle_distribution_counts(types, pairs, possible)
+    )
 
 
 LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028")

@@ -25,7 +25,7 @@ from topicsift import (
     refer_to_set,
     save_lexicon,
 )
-from topicsift.lexicon import CONTENT_SLOTS, OVERVIEW_EXEMPLAR, Lexicon, Pattern
+from topicsift.lexicon import CONTENT_SLOTS, OVERVIEW_EXEMPLAR, SAMPLE_TOPICS, Lexicon, Pattern
 from topicsift.realizer import (
     NO_MATCH_NOTICE,
     Enumeration,
@@ -37,6 +37,8 @@ from topicsift.realizer import (
     render_members,
     render_subset,
 )
+
+from oracles import oracle_lexicalize
 
 # seed 1 draws (pattern 0, description 0) from two-way choices; see the
 # determinism tests below for why pinning a seed is sound
@@ -265,6 +267,78 @@ def test_extract_reference_requires_the_flag():
         for seed in range(40)
     )
     assert seen_with_flag
+
+
+# pattern pieces: verb and content slots, slots no lexicon binds, slots that
+# only a lemma of another spelling binds ("ß" binds SS, "ﬁ" binds FI, "ſ"
+# binds S), braces that are no slot, and final marks
+pattern_pieces = st.sampled_from([
+    "{BE}", "{HAVE}", "{MEMBERS}", "{DESCRIPTION}", "{QUERY}", "{COUNT}", "{NO_SUCH}", "{SS}", "{FI}", "{S}",
+    "{be}", "{", "}", " word", " ", ".", "?", "!", "\n",
+])
+lemmas = st.sampled_from(["be", "Be", "BE", "bE", "have", "members", "description", "query", "ß", "ss", "ﬁ", "ſ", "s"])
+
+
+@st.composite
+def code_built_lexicons(draw):
+    """A lexicon built in code, skipping load_lexicon's checks: lemmas that
+    collide in upper case or are named after content slots, patterns with
+    unknown slots, descriptions that may be missing or need the extract."""
+    morphology = {
+        lemma: (f"{lemma}-one-{index}", f"{lemma}-many-{index}")
+        for index, lemma in enumerate(draw(st.lists(lemmas, unique=True, max_size=8)))
+    }
+    patterns = [
+        Pattern(
+            id=f"p{index}",
+            text="".join(draw(st.lists(pattern_pieces, max_size=8))),
+            agree=draw(st.sampled_from(["members", "topics", "description", "nothing"])),
+        )
+        for index in range(draw(st.integers(0, 3)))
+    ]
+    phrases = draw(st.lists(st.sampled_from(["on {QUERY}", "in {EXTRACT_REF}", "{BE} odd", "plain?"]), max_size=3))
+    descriptions = {"deep": phrases} if draw(st.booleans()) else {}
+    return Lexicon(descriptions=descriptions, patterns={SAMPLE_TOPICS: patterns}, morphology=morphology)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    code_built_lexicons(),
+    st.fixed_dictionaries({name: st.sampled_from(["x", "what?", "{BE}", "", "two words."]) for name in sorted(CONTENT_SLOTS)}),
+    st.lists(st.sampled_from(sorted(CONTENT_SLOTS)), max_size=2),
+    st.dictionaries(st.sampled_from(["members", "topics", "description"]), st.integers(0, 3)),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_lexicalize_matches_binding_every_lemma(lexicon, slots, unbound, counts, extract_available, seed):
+    for name in unbound:
+        slots.pop(name, None)
+    plan = SentencePlan(
+        relation=SAMPLE_TOPICS,
+        category=DocumentCategory.DEEP,
+        slots=slots,
+        counts=counts,
+        extract_available=extract_available,
+    )
+    try:
+        expected = oracle_lexicalize(plan, lexicon, seed)
+    except LexiconGapError as exc:
+        with pytest.raises(LexiconGapError) as raised:
+            lexicalize(plan, lexicon, seed)
+        assert str(raised.value) == str(exc)
+        return
+    assert lexicalize(plan, lexicon, seed) == expected
+
+
+def test_upper_case_lemma_collisions_resolve_to_the_last_lemma():
+    lexicon = default_lexicon()
+    lexicon.morphology["Be"] = ("IS", "ARE")
+    lexicon.morphology["ß"] = ("sharp", "sharps")
+    # a lemma named after a content slot, which only load_lexicon rejects, wins
+    lexicon.morphology["description"] = ("D1", "D2")
+    lexicon.patterns[SAMPLE_TOPICS] = [Pattern(id="p", text="{TOPICS} {BE} {SS} {DESCRIPTION}.", agree="topics")]
+    plan = SentencePlan(relation=SAMPLE_TOPICS, category=DocumentCategory.DEEP, slots={"TOPICS": "t"}, counts={"topics": 2})
+    assert lexicalize(plan, lexicon, 0) == oracle_lexicalize(plan, lexicon, 0) == "T ARE sharps D2."
 
 
 # --- summary assembly ----------------------------------------------------------------
