@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .composite import Alignment
-from .model import CompositeTopicTree, DocumentCategory, TopicType, TypingParams
-from .topic_typing import Region, TypedTree, assign_regions, map_query
+from .model import CompositeTopicTree, DocumentCategory, TopicType, TypingParams, walk_depth
+from .topic_typing import TypedTree, map_query
 
 # read per node by distribution; on Python 3.11 a module global is several
 # times cheaper to read than an Enum member through its class
@@ -61,7 +61,7 @@ def possible_typical_topics(
     composite: CompositeTopicTree, query: str, params: TypingParams
 ) -> frozenset[int]:
     """Composite node ids that count as "possible typical" for this query:
-    nodes in the composite's own query-relevant region with typicality >= alpha.
+    nodes within k hops below the composite's query node with typicality >= alpha.
 
     The set depends only on the norm, the query and the params, so it is
     computed once per query and kept in the composite's index until a fold
@@ -77,11 +77,10 @@ def _possible_typical(composite: CompositeTopicTree, query: str, params: TypingP
     query_node = map_query(query, composite, params.tau)
     if query_node is None:
         return frozenset()
-    regions = assign_regions(composite, query_node, params.k)
     return frozenset(
         node.id
-        for node in composite.nodes()
-        if regions[node.id] is Region.RELEVANT and node.typicality >= params.alpha
+        for node, depth in walk_depth(composite.index().nodes[query_node])
+        if depth <= params.k and node.typicality >= params.alpha
     )
 
 

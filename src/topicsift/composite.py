@@ -1,12 +1,14 @@
 """Building the composite topic tree (the domain/genre norm) by aligning and
 folding document topic trees from a reference corpus.
 
-The build is a deterministic fold: the composite is seeded from the first
-document (file-name order) and every further document is aligned against the
-current composite, then folded in. ``build_composite`` is the only public way
-to change a norm. Per node the composite tracks support (how many documents
-contributed the topic), typicality (support / documents seen) and position
-(mean normalized sibling rank over contributors).
+The build is a deterministic fold in document (file-name) order, from a norm
+of the first document's root only: the first document is folded in without
+being aligned, so none of its headers is absorbed into the root, and every
+further one is aligned against the current composite, then folded in.
+``build_composite`` is the only public way to change a norm. Per node the
+composite tracks support (how many documents contributed the topic),
+typicality (support / documents seen) and position (mean normalized sibling
+rank over contributors).
 
 Alignment is greedy and top-down. Roots always align. Every other document
 node may only match among the children of its parent's matched composite
@@ -89,7 +91,6 @@ from .model import (
     DocumentIndex,
     DocumentTopicTree,
     LexicalForms,
-    TopicNode,
     best_jaccard,
     brief_repr,
     walk,
@@ -225,10 +226,11 @@ def _best_match(
 _by_position = operator.attrgetter("position")
 
 
-def _fold_document(composite: CompositeTopicTree, alignment: Alignment, index: DocumentIndex) -> None:
-    """Add one aligned document (read through its index) to the composite:
-    support, positions, spellings and new topics, in place, keeping the
-    composite's index current and clearing its memos.
+def _fold_document(composite: CompositeTopicTree, pairs: dict[int, int], index: DocumentIndex) -> None:
+    """Add one document (read through its index), aligned by pairs (document
+    id -> composite id), to the composite: support, positions, spellings and
+    new topics, in place, keeping the composite's index current and clearing
+    its memos.
 
     Work is in proportion to the document: only the parents whose child lists
     changed (a child's position moved or a child was inserted) are re-sorted.
@@ -238,7 +240,6 @@ def _fold_document(composite: CompositeTopicTree, alignment: Alignment, index: D
     """
     norm = composite.index()
     comp_nodes = norm.nodes
-    pairs = alignment.pairs
     ranks = index.ranks
 
     touched: set[int] = set()
@@ -283,22 +284,6 @@ def _refresh_typicality(composite: CompositeTopicTree) -> None:
         node.typicality = node.support / composite.doc_count
 
 
-def _seed_composite(doc: DocumentTopicTree, domain_genre: str) -> CompositeTopicTree:
-    ranks = DocumentIndex(doc.root).ranks
-
-    def convert(node: TopicNode) -> CompositeNode:
-        return CompositeNode(
-            id=node.id,
-            label=node.label,
-            typicality=1.0,
-            position=ranks[node.id],
-            support=1,
-            children=[convert(child) for child in node.children],
-        )
-
-    return CompositeTopicTree(root=convert(doc.root), domain_genre=domain_genre, doc_count=1)
-
-
 def build_composite(corpus: CorpusSet, threshold: float, domain_genre: str | None = None) -> CompositeTopicTree:
     """Fold a whole corpus into a composite tree, in document (name) order."""
     _check_threshold(threshold)
@@ -306,12 +291,17 @@ def build_composite(corpus: CorpusSet, threshold: float, domain_genre: str | Non
         raise EmptyCorpusError("cannot build norm from empty corpus")
     if domain_genre is None:
         domain_genre = Path(corpus.origin).name or "corpus"
-    composite = _seed_composite(corpus.docs[0], domain_genre)
+    first = corpus.docs[0].root
+    root = CompositeNode(id=first.id, label=first.label, typicality=0.0, position=0.0, support=0)
+    composite = CompositeTopicTree(root=root, domain_genre=domain_genre, doc_count=0)
     # one label memo for the build: the corpus repeats its headers
     label_sets: dict[tuple[str, ...], tuple[frozenset[str], ...]] = {}
+    # the first document meets a norm of its own root only: it is not aligned,
+    # so every header is new and none is absorbed into the root
+    _fold_document(composite, {first.id: root.id}, DocumentIndex(first, label_sets))
     for doc in corpus.docs[1:]:
         index = DocumentIndex(doc.root, label_sets)
-        _fold_document(composite, align_tree(doc, composite, threshold, index=index, _memoize=False), index)
+        _fold_document(composite, align_tree(doc, composite, threshold, index=index, _memoize=False).pairs, index)
     _refresh_typicality(composite)
     return composite
 

@@ -2,8 +2,8 @@
 and the elementary tree queries everything else builds on.
 
 Labels keep their original surface strings for display; all comparison goes
-through :func:`normalize` (case fold, whitespace collapse, trailing
-punctuation strip) because section headers are noisy.
+through the tokens of their :func:`normalize` forms (case fold, whitespace
+collapse, trailing punctuation strip) because section headers are noisy.
 
 All types are treated as immutable once constructed; the composite builder
 is the only code that mutates composite nodes, and only during a build fold.
@@ -50,6 +50,23 @@ def normalize(text: str) -> str:
     of punctuation only; empty normal forms never count as a match.
     """
     return fold(text).rstrip(_TRAILING_JUNK)
+
+
+def _tokens(form: str) -> frozenset[str]:
+    """The tokens of a spelling's normal form; empty when it normalizes to "".
+
+    Splitting the case-folded spelling gives normalize's tokens, save the
+    trailing punctuation, which is stripped token by token: no character
+    casefolds to or from whitespace.
+    """
+    tokens = form.casefold().split()
+    while tokens:
+        last = tokens[-1].rstrip(string.punctuation)
+        if last:
+            tokens[-1] = last
+            return frozenset(tokens)
+        tokens.pop()
+    return frozenset()
 
 
 @dataclass(frozen=True)
@@ -103,23 +120,10 @@ class LexicalForms:
         """Distinct token sets of the non-empty normal forms, in form order;
         labels are compared by these. A label that normalizes to "" has none."""
         if len(self.forms) == 1:
-            # every parsed header: nothing to deduplicate. Splitting the
-            # case-folded form gives normalize's tokens, save the trailing
-            # punctuation: no character casefolds to or from whitespace
-            tokens = self.forms[0].casefold().split()
-            while tokens:
-                last = tokens[-1].rstrip(string.punctuation)
-                if last:
-                    tokens[-1] = last
-                    return (frozenset(tokens),)
-                tokens.pop()
-            return ()
-        sets: dict[frozenset[str], None] = {}
-        for form in self.forms:
-            normal = normalize(form)
-            if normal:
-                sets.setdefault(frozenset(normal.split()), None)
-        return tuple(sets)
+            # every parsed header: nothing to deduplicate
+            tokens = _tokens(self.forms[0])
+            return (tokens,) if tokens else ()
+        return tuple(dict.fromkeys(tokens for tokens in map(_tokens, self.forms) if tokens))
 
 
 @dataclass
@@ -287,7 +291,8 @@ class CompositeIndex:
     ``merge_label`` keeps, per node, the fold keys of its label's spellings
     (``fold_keys``, built the first time a document brings the node a label
     other than its own), so no merge scans a label's spellings; a new token
-    set is checked against ``children_by_set``.
+    set is looked up in ``children_by_set``. ``add`` and ``merge_label``
+    post a node's new token sets through one routine.
 
     Two memos hold results derived from the tree, so a norm loaded once
     computes each only once: ``possible_typical`` maps (query, params) to
@@ -336,23 +341,30 @@ class CompositeIndex:
         self.next_id = max(self.next_id, node.id + 1)
         if token_sets is None:
             token_sets = node.label.token_sets()
-        self.token_sets[node.id] = token_sets
-        if len(token_sets) > 1:
-            self._post_sets(node.id, token_sets, 0)
-        holders = self.children_by_set.setdefault(parent_id, {})
-        for tokens in token_sets:
-            holders.setdefault(tokens, []).append(node.id)
-        if parent_id is not None:
-            postings = self.children_by_token.setdefault(parent_id, {})
-            for token in set().union(*token_sets):
-                postings.setdefault(token, []).append(node.id)
+        self._post(node.id, (), token_sets)
 
-    def _post_sets(self, node_id: int, sets: tuple[frozenset[str], ...], first: int) -> None:
-        """Post sets, the node's token sets from index first on, in its set postings."""
-        by_token = self.set_postings.setdefault(node_id, {})
-        for offset, tokens in enumerate(sets, start=first):
-            for token in tokens:
-                by_token.setdefault(token, []).append(offset)
+    def _post(self, node_id: int, old_sets: tuple[frozenset[str], ...], new_sets: tuple[frozenset[str], ...]) -> None:
+        """Give a node, whose label held old_sets, the new token sets new_sets
+        and post them: in its parent's set holders, under the tokens its label
+        did not have yet in its parent's token postings, and, once it holds
+        more than one set, in its own set postings."""
+        parent_id = self.parents[node_id]
+        holders = self.children_by_set.setdefault(parent_id, {})
+        for tokens in new_sets:
+            holders.setdefault(tokens, []).append(node_id)
+        if parent_id is not None:
+            had = self.set_postings.get(node_id) or (old_sets[0] if old_sets else ())
+            postings = self.children_by_token.setdefault(parent_id, {})
+            for token in set().union(*new_sets).difference(had):
+                postings.setdefault(token, []).append(node_id)
+        sets = self.token_sets[node_id] = old_sets + new_sets
+        if len(sets) > 1:
+            # a label that had one set gets its set postings now, from set 0
+            first = len(old_sets) if len(old_sets) > 1 else 0
+            by_token = self.set_postings.setdefault(node_id, {})
+            for offset in range(first, len(sets)):
+                for token in sets[offset]:
+                    by_token.setdefault(token, []).append(offset)
 
     def merge_label(self, node: CompositeNode, label: LexicalForms) -> None:
         """Give a node the spellings of label whose fold key it lacks, in
@@ -360,9 +372,10 @@ class CompositeIndex:
 
         Costs in proportion to label, not to the spellings the node holds:
         a label identical to the node's is skipped without folding, and
-        otherwise each of its spellings is folded once, checked against the
-        node's fold keys and, when new, normalized from that fold. Fold keys
-        and token sets are looked up in sets, never scanned.
+        otherwise each of its spellings is folded once and checked against
+        the node's fold keys; a new one is tokenized and its token set looked
+        up among the sets its parent's children hold. Fold keys and token
+        sets are looked up, never scanned for.
         """
         if label.forms == node.label.forms:
             # every parsed header has one spelling: a repeat is this tuple
@@ -371,40 +384,24 @@ class CompositeIndex:
         keys = self.fold_keys.get(node_id)
         if keys is None:
             keys = self.fold_keys[node_id] = {fold(form) for form in node.label.forms}
-        parent_id = self.parents[node_id]
-        holders = self.children_by_set[parent_id]
+        holders = self.children_by_set[self.parents[node_id]]
         extra: list[str] = []
-        new_sets: list[frozenset[str]] = []
+        new_sets: dict[frozenset[str], None] = {}
         for form in label.forms:
             key = fold(form)
             if key in keys:
                 continue
             keys.add(key)
             extra.append(form)
-            normal = key.rstrip(_TRAILING_JUNK)
-            if normal:
-                tokens = frozenset(normal.split())
-                ids = holders.setdefault(tokens, [])
-                if node_id not in ids:
-                    ids.append(node_id)
-                    new_sets.append(tokens)
+            tokens = _tokens(form)
+            if tokens and node_id not in holders.get(tokens, ()):
+                new_sets[tokens] = None
         if not extra:
             return
         # valid by construction: non-blank spellings with distinct fold keys
         node.label = LexicalForms._trusted(node.label.forms + tuple(extra))
-        if not new_sets:
-            return
-        old_sets = self.token_sets[node_id]
-        if parent_id is not None:
-            # post the node under the tokens its label did not have yet
-            had = self.set_postings.get(node_id) or (old_sets[0] if old_sets else ())
-            postings = self.children_by_token.setdefault(parent_id, {})
-            for token in set().union(*new_sets).difference(had):
-                postings.setdefault(token, []).append(node_id)
-        sets = self.token_sets[node_id] = old_sets + tuple(new_sets)
-        if len(sets) > 1:
-            first = len(old_sets) if len(old_sets) > 1 else 0
-            self._post_sets(node_id, sets[first:], first)
+        if new_sets:
+            self._post(node_id, self.token_sets[node_id], tuple(new_sets))
 
 
 @dataclass

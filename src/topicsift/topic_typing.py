@@ -59,9 +59,6 @@ class TypedTree:
     query_node: int | None
     types: dict[int, TopicType] = field(default_factory=dict)
 
-    def count(self, topic_type: TopicType) -> int:
-        return sum(1 for t in self.types.values() if t is topic_type)
-
     def relevant_count(self) -> int:
         """Topics in the relevant region (typical + rare)."""
         return sum(1 for t in self.types.values() if t is _TYPICAL or t is _RARE)
@@ -104,19 +101,16 @@ def map_query(
 
 
 def assign_regions(
-    tree: DocumentTopicTree | CompositeTopicTree,
+    tree: DocumentTopicTree,
     query_node: int,
     k: int,
     *,
     index: DocumentIndex | None = None,
 ) -> dict[int, Region]:
-    """Partition every node of the tree into the three query regions."""
+    """Partition every node of a document tree into the three query regions."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if isinstance(tree, CompositeTopicTree):
-        nodes = tree.index().nodes
-    else:
-        nodes = (index if index is not None else DocumentIndex(tree.root)).nodes
+    nodes = (index if index is not None else DocumentIndex(tree.root)).nodes
     if query_node not in nodes:
         raise UnknownNodeError(f"query node {query_node!r} is not in the tree")
     regions = dict.fromkeys(nodes, _IRRELEVANT_REGION)

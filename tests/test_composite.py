@@ -21,6 +21,7 @@ from topicsift import (
     build_composite,
     load_composite,
     normalize,
+    parse_document,
     save_composite,
 )
 from topicsift.composite import _emit_node
@@ -218,6 +219,35 @@ def test_single_document_corpus_is_isomorphic():
     ]
     assert all(n.typicality == 1.0 for n in composite.nodes())
     assert composite.doc_count == 1
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.0])
+def test_first_document_header_repeating_its_title_stays_a_child(threshold):
+    """The first document is folded without being aligned, so a header that
+    matches its root exactly is still a topic of its own."""
+    doc = parse_document("# Angina\n\n## Angina\n\n### Causes\n\n## Treatment\n", "doc")
+    composite = build_composite(corpus_of(doc), threshold)
+    doc_parents, norm_parents = parent_map(doc.root), parent_map(composite.root)
+    assert [(n.id, n.label, norm_parents[n.id]) for n in composite.nodes()] == [
+        (n.id, n.label, doc_parents[n.id]) for n in doc.nodes()
+    ]
+    assert [n.label.canonical for n in composite.root.children] == ["Angina", "Treatment"]
+    assert all(n.support == 1 and n.typicality == 1.0 for n in composite.nodes())
+
+
+def test_hand_built_first_document_is_renumbered_in_pre_order():
+    """Norm ids of the first document run in pre-order from its root's id + 1,
+    whatever ids the hand-built tree carries."""
+    root = TopicNode(id=5, label=forms("Disease"), children=[
+        TopicNode(id=2, label=forms("Symptoms"), children=[TopicNode(id=0, label=forms("Pain"))]),
+        TopicNode(id=9, label=forms("Treatment")),
+    ])
+    doc = DocumentTopicTree(doc_id="doc", root=root, metadata=DocumentMetadata())
+    composite = build_composite(corpus_of(doc), 0.5)
+    assert [(n.id, n.label.canonical) for n in composite.nodes()] == [
+        (5, "Disease"), (6, "Symptoms"), (7, "Pain"), (8, "Treatment")
+    ]
+    assert parent_map(composite.root) == {5: None, 6: 5, 7: 6, 8: 5}
 
 
 def test_ten_identical_documents_idempotent():

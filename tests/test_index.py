@@ -113,7 +113,7 @@ def _fold(docs, threshold):
 def _fold_in(composite, doc, threshold):
     """Align one more document against the norm, fold it in and refresh
     typicality, as a build does after its last document."""
-    _fold_document(composite, align_tree(doc, composite, threshold), DocumentIndex(doc.root))
+    _fold_document(composite, align_tree(doc, composite, threshold).pairs, DocumentIndex(doc.root))
     _refresh_typicality(composite)
 
 
@@ -267,7 +267,7 @@ def test_a_repeated_alignment_scores_no_candidate_and_the_build_fills_no_memo():
 
     with mock.patch.object(CompositeIndex, "clear_memos", watched):
         composite = _fold(docs, 0.5)
-    assert memo_sizes == [0] * (len(docs) - 1)
+    assert memo_sizes == [0] * len(docs)
     assert composite.index().alignments == {}
     # headers with no exact holder in the norm, so the first alignment scores
     probe = make_doc(("Angina guide 7", ["Symptoms of angina", ("Drug treatment plan", ["Diet and surgery"])]))
@@ -308,18 +308,28 @@ spaced_text = st.text(alphabet=st.sampled_from(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(messy_text, spaced_text), st.sampled_from(["", ":", " : .", "??", " ?? ", "!\u3000.", "\x85-"]))
-@example("a : .", "")
-@example("??", "")
-@example("Straße", "")
-@example("ﬁle?", "")
-def test_one_form_token_sets_split_the_normal_form(text, tail):
-    """A one-form label splits its case-folded form once and strips the
-    trailing punctuation token by token; that equals splitting the normal form."""
-    form = text + tail
-    assume(form.strip())
-    normal = oracle_normalize(form)
-    assert LexicalForms.of(form).token_sets() == ((frozenset(normal.split()),) if normal else ())
+@given(
+    st.one_of(messy_text, spaced_text),
+    st.sampled_from(["", ":", " : .", "??", " ?? ", "!\u3000.", "\x85-"]),
+    st.lists(st.one_of(messy_text, spaced_text, surface), max_size=2),
+)
+@example("a : .", "", [])
+@example("??", "", [])
+@example("Straße", "", [])
+@example("ﬁle?", "", [])
+@example("Risk factors:", "", ["??", "factors  RISK", "Straße"])
+def test_one_form_token_sets_split_the_normal_form(text, tail, more):
+    """A label splits each case-folded form once and strips the trailing
+    punctuation token by token; that equals splitting the normal forms and
+    keeping the distinct non-empty token sets, in form order."""
+    forms = [text + tail, *more]
+    assume(any(form.strip() for form in forms))
+    expected = {}
+    for form in forms:
+        normal = oracle_normalize(form)
+        if normal:
+            expected.setdefault(frozenset(normal.split()), None)
+    assert LexicalForms.of(*forms).token_sets() == tuple(expected)
 
 
 def test_whitespace_split_and_casefold_agree_with_regex_over_all_unicode():
@@ -463,7 +473,7 @@ def test_fold_cost_does_not_grow_with_a_labels_spellings():
         pairs[number] = sum(count for sets, count in scored if sets in top_level)
         _Counted.compared = 0
         with mock.patch("topicsift.model.fold", side_effect=fold) as counter:
-            _fold_document(composite, alignment, index)
+            _fold_document(composite, alignment.pairs, index)
         folds[number] = counter.call_count
         compared[number] = _Counted.compared
     assert len(composite.root.label.forms) == 200
@@ -520,7 +530,7 @@ def test_save_load_and_continue_equals_a_full_build(tmp_path, scratch):
             composite = load_composite(path)
             for doc in docs[count:]:
                 index = DocumentIndex(doc.root)
-                _fold_document(composite, align_tree(doc, composite, threshold, index=index), index)
+                _fold_document(composite, align_tree(doc, composite, threshold, index=index).pairs, index)
             _refresh_typicality(composite)
             assert _saved(composite, scratch) == expected
 
