@@ -119,11 +119,12 @@ class LexicalForms:
     def token_sets(self) -> tuple[frozenset[str], ...]:
         """Distinct token sets of the non-empty normal forms, in form order;
         labels are compared by these. A label that normalizes to "" has none."""
-        if len(self.forms) == 1:
-            # every parsed header: nothing to deduplicate
-            tokens = _tokens(self.forms[0])
-            return (tokens,) if tokens else ()
-        return tuple(dict.fromkeys(tokens for tokens in map(_tokens, self.forms) if tokens))
+        sets: list[frozenset[str]] = []
+        for form in self.forms:
+            tokens = _tokens(form)
+            if tokens and tokens not in sets:
+                sets.append(tokens)
+        return tuple(sets)
 
 
 @dataclass
@@ -341,13 +342,14 @@ class CompositeIndex:
         self.next_id = max(self.next_id, node.id + 1)
         if token_sets is None:
             token_sets = node.label.token_sets()
-        self._post(node.id, (), token_sets)
+        self._post(node.id, token_sets)
 
-    def _post(self, node_id: int, old_sets: tuple[frozenset[str], ...], new_sets: tuple[frozenset[str], ...]) -> None:
-        """Give a node, whose label held old_sets, the new token sets new_sets
-        and post them: in its parent's set holders, under the tokens its label
-        did not have yet in its parent's token postings, and, once it holds
-        more than one set, in its own set postings."""
+    def _post(self, node_id: int, new_sets: tuple[frozenset[str], ...]) -> None:
+        """Give a node the new token sets new_sets and post them: in its
+        parent's set holders, under the tokens its label did not have yet in
+        its parent's token postings, and, once it holds more than one set, in
+        its own set postings."""
+        old_sets = self.token_sets.get(node_id, ())
         parent_id = self.parents[node_id]
         holders = self.children_by_set.setdefault(parent_id, {})
         for tokens in new_sets:
@@ -401,7 +403,7 @@ class CompositeIndex:
         # valid by construction: non-blank spellings with distinct fold keys
         node.label = LexicalForms._trusted(node.label.forms + tuple(extra))
         if new_sets:
-            self._post(node_id, self.token_sets[node_id], tuple(new_sets))
+            self._post(node_id, tuple(new_sets))
 
 
 @dataclass
