@@ -63,7 +63,7 @@ from .realizer import (
     summary_lines,
 )
 from .pipeline import DocResult, Summary, render_trace, summarize
-from .topic_typing import Region, TypedTree, assign_regions, assign_types, map_query, type_document
+from .topic_typing import TypedTree, assign_types, map_query, type_document
 
 __version__ = "0.1.0"
 
@@ -95,7 +95,6 @@ __all__ = [
     "NO_MATCH_NOTICE",
     "OrdinalList",
     "RangeRef",
-    "Region",
     "SentencePlan",
     "SetElements",
     "Summary",
@@ -107,7 +106,6 @@ __all__ = [
     "TypingParams",
     "UnknownNodeError",
     "align_tree",
-    "assign_regions",
     "assign_types",
     "build_composite",
     "build_sentence_plans",

@@ -20,7 +20,7 @@ from pathlib import Path
 from .composite import CompositeSchemaError, EmptyCorpusError, build_composite, load_composite, save_composite
 from .ingest import CorpusReadError, load_corpus
 from .lexicon import Lexicon, LexiconError, LexiconGapError, default_lexicon, load_lexicon
-from .model import TypingParams
+from .model import TypingParams, brief_repr
 from .pipeline import render_trace, summarize
 from .realizer import summary_lines
 
@@ -123,6 +123,10 @@ def cmd_build(args: argparse.Namespace, out=None) -> int:
         save_composite(composite, args.out)
     except OSError as exc:
         return _write_error(args.out, exc.strerror or str(exc))
+    except UnicodeEncodeError:  # from a genre, directory or file name holding undecodable bytes
+        genre = brief_repr(composite.domain_genre)
+        print(f"error: the norm for domain genre {genre} holds text that is not valid UTF-8", file=sys.stderr)
+        return EXIT_BAD_INPUT
     print(f"wrote {args.out} (documents={composite.doc_count}, topics={len(composite.nodes())})", file=out)
     return EXIT_OK
 
@@ -175,6 +179,9 @@ def cmd_summarize(args: argparse.Namespace, out=None) -> int:
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="warning: %(message)s", force=True)
     args = _build_parser().parse_args(argv)
+    if [] in vars(args).values():  # the argparse of Python 3.11 parses "--k=--" to []
+        print("error: '--' is not a flag value", file=sys.stderr)
+        return EXIT_BAD_INPUT
     if args.command == "build":
         return cmd_build(args)
     return cmd_summarize(args)

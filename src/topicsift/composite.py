@@ -334,7 +334,8 @@ def _emit_node(node: CompositeNode, out: list[str], indent: str) -> None:
 
 
 def save_composite(composite: CompositeTopicTree, path: str | Path) -> None:
-    """Write a composite tree; byte-identical for identical trees."""
+    """Write a composite tree; byte-identical for identical trees. Text that
+    UTF-8 cannot encode raises before the file is opened, leaving it intact."""
     out: list[str] = ["{\n"]
     out.append(f'  "version": {json.dumps(SCHEMA_VERSION)},\n')
     out.append(f'  "domain_genre": {json.dumps(composite.domain_genre, ensure_ascii=False)},\n')
@@ -342,7 +343,7 @@ def save_composite(composite: CompositeTopicTree, path: str | Path) -> None:
     out.append('  "root":\n')
     _emit_node(composite.root, out, "  ")
     out.append("\n}\n")
-    Path(path).write_text("".join(out), encoding="utf-8", newline="\n")
+    Path(path).write_bytes("".join(out).encode("utf-8"))
 
 
 def _require(condition: bool, message: str) -> None:

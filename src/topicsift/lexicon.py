@@ -145,6 +145,7 @@ def default_lexicon() -> Lexicon:
 
 
 def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
+    """Write a lexicon file, encoding its text before the file is opened."""
     payload = {
         "version": SCHEMA_VERSION,
         "descriptions": lexicon.descriptions,
@@ -154,7 +155,7 @@ def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
         },
         "morphology": {lemma: list(forms) for lemma, forms in lexicon.morphology.items()},
     }
-    Path(path).write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8", newline="\n")
+    Path(path).write_bytes((json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8"))
 
 
 def load_lexicon(path: str | Path) -> Lexicon:

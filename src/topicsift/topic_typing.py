@@ -5,18 +5,19 @@ tree into three regions: topics within k hops below it are relevant, deeper
 subtree topics are intricate, everything else (ancestors, siblings, other
 branches) is irrelevant. Relevant topics then split into typical vs rare by
 the norm typicality they inherit through the composite alignment.
+``assign_types`` gives every topic its type in one walk of the query node's
+subtree; the regions are never stored.
 
 ``type_document`` walks the document once: it builds one ``DocumentIndex``
 (pre-order ids, parents, depths, sibling ranks and label token sets) and
-passes it as ``index=`` to ``align_tree``, ``map_query``, ``assign_regions``
-and ``assign_types``, so no stage re-walks the tree or re-tokenizes a label.
+passes it as ``index=`` to ``align_tree``, ``map_query`` and
+``assign_types``, so no stage re-walks the tree or re-tokenizes a label.
 Each of them called without an index builds its own. The index lives only
 for the call; it is never stored on the document.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .composite import Alignment, align_tree
 from .model import (
@@ -32,12 +33,6 @@ from .model import (
 )
 
 
-class Region(Enum):
-    RELEVANT = "relevant"
-    INTRICATE = "intricate"
-    IRRELEVANT = "irrelevant"
-
-
 # The members the per-node loops below compare against. On Python 3.11 the
 # Enum metaclass hooks attribute lookup, so reading a member through its
 # class (``TopicType.RARE``) costs several times a module global's read.
@@ -45,9 +40,6 @@ _TYPICAL = TopicType.TYPICAL
 _RARE = TopicType.RARE
 _INTRICATE = TopicType.INTRICATE
 _IRRELEVANT = TopicType.IRRELEVANT
-_RELEVANT_REGION = Region.RELEVANT
-_INTRICATE_REGION = Region.INTRICATE
-_IRRELEVANT_REGION = Region.IRRELEVANT
 
 
 @dataclass
@@ -100,57 +92,39 @@ def map_query(
     return best_id
 
 
-def assign_regions(
-    tree: DocumentTopicTree,
-    query_node: int,
-    k: int,
-    *,
-    index: DocumentIndex | None = None,
-) -> dict[int, Region]:
-    """Partition every node of a document tree into the three query regions."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    nodes = (index if index is not None else DocumentIndex(tree.root)).nodes
-    if query_node not in nodes:
-        raise UnknownNodeError(f"query node {query_node!r} is not in the tree")
-    regions = dict.fromkeys(nodes, _IRRELEVANT_REGION)
-    for node, depth in walk_depth(nodes[query_node]):
-        regions[node.id] = _RELEVANT_REGION if depth <= k else _INTRICATE_REGION
-    return regions
-
-
 def assign_types(
     doc: DocumentTopicTree,
-    regions: dict[int, Region],
     composite: CompositeTopicTree,
     alignment: Alignment,
-    alpha: float,
+    query: str,
+    query_node: int | None,
+    params: TypingParams,
     *,
-    query: str = "",
-    query_node: int | None = None,
     index: DocumentIndex | None = None,
 ) -> TypedTree:
-    """Label every topic with one of the four topic types.
+    """Label every topic with one of the four topic types in one walk of the
+    query node's subtree.
 
-    Region decides intricate/irrelevant outright; relevant topics inherit
-    their aligned composite node's typicality (0 when unmatched, maximally
+    Topics outside that subtree (ancestors, siblings, other branches, or
+    every topic when the query matched none) are irrelevant; those more
+    than k hops below the query node are intricate. The rest inherit their
+    aligned composite node's typicality (0 when unmatched, maximally
     off-norm) and are typical when it reaches alpha, rare otherwise.
     """
-    if index is None:
-        index = DocumentIndex(doc.root)
-    comp_nodes = composite.index().nodes
-    pairs = alignment.pairs
-    types: dict[int, TopicType] = {}
-    for node_id in index.nodes:
-        region = regions[node_id]
-        if region is _IRRELEVANT_REGION:
-            types[node_id] = _IRRELEVANT
-        elif region is _INTRICATE_REGION:
-            types[node_id] = _INTRICATE
-        else:
-            comp_id = pairs.get(node_id)
-            typicality = comp_nodes[comp_id].typicality if comp_id is not None else 0.0
-            types[node_id] = _TYPICAL if typicality >= alpha else _RARE
+    nodes = (index if index is not None else DocumentIndex(doc.root)).nodes
+    types = dict.fromkeys(nodes, _IRRELEVANT)
+    if query_node is not None:
+        if query_node not in nodes:
+            raise UnknownNodeError(f"query node {query_node!r} is not in the tree")
+        comp_nodes = composite.index().nodes
+        pairs = alignment.pairs
+        for node, depth in walk_depth(nodes[query_node]):
+            if depth > params.k:
+                types[node.id] = _INTRICATE
+            else:
+                comp_id = pairs.get(node.id)
+                typicality = comp_nodes[comp_id].typicality if comp_id is not None else 0.0
+                types[node.id] = _TYPICAL if typicality >= params.alpha else _RARE
     return TypedTree(doc=doc, query=query, query_node=query_node, types=types)
 
 
@@ -169,11 +143,4 @@ def type_document(
     index = DocumentIndex(doc.root)
     alignment = align_tree(doc, composite, align_threshold, index=index)
     query_node = map_query(query, doc, params.tau, index=index)
-    if query_node is None:
-        types = dict.fromkeys(index.nodes, TopicType.IRRELEVANT)
-        return TypedTree(doc=doc, query=query, query_node=None, types=types), alignment
-    regions = assign_regions(doc, query_node, params.k, index=index)
-    typed = assign_types(
-        doc, regions, composite, alignment, params.alpha, query=query, query_node=query_node, index=index
-    )
-    return typed, alignment
+    return assign_types(doc, composite, alignment, query, query_node, params, index=index), alignment

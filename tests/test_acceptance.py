@@ -32,7 +32,7 @@ from topicsift import (
     type_document,
 )
 from topicsift.realizer import Enumeration, Exemplar, SentencePlan, render_subset
-from topicsift.topic_typing import Region, assign_regions, assign_types
+from topicsift.topic_typing import assign_types
 
 from conftest import GOLDEN, make_doc, write_corpus
 from oracles import all_distributions, node_map, oracle_classify
@@ -59,6 +59,13 @@ def test_criterion_1_typicality_reproduction(tmp_path):
     report(1, "typicality reproduction")
 
 
+def _regions(types: dict[int, TopicType]) -> dict[int, str]:
+    """Each node's query region: relevant when it is typical or rare, else
+    its type's name (intricate or irrelevant)."""
+    relevant = (TopicType.TYPICAL, TopicType.RARE)
+    return {i: "relevant" if t in relevant else t.value for i, t in types.items()}
+
+
 def test_criterion_2_region_semantics():
     """Exhaustive per-node region check on a depth-5 tree with k=2."""
     start = time.perf_counter()
@@ -78,22 +85,24 @@ def test_criterion_2_region_semantics():
         )
     )
     ids = {n.label.canonical: n.id for n in doc.nodes()}
-    regions = assign_regions(doc, ids["Query"], k=2)
+    composite = build_composite(CorpusSet(docs=[doc], origin="mem"), 0.5)
+    alignment = align_tree(doc, composite, 0.5)
+    regions = _regions(assign_types(doc, composite, alignment, "query", ids["Query"], TypingParams(k=2)).types)
     expected = {
-        "Root": Region.IRRELEVANT,  # the query node's parent
-        "Query": Region.RELEVANT,  # distance 0
-        "R1": Region.RELEVANT,  # 1
-        "R2": Region.RELEVANT,  # 2
-        "I3": Region.INTRICATE,  # 3
-        "I4": Region.INTRICATE,  # 4
-        "R2b": Region.RELEVANT,  # 2
-        "R1b": Region.RELEVANT,  # 1
-        "Sibling": Region.IRRELEVANT,
-        "SibChild": Region.IRRELEVANT,
+        "Root": "irrelevant",  # the query node's parent
+        "Query": "relevant",  # distance 0
+        "R1": "relevant",  # 1
+        "R2": "relevant",  # 2
+        "I3": "intricate",  # 3
+        "I4": "intricate",  # 4
+        "R2b": "relevant",  # 2
+        "R1b": "relevant",  # 1
+        "Sibling": "irrelevant",
+        "SibChild": "irrelevant",
     }
     assert len(expected) == len(doc.nodes())
     for label, region in expected.items():
-        assert regions[ids[label]] is region, label
+        assert regions[ids[label]] == region, label
     assert time.perf_counter() - start < 1.0
     report(2, "region semantics")
 
@@ -213,16 +222,16 @@ def test_criterion_7_monotonicity_suite():
 
         previous_relevant: set[int] | None = None
         for k in (1, 2, 3, 4):
-            regions = assign_regions(doc, query_node, k)
-            relevant = {i for i, r in regions.items() if r is Region.RELEVANT}
+            regions = _regions(assign_types(doc, composite, alignment, "probe", query_node, TypingParams(k=k)).types)
+            relevant = {i for i, r in regions.items() if r == "relevant"}
             if previous_relevant is not None and not previous_relevant <= relevant:
                 violations += 1
             previous_relevant = relevant
 
-        regions = assign_regions(doc, query_node, 2)
         previous_typical: set[int] | None = None
         for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
-            typed = assign_types(doc, regions, composite, alignment, alpha=alpha)
+            params = TypingParams(k=2, alpha=alpha)
+            typed = assign_types(doc, composite, alignment, "probe", query_node, params)
             typical = {i for i, t in typed.types.items() if t is TopicType.TYPICAL}
             if previous_typical is not None and not typical <= previous_typical:
                 violations += 1

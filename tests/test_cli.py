@@ -1,15 +1,23 @@
 from __future__ import annotations
 
+import contextlib
+import copy
+import dataclasses
 import errno
+import io
 import json
+import math
 import os
+import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from topicsift import cli, default_lexicon, save_lexicon
 
-from conftest import write_corpus
+from conftest import FIXTURES, write_corpus
 
 
 def run(capsys, *args):
@@ -436,3 +444,140 @@ def test_denied_output_directory_lookup_exits_1(tmp_path, angina_reference, caps
     # from Python 3.13 on, is_dir and exists return False: the directory then looks missing
     prefix = f"error: cannot write composite file {out_path}: "
     assert err in (prefix + "Permission denied\n", prefix + "No such file or directory\n")
+
+
+# --- a failed save leaves the file it would replace --------------------------
+
+def test_unencodable_domain_genre_exits_2_and_keeps_the_old_norm(composite_file, angina_reference, capsys):
+    before = composite_file.read_bytes()
+    # argv carries an undecodable byte as a lone surrogate
+    code, out, err = run(capsys, "build", str(angina_reference), str(composite_file), "--domain-genre", "x\udcff")
+    assert (code, out) == (2, "")
+    assert err == "error: the norm for domain genre 'x\\udcff' holds text that is not valid UTF-8\n"
+    assert composite_file.read_bytes() == before
+
+
+def test_undecodable_corpus_directory_name_exits_2_and_keeps_the_old_norm(
+    tmp_path, composite_file, angina_reference, capsys
+):
+    corpus = tmp_path / os.fsdecode(b"ref\xff")
+    shutil.copytree(angina_reference, corpus)
+    before = composite_file.read_bytes()
+    code, out, err = run(capsys, "build", str(corpus), str(composite_file))
+    assert (code, out) == (2, "")
+    assert err == "error: the norm for domain genre 'ref\\udcff' holds text that is not valid UTF-8\n"
+    assert composite_file.read_bytes() == before
+
+
+def test_unencodable_lexicon_phrase_keeps_the_old_file(tmp_path):
+    path = tmp_path / "lexicon.json"
+    lexicon = default_lexicon()
+    save_lexicon(lexicon, path)
+    before = path.read_bytes()
+    broken = dataclasses.replace(lexicon, descriptions={**lexicon.descriptions, "prototypical": ["on \udcff {QUERY}"]})
+    with pytest.raises(UnicodeEncodeError):
+        save_lexicon(broken, path)
+    assert path.read_bytes() == before
+
+
+# --- the whole command line, fuzzed in-process ----------------------------------
+
+# flag values argparse accepts, so each reaches the program's own checks; a
+# lone surrogate is how argv carries an undecodable byte
+_TEXT_PIECES = ["angina", "treatment", "x", "é", " ", "\n", "-", "\udcff", "\ud800"]
+_TEXTS = st.lists(st.sampled_from(_TEXT_PIECES), max_size=4).map("".join)
+_INTS = st.sampled_from(["0", "-1", "-7", str(10**30), "1", "2"])
+_FLOATS = st.sampled_from(["nan", "inf", "-inf", "-0.0", "1e400", "0", "0.3", "1"])
+_JSON_VALUES = st.sampled_from([None, True, 0, -1, 10**30, 0.5, -0.0, 1e308, math.nan, math.inf, "", "\udcff", [], {}])
+
+_BUILD = st.tuples(
+    st.just("build"),
+    st.fixed_dictionaries({}, optional={"--align-threshold": _FLOATS, "--domain-genre": _TEXTS}),
+    st.none(),
+)
+_SUMMARIZE = st.tuples(
+    st.just("summarize"),
+    st.fixed_dictionaries(
+        {"--query": _TEXTS},
+        optional={
+            "--k": _INTS,
+            "--limit": _INTS,
+            "--seed": _INTS,
+            "--alpha": _FLOATS,
+            "--tau": _FLOATS,
+            "--align-threshold": _FLOATS,
+            "--format": st.sampled_from(["text", "trace"]),
+        },
+    ),
+    # one field of the composite or lexicon file: (file, field number, delete it?, new value)
+    st.none() | st.tuples(st.sampled_from(["composite", "lexicon"]), st.integers(0, 10**4), st.booleans(), _JSON_VALUES),
+)
+
+
+def _fields(value, path=()):
+    """The path of every member and item of a JSON value, in document order."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _fields(child, path + (key,))
+
+
+def _mutate(payload, number: int, delete: bool, value):
+    """payload with one field replaced by value, or deleted when it is an
+    object member and delete is set."""
+    payload = copy.deepcopy(payload)
+    paths = list(_fields(payload))
+    *head, key = paths[number % len(paths)]
+    parent = payload
+    for step in head:
+        parent = parent[step]
+    if delete and isinstance(parent, dict):
+        del parent[key]
+    else:
+        parent[key] = value
+    return payload
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A directory holding the angina norm and the built-in lexicon, and the
+    JSON payload of each."""
+    work = tmp_path_factory.mktemp("fuzz")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["build", str(FIXTURES / "angina" / "reference"), str(work / "composite.json")]) == 0
+    save_lexicon(default_lexicon(), work / "lexicon.json")
+    return work, {name: json.loads((work / f"{name}.json").read_text(encoding="utf-8")) for name in ("composite", "lexicon")}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_BUILD, _SUMMARIZE))
+@example(("build", {"--domain-genre": "x\udcff"}, None))
+@example(("summarize", {"--query": "--"}, None))
+def test_command_line_exits_0_to_3_with_one_error_line_on_failure(fuzz_inputs, case):
+    work, payloads = fuzz_inputs
+    command, flags, mutation = case
+    norm_bytes = (work / "composite.json").read_bytes()
+    out_path = work / "out.json"
+    if command == "build":
+        out_path.write_bytes(norm_bytes)
+        argv = ["build", str(FIXTURES / "angina" / "reference"), str(out_path)]
+    else:
+        files = {"composite": work / "composite.json"}
+        if mutation is not None:
+            name, number, delete, value = mutation
+            files[name] = work / f"mutated-{name}.json"
+            # ensure_ascii writes a lone surrogate as its \u escape, which loads back as one
+            files[name].write_text(json.dumps(_mutate(payloads[name], number, delete, value)), encoding="ascii")
+        argv = ["summarize", str(FIXTURES / "angina" / "docs"), "--composite", str(files["composite"])]
+        if "lexicon" in files:
+            argv += ["--lexicon", str(files["lexicon"])]
+    argv += [f"{flag}={value}" for flag, value in flags.items()]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    event(f"{command} exit {code}")
+    errors = [line for line in stderr.getvalue().split("\n") if line.startswith("error: ")]
+    assert code in (0, 1, 2, 3)
+    assert len(errors) == (code != 0)
+    if command == "build" and code != 0:
+        assert out_path.read_bytes() == norm_bytes

@@ -27,8 +27,8 @@ from topicsift import (
     TopicType,
     TypedTree,
     TypingParams,
+    UnknownNodeError,
     align_tree,
-    assign_regions,
     assign_types,
     build_composite,
     default_lexicon,
@@ -670,10 +670,10 @@ def test_type_document_matches_the_full_walk_chain(docs, probe, query, k, alpha,
     # the same stages called one by one, each building its own index
     assert map_query(query, probe, tau) == query_node
     assert align_tree(probe, composite, threshold) == alignment
-    if query_node is not None:
-        regions = assign_regions(probe, query_node, k)
-        alone = assign_types(probe, regions, composite, alignment, alpha, query=query, query_node=query_node)
-        assert alone == typed
+    assert assign_types(probe, composite, alignment, query, query_node, params) == typed
+    missing = max(node.id for node in walk(probe.root)) + 1
+    with pytest.raises(UnknownNodeError):
+        assign_types(probe, composite, alignment, query, missing, params)
 
 
 @settings(max_examples=150, deadline=None)

@@ -17,7 +17,7 @@ from topicsift import (
     map_query,
     type_document,
 )
-from topicsift.topic_typing import Region, assign_regions, assign_types
+from topicsift.topic_typing import assign_types
 
 from conftest import make_doc
 from oracles import node_map
@@ -69,47 +69,10 @@ def test_empty_query_rejected():
         map_query("   ", doc, tau=0.3)
 
 
-# --- regions ---------------------------------------------------------------------
+# --- regions (a topic is relevant exactly when it is typical or rare) -----------
 
-def test_query_at_root_with_large_k_makes_everything_relevant():
-    doc = make_doc(("Root", [("A", [("B", ["C"])]), "D"]))
-    regions = assign_regions(doc, doc.root.id, k=10)
-    assert set(regions.values()) == {Region.RELEVANT}
+RELEVANT = {TopicType.TYPICAL, TopicType.RARE}
 
-
-def test_beam_depth_two_boundaries():
-    doc = make_doc(("Root", [("A", [("B", [("C", ["D"])])])]))
-    labels = by_label(doc)
-    regions = assign_regions(doc, labels["A"], k=2)
-    assert regions[labels["A"]] is Region.RELEVANT
-    assert regions[labels["B"]] is Region.RELEVANT
-    assert regions[labels["C"]] is Region.RELEVANT  # distance 2
-    assert regions[labels["D"]] is Region.INTRICATE  # distance 3
-    assert regions[labels["Root"]] is Region.IRRELEVANT
-
-
-def test_parent_and_siblings_of_query_are_irrelevant():
-    doc = make_doc(("Root", [("Query", ["Child"]), "Sibling"]))
-    labels = by_label(doc)
-    regions = assign_regions(doc, labels["Query"], k=2)
-    assert regions[labels["Root"]] is Region.IRRELEVANT
-    assert regions[labels["Sibling"]] is Region.IRRELEVANT
-    assert regions[labels["Child"]] is Region.RELEVANT
-
-
-def test_unknown_query_node_rejected():
-    doc = make_doc(("Root", ["A"]))
-    with pytest.raises(UnknownNodeError):
-        assign_regions(doc, 99, k=2)
-
-
-def test_k_must_be_positive():
-    doc = make_doc(("Root", ["A"]))
-    with pytest.raises(ValueError):
-        assign_regions(doc, doc.root.id, k=0)
-
-
-# --- typing ----------------------------------------------------------------------
 
 def _norm_with_typicalities() -> CompositeTopicTree:
     symptoms = CompositeNode(id=1, label=LexicalForms.of("Symptoms"), typicality=0.95, position=0.0, support=19)
@@ -117,33 +80,74 @@ def _norm_with_typicalities() -> CompositeTopicTree:
     return CompositeTopicTree(root=root, domain_genre="t", doc_count=20)
 
 
+def types_of(doc, query_node, composite=None, **params):
+    """assign_types under TypingParams(**params), against the given norm or
+    the two-node one above."""
+    composite = composite if composite is not None else _norm_with_typicalities()
+    alignment = align_tree(doc, composite, 0.5)
+    return assign_types(doc, composite, alignment, "query", query_node, TypingParams(**params)).types
+
+
+def test_query_at_root_with_large_k_makes_everything_relevant():
+    doc = make_doc(("Root", [("A", [("B", ["C"])]), "D"]))
+    types = types_of(doc, doc.root.id, k=10)
+    assert set(types.values()) <= RELEVANT
+
+
+def test_beam_depth_two_boundaries():
+    doc = make_doc(("Root", [("A", [("B", [("C", ["D"])])])]))
+    labels = by_label(doc)
+    types = types_of(doc, labels["A"], k=2)
+    assert types[labels["A"]] in RELEVANT
+    assert types[labels["B"]] in RELEVANT
+    assert types[labels["C"]] in RELEVANT  # distance 2
+    assert types[labels["D"]] is TopicType.INTRICATE  # distance 3
+    assert types[labels["Root"]] is TopicType.IRRELEVANT
+
+
+def test_parent_and_siblings_of_query_are_irrelevant():
+    doc = make_doc(("Root", [("Query", ["Child"]), "Sibling"]))
+    labels = by_label(doc)
+    types = types_of(doc, labels["Query"], k=2)
+    assert types[labels["Root"]] is TopicType.IRRELEVANT
+    assert types[labels["Sibling"]] is TopicType.IRRELEVANT
+    assert types[labels["Child"]] in RELEVANT
+
+
+def test_unknown_query_node_rejected():
+    doc = make_doc(("Root", ["A"]))
+    with pytest.raises(UnknownNodeError):
+        types_of(doc, 99, k=2)
+
+
+def test_k_must_be_positive():
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        TypingParams(k=0)
+
+
+# --- typing ----------------------------------------------------------------------
+
 def test_high_typicality_relevant_node_is_typical():
     composite = _norm_with_typicalities()
     doc = make_doc(("Disease", ["Symptoms"]))
-    alignment = align_tree(doc, composite, 0.5)
-    regions = assign_regions(doc, doc.root.id, k=2)
-    typed = assign_types(doc, regions, composite, alignment, alpha=0.5)
-    assert typed.types[by_label(doc)["Symptoms"]] is TopicType.TYPICAL
+    types = types_of(doc, doc.root.id, composite, k=2, alpha=0.5)
+    assert types[by_label(doc)["Symptoms"]] is TopicType.TYPICAL
 
 
 def test_unmatched_relevant_node_is_rare():
     composite = _norm_with_typicalities()
     doc = make_doc(("Disease", ["Prognosis"]))
-    alignment = align_tree(doc, composite, 0.5)
-    regions = assign_regions(doc, doc.root.id, k=2)
-    typed = assign_types(doc, regions, composite, alignment, alpha=0.5)
-    assert typed.types[by_label(doc)["Prognosis"]] is TopicType.RARE
+    types = types_of(doc, doc.root.id, composite, k=2, alpha=0.5)
+    assert types[by_label(doc)["Prognosis"]] is TopicType.RARE
 
 
 def test_alpha_one_makes_095_rare_and_alpha_zero_makes_all_relevant_typical():
     composite = _norm_with_typicalities()
     doc = make_doc(("Disease", ["Symptoms", "Prognosis"]))
-    alignment = align_tree(doc, composite, 0.5)
-    regions = assign_regions(doc, doc.root.id, k=2)
-    strict = assign_types(doc, regions, composite, alignment, alpha=1.0)
-    assert strict.types[by_label(doc)["Symptoms"]] is TopicType.RARE
-    lax = assign_types(doc, regions, composite, alignment, alpha=0.0)
-    assert set(lax.types.values()) == {TopicType.TYPICAL}
+    strict = types_of(doc, doc.root.id, composite, k=2, alpha=1.0)
+    assert strict[by_label(doc)["Symptoms"]] is TopicType.RARE
+    lax = types_of(doc, doc.root.id, composite, k=2, alpha=0.0)
+    assert set(lax.values()) == {TopicType.TYPICAL}
 
 
 def test_type_document_partition_and_no_match_behavior():
@@ -184,8 +188,8 @@ def test_relevant_set_grows_with_k():
         doc = make_doc(_random_doc_spec(rng, rng.randint(2, 9), pool))
         query_node = rng.choice(doc.nodes()).id
         for k in (1, 2, 3):
-            small = {i for i, r in assign_regions(doc, query_node, k).items() if r is Region.RELEVANT}
-            large = {i for i, r in assign_regions(doc, query_node, k + 1).items() if r is Region.RELEVANT}
+            small = {i for i, t in types_of(doc, query_node, k=k).items() if t in RELEVANT}
+            large = {i for i, t in types_of(doc, query_node, k=k + 1).items() if t in RELEVANT}
             assert small <= large
 
 
@@ -195,12 +199,10 @@ def test_typical_set_shrinks_with_alpha():
     docs = [make_doc(_random_doc_spec(rng, rng.randint(2, 7), pool), doc_id=f"d{i}") for i in range(3)]
     composite = build_composite(corpus_of(*docs), 0.5)
     probe = make_doc(_random_doc_spec(rng, 7, pool), doc_id="probe")
-    alignment = align_tree(probe, composite, 0.5)
-    regions = assign_regions(probe, probe.root.id, k=3)
     previous = None
     for alpha in (0.0, 0.3, 0.6, 0.9, 1.0):
-        typed = assign_types(probe, regions, composite, alignment, alpha=alpha)
-        typical = {i for i, t in typed.types.items() if t is TopicType.TYPICAL}
+        types = types_of(probe, probe.root.id, composite, k=3, alpha=alpha)
+        typical = {i for i, t in types.items() if t is TopicType.TYPICAL}
         if previous is not None:
             assert typical <= previous
         previous = typical
