@@ -20,7 +20,7 @@ from pathlib import Path
 from .composite import CompositeSchemaError, EmptyCorpusError, build_composite, load_composite, save_composite
 from .ingest import CorpusReadError, load_corpus
 from .lexicon import Lexicon, LexiconError, LexiconGapError, default_lexicon, load_lexicon
-from .model import TypingParams, brief_repr
+from .model import TypingParams, brief_repr, line_fault
 from .pipeline import render_trace, summarize
 from .realizer import summary_lines
 
@@ -69,6 +69,10 @@ def _summarize_params(args: argparse.Namespace) -> TypingParams:
     bad one."""
     if not args.query.strip():
         raise ValueError("query must be non-empty")
+    # the trace prints the query on one line, to a stdout that may encode strictly
+    fault = line_fault(args.query)
+    if fault is not None:
+        raise ValueError(f"query {brief_repr(args.query)} holds {fault}")
     _check_align_threshold(args)
     if args.limit < 1:
         raise ValueError("limit must be >= 1")
@@ -116,14 +120,14 @@ def cmd_build(args: argparse.Namespace, out=None) -> int:
         return EXIT_ERROR
     try:
         composite = build_composite(corpus, args.align_threshold, domain_genre=args.domain_genre)
-    except EmptyCorpusError as exc:
+    except (EmptyCorpusError, CompositeSchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:
         save_composite(composite, args.out)
     except OSError as exc:
         return _write_error(args.out, exc.strerror or str(exc))
-    except UnicodeEncodeError:  # from a genre, directory or file name holding undecodable bytes
+    except UnicodeEncodeError:  # from a file name holding undecodable bytes
         genre = brief_repr(composite.domain_genre)
         print(f"error: the norm for domain genre {genre} holds text that is not valid UTF-8", file=sys.stderr)
         return EXIT_BAD_INPUT

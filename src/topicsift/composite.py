@@ -50,10 +50,14 @@ records its ids, parents, sibling ranks and label token sets.
 ``build_composite`` builds one per document and shares it between
 ``align_tree`` and the fold, so each document is walked once; the index is
 dropped after the document and never stored on it. Its token sets come from
-a label memo (label forms -> token sets) that lives for one build, so each
-distinct header string of the corpus is tokenized once per build, not once
-per occurrence; it is dropped with the build. New composite ids come from
-the composite index's next free id, not from a scan of the norm.
+the norm's label memo (``CompositeIndex.label_sets``, label forms -> token
+sets), so each distinct header string of the corpus is tokenized once, not
+once per occurrence. A spelling's token sets do not depend on the norm, so
+no fold clears the memo: the built norm keeps one entry per distinct header
+of its corpus, and every document later read against it (``align_tree`` and
+``topic_typing.type_document``) reads and fills the same memo. New composite
+ids come from the composite index's next free id, not from a scan of the
+norm.
 
 Folding a document walks the document and the sibling lists it changes,
 never the whole norm. Sibling lists are sorted by position:
@@ -93,6 +97,7 @@ from .model import (
     LexicalForms,
     best_jaccard,
     brief_repr,
+    line_fault,
     walk,
 )
 
@@ -124,6 +129,14 @@ def _check_threshold(threshold: float) -> None:
         raise ValueError("threshold must be in [0, 1]")
 
 
+def _check_domain_genre(domain_genre: str) -> None:
+    """A norm's domain genre is one line of UTF-8 text: the trace prints it
+    on one line and the norm file stores it as UTF-8."""
+    fault = line_fault(domain_genre)
+    if fault is not None:
+        raise CompositeSchemaError(f"the norm for domain genre {brief_repr(domain_genre)} holds {fault}")
+
+
 _UNSEEN = object()
 
 
@@ -136,16 +149,17 @@ def align_tree(
     _memoize: bool = True,
 ) -> Alignment:
     """Greedily align a document tree against the composite, reading the
-    document through its index (given, or built here).
+    document through its index (given, or built here from the norm's label
+    memo).
 
     Each header's match is looked up in, or stored to, the composite index's
     alignment memo; ``build_composite`` passes ``_memoize=False``, as the
     norm it aligns against changes before any entry could be read back.
     """
     _check_threshold(threshold)
-    if index is None:
-        index = DocumentIndex(doc.root)
     norm = composite.index()
+    if index is None:
+        index = DocumentIndex(doc.root, norm.label_sets)
     memo = norm.alignments if _memoize else None
     doc_parents = index.parents
 
@@ -285,17 +299,21 @@ def _refresh_typicality(composite: CompositeTopicTree) -> None:
 
 
 def build_composite(corpus: CorpusSet, threshold: float, domain_genre: str | None = None) -> CompositeTopicTree:
-    """Fold a whole corpus into a composite tree, in document (name) order."""
+    """Fold a whole corpus into a composite tree, in document (name) order.
+
+    Raises CompositeSchemaError, before folding anything, when the domain
+    genre (given, or the corpus directory's name) is not one line of UTF-8
+    text."""
     _check_threshold(threshold)
     if not corpus.docs:
         raise EmptyCorpusError("cannot build norm from empty corpus")
     if domain_genre is None:
         domain_genre = Path(corpus.origin).name or "corpus"
+    _check_domain_genre(domain_genre)
     first = corpus.docs[0].root
     root = CompositeNode(id=first.id, label=first.label, typicality=0.0, position=0.0, support=0)
     composite = CompositeTopicTree(root=root, domain_genre=domain_genre, doc_count=0)
-    # one label memo for the build: the corpus repeats its headers
-    label_sets: dict[tuple[str, ...], tuple[frozenset[str], ...]] = {}
+    label_sets = composite.index().label_sets
     # the first document meets a norm of its own root only: it is not aligned,
     # so every header is new and none is absorbed into the root
     _fold_document(composite, {first.id: root.id}, DocumentIndex(first, label_sets))
@@ -418,6 +436,7 @@ def load_composite(path: str | Path) -> CompositeTopicTree:
     _require(isinstance(doc_count, int) and not isinstance(doc_count, bool) and doc_count >= 1, "doc_count must be a positive integer")
     domain_genre = payload.get("domain_genre")
     _require(isinstance(domain_genre, str), "domain_genre must be a string")
+    _check_domain_genre(domain_genre)
     try:
         root = _parse_node(payload.get("root"), doc_count, set())
     except RecursionError as exc:

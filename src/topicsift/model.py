@@ -18,6 +18,8 @@ from enum import Enum
 
 # after fold the only whitespace left is single inner spaces
 _TRAILING_JUNK = string.punctuation + " "
+# every character str.splitlines breaks a line at, "\n" first
+LINE_BREAKS = ("\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
 
 class UnknownNodeError(LookupError):
@@ -40,6 +42,20 @@ def brief_repr(value: object) -> str:
     renders, so a huge or deeply nested value costs little."""
     text = reprlib.repr(value)
     return text if len(text) <= 40 else text[:40] + "..."
+
+
+def line_fault(text: str) -> str | None:
+    """What keeps text from standing as one line of UTF-8 text, as a query
+    and a domain genre must in the trace and the norm file: "a line break"
+    or "text that is not valid UTF-8" (a lone surrogate, which is how argv
+    and JSON escapes carry an undecodable byte); None when nothing does."""
+    if any(mark in text for mark in LINE_BREAKS):
+        return "a line break"
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return "text that is not valid UTF-8"
+    return None
 
 
 def normalize(text: str) -> str:
@@ -223,11 +239,12 @@ class DocumentIndex:
     stored on the tree, since a corpus keeps every parsed document alive.
 
     ``label_sets`` is a memo of label forms -> token sets to read and fill.
-    ``composite.build_composite`` passes one dict to every document of a
-    build: a genre's documents repeat their headers, so each distinct
-    header is tokenized once per build, not once per occurrence; the memo
-    holds one entry per distinct header of the corpus and is dropped with
-    the build. Without one, every label is tokenized here.
+    A document indexed against a norm takes its token sets from that norm's
+    memo, ``CompositeIndex.label_sets``: the norm build, ``type_document``
+    and every typing stage that builds its own index pass it. A genre's
+    documents repeat their headers, so each distinct header string is
+    tokenized once per norm, not once per occurrence. Without a memo, every
+    label is tokenized here.
     """
 
     __slots__ = ("nodes", "parents", "depths", "ranks", "token_sets")
@@ -303,6 +320,13 @@ class CompositeIndex:
     alignment memo holds one entry per distinct key seen; the norm build
     aligns without it, since each of its folds changes the norm. Whatever
     changes the tree calls ``clear_memos``.
+
+    A third memo, ``label_sets``, maps a label's forms to its token sets for
+    every ``DocumentIndex`` built against this norm: by the build, for each
+    reference document, and by typing, for each document read against it.
+    It holds one entry per distinct header spelling the norm has seen and
+    lives as long as the norm. A spelling's token sets do not depend on the
+    tree, so ``clear_memos`` keeps it.
     """
 
     def __init__(self, root: CompositeNode) -> None:
@@ -316,6 +340,7 @@ class CompositeIndex:
         self.fold_keys: dict[int, set[str]] = {}
         self.possible_typical: dict[tuple[str, TypingParams], frozenset[int]] = {}
         self.alignments: dict[tuple[float, int, tuple[frozenset[str], ...]], int | None] = {}
+        self.label_sets: dict[tuple[str, ...], tuple[frozenset[str], ...]] = {}
         self.add(root, None)
         for node in walk(root):
             for child in node.children:
@@ -323,7 +348,8 @@ class CompositeIndex:
 
     def clear_memos(self) -> None:
         """Forget every memoized result derived from the tree; called by
-        whatever changes it."""
+        whatever changes it. The label memo stays: it does not depend on the
+        tree."""
         self.possible_typical.clear()
         self.alignments.clear()
 

@@ -13,7 +13,10 @@ subtree; the regions are never stored.
 passes it as ``index=`` to ``align_tree``, ``map_query`` and
 ``assign_types``, so no stage re-walks the tree or re-tokenizes a label.
 Each of them called without an index builds its own. The index lives only
-for the call; it is never stored on the document.
+for the call; it is never stored on the document. Its token sets come from
+the norm's label memo (``CompositeIndex.label_sets``), so a header spelling
+that many documents repeat is tokenized once per norm; the memo grows by one
+entry per distinct spelling and lives as long as the norm.
 """
 from __future__ import annotations
 
@@ -111,7 +114,9 @@ def assign_types(
     aligned composite node's typicality (0 when unmatched, maximally
     off-norm) and are typical when it reaches alpha, rare otherwise.
     """
-    nodes = (index if index is not None else DocumentIndex(doc.root)).nodes
+    if index is None:
+        index = DocumentIndex(doc.root, composite.index().label_sets)
+    nodes = index.nodes
     types = dict.fromkeys(nodes, _IRRELEVANT)
     if query_node is not None:
         if query_node not in nodes:
@@ -140,7 +145,7 @@ def type_document(
     When the query matches no topic (best similarity below tau) every topic
     is irrelevant and the document will land in the irrelevant/generic bins.
     """
-    index = DocumentIndex(doc.root)
+    index = DocumentIndex(doc.root, composite.index().label_sets)
     alignment = align_tree(doc, composite, align_threshold, index=index)
     query_node = map_query(query, doc, params.tau, index=index)
     return assign_types(doc, composite, alignment, query, query_node, params, index=index), alignment

@@ -9,6 +9,8 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -168,6 +170,26 @@ def test_empty_query_exits_2(composite_file, angina_docs, capsys):
     code, _, err = run(capsys, "summarize", str(angina_docs), "--composite", str(composite_file), "--query", "  ")
     assert code == 2
     assert "query" in err
+
+
+@pytest.mark.parametrize("query", ["angina\ndocument: x", "angina\r", "angina\u2029x", "angina\udcff"])
+@pytest.mark.parametrize("output", ["text", "trace"])
+def test_query_that_is_not_one_line_of_utf8_exits_2(composite_file, angina_docs, capsys, query, output):
+    """A line break in the query would forge a trace line; a lone surrogate
+    (an undecodable argv byte) cannot be written to a UTF-8 stdout."""
+    code, out, err = run(
+        capsys, "summarize", str(angina_docs), "--composite", str(composite_file), "--query", query, "--format", output
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: query ") and err.count("\n") == 1
+
+
+def test_undecodable_query_exits_2_where_stdout_encodes_utf8_strictly(composite_file, angina_docs):
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8", "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    argv = [sys.executable, "-m", "topicsift.cli", "summarize", str(angina_docs), "--composite", str(composite_file)]
+    result = subprocess.run(argv + ["--query", b"angina\xff"], env=env, capture_output=True, timeout=60)
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert result.stderr == b"error: query 'angina\\udcff' holds text that is not valid UTF-8\n"
 
 
 def test_bad_params_exit_2(composite_file, angina_docs, capsys):
@@ -466,6 +488,28 @@ def test_undecodable_corpus_directory_name_exits_2_and_keeps_the_old_norm(
     code, out, err = run(capsys, "build", str(corpus), str(composite_file))
     assert (code, out) == (2, "")
     assert err == "error: the norm for domain genre 'ref\\udcff' holds text that is not valid UTF-8\n"
+    assert composite_file.read_bytes() == before
+
+
+@pytest.mark.parametrize("genre", ["a\nb", "a\r\nb", "a\x85b", "a\u2028b"])
+def test_domain_genre_with_a_line_break_exits_2_and_keeps_the_old_norm(composite_file, angina_reference, capsys, genre):
+    before = composite_file.read_bytes()
+    code, out, err = run(capsys, "build", str(angina_reference), str(composite_file), "--domain-genre", genre)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the norm for domain genre ") and err.endswith(" holds a line break\n")
+    assert err.count("\n") == 1
+    assert composite_file.read_bytes() == before
+
+
+def test_corpus_directory_name_with_a_line_break_exits_2_and_keeps_the_old_norm(
+    tmp_path, composite_file, angina_reference, capsys
+):
+    corpus = tmp_path / "ref\nx"
+    shutil.copytree(angina_reference, corpus)
+    before = composite_file.read_bytes()
+    code, out, err = run(capsys, "build", str(corpus), str(composite_file))
+    assert (code, out) == (2, "")
+    assert err == "error: the norm for domain genre 'ref\\nx' holds a line break\n"
     assert composite_file.read_bytes() == before
 
 

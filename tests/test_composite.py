@@ -25,7 +25,7 @@ from topicsift import (
     save_composite,
 )
 from topicsift.composite import _emit_node
-from topicsift.model import best_jaccard, walk
+from topicsift.model import LINE_BREAKS, best_jaccard, walk
 
 from conftest import make_doc, write_corpus
 from oracles import node_map, parent_map
@@ -405,6 +405,20 @@ def test_schema_violations_are_descriptive(tmp_path, mutate, fragment):
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(CompositeSchemaError, match=fragment):
         load_composite(path)
+
+
+@pytest.mark.parametrize("genre", [f"a{mark}b" for mark in LINE_BREAKS] + ["x\udcff"])
+def test_a_domain_genre_that_is_not_one_line_of_utf8_is_refused_by_load_and_build(tmp_path, genre):
+    """The trace prints the genre on one line and the norm file stores it as
+    UTF-8; JSON's \\u escape can carry a lone surrogate into a loaded one."""
+    payload = _minimal_payload()
+    payload["domain_genre"] = genre
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(CompositeSchemaError, match="domain genre"):
+        load_composite(path)
+    with pytest.raises(CompositeSchemaError, match="domain genre"):
+        build_composite(corpus_of(make_doc(("Topic", []))), 0.5, domain_genre=genre)
 
 
 def test_root_support_must_cover_every_document(tmp_path):

@@ -256,7 +256,7 @@ def test_alignment_memo_is_cleared_by_merge(docs, late, probe, merge_probe, thre
     assert (after.pairs, after.unmatched) == oracle_align_tree(probe, composite, threshold)
 
 
-def test_a_repeated_alignment_scores_no_candidate_and_the_build_fills_no_memo():
+def test_a_repeated_alignment_scores_no_candidate_and_the_build_fills_no_alignment_memo():
     docs = _variant_corpus(30, seed=5)
     memo_sizes = []
     clear_memos = CompositeIndex.clear_memos
@@ -279,6 +279,53 @@ def test_a_repeated_alignment_scores_no_candidate_and_the_build_fills_no_memo():
     assert counter.call_count == scored
     assert again == first
     assert 0 < len(composite.index().alignments) <= len(probe.nodes()) - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    corpora,
+    st.lists(documents("probe"), min_size=1, max_size=4),
+    surface,
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from((0.0, 0.5, 1.0)),
+    st.sampled_from(THRESHOLDS),
+)
+def test_a_stream_typed_against_one_loaded_norm_matches_a_fresh_load_per_document(
+    scratch, docs, probes, query, k, alpha, threshold
+):
+    """Documents that repeat their headers (the vocabulary is small, and the
+    stream sends every probe twice) typed one after another against one
+    loaded norm, whose label memo fills as the stream goes, are typed as
+    against a fresh load of the same file each."""
+    path = scratch / "stream.json"
+    save_composite(_fold(docs, 0.5), path)
+    shared = load_composite(path)
+    params = TypingParams(k=k, alpha=alpha)
+    for probe in probes + probes:
+        typed, alignment = type_document(probe, shared, query, params, threshold)
+        fresh_typed, fresh_alignment = type_document(probe, load_composite(path), query, params, threshold)
+        assert (typed.query_node, typed.types) == (fresh_typed.query_node, fresh_typed.types)
+        assert (alignment.pairs, alignment.unmatched) == (fresh_alignment.pairs, fresh_alignment.unmatched)
+    label_sets = shared.index().label_sets
+    assert set(label_sets) == {node.label.forms for probe in probes for node in walk(probe.root)}
+    assert all(sets == LexicalForms(forms).token_sets() for forms, sets in label_sets.items())
+
+
+def test_a_fold_clears_the_tree_memos_and_keeps_the_label_memo():
+    docs = _variant_corpus(12, seed=3)
+    composite = _fold(docs[:-1], 0.5)
+    index = composite.index()
+    late = docs[-1]
+    pairs = align_tree(late, composite, 0.5).pairs
+    possible_typical_topics(composite, "angina", TypingParams())
+    assert index.alignments and index.possible_typical
+    label_sets = index.label_sets
+    before = dict(label_sets)
+    assert set(before) >= {node.label.forms for node in walk(late.root)}
+    _fold_document(composite, pairs, DocumentIndex(late.root, label_sets))
+    assert index.alignments == {} and index.possible_typical == {}
+    assert composite.index().label_sets is label_sets
+    assert label_sets == before
 
 
 # Unicode whitespace (including the separators \x1c-\x1f and \x85 that
@@ -378,7 +425,13 @@ def test_merged_label_equals_rebuilt_label(a, others, data):
 @given(corpora, st.sampled_from((0.0, 0.5, 1.0)))
 def test_build_matches_full_walk_build(scratch, docs, threshold):
     expected = _saved(oracle_build_composite(docs, threshold, "mem"), scratch)
-    assert _saved(_fold(docs, threshold), scratch) == expected
+    composite = _fold(docs, threshold)
+    assert _saved(composite, scratch) == expected
+    # the build tokenized through the norm's label memo: one entry per
+    # distinct label of the corpus, each the label's own token sets
+    label_sets = composite.index().label_sets
+    assert set(label_sets) == {node.label.forms for doc in docs for node in walk(doc.root)}
+    assert all(sets == LexicalForms(forms).token_sets() for forms, sets in label_sets.items())
 
 
 @st.composite
@@ -702,7 +755,7 @@ def test_distribution_matches_counting_each_type_alone(docs, probe, query, k, al
     )
 
 
-LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028")
+LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 line_breaks = st.sampled_from(LINE_BREAKS)
 line_text = st.text(alphabet=st.sampled_from(list("#- :\tab\r\x85")), max_size=8)
 # whitespace a header's trailing match must take, up to the line break
