@@ -20,18 +20,16 @@ from .composite import (
     load_composite,
     save_composite,
 )
-from .ingest import CorpusReadError, CorpusSet, load_corpus, parse_document, parse_metadata
+from .ingest import CorpusNameError, CorpusReadError, CorpusSet, load_corpus, parse_document, parse_metadata
 from .lexicon import Lexicon, LexiconError, LexiconGapError, default_lexicon, load_lexicon, save_lexicon
 from .model import (
     CATEGORY_ORDER,
     CompositeNode,
     CompositeTopicTree,
     DocumentCategory,
-    DocumentIndex,
     DocumentMetadata,
     DocumentTopicTree,
     LexicalForms,
-    TopicNode,
     TopicType,
     TypingParams,
     UnknownNodeError,
@@ -74,12 +72,12 @@ __all__ = [
     "CompositeNode",
     "CompositeSchemaError",
     "CompositeTopicTree",
+    "CorpusNameError",
     "CorpusReadError",
     "CorpusSet",
     "Description",
     "DocResult",
     "DocumentCategory",
-    "DocumentIndex",
     "DocumentMetadata",
     "DocumentTopicTree",
     "EmptyCorpusError",
@@ -99,7 +97,6 @@ __all__ = [
     "SetElements",
     "Summary",
     "SummaryPlan",
-    "TopicNode",
     "TopicType",
     "TypeDistribution",
     "TypedTree",

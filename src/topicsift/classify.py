@@ -96,7 +96,7 @@ def distribution(
     pairs = alignment.pairs
     covered: set[int] = set()
     typical = rare = intricate = 0
-    for node_id, topic_type in typed.types.items():
+    for node_id, topic_type in enumerate(typed.types):
         if topic_type is _TYPICAL:
             typical += 1
             if node_id in pairs:

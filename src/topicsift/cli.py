@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .composite import CompositeSchemaError, EmptyCorpusError, build_composite, load_composite, save_composite
-from .ingest import CorpusReadError, load_corpus
+from .ingest import CorpusNameError, CorpusReadError, load_corpus
 from .lexicon import Lexicon, LexiconError, LexiconGapError, default_lexicon, load_lexicon
 from .model import TypingParams, brief_repr, line_fault
 from .pipeline import render_trace, summarize
@@ -106,6 +106,10 @@ def cmd_build(args: argparse.Namespace, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
         _check_align_threshold(args)
+        # the "wrote OUT" line prints the path, to a stdout that may encode strictly
+        fault = line_fault(args.out)
+        if fault is not None:
+            raise ValueError(f"composite path {brief_repr(args.out)} holds {fault}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -118,6 +122,9 @@ def cmd_build(args: argparse.Namespace, out=None) -> int:
     except CorpusReadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except CorpusNameError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     try:
         composite = build_composite(corpus, args.align_threshold, domain_genre=args.domain_genre)
     except (EmptyCorpusError, CompositeSchemaError) as exc:
@@ -127,10 +134,6 @@ def cmd_build(args: argparse.Namespace, out=None) -> int:
         save_composite(composite, args.out)
     except OSError as exc:
         return _write_error(args.out, exc.strerror or str(exc))
-    except UnicodeEncodeError:  # from a file name holding undecodable bytes
-        genre = brief_repr(composite.domain_genre)
-        print(f"error: the norm for domain genre {genre} holds text that is not valid UTF-8", file=sys.stderr)
-        return EXIT_BAD_INPUT
     print(f"wrote {args.out} (documents={composite.doc_count}, topics={len(composite.nodes())})", file=out)
     return EXIT_OK
 
@@ -160,6 +163,9 @@ def cmd_summarize(args: argparse.Namespace, out=None) -> int:
     except CorpusReadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except CorpusNameError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
     try:
         summary = summarize(

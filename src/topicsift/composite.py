@@ -45,19 +45,13 @@ with the possible-typical memo, whenever it changes the norm.
 aligned against a norm that the next fold changes, so no entry could ever be
 read back.
 
-The document side is read through a ``DocumentIndex``: one pre-order pass
-records its ids, parents, sibling ranks and label token sets.
-``build_composite`` builds one per document and shares it between
-``align_tree`` and the fold, so each document is walked once; the index is
-dropped after the document and never stored on it. Its token sets come from
-the norm's label memo (``CompositeIndex.label_sets``, label forms -> token
-sets), so each distinct header string of the corpus is tokenized once, not
-once per occurrence. A spelling's token sets do not depend on the norm, so
-no fold clears the memo: the built norm keeps one entry per distinct header
-of its corpus, and every document later read against it (``align_tree`` and
-``topic_typing.type_document``) reads and fills the same memo. New composite
-ids come from the composite index's next free id, not from a scan of the
-norm.
+A document is read through its pre-order lists (``model.DocumentTopicTree``).
+``build_composite`` takes each document's token sets once, from the norm's
+label memo (``CompositeIndex.label_sets``), and passes them to
+``align_tree`` and to the fold, so each distinct header spelling of the
+corpus is tokenized once; the built norm keeps the memo for every document
+later read against it. The fold derives the document's sibling ranks once
+and takes new composite ids from the index's next free id.
 
 Folding a document walks the document and the sibling lists it changes,
 never the whole norm. Sibling lists are sorted by position:
@@ -70,13 +64,12 @@ Typicality stays a stored field because readers such as ``save_composite``
 and ``classify`` take it from the node, which has no link to its tree's
 doc_count.
 
-A label merge costs in proportion to the spellings the document brings, not
-to those the composite label has gathered (the root gains one per distinct
-document title). The composite index keeps each label's fold keys as a set
-once it needs them, so each incoming spelling is folded once and looked up,
-never scanned for; only the new spellings' token sets and postings are
-added. Topics the fold inserts take their token sets from the document's
-index.
+A label merge costs in proportion to the one spelling a document node
+brings, not to the spellings the composite label holds (the root gains one
+per distinct document title): the index keeps each label's fold keys as a
+set, so the spelling is folded once and looked up, and only a new
+spelling's token set is posted. Inserted topics take the document's token
+sets.
 """
 from __future__ import annotations
 
@@ -92,7 +85,6 @@ from .model import (
     CompositeIndex,
     CompositeNode,
     CompositeTopicTree,
-    DocumentIndex,
     DocumentTopicTree,
     LexicalForms,
     best_jaccard,
@@ -145,12 +137,12 @@ def align_tree(
     composite: CompositeTopicTree,
     threshold: float,
     *,
-    index: DocumentIndex | None = None,
+    token_sets: list[tuple[frozenset[str], ...]] | None = None,
     _memoize: bool = True,
 ) -> Alignment:
-    """Greedily align a document tree against the composite, reading the
-    document through its index (given, or built here from the norm's label
-    memo).
+    """Greedily align a document tree against the composite, comparing its
+    labels by token_sets (one entry per node; taken from the norm's label
+    memo when not given).
 
     Each header's match is looked up in, or stored to, the composite index's
     alignment memo; ``build_composite`` passes ``_memoize=False``, as the
@@ -158,27 +150,26 @@ def align_tree(
     """
     _check_threshold(threshold)
     norm = composite.index()
-    if index is None:
-        index = DocumentIndex(doc.root, norm.label_sets)
+    if token_sets is None:
+        token_sets = doc.token_sets(norm.label_sets)
     memo = norm.alignments if _memoize else None
-    doc_parents = index.parents
+    doc_parents = doc.parents
 
-    alignment = Alignment(pairs={doc.root.id: composite.root.id})
+    alignment = Alignment(pairs={0: composite.root.id})
     pairs, unmatched = alignment.pairs, alignment.unmatched
-    for node_id, token_sets in index.token_sets.items():
-        if node_id == doc.root.id:
-            continue
+    for node_id in range(1, len(doc_parents)):
         anchor_id = pairs.get(doc_parents[node_id])
         if anchor_id is None:
             unmatched.add(node_id)
             continue
+        sets = token_sets[node_id]
         if memo is None:
-            match = _best_match(norm, anchor_id, token_sets, threshold)
+            match = _best_match(norm, anchor_id, sets, threshold)
         else:
-            key = (threshold, anchor_id, token_sets)
+            key = (threshold, anchor_id, sets)
             match = memo.get(key, _UNSEEN)
             if match is _UNSEEN:
-                match = memo[key] = _best_match(norm, anchor_id, token_sets, threshold)
+                match = memo[key] = _best_match(norm, anchor_id, sets, threshold)
         if match is None:
             unmatched.add(node_id)
         else:
@@ -240,11 +231,16 @@ def _best_match(
 _by_position = operator.attrgetter("position")
 
 
-def _fold_document(composite: CompositeTopicTree, pairs: dict[int, int], index: DocumentIndex) -> None:
-    """Add one document (read through its index), aligned by pairs (document
-    id -> composite id), to the composite: support, positions, spellings and
-    new topics, in place, keeping the composite's index current and clearing
-    its memos.
+def _fold_document(
+    composite: CompositeTopicTree,
+    pairs: dict[int, int],
+    doc: DocumentTopicTree,
+    token_sets: list[tuple[frozenset[str], ...]],
+) -> None:
+    """Add one document, aligned by pairs (document id -> composite id), to
+    the composite: support, positions, spellings and new topics, in place,
+    keeping the composite's index current and clearing its memos.
+    token_sets holds each document node's token sets.
 
     Work is in proportion to the document: only the parents whose child lists
     changed (a child's position moved or a child was inserted) are re-sorted.
@@ -254,7 +250,8 @@ def _fold_document(composite: CompositeTopicTree, pairs: dict[int, int], index: 
     """
     norm = composite.index()
     comp_nodes = norm.nodes
-    ranks = index.ranks
+    parents = doc.parents
+    ranks = doc.ranks()
 
     touched: set[int] = set()
     contributed: set[int] = set()
@@ -262,11 +259,14 @@ def _fold_document(composite: CompositeTopicTree, pairs: dict[int, int], index: 
     # pre-order: the first document node to hit a composite node carries the
     # support and rank contribution for this document, and an unmatched
     # parent is inserted before its children
-    for node_id, node in index.nodes.items():
+    for node_id, label in enumerate(doc.labels):
         target = pairs.get(node_id)
         if target is None:
-            fresh = CompositeNode(id=norm.next_id, label=node.label, typicality=0.0, position=ranks[node_id], support=1)
-            parent = index.parents[node_id]
+            # valid by construction: token_sets refused a blank label
+            fresh = CompositeNode(
+                id=norm.next_id, label=LexicalForms._trusted((label,)), typicality=0.0, position=ranks[node_id], support=1
+            )
+            parent = parents[node_id]
             comp_parent = inserted.get(parent)
             if comp_parent is None:
                 comp_parent = comp_nodes[pairs[parent]]
@@ -274,7 +274,7 @@ def _fold_document(composite: CompositeTopicTree, pairs: dict[int, int], index: 
             # else a fresh parent, whose children arrive in document order,
             # so by ascending rank
             comp_parent.children.append(fresh)
-            norm.add(fresh, comp_parent.id, index.token_sets[node_id])
+            norm.add(fresh, comp_parent.id, token_sets[node_id])
             inserted[node_id] = fresh
         elif target not in contributed:
             contributed.add(target)
@@ -285,7 +285,7 @@ def _fold_document(composite: CompositeTopicTree, pairs: dict[int, int], index: 
                 touched.add(parent_id)
             comp.position = position
             comp.support += 1
-            norm.merge_label(comp, node.label)
+            norm.merge_label(comp, label, token_sets[node_id])
 
     for parent_id in touched:
         comp_nodes[parent_id].children.sort(key=_by_position)
@@ -303,23 +303,25 @@ def build_composite(corpus: CorpusSet, threshold: float, domain_genre: str | Non
 
     Raises CompositeSchemaError, before folding anything, when the domain
     genre (given, or the corpus directory's name) is not one line of UTF-8
-    text."""
+    text, and ValueError (from ``DocumentTopicTree.token_sets``) for a
+    blank document label, which only a hand-built document can hold."""
     _check_threshold(threshold)
     if not corpus.docs:
         raise EmptyCorpusError("cannot build norm from empty corpus")
     if domain_genre is None:
         domain_genre = Path(corpus.origin).name or "corpus"
     _check_domain_genre(domain_genre)
-    first = corpus.docs[0].root
-    root = CompositeNode(id=first.id, label=first.label, typicality=0.0, position=0.0, support=0)
+    first = corpus.docs[0]
+    root = CompositeNode(id=0, label=LexicalForms._trusted((first.labels[0],)), typicality=0.0, position=0.0, support=0)
     composite = CompositeTopicTree(root=root, domain_genre=domain_genre, doc_count=0)
     label_sets = composite.index().label_sets
     # the first document meets a norm of its own root only: it is not aligned,
     # so every header is new and none is absorbed into the root
-    _fold_document(composite, {first.id: root.id}, DocumentIndex(first, label_sets))
+    _fold_document(composite, {0: root.id}, first, first.token_sets(label_sets))
     for doc in corpus.docs[1:]:
-        index = DocumentIndex(doc.root, label_sets)
-        _fold_document(composite, align_tree(doc, composite, threshold, index=index, _memoize=False).pairs, index)
+        token_sets = doc.token_sets(label_sets)
+        pairs = align_tree(doc, composite, threshold, token_sets=token_sets, _memoize=False).pairs
+        _fold_document(composite, pairs, doc, token_sets)
     _refresh_typicality(composite)
     return composite
 

@@ -1,4 +1,5 @@
-"""Parsing of header-marked plain text into document topic trees.
+"""Parsing of header-marked plain text into document topic trees, and
+loading a directory of such files as a corpus.
 
 Input format: UTF-8 text with ATX headers ("#" * n + space + text, n in
 1..6, the text not blank) and an optional front-matter block at the very
@@ -15,6 +16,12 @@ A text that breaks lines with anything but "\n" ("\r\n", "\r", "\x85",
 "\u2028", or any other line boundary ``str.splitlines`` knows) is first
 rewritten with "\n" breaks. The front-matter fences and then the headers
 are each found in one multi-line regex scan of that text.
+
+The parser writes the document straight into its pre-order lists (see
+``model.DocumentTopicTree``): each header's spelling, its parent's id,
+taken from the stack of open headers the parser keeps anyway, and its
+depth. It builds no node objects and tokenizes nothing; the stages that
+compare labels take the token sets from the norm's label memo.
 """
 from __future__ import annotations
 
@@ -23,14 +30,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .model import (
-    LINE_BREAKS,
-    DocumentMetadata,
-    DocumentTopicTree,
-    LexicalForms,
-    TopicNode,
-    normalize,
-)
+from .model import LINE_BREAKS, DocumentMetadata, DocumentTopicTree, brief_repr, line_fault, normalize
 
 log = logging.getLogger(__name__)
 
@@ -50,6 +50,11 @@ SOURCE_EXTENSIONS = (".md", ".txt")
 
 class CorpusReadError(OSError):
     """A corpus file or directory could not be read."""
+
+
+class CorpusNameError(ValueError):
+    """A corpus file's name, which becomes its doc id, is not one line of
+    UTF-8 text."""
 
 
 @dataclass
@@ -120,8 +125,9 @@ def _split_front_matter(text: str, source: str) -> tuple[str, int]:
 def parse_document(text: str, doc_id: str, source_path: str = "") -> DocumentTopicTree:
     """Build a document topic tree from header-marked text.
 
-    Deterministic: identical text yields an identical tree with identical
-    pre-order node ids. Documents without headers yield a single-node tree.
+    Deterministic: identical text yields identical lists. Documents without
+    headers yield a single-node tree. A blank doc_id raises ValueError when
+    the root would be labeled with it.
     """
     for mark in _OTHER_BREAKS:
         if mark in text:
@@ -133,42 +139,49 @@ def parse_document(text: str, doc_id: str, source_path: str = "") -> DocumentTop
     headers = _HEADER.findall(text, body_start)
 
     # a title is stripped and non-empty, and a header label ends in a
-    # non-space character, so neither can be blank: one form, as it stands
-    trusted = LexicalForms._trusted
+    # non-space character, so no label is blank
     first = 0
     if metadata.title:
-        root = TopicNode(0, trusted((metadata.title,)), [])
+        labels = [metadata.title]
     elif headers and headers[0][0] == "#":
-        root = TopicNode(0, trusted((headers[0][1],)), [])
+        labels = [headers[0][1]]
         first = 1
+    elif doc_id.strip():
+        labels = [doc_id]
     else:
-        root = TopicNode(0, LexicalForms.of(doc_id), [])
+        raise ValueError("a document with no title and no level-1 header needs a non-blank doc id")
 
-    # the open headers, as parallel stacks of levels and nodes. The root
-    # sits at level 0, below every header, so it is never popped: level
-    # jumps and repeated top-level headers land on the nearest valid ancestor
+    # the open headers, as parallel stacks of levels and ids. The root sits
+    # at level 0, below every header, so it is never popped: level jumps and
+    # repeated top-level headers land on the nearest valid ancestor
+    parents = [-1]
+    depths = [0]
     levels = [0]
-    open_nodes = [root]
+    open_ids = [0]
     for node_id, (marks, label) in enumerate(headers[first:], 1):
         level = len(marks)
         while levels[-1] >= level:
             levels.pop()
-            open_nodes.pop()
-        node = TopicNode(node_id, trusted((label,)), [])
-        open_nodes[-1].children.append(node)
+            open_ids.pop()
+        labels.append(label)
+        parents.append(open_ids[-1])
+        depths.append(len(open_ids))
         levels.append(level)
-        open_nodes.append(node)
+        open_ids.append(node_id)
 
-    return DocumentTopicTree(doc_id=doc_id, root=root, metadata=metadata)
+    return DocumentTopicTree(doc_id=doc_id, labels=labels, parents=parents, depths=depths, metadata=metadata)
 
 
 def load_corpus(directory: str | Path) -> CorpusSet:
     """Parse every .md/.txt file in a directory, in file-name order.
 
     A directory that cannot be listed, or an unreadable or non-UTF-8 file,
-    aborts the load with an error naming it. An empty directory yields an
-    empty corpus. A leading UTF-8 byte-order mark is dropped, so it hides
-    neither front matter nor a first header.
+    aborts the load with a CorpusReadError naming it. A file whose name
+    holds a line break or text that is not valid UTF-8 aborts it with a
+    CorpusNameError: the name becomes the doc id, which the trace and the
+    summary print on one line. An empty directory yields an empty corpus.
+    A leading UTF-8 byte-order mark is dropped, so it hides neither front
+    matter nor a first header.
     """
     root = Path(directory)
     try:
@@ -183,6 +196,9 @@ def load_corpus(directory: str | Path) -> CorpusSet:
             # is_file raises when the directory lets names be listed but not looked up
             if not path.is_file():
                 continue
+            fault = line_fault(path.name)
+            if fault is not None:
+                raise CorpusNameError(f"the name of corpus file {brief_repr(path.name)} holds {fault}")
             text = path.read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise CorpusReadError(f"cannot read corpus file {path.name}: {exc}") from exc

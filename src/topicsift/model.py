@@ -1,12 +1,20 @@
-"""Shared domain model: per-document topic trees, the composite norm tree,
-and the elementary tree queries everything else builds on.
+"""Shared domain model: documents, the composite norm tree, labels and
+their token sets, and the typing parameters and categories.
+
+A document (``DocumentTopicTree``) is a set of parallel pre-order lists:
+each topic's one spelling, its parent's id and its depth. A node's id is its
+list position, so a subtree is a contiguous range of ids. A norm
+(``CompositeTopicTree``) is a tree of ``CompositeNode`` whose labels
+(``LexicalForms``) gather every spelling the reference documents gave a
+topic; its ``CompositeIndex`` holds the lookups and memos every stage reads
+the norm through, the label memo that tokenizes documents among them.
 
 Labels keep their original surface strings for display; all comparison goes
 through the tokens of their :func:`normalize` forms (case fold, whitespace
 collapse, trailing punctuation strip) because section headers are noisy.
 
-All types are treated as immutable once constructed; the composite builder
-is the only code that mutates composite nodes, and only during a build fold.
+No document changes once parsed; the composite builder is the only code
+that mutates composite nodes, and only during a build fold.
 """
 from __future__ import annotations
 
@@ -144,15 +152,6 @@ class LexicalForms:
 
 
 @dataclass
-class TopicNode:
-    """One topic in a document tree. ids are pre-order indices, stable per parse."""
-
-    id: int
-    label: LexicalForms
-    children: list["TopicNode"] = field(default_factory=list)
-
-
-@dataclass
 class CompositeNode:
     """One topic in the norm tree.
 
@@ -182,7 +181,8 @@ def best_jaccard(sets_a: Sequence[frozenset[str]], sets_b: Sequence[frozenset[st
 
 
 def walk(root) -> Iterator:
-    """Pre-order traversal over TopicNode or CompositeNode trees."""
+    """Pre-order traversal over a tree of nodes with ``children``, such as
+    a norm's CompositeNode tree."""
     stack = [root]
     while stack:
         node = stack.pop()
@@ -211,83 +211,73 @@ class DocumentMetadata:
 
 @dataclass
 class DocumentTopicTree:
-    """A single document's topic hierarchy plus its metadata."""
+    """A single document's topic hierarchy plus its metadata, as parallel
+    pre-order lists.
+
+    A node's id is its position in the lists, so the root is node 0.
+    ``labels`` holds each topic's one spelling (never blank), ``parents``
+    each node's parent id (the root's is -1) and ``depths`` its depth below
+    the root. Every node follows its parent and its parent's earlier
+    children's subtrees, so a subtree is a contiguous range of ids
+    (``subtree``). Sibling ranks (``ranks``) and token sets
+    (``token_sets``) are derived where a stage needs them, never stored.
+    """
 
     doc_id: str
-    root: TopicNode
+    labels: list[str]
+    parents: list[int]
+    depths: list[int]
     metadata: DocumentMetadata
 
-    def nodes(self) -> list[TopicNode]:
-        return list(walk(self.root))
+    def nodes(self) -> range:
+        """The node ids, in pre-order."""
+        return range(len(self.labels))
+
+    def subtree(self, node_id: int) -> range:
+        """The ids of node_id and of every node below it."""
+        if node_id not in self.nodes():
+            raise UnknownNodeError(f"node {node_id!r} is not in the tree")
+        depths = self.depths
+        depth, end = depths[node_id], node_id + 1
+        while end < len(depths) and depths[end] > depth:
+            end += 1
+        return range(node_id, end)
+
+    def ranks(self) -> list[float]:
+        """Each node's sibling index / max(sibling count - 1, 1); the root's
+        is 0.0."""
+        parents = self.parents
+        counts = [0] * len(parents)
+        for parent in parents[1:]:
+            counts[parent] += 1
+        seen = [0] * len(parents)
+        ranks = [0.0]
+        for parent in parents[1:]:
+            ranks.append(seen[parent] / max(counts[parent] - 1, 1))
+            seen[parent] += 1
+        return ranks
+
+    def token_sets(self, memo: dict[str, tuple[frozenset[str], ...]]) -> list[tuple[frozenset[str], ...]]:
+        """Each node's token sets, ``LexicalForms((label,)).token_sets()``,
+        read from memo (spelling -> token sets) and filled in where it lacks
+        a spelling: a genre's documents repeat their headers, so with one
+        memo per norm each distinct spelling is tokenized once. Raises
+        ValueError for a blank label, which only a hand-built document can
+        hold, before any stage compares it."""
+        sets = []
+        for label in self.labels:
+            label_sets = memo.get(label)
+            if label_sets is None:
+                if not label.strip():
+                    raise ValueError(f"document {brief_repr(self.doc_id)} has a blank label")
+                tokens = _tokens(label)
+                label_sets = memo[label] = (tokens,) if tokens else ()
+            sets.append(label_sets)
+        return sets
 
     def display_title(self) -> str:
         """Title used when referring to this document in prose."""
-        if self.metadata.title:
-            return self.metadata.title
-        if self.root.label.canonical:
-            return self.root.label.canonical
-        return self.doc_id
-
-
-class DocumentIndex:
-    """One pre-order pass over a document tree: its nodes by id (in pre-order),
-    parent ids, depths, sibling ranks and each label's token sets; rejects
-    duplicate ids.
-
-    A transient value: ``type_document`` and the norm build take one per
-    document and pass it to every stage that reads the document. It is never
-    stored on the tree, since a corpus keeps every parsed document alive.
-
-    ``label_sets`` is a memo of label forms -> token sets to read and fill.
-    A document indexed against a norm takes its token sets from that norm's
-    memo, ``CompositeIndex.label_sets``: the norm build, ``type_document``
-    and every typing stage that builds its own index pass it. A genre's
-    documents repeat their headers, so each distinct header string is
-    tokenized once per norm, not once per occurrence. Without a memo, every
-    label is tokenized here.
-    """
-
-    __slots__ = ("nodes", "parents", "depths", "ranks", "token_sets")
-
-    def __init__(
-        self,
-        root: TopicNode,
-        label_sets: dict[tuple[str, ...], tuple[frozenset[str], ...]] | None = None,
-    ) -> None:
-        nodes: dict[int, TopicNode] = {}
-        parents: dict[int, int | None] = {root.id: None}
-        depths = {root.id: 0}
-        ranks = {root.id: 0.0}
-        token_sets: dict[int, tuple[frozenset[str], ...]] = {}
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            node_id = node.id
-            if node_id in nodes:
-                raise ValueError("duplicate node id %r" % (node_id,))
-            nodes[node_id] = node
-            if label_sets is None:
-                token_sets[node_id] = node.label.token_sets()
-            else:
-                forms = node.label.forms
-                sets = label_sets.get(forms)
-                if sets is None:
-                    sets = label_sets[forms] = node.label.token_sets()
-                token_sets[node_id] = sets
-            children = node.children
-            if children:
-                depth = depths[node_id] + 1
-                denom = max(len(children) - 1, 1)
-                for rank, child in enumerate(children):
-                    parents[child.id] = node_id
-                    depths[child.id] = depth
-                    ranks[child.id] = rank / denom
-                stack.extend(reversed(children))
-        self.nodes = nodes
-        self.parents = parents
-        self.depths = depths
-        self.ranks = ranks
-        self.token_sets = token_sets
+        return self.metadata.title or self.labels[0] or self.doc_id
 
 
 class CompositeIndex:
@@ -307,10 +297,10 @@ class CompositeIndex:
     scores 0.
 
     ``merge_label`` keeps, per node, the fold keys of its label's spellings
-    (``fold_keys``, built the first time a document brings the node a label
-    other than its own), so no merge scans a label's spellings; a new token
-    set is looked up in ``children_by_set``. ``add`` and ``merge_label``
-    post a node's new token sets through one routine.
+    (``fold_keys``, built the first time a document brings the node a
+    spelling other than its own), so no merge scans a label's spellings; a
+    new token set is looked up in ``children_by_set``. ``add`` and
+    ``merge_label`` post a node's new token sets through one routine.
 
     Two memos hold results derived from the tree, so a norm loaded once
     computes each only once: ``possible_typical`` maps (query, params) to
@@ -321,12 +311,13 @@ class CompositeIndex:
     aligns without it, since each of its folds changes the norm. Whatever
     changes the tree calls ``clear_memos``.
 
-    A third memo, ``label_sets``, maps a label's forms to its token sets for
-    every ``DocumentIndex`` built against this norm: by the build, for each
-    reference document, and by typing, for each document read against it.
-    It holds one entry per distinct header spelling the norm has seen and
-    lives as long as the norm. A spelling's token sets do not depend on the
-    tree, so ``clear_memos`` keeps it.
+    A third memo, ``label_sets``, maps a header spelling to its token sets
+    for every document read against this norm
+    (``DocumentTopicTree.token_sets``): by the build, for each reference
+    document, and by typing, for each document typed against it. It holds
+    one entry per distinct header spelling the norm has seen and lives as
+    long as the norm. A spelling's token sets do not depend on the tree, so
+    ``clear_memos`` keeps it.
     """
 
     def __init__(self, root: CompositeNode) -> None:
@@ -340,7 +331,7 @@ class CompositeIndex:
         self.fold_keys: dict[int, set[str]] = {}
         self.possible_typical: dict[tuple[str, TypingParams], frozenset[int]] = {}
         self.alignments: dict[tuple[float, int, tuple[frozenset[str], ...]], int | None] = {}
-        self.label_sets: dict[tuple[str, ...], tuple[frozenset[str], ...]] = {}
+        self.label_sets: dict[str, tuple[frozenset[str], ...]] = {}
         self.add(root, None)
         for node in walk(root):
             for child in node.children:
@@ -394,42 +385,35 @@ class CompositeIndex:
                 for token in sets[offset]:
                     by_token.setdefault(token, []).append(offset)
 
-    def merge_label(self, node: CompositeNode, label: LexicalForms) -> None:
-        """Give a node the spellings of label whose fold key it lacks, in
-        label order, and post their new token sets.
+    def merge_label(self, node: CompositeNode, spelling: str, token_sets: tuple[frozenset[str], ...]) -> None:
+        """Give a node a document's spelling, unless it holds one of the same
+        fold key, and post the spelling's token sets (token_sets) it lacks.
 
-        Costs in proportion to label, not to the spellings the node holds:
-        a label identical to the node's is skipped without folding, and
-        otherwise each of its spellings is folded once and checked against
-        the node's fold keys; a new one is tokenized and its token set looked
-        up among the sets its parent's children hold. Fold keys and token
-        sets are looked up, never scanned for.
+        Costs in proportion to the spelling, not to the spellings the node
+        holds: a node spelled only this way is skipped without folding, and
+        otherwise the spelling is folded once and checked against the node's
+        fold keys; its token sets are looked up among the sets its parent's
+        children hold. Fold keys and token sets are looked up, never scanned
+        for.
         """
-        if label.forms == node.label.forms:
-            # every parsed header has one spelling: a repeat is this tuple
+        forms = node.label.forms
+        if forms == (spelling,):
+            # the common repeat: a header spelled as the node it matched
             return
         node_id = node.id
         keys = self.fold_keys.get(node_id)
         if keys is None:
-            keys = self.fold_keys[node_id] = {fold(form) for form in node.label.forms}
-        holders = self.children_by_set[self.parents[node_id]]
-        extra: list[str] = []
-        new_sets: dict[frozenset[str], None] = {}
-        for form in label.forms:
-            key = fold(form)
-            if key in keys:
-                continue
-            keys.add(key)
-            extra.append(form)
-            tokens = _tokens(form)
-            if tokens and node_id not in holders.get(tokens, ()):
-                new_sets[tokens] = None
-        if not extra:
+            keys = self.fold_keys[node_id] = {fold(form) for form in forms}
+        key = fold(spelling)
+        if key in keys:
             return
-        # valid by construction: non-blank spellings with distinct fold keys
-        node.label = LexicalForms._trusted(node.label.forms + tuple(extra))
+        keys.add(key)
+        # valid by construction: a non-blank spelling with a new fold key
+        node.label = LexicalForms._trusted(forms + (spelling,))
+        holders = self.children_by_set[self.parents[node_id]]
+        new_sets = tuple(tokens for tokens in token_sets if node_id not in holders.get(tokens, ()))
         if new_sets:
-            self._post(node_id, tuple(new_sets))
+            self._post(node_id, new_sets)
 
 
 @dataclass

@@ -3,8 +3,8 @@
 ``summarize`` types each document against the norm, classifies it by its
 topic-type distribution, plans the summary and realizes it; the returned
 ``Summary`` holds every intermediate result. ``render_trace`` renders a
-summary as the line-oriented version-1 trace, in one pass: one explicit
-pre-order walk per document, with each norm node's typicality text
+summary as the line-oriented version-1 trace, in one pass: one loop over
+each document's pre-order lists, with each norm node's typicality text
 formatted once per run and one region/type text per topic type.
 """
 from __future__ import annotations
@@ -128,15 +128,13 @@ def render_trace(summary: Summary) -> list[str]:
     aligned_text: dict[int, str] = {}
     for result in results:
         typed = result.typed
+        doc = typed.doc
         types = typed.types
         pairs = result.alignment.pairs
-        append(f"document: {typed.doc.doc_id}")
-        append(f"  title: {typed.doc.display_title()}")
+        append(f"document: {doc.doc_id}")
+        append(f"  title: {doc.display_title()}")
         append(f"  query-node: {'-' if typed.query_node is None else typed.query_node}")
-        stack = [(typed.doc.root, 0)]
-        while stack:
-            node, depth = stack.pop()
-            node_id = node.id
+        for node_id, (label, depth) in enumerate(zip(doc.labels, doc.depths)):
             comp_id = pairs.get(node_id)
             if comp_id is None:
                 norm_text = unaligned
@@ -149,11 +147,8 @@ def render_trace(summary: Summary) -> list[str]:
             # encode_basestring writes what json.dumps(ensure_ascii=False) does for a str
             append(
                 f"  node: id={node_id} depth={depth} {_REGION_AND_TYPE[types[node_id]]}"
-                f" {norm_text} label={encode_basestring(node.label.canonical)}"
+                f" {norm_text} label={encode_basestring(label)}"
             )
-            if node.children:
-                below = depth + 1
-                stack.extend([(child, below) for child in reversed(node.children)])
         d = result.dist
         append(
             f"  distribution: typical={d.typical} rare={d.rare} intricate={d.intricate}"

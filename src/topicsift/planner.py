@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import CATEGORY_ORDER, DocumentCategory, TopicType, fold, walk
+from .model import CATEGORY_ORDER, DocumentCategory, TopicType, fold
 from .topic_typing import TypedTree
 
 FEATURE_KINDS = ("content_types", "special_content")
@@ -73,12 +73,11 @@ def _sample_topics(members: list[TypedTree], wanted: TopicType) -> tuple[str, ..
     """
     doc_freq: dict[str, int] = {}
     for typed in members:
-        types = typed.types
         seen: set[str] = set()
-        for node in walk(typed.doc.root):
-            if types[node.id] is not wanted:
+        for label, topic_type in zip(typed.doc.labels, typed.types):
+            if topic_type is not wanted:
                 continue
-            key = fold(node.label.canonical)
+            key = fold(label)
             if key in seen:
                 continue
             seen.add(key)

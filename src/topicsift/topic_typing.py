@@ -5,18 +5,17 @@ tree into three regions: topics within k hops below it are relevant, deeper
 subtree topics are intricate, everything else (ancestors, siblings, other
 branches) is irrelevant. Relevant topics then split into typical vs rare by
 the norm typicality they inherit through the composite alignment.
-``assign_types`` gives every topic its type in one walk of the query node's
-subtree; the regions are never stored.
+``assign_types`` gives every topic its type in one scan of the query node's
+subtree, which in a pre-order document is a contiguous range of ids; the
+regions are never stored.
 
-``type_document`` walks the document once: it builds one ``DocumentIndex``
-(pre-order ids, parents, depths, sibling ranks and label token sets) and
-passes it as ``index=`` to ``align_tree``, ``map_query`` and
-``assign_types``, so no stage re-walks the tree or re-tokenizes a label.
-Each of them called without an index builds its own. The index lives only
-for the call; it is never stored on the document. Its token sets come from
-the norm's label memo (``CompositeIndex.label_sets``), so a header spelling
-that many documents repeat is tokenized once per norm; the memo grows by one
-entry per distinct spelling and lives as long as the norm.
+``type_document`` takes the document's token sets once, from the norm's
+label memo (``CompositeIndex.label_sets``), and passes them as
+``token_sets=`` to ``align_tree`` and ``map_query``, so no stage
+re-tokenizes a label; each of them called without token sets takes its own.
+A header spelling that many documents repeat is therefore tokenized once
+per norm; the memo grows by one entry per distinct spelling and lives as
+long as the norm.
 """
 from __future__ import annotations
 
@@ -25,12 +24,10 @@ from dataclasses import dataclass, field
 from .composite import Alignment, align_tree
 from .model import (
     CompositeTopicTree,
-    DocumentIndex,
     DocumentTopicTree,
     LexicalForms,
     TopicType,
     TypingParams,
-    UnknownNodeError,
     best_jaccard,
     walk_depth,
 )
@@ -47,16 +44,17 @@ _IRRELEVANT = TopicType.IRRELEVANT
 
 @dataclass
 class TypedTree:
-    """A document tree with one TopicType per node, under one query."""
+    """A document tree with one TopicType per node, indexed by node id,
+    under one query."""
 
     doc: DocumentTopicTree
     query: str
     query_node: int | None
-    types: dict[int, TopicType] = field(default_factory=dict)
+    types: list[TopicType] = field(default_factory=list)
 
     def relevant_count(self) -> int:
         """Topics in the relevant region (typical + rare)."""
-        return sum(1 for t in self.types.values() if t is _TYPICAL or t is _RARE)
+        return sum(1 for t in self.types if t is _TYPICAL or t is _RARE)
 
 
 def map_query(
@@ -64,14 +62,14 @@ def map_query(
     tree: DocumentTopicTree | CompositeTopicTree,
     tau: float,
     *,
-    index: DocumentIndex | None = None,
+    token_sets: list[tuple[frozenset[str], ...]] | None = None,
 ) -> int | None:
     """Find the single node most similar to the query text.
 
     Returns None when the best similarity falls below tau. Ties break to the
     shallower node, then to the earlier node in pre-order. A document is
-    scanned through its index (given, or built here); a composite through
-    its own cached token sets.
+    scanned through token_sets, one entry per node (derived here when not
+    given); a composite through its index's cached token sets.
     """
     if not query or not query.strip():
         raise ValueError("query must be non-empty")
@@ -80,10 +78,9 @@ def map_query(
         cached = tree.index().token_sets
         scored = ((node.id, depth, cached[node.id]) for node, depth in walk_depth(tree.root))
     else:
-        if index is None:
-            index = DocumentIndex(tree.root)
-        depths = index.depths
-        scored = ((node_id, depths[node_id], sets) for node_id, sets in index.token_sets.items())
+        if token_sets is None:
+            token_sets = tree.token_sets({})
+        scored = zip(tree.nodes(), tree.depths, token_sets)
     # pre-order: a later node wins only by a higher score or a shallower tie
     best_id, best_similarity, best_depth = None, -1.0, 0
     for node_id, depth, node_sets in scored:
@@ -102,11 +99,10 @@ def assign_types(
     query: str,
     query_node: int | None,
     params: TypingParams,
-    *,
-    index: DocumentIndex | None = None,
 ) -> TypedTree:
-    """Label every topic with one of the four topic types in one walk of the
-    query node's subtree.
+    """Label every topic with one of the four topic types in one scan of the
+    query node's subtree; raises UnknownNodeError for a query node not in
+    the tree.
 
     Topics outside that subtree (ancestors, siblings, other branches, or
     every topic when the query matched none) are irrelevant; those more
@@ -114,22 +110,20 @@ def assign_types(
     aligned composite node's typicality (0 when unmatched, maximally
     off-norm) and are typical when it reaches alpha, rare otherwise.
     """
-    if index is None:
-        index = DocumentIndex(doc.root, composite.index().label_sets)
-    nodes = index.nodes
-    types = dict.fromkeys(nodes, _IRRELEVANT)
+    types = [_IRRELEVANT] * len(doc.labels)
     if query_node is not None:
-        if query_node not in nodes:
-            raise UnknownNodeError(f"query node {query_node!r} is not in the tree")
+        subtree = doc.subtree(query_node)
         comp_nodes = composite.index().nodes
         pairs = alignment.pairs
-        for node, depth in walk_depth(nodes[query_node]):
-            if depth > params.k:
-                types[node.id] = _INTRICATE
+        depths = doc.depths
+        deepest = depths[query_node] + params.k
+        for node_id in subtree:
+            if depths[node_id] > deepest:
+                types[node_id] = _INTRICATE
             else:
-                comp_id = pairs.get(node.id)
+                comp_id = pairs.get(node_id)
                 typicality = comp_nodes[comp_id].typicality if comp_id is not None else 0.0
-                types[node.id] = _TYPICAL if typicality >= params.alpha else _RARE
+                types[node_id] = _TYPICAL if typicality >= params.alpha else _RARE
     return TypedTree(doc=doc, query=query, query_node=query_node, types=types)
 
 
@@ -140,12 +134,13 @@ def type_document(
     params: TypingParams,
     align_threshold: float = 0.5,
 ) -> tuple[TypedTree, Alignment]:
-    """Run the whole typing stage for one document, on one index of it.
+    """Run the whole typing stage for one document, on one list of its
+    token sets.
 
     When the query matches no topic (best similarity below tau) every topic
     is irrelevant and the document will land in the irrelevant/generic bins.
     """
-    index = DocumentIndex(doc.root, composite.index().label_sets)
-    alignment = align_tree(doc, composite, align_threshold, index=index)
-    query_node = map_query(query, doc, params.tau, index=index)
-    return assign_types(doc, composite, alignment, query, query_node, params, index=index), alignment
+    token_sets = doc.token_sets(composite.index().label_sets)
+    alignment = align_tree(doc, composite, align_threshold, token_sets=token_sets)
+    query_node = map_query(query, doc, params.tau, token_sets=token_sets)
+    return assign_types(doc, composite, alignment, query, query_node, params), alignment

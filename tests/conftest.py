@@ -4,38 +4,34 @@ from pathlib import Path
 
 import pytest
 
-from topicsift import (
-    DocumentMetadata,
-    DocumentTopicTree,
-    LexicalForms,
-    TopicNode,
-    TopicType,
-)
+from topicsift import DocumentMetadata, DocumentTopicTree, TopicType
 from topicsift.topic_typing import TypedTree
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def make_node(spec, counter=None) -> TopicNode:
-    """Build a TopicNode tree from nested specs: "Label" or ("Label", [children])."""
-    if counter is None:
-        counter = [0]
-    label, children = (spec, []) if isinstance(spec, str) else spec
-    node = TopicNode(id=counter[0], label=LexicalForms.of(label))
-    counter[0] += 1
-    node.children.extend(make_node(child, counter) for child in children)
-    return node
-
-
 def make_doc(spec, doc_id="doc", title=None, content_types=(), special_content=()) -> DocumentTopicTree:
+    """A flat document from a nested spec: "Label" or ("Label", [children]),
+    the root first; node ids are pre-order positions."""
+    labels: list[str] = []
+    parents: list[int] = []
+    depths: list[int] = []
+    stack = [(spec, -1, 0)]
+    while stack:
+        node, parent, depth = stack.pop()
+        label, children = (node, []) if isinstance(node, str) else node
+        stack.extend((child, len(labels), depth + 1) for child in reversed(children))
+        labels.append(label)
+        parents.append(parent)
+        depths.append(depth)
     meta = DocumentMetadata(
         title=title,
         content_types=frozenset(content_types),
         special_content=frozenset(special_content),
         source_path="",
     )
-    return DocumentTopicTree(doc_id=doc_id, root=make_node(spec), metadata=meta)
+    return DocumentTopicTree(doc_id=doc_id, labels=labels, parents=parents, depths=depths, metadata=meta)
 
 
 def make_typed(
@@ -53,10 +49,8 @@ def make_typed(
         content_types=content_types,
         special_content=special_content,
     )
-    types = {doc.root.id: root_type}
-    for child, (_, topic_type) in zip(doc.root.children, child_types):
-        types[child.id] = topic_type
-    return TypedTree(doc=doc, query=query, query_node=doc.root.id, types=types)
+    types = [root_type] + [topic_type for _, topic_type in child_types]
+    return TypedTree(doc=doc, query=query, query_node=0, types=types)
 
 
 def write_corpus(directory: Path, files: dict[str, str]) -> Path:

@@ -5,12 +5,14 @@ table with exact Fraction arithmetic and a data-driven rule loop, so tests
 can cross-check the production classifier against it. The regex label
 folding, brute-force label similarity, alignment, query mapping and the
 full-walk norm build below play the same part for the indexed norm, and the
-full-walk typing chain and the per-line header scan for the per-document
-index and the parser, the walk_depth renderer for the one-pass trace, and
+full-walk typing chain and the per-line header scan for typing over the
+flat lists and the parser, the walk_depth renderer for the one-pass trace, and
 the one-type-at-a-time counts and the bind-every-lemma realizer for the
 one-pass distribution and lexicalize.
-The plain tree walks (node_map, parent_map, sibling_rank_map) are the
-references for DocumentIndex and serve the oracles above.
+The oracles read a document as nested nodes, which ``nested`` rebuilds from
+its parent list alone; the plain tree walks over them (node_map,
+parent_map, sibling_rank_map) are the references for the document's flat
+lists and derived ranks, and serve the oracles above.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ import json
 import random
 import re
 import string
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from topicsift.ingest import parse_metadata
@@ -25,14 +28,46 @@ from topicsift.lexicon import LexiconGapError
 from topicsift.model import (
     CompositeNode,
     CompositeTopicTree,
-    DocumentTopicTree,
+    DocumentMetadata,
     LexicalForms,
-    TopicNode,
     walk,
     walk_depth,
 )
 from topicsift.planner import HasFeature, HasTopics, SetElements
 from topicsift.realizer import NO_MATCH_NOTICE
+
+
+@dataclass
+class OracleNode:
+    """A document topic as a nested node, the form the oracles read a
+    document in."""
+
+    id: int
+    label: LexicalForms
+    children: list["OracleNode"] = field(default_factory=list)
+
+
+@dataclass
+class OracleDocument:
+    doc_id: str
+    root: OracleNode
+    metadata: DocumentMetadata
+
+
+def nested(doc) -> OracleNode:
+    """A flat document's root as nested nodes, rebuilt from its labels and
+    parent list alone: each node becomes the last child of its parent so
+    far."""
+    nodes = [OracleNode(node_id, LexicalForms.of(label)) for node_id, label in enumerate(doc.labels)]
+    for node, parent in zip(nodes, doc.parents):
+        if parent >= 0:
+            nodes[parent].children.append(node)
+    return nodes[0]
+
+
+def _root(tree):
+    """A norm's root, or a flat document's as nested nodes."""
+    return tree.root if isinstance(tree, CompositeTopicTree) else nested(tree)
 
 
 def node_map(root) -> dict[int, object]:
@@ -156,12 +191,13 @@ def oracle_label_similarity(a: LexicalForms, b: LexicalForms) -> float:
 def oracle_align_tree(doc, composite, threshold: float) -> tuple[dict[int, int], set[int]]:
     """Greedy top-down alignment scoring the anchor and every one of its
     children; returns (pairs, unmatched)."""
+    root = nested(doc)
     comp_nodes = node_map(composite.root)
-    doc_parents = parent_map(doc.root)
-    pairs = {doc.root.id: composite.root.id}
+    doc_parents = parent_map(root)
+    pairs = {root.id: composite.root.id}
     unmatched: set[int] = set()
-    for node in walk(doc.root):
-        if node.id == doc.root.id:
+    for node in walk(root):
+        if node.id == root.id:
             continue
         anchor_id = pairs.get(doc_parents[node.id])
         if anchor_id is None:
@@ -188,7 +224,7 @@ def oracle_map_query(query: str, tree, tau: float) -> int | None:
     go to the shallower node, then the earlier one in pre-order."""
     query_forms = LexicalForms.of(query)
     best_id, best_key = None, None
-    for order, (node, depth) in enumerate(walk_depth(tree.root)):
+    for order, (node, depth) in enumerate(walk_depth(_root(tree))):
         key = (-oracle_label_similarity(query_forms, node.label), depth, order)
         if best_key is None or key < best_key:
             best_key, best_id = key, node.id
@@ -213,12 +249,13 @@ def oracle_possible_typical(composite, query: str, k: int, alpha: float, tau: fl
 def oracle_merge(composite, doc, pairs: dict[int, int]) -> None:
     """Fold one aligned document into the composite in place, then walk the
     whole norm to refresh typicality and re-sort every sibling list."""
+    root = nested(doc)
     comp_nodes = node_map(composite.root)
-    doc_parents = parent_map(doc.root)
-    doc_ranks = sibling_rank_map(doc.root)
+    doc_parents = parent_map(root)
+    doc_ranks = sibling_rank_map(root)
     next_id = max(comp_nodes) + 1
     contributions = {}
-    for node in walk(doc.root):
+    for node in walk(root):
         target = pairs.get(node.id)
         if target is not None and target not in contributions:
             contributions[target] = node
@@ -228,7 +265,7 @@ def oracle_merge(composite, doc, pairs: dict[int, int]) -> None:
         comp.support += 1
         comp.label = LexicalForms.of(*comp.label.forms, *node.label.forms)
     inserted = {}
-    for node in walk(doc.root):
+    for node in walk(root):
         if node.id in pairs:
             continue
         parent = doc_parents[node.id]
@@ -252,7 +289,8 @@ def oracle_merge(composite, doc, pairs: dict[int, int]) -> None:
 def oracle_build_composite(docs, threshold: float, domain_genre: str) -> CompositeTopicTree:
     """Seed from the first document, then align and merge every further one
     with the brute-force versions above."""
-    ranks = sibling_rank_map(docs[0].root)
+    first = nested(docs[0])
+    ranks = sibling_rank_map(first)
 
     def convert(node) -> CompositeNode:
         return CompositeNode(
@@ -264,7 +302,7 @@ def oracle_build_composite(docs, threshold: float, domain_genre: str) -> Composi
             children=[convert(child) for child in node.children],
         )
 
-    composite = CompositeTopicTree(root=convert(docs[0].root), domain_genre=domain_genre, doc_count=1)
+    composite = CompositeTopicTree(root=convert(first), domain_genre=domain_genre, doc_count=1)
     for doc in docs[1:]:
         pairs, _ = oracle_align_tree(doc, composite, threshold)
         oracle_merge(composite, doc, pairs)
@@ -276,10 +314,11 @@ def oracle_type_document(doc, composite, query: str, k: int, alpha: float, tau: 
     document; returns (query_node, {id: type name}, pairs, unmatched)."""
     pairs, unmatched = oracle_align_tree(doc, composite, threshold)
     query_node = oracle_map_query(query, doc, tau)
-    types = {node.id: "irrelevant" for node in walk(doc.root)}
+    root = nested(doc)
+    types = {node.id: "irrelevant" for node in walk(root)}
     if query_node is not None:
         comp_nodes = node_map(composite.root)
-        for node, depth in walk_depth(node_map(doc.root)[query_node]):
+        for node, depth in walk_depth(node_map(root)[query_node]):
             if depth > k:
                 types[node.id] = "intricate"
             else:
@@ -304,8 +343,9 @@ def oracle_split_front_matter(text: str) -> tuple[str, int]:
     return "", 0
 
 
-def oracle_parse_document(text: str, doc_id: str, source_path: str = "") -> DocumentTopicTree:
-    """parse_document with the header pattern tried on every body line."""
+def oracle_parse_document(text: str, doc_id: str, source_path: str = "") -> OracleDocument:
+    """parse_document with the header pattern tried on every body line,
+    building nested nodes."""
     front, body_start = oracle_split_front_matter(text)
     metadata = parse_metadata(front, source_path)
     headers = []
@@ -316,7 +356,7 @@ def oracle_parse_document(text: str, doc_id: str, source_path: str = "") -> Docu
     ids = iter(range(len(headers) + 1))
 
     def make(label):
-        return TopicNode(id=next(ids), label=LexicalForms.of(label))
+        return OracleNode(id=next(ids), label=LexicalForms.of(label))
 
     if metadata.title:
         root, root_level = make(metadata.title), 0
@@ -332,7 +372,7 @@ def oracle_parse_document(text: str, doc_id: str, source_path: str = "") -> Docu
         node = make(label)
         stack[-1][1].children.append(node)
         stack.append((level, node))
-    return DocumentTopicTree(doc_id=doc_id, root=root, metadata=metadata)
+    return OracleDocument(doc_id=doc_id, root=root, metadata=metadata)
 
 
 _TRACE_REGIONS = {"typical": "relevant", "rare": "relevant", "intricate": "intricate", "irrelevant": "irrelevant"}
@@ -367,7 +407,7 @@ def oracle_trace_lines(
         lines.append(f"document: {typed.doc.doc_id}")
         lines.append(f"  title: {typed.doc.display_title()}")
         lines.append(f"  query-node: {'-' if typed.query_node is None else typed.query_node}")
-        for node, depth in walk_depth(typed.doc.root):
+        for node, depth in walk_depth(nested(typed.doc)):
             topic_type = typed.types[node.id]
             comp_id = result.alignment.pairs.get(node.id)
             typicality = comp_nodes[comp_id].typicality if comp_id is not None else 0.0
@@ -419,11 +459,11 @@ def oracle_trace_lines(
     return lines
 
 
-def oracle_distribution_counts(types: dict, pairs: dict[int, int], possible: frozenset[int]) -> tuple[int, ...]:
+def oracle_distribution_counts(types: list, pairs: dict[int, int], possible: frozenset[int]) -> tuple[int, ...]:
     """(typical, rare, intricate, irrelevant, total, covered, possible) of one
-    typed document, counted one type at a time."""
-    counts = [sum(1 for t in types.values() if t.value == name) for name in ("typical", "rare", "intricate", "irrelevant")]
-    covered = {pairs[node_id] for node_id, t in types.items() if t.value == "typical" and node_id in pairs}
+    typed document (one type per node id), counted one type at a time."""
+    counts = [sum(1 for t in types if t.value == name) for name in ("typical", "rare", "intricate", "irrelevant")]
+    covered = {pairs[node_id] for node_id, t in enumerate(types) if t.value == "typical" and node_id in pairs}
     return (*counts, len(types), len(covered & possible), len(possible))
 
 

@@ -12,10 +12,7 @@ import time
 from topicsift import (
     CorpusSet,
     DocumentCategory,
-    DocumentMetadata,
     DocumentTopicTree,
-    LexicalForms,
-    TopicNode,
     TopicType,
     TypeDistribution,
     TypingParams,
@@ -35,7 +32,7 @@ from topicsift.realizer import Enumeration, Exemplar, SentencePlan, render_subse
 from topicsift.topic_typing import assign_types
 
 from conftest import GOLDEN, make_doc, write_corpus
-from oracles import all_distributions, node_map, oracle_classify
+from oracles import all_distributions, oracle_classify
 
 
 def report(number: int, name: str) -> None:
@@ -59,11 +56,11 @@ def test_criterion_1_typicality_reproduction(tmp_path):
     report(1, "typicality reproduction")
 
 
-def _regions(types: dict[int, TopicType]) -> dict[int, str]:
+def _regions(types: list[TopicType]) -> dict[int, str]:
     """Each node's query region: relevant when it is typical or rare, else
     its type's name (intricate or irrelevant)."""
     relevant = (TopicType.TYPICAL, TopicType.RARE)
-    return {i: "relevant" if t in relevant else t.value for i, t in types.items()}
+    return {i: "relevant" if t in relevant else t.value for i, t in enumerate(types)}
 
 
 def test_criterion_2_region_semantics():
@@ -84,7 +81,7 @@ def test_criterion_2_region_semantics():
             ],
         )
     )
-    ids = {n.label.canonical: n.id for n in doc.nodes()}
+    ids = {label: node_id for node_id, label in enumerate(doc.labels)}
     composite = build_composite(CorpusSet(docs=[doc], origin="mem"), 0.5)
     alignment = align_tree(doc, composite, 0.5)
     regions = _regions(assign_types(doc, composite, alignment, "query", ids["Query"], TypingParams(k=2)).types)
@@ -198,13 +195,14 @@ def test_criterion_6_query_shift():
 
 
 def _random_doc(rng: random.Random, doc_id: str, pool: list[str], size: int) -> DocumentTopicTree:
-    root = TopicNode(id=0, label=LexicalForms.of(rng.choice(pool)))
+    """Each node the last child of a random earlier one."""
+    root = (rng.choice(pool), [])
     nodes = [root]
-    for index in range(1, size):
-        node = TopicNode(id=index, label=LexicalForms.of(rng.choice(pool)))
-        rng.choice(nodes).children.append(node)
+    for _ in range(1, size):
+        node = (rng.choice(pool), [])
+        rng.choice(nodes)[1].append(node)
         nodes.append(node)
-    return DocumentTopicTree(doc_id=doc_id, root=root, metadata=DocumentMetadata())
+    return make_doc(root, doc_id=doc_id)
 
 
 def test_criterion_7_monotonicity_suite():
@@ -217,7 +215,7 @@ def test_criterion_7_monotonicity_suite():
         refs = [_random_doc(rng, f"r{i}", pool, rng.randint(1, 8)) for i in range(rng.randint(1, 3))]
         composite = build_composite(CorpusSet(docs=refs, origin="mem"), 0.5)
         doc = _random_doc(rng, "probe", pool, rng.randint(1, 10))
-        query_node = rng.choice(doc.nodes()).id
+        query_node = rng.choice(doc.nodes())
         alignment = align_tree(doc, composite, 0.5)
 
         previous_relevant: set[int] | None = None
@@ -232,12 +230,12 @@ def test_criterion_7_monotonicity_suite():
         for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
             params = TypingParams(k=2, alpha=alpha)
             typed = assign_types(doc, composite, alignment, "probe", query_node, params)
-            typical = {i for i, t in typed.types.items() if t is TopicType.TYPICAL}
+            typical = {i for i, t in enumerate(typed.types) if t is TopicType.TYPICAL}
             if previous_typical is not None and not typical <= previous_typical:
                 violations += 1
             previous_typical = typical
 
-        assert set(typed.types) == set(node_map(doc.root))
+        assert len(typed.types) == len(doc.labels)
     assert violations == 0
     report(7, "monotonicity suite")
 

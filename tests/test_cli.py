@@ -18,6 +18,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from topicsift import cli, default_lexicon, save_lexicon
+from topicsift.model import brief_repr
 
 from conftest import FIXTURES, write_corpus
 
@@ -190,6 +191,65 @@ def test_undecodable_query_exits_2_where_stdout_encodes_utf8_strictly(composite_
     result = subprocess.run(argv + ["--query", b"angina\xff"], env=env, capture_output=True, timeout=60)
     assert (result.returncode, result.stdout) == (2, b"")
     assert result.stderr == b"error: query 'angina\\udcff' holds text that is not valid UTF-8\n"
+
+
+_BAD_NAMES = ["forged\ndocument: x.md", "forged\u2028x.md", os.fsdecode(b"bad\xff.md")]
+
+
+def _with_a_badly_named_file(source: Path, directory: Path, name: str) -> Path:
+    shutil.copytree(source, directory)
+    (directory / name).write_text("no headers, so the name would be the title\n", encoding="utf-8")
+    return directory
+
+
+@pytest.mark.parametrize("name", _BAD_NAMES)
+@pytest.mark.parametrize("output", ["text", "trace"])
+def test_docs_file_name_that_is_not_one_line_of_utf8_exits_2(tmp_path, composite_file, angina_docs, capsys, name, output):
+    """A docs file's name becomes its doc id and title: a line break would
+    forge trace lines and split a bullet, an undecodable byte cannot be
+    written to a UTF-8 stdout. The file is refused, not skipped."""
+    docs = _with_a_badly_named_file(angina_docs, tmp_path / "docs", name)
+    code, out, err = run(
+        capsys, "summarize", str(docs), "--composite", str(composite_file), "--query", "angina", "--format", output
+    )
+    fault = "text that is not valid UTF-8" if name.startswith("bad") else "a line break"
+    assert (code, out) == (2, "")
+    assert err == f"error: the name of corpus file {brief_repr(name)} holds {fault}\n"
+
+
+@pytest.mark.parametrize("name", _BAD_NAMES)
+def test_reference_file_name_that_is_not_one_line_of_utf8_exits_2_and_keeps_the_old_norm(
+    tmp_path, composite_file, angina_reference, capsys, name
+):
+    reference = _with_a_badly_named_file(angina_reference, tmp_path / "reference", name)
+    before = composite_file.read_bytes()
+    code, out, err = run(capsys, "build", str(reference), str(composite_file))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the name of corpus file ") and err.count("\n") == 1
+    assert composite_file.read_bytes() == before
+
+
+def test_file_names_that_are_not_utf8_exit_2_where_stdout_encodes_utf8_strictly(tmp_path, angina_reference, angina_docs):
+    """Under a strict UTF-8 stdout, neither a docs file name nor the OUT path
+    of build may hold an undecodable byte: each run exits 2 with one error
+    line and writes nothing, where it used to end in a traceback."""
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8", "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    command = [sys.executable, "-m", "topicsift.cli"]
+    out_path = os.fsencode(tmp_path) + b"/out\xff.json"
+    built = subprocess.run(command + ["build", str(angina_reference), out_path], env=env, capture_output=True, timeout=60)
+    assert (built.returncode, built.stdout) == (2, b"")
+    assert built.stderr.startswith(b"error: composite path ") and built.stderr.endswith(b" holds text that is not valid UTF-8\n")
+    assert not os.path.exists(out_path)
+
+    composite = tmp_path / "composite.json"
+    assert subprocess.run(command + ["build", str(angina_reference), str(composite)], env=env, timeout=60).returncode == 0
+    docs = _with_a_badly_named_file(angina_docs, tmp_path / "docs", os.fsdecode(b"bad\xff.md"))
+    summarized = subprocess.run(
+        command + ["summarize", str(docs), "--composite", str(composite), "--query", "angina", "--format", "trace"],
+        env=env, capture_output=True, timeout=60,
+    )
+    assert (summarized.returncode, summarized.stdout) == (2, b"")
+    assert summarized.stderr == b"error: the name of corpus file 'bad\\udcff.md' holds text that is not valid UTF-8\n"
 
 
 def test_bad_params_exit_2(composite_file, angina_docs, capsys):

@@ -16,7 +16,6 @@ from topicsift import (
     DocumentTopicTree,
     EmptyCorpusError,
     LexicalForms,
-    TopicNode,
     align_tree,
     build_composite,
     load_composite,
@@ -93,15 +92,14 @@ def test_novel_header_is_unmatched():
     composite = build_composite(corpus_of(make_doc(("Disease", ["Symptoms"]))), 0.5)
     doc = make_doc(("Disease", ["Symptoms", "Prognosis"]), doc_id="d2")
     alignment = align_tree(doc, composite, 0.5)
-    prognosis = doc.root.children[1]
-    assert prognosis.id in alignment.unmatched
+    assert doc.labels.index("Prognosis") in alignment.unmatched
 
 
 def test_roots_always_align_even_without_similarity():
     composite = build_composite(corpus_of(make_doc(("Angina", []))), 0.5)
     doc = make_doc(("Completely different", []), doc_id="d2")
     alignment = align_tree(doc, composite, 0.5)
-    assert alignment.pairs == {doc.root.id: composite.root.id}
+    assert alignment.pairs == {0: composite.root.id}
 
 
 def test_equal_similarity_tie_breaks_to_lower_position():
@@ -112,7 +110,7 @@ def test_equal_similarity_tie_breaks_to_lower_position():
     composite = CompositeTopicTree(root=root, domain_genre="t", doc_count=1)
     doc = make_doc(("Disease", ["Treatment"]), doc_id="d")
     alignment = align_tree(doc, composite, 0.4)
-    assert alignment.pairs[doc.root.children[0].id] == 2
+    assert alignment.pairs[doc.labels.index("Treatment")] == 2
 
 
 def test_position_tie_breaks_to_lower_id():
@@ -123,7 +121,7 @@ def test_position_tie_breaks_to_lower_id():
     composite = CompositeTopicTree(root=root, domain_genre="t", doc_count=1)
     doc = make_doc(("Disease", ["Treatment"]), doc_id="d")
     alignment = align_tree(doc, composite, 0.4)
-    assert alignment.pairs[doc.root.children[0].id] == 1
+    assert alignment.pairs[doc.labels.index("Treatment")] == 1
 
 
 def test_level_skip_absorbed_by_parent_match():
@@ -131,38 +129,36 @@ def test_level_skip_absorbed_by_parent_match():
     composite = build_composite(corpus_of(first), 0.5)
     doc = make_doc(("Disease", [("Treatment", ["Drug treatment"])]), doc_id="d2")
     alignment = align_tree(doc, composite, 0.5)
-    treatment = doc.root.children[0]
-    drug = treatment.children[0]
-    assert alignment.pairs[drug.id] == alignment.pairs[treatment.id]
+    treatment, drug = doc.labels.index("Treatment"), doc.labels.index("Drug treatment")
+    assert alignment.pairs[drug] == alignment.pairs[treatment]
     # the document still raises that topic's support only once
     merged = build_composite(corpus_of(first, doc), 0.5)
-    comp_treatment = merged.index().nodes[alignment.pairs[treatment.id]]
+    comp_treatment = merged.index().nodes[alignment.pairs[treatment]]
     assert comp_treatment.support == 2
     assert merged.doc_count == 2
 
 
 def _check_alignment_invariants(doc, composite, alignment):
-    all_ids = set(node_map(doc.root))
-    assert set(alignment.pairs) | alignment.unmatched == all_ids
+    assert set(alignment.pairs) | alignment.unmatched == set(doc.nodes())
     assert not set(alignment.pairs) & alignment.unmatched
     comp_nodes = node_map(composite.root)
-    parents = parent_map(doc.root)
     for node_id, comp_id in alignment.pairs.items():
-        parent = parents[node_id]
-        if parent is None or parent not in alignment.pairs:
+        parent = doc.parents[node_id]
+        if parent < 0 or parent not in alignment.pairs:
             continue
         parent_comp = comp_nodes[alignment.pairs[parent]]
         assert comp_id in {n.id for n in walk(parent_comp)}
 
 
 def _random_doc(rng, doc_id, pool, size):
-    root = TopicNode(id=0, label=forms(rng.choice(pool)))
+    """Each node the last child of a random earlier one."""
+    root = (rng.choice(pool), [])
     nodes = [root]
-    for index in range(1, size):
-        node = TopicNode(id=index, label=forms(rng.choice(pool)))
-        rng.choice(nodes).children.append(node)
+    for _ in range(1, size):
+        node = (rng.choice(pool), [])
+        rng.choice(nodes)[1].append(node)
         nodes.append(node)
-    return DocumentTopicTree(doc_id=doc_id, root=root, metadata=DocumentMetadata())
+    return make_doc(root, doc_id=doc_id)
 
 
 def test_alignment_invariants_on_random_trees():
@@ -214,9 +210,7 @@ def test_new_sibling_in_last_of_four_docs():
 def test_single_document_corpus_is_isomorphic():
     doc = make_doc(("Disease", ["Symptoms", ("Treatment", ["Surgery"])]))
     composite = build_composite(corpus_of(doc), 0.5)
-    assert [n.label.canonical for n in composite.nodes()] == [
-        n.label.canonical for n in doc.nodes()
-    ]
+    assert [n.label.canonical for n in composite.nodes()] == doc.labels
     assert all(n.typicality == 1.0 for n in composite.nodes())
     assert composite.doc_count == 1
 
@@ -227,27 +221,41 @@ def test_first_document_header_repeating_its_title_stays_a_child(threshold):
     matches its root exactly is still a topic of its own."""
     doc = parse_document("# Angina\n\n## Angina\n\n### Causes\n\n## Treatment\n", "doc")
     composite = build_composite(corpus_of(doc), threshold)
-    doc_parents, norm_parents = parent_map(doc.root), parent_map(composite.root)
-    assert [(n.id, n.label, norm_parents[n.id]) for n in composite.nodes()] == [
-        (n.id, n.label, doc_parents[n.id]) for n in doc.nodes()
+    norm_parents = parent_map(composite.root)
+    assert [(n.id, n.label.forms, norm_parents[n.id]) for n in composite.nodes()] == [
+        (node_id, (label,), None if parent < 0 else parent)
+        for node_id, (label, parent) in enumerate(zip(doc.labels, doc.parents))
     ]
     assert [n.label.canonical for n in composite.root.children] == ["Angina", "Treatment"]
     assert all(n.support == 1 and n.typicality == 1.0 for n in composite.nodes())
 
 
-def test_hand_built_first_document_is_renumbered_in_pre_order():
-    """Norm ids of the first document run in pre-order from its root's id + 1,
-    whatever ids the hand-built tree carries."""
-    root = TopicNode(id=5, label=forms("Disease"), children=[
-        TopicNode(id=2, label=forms("Symptoms"), children=[TopicNode(id=0, label=forms("Pain"))]),
-        TopicNode(id=9, label=forms("Treatment")),
-    ])
-    doc = DocumentTopicTree(doc_id="doc", root=root, metadata=DocumentMetadata())
+def test_hand_built_first_document_gives_the_norm_its_ids():
+    """A document's ids are its list positions, so the first document's
+    topics keep their ids and parents in the norm."""
+    doc = DocumentTopicTree(
+        "doc", ["Disease", "Symptoms", "Pain", "Treatment"], [-1, 0, 1, 0], [0, 1, 2, 1], DocumentMetadata()
+    )
     composite = build_composite(corpus_of(doc), 0.5)
     assert [(n.id, n.label.canonical) for n in composite.nodes()] == [
-        (5, "Disease"), (6, "Symptoms"), (7, "Pain"), (8, "Treatment")
+        (0, "Disease"), (1, "Symptoms"), (2, "Pain"), (3, "Treatment")
     ]
-    assert parent_map(composite.root) == {5: None, 6: 5, 7: 6, 8: 5}
+    assert parent_map(composite.root) == {0: None, 1: 0, 2: 1, 3: 0}
+
+
+@pytest.mark.parametrize(
+    "labels, parents, depths",
+    [([" "], [-1], [0]), (["Disease", "\t"], [-1, 0], [0, 1]), (["Disease", "Symptoms", " "], [-1, 0, 1], [0, 1, 2])],
+)
+@pytest.mark.parametrize("first", [True, False])
+def test_a_blank_label_in_a_hand_built_document_stops_the_build(labels, parents, depths, first):
+    """A blank label would give the norm a spelling its file cannot hold,
+    whether it would start the norm, be inserted or be merged into a node:
+    the build refuses it before it compares any label."""
+    blank = DocumentTopicTree("blank", labels, parents, depths, DocumentMetadata())
+    other = make_doc(("Disease", ["Symptoms"]), doc_id="other")
+    with pytest.raises(ValueError, match="blank"):
+        build_composite(corpus_of(*([blank, other] if first else [other, blank])), 0.5)
 
 
 def test_ten_identical_documents_idempotent():

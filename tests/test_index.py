@@ -23,7 +23,6 @@ from topicsift import (
     DocumentMetadata,
     DocumentTopicTree,
     LexicalForms,
-    TopicNode,
     TopicType,
     TypedTree,
     TypingParams,
@@ -45,7 +44,6 @@ from topicsift import (
 from topicsift.composite import _fold_document, _refresh_typicality
 from topicsift.model import (
     CompositeIndex,
-    DocumentIndex,
     best_jaccard,
     fold,
     normalize,
@@ -67,6 +65,7 @@ from oracles import (
     oracle_possible_typical,
     oracle_trace_lines,
     oracle_type_document,
+    nested,
     parent_map,
     sibling_rank_map,
 )
@@ -89,18 +88,22 @@ labels = st.lists(surface, min_size=1, max_size=3).map(lambda forms: LexicalForm
 
 
 @st.composite
-def documents(draw, doc_id="doc", node_labels=labels):
-    """A document tree of 1..12 nodes in pre-order, random shape."""
-    size = draw(st.integers(min_value=1, max_value=12))
-    root = TopicNode(id=0, label=draw(node_labels))
-    stack = [root]
-    for node_id in range(1, size):
-        depth = draw(st.integers(min_value=1, max_value=len(stack)))
-        del stack[depth:]
-        node = TopicNode(id=node_id, label=draw(node_labels))
-        stack[-1].children.append(node)
-        stack.append(node)
-    return DocumentTopicTree(doc_id=doc_id, root=root, metadata=DocumentMetadata())
+def documents(draw, doc_id="doc", node_labels=surface):
+    """A document of 1..12 nodes in pre-order, random shape, labeled with
+    one spelling each, as parsed documents are: a root label and one list
+    of (depth, label) pairs, each depth cut to at most one below the node
+    before it."""
+    root_label, below = draw(st.tuples(node_labels, st.lists(st.tuples(st.integers(1, 11), node_labels), max_size=11)))
+    labels, parents, depths = [root_label], [-1], [0]
+    path = [0]  # the ids from the root down to the last node
+    for node_id, (depth, label) in enumerate(below, 1):
+        depth = min(depth, len(path))
+        del path[depth:]
+        labels.append(label)
+        parents.append(path[-1])
+        depths.append(depth)
+        path.append(node_id)
+    return DocumentTopicTree(doc_id, labels, parents, depths, DocumentMetadata())
 
 
 corpora = st.lists(documents(), min_size=1, max_size=5)
@@ -113,7 +116,8 @@ def _fold(docs, threshold):
 def _fold_in(composite, doc, threshold):
     """Align one more document against the norm, fold it in and refresh
     typicality, as a build does after its last document."""
-    _fold_document(composite, align_tree(doc, composite, threshold).pairs, DocumentIndex(doc.root))
+    token_sets = doc.token_sets(composite.index().label_sets)
+    _fold_document(composite, align_tree(doc, composite, threshold, token_sets=token_sets).pairs, doc, token_sets)
     _refresh_typicality(composite)
 
 
@@ -307,8 +311,8 @@ def test_a_stream_typed_against_one_loaded_norm_matches_a_fresh_load_per_documen
         assert (typed.query_node, typed.types) == (fresh_typed.query_node, fresh_typed.types)
         assert (alignment.pairs, alignment.unmatched) == (fresh_alignment.pairs, fresh_alignment.unmatched)
     label_sets = shared.index().label_sets
-    assert set(label_sets) == {node.label.forms for probe in probes for node in walk(probe.root)}
-    assert all(sets == LexicalForms(forms).token_sets() for forms, sets in label_sets.items())
+    assert set(label_sets) == {label for probe in probes for label in probe.labels}
+    assert all(sets == LexicalForms((label,)).token_sets() for label, sets in label_sets.items())
 
 
 def test_a_fold_clears_the_tree_memos_and_keeps_the_label_memo():
@@ -321,8 +325,8 @@ def test_a_fold_clears_the_tree_memos_and_keeps_the_label_memo():
     assert index.alignments and index.possible_typical
     label_sets = index.label_sets
     before = dict(label_sets)
-    assert set(before) >= {node.label.forms for node in walk(late.root)}
-    _fold_document(composite, pairs, DocumentIndex(late.root, label_sets))
+    assert set(before) >= set(late.labels)
+    _fold_document(composite, pairs, late, late.token_sets(label_sets))
     assert index.alignments == {} and index.possible_typical == {}
     assert composite.index().label_sets is label_sets
     assert label_sets == before
@@ -391,11 +395,11 @@ def test_whitespace_split_and_casefold_agree_with_regex_over_all_unicode():
 
 
 @settings(max_examples=200, deadline=None)
-@given(labels, st.lists(labels, min_size=1, max_size=4), st.data())
+@given(labels, st.lists(surface, min_size=1, max_size=8), st.data())
 def test_merged_label_equals_rebuilt_label(a, others, data):
-    """Merging labels into a composite node's label one by one, as the fold
-    does, equals building the label from every spelling at once, and leaves
-    the index as a fresh one would be."""
+    """Merging document spellings into a composite node's label one by one,
+    as the fold does, equals building the label from every spelling at once,
+    and leaves the index as a fresh one would be."""
     node = CompositeNode(id=1, label=a, typicality=1.0, position=0.0, support=1)
     sibling = CompositeNode(id=2, label=LexicalForms.of("risk drug"), typicality=1.0, position=1.0, support=1)
     root = CompositeNode(id=0, label=LexicalForms.of("Root"), typicality=1.0, position=0.0, support=1,
@@ -404,21 +408,22 @@ def test_merged_label_equals_rebuilt_label(a, others, data):
     spellings = list(a.forms)
     for other in others:
         before = node.label
-        index.merge_label(node, other)
-        spellings += other.forms
+        index.merge_label(node, other, LexicalForms((other,)).token_sets())
+        spellings.append(other)
         assert node.label == LexicalForms.of(*spellings)
         assert (node.label is before) == (node.label.forms == before.forms)
         assert _index_contents(index) == _index_contents(CompositeIndex(root))
-    # spellings already present verbatim leave the label as it is, and the
-    # label's own spellings, in its order, without a single fold
+    # a spelling already present verbatim leaves the label as it is
     label = node.label
-    verbatim = LexicalForms(tuple(data.draw(st.lists(st.sampled_from(label.forms), min_size=1, unique=True))))
-    index.merge_label(node, verbatim)
+    verbatim = data.draw(st.sampled_from(label.forms))
+    index.merge_label(node, verbatim, LexicalForms((verbatim,)).token_sets())
     assert node.label is label
-    same = LexicalForms(label.forms)
+    # and a node spelled only one way takes that spelling without a fold
+    lone = CompositeNode(id=0, label=LexicalForms((a.canonical,)), typicality=1.0, position=0.0, support=1)
+    label = lone.label
     with mock.patch("topicsift.model.fold", side_effect=AssertionError("folded")):
-        index.merge_label(node, same)
-    assert node.label is label
+        CompositeIndex(lone).merge_label(lone, a.canonical, label.token_sets())
+    assert lone.label is label
 
 
 @settings(max_examples=80, deadline=None)
@@ -430,8 +435,8 @@ def test_build_matches_full_walk_build(scratch, docs, threshold):
     # the build tokenized through the norm's label memo: one entry per
     # distinct label of the corpus, each the label's own token sets
     label_sets = composite.index().label_sets
-    assert set(label_sets) == {node.label.forms for doc in docs for node in walk(doc.root)}
-    assert all(sets == LexicalForms(forms).token_sets() for forms, sets in label_sets.items())
+    assert set(label_sets) == {label for doc in docs for label in doc.labels}
+    assert all(sets == LexicalForms((label,)).token_sets() for label, sets in label_sets.items())
 
 
 @st.composite
@@ -442,7 +447,7 @@ def titled_corpora(draw):
     docs = []
     for number in range(draw(st.integers(min_value=2, max_value=8))):
         doc = draw(documents(f"d{number}"))
-        doc.root.label = LexicalForms.of(f"{draw(words)} {number}")
+        doc.labels[0] = f"{draw(words)} {number}"
         docs.append(doc)
     return docs
 
@@ -513,8 +518,8 @@ def test_fold_cost_does_not_grow_with_a_labels_spellings():
     composite = _fold(docs[:1], 0.5)
     pairs, folds, compared = {}, {}, {}
     for number, doc in enumerate(docs[1:], start=2):
-        index = DocumentIndex(doc.root)
-        top_level = [index.token_sets[child.id] for child in doc.root.children]
+        token_sets = doc.token_sets({})
+        top_level = [token_sets[node_id] for node_id in doc.nodes() if doc.parents[node_id] == 0]
         scored = []
 
         def counting(sets_a, sets_b):
@@ -522,11 +527,11 @@ def test_fold_cost_does_not_grow_with_a_labels_spellings():
             return best_jaccard(sets_a, sets_b)
 
         with mock.patch("topicsift.composite.best_jaccard", side_effect=counting):
-            alignment = align_tree(doc, composite, 0.5, index=index)
+            alignment = align_tree(doc, composite, 0.5, token_sets=token_sets)
         pairs[number] = sum(count for sets, count in scored if sets in top_level)
         _Counted.compared = 0
         with mock.patch("topicsift.model.fold", side_effect=fold) as counter:
-            _fold_document(composite, alignment.pairs, index)
+            _fold_document(composite, alignment.pairs, doc, token_sets)
         folds[number] = counter.call_count
         compared[number] = _Counted.compared
     assert len(composite.root.label.forms) == 200
@@ -582,8 +587,8 @@ def test_save_load_and_continue_equals_a_full_build(tmp_path, scratch):
             save_composite(_fold(docs[:count], threshold), path)
             composite = load_composite(path)
             for doc in docs[count:]:
-                index = DocumentIndex(doc.root)
-                _fold_document(composite, align_tree(doc, composite, threshold, index=index).pairs, index)
+                token_sets = doc.token_sets(composite.index().label_sets)
+                _fold_document(composite, align_tree(doc, composite, threshold, token_sets=token_sets).pairs, doc, token_sets)
             _refresh_typicality(composite)
             assert _saved(composite, scratch) == expected
 
@@ -646,50 +651,39 @@ def test_a_hand_written_sibling_list_out_of_position_order_loads_sorted(tmp_path
         assert _saved(composite, scratch) == _saved(reference, scratch)
 
 
-@st.composite
-def relabeled_documents(draw):
-    """A random document whose node ids are distinct arbitrary integers, not
-    pre-order positions."""
-    doc = draw(documents())
-    nodes = list(walk(doc.root))
-    ids = draw(st.lists(st.integers(-50, 50), min_size=len(nodes), max_size=len(nodes), unique=True))
-    for node, node_id in zip(nodes, ids):
-        node.id = node_id
-    return doc
+def _assert_flat_form_of(doc, root):
+    """doc's lists, derived ranks, subtree ranges and token sets against the
+    walks of the nested tree root, whose ids are its pre-order positions."""
+    walked = list(walk_depth(root))
+    assert [node.id for node, _ in walked] == list(doc.nodes())
+    parents = parent_map(root)
+    assert doc.labels == [node.label.canonical for node, _ in walked]
+    assert doc.parents == [-1 if parents[node.id] is None else parents[node.id] for node, _ in walked]
+    assert doc.depths == [depth for _, depth in walked]
+    ranks = sibling_rank_map(root)
+    assert doc.ranks() == [ranks[node.id] for node, _ in walked]
+    for node, _ in walked:
+        assert doc.subtree(node.id) == range(node.id, node.id + len(list(walk(node))))
+        assert list(doc.subtree(node.id)) == [below.id for below in walk(node)]
+    for missing in (-1, len(doc.labels)):
+        with pytest.raises(UnknownNodeError):
+            doc.subtree(missing)
 
 
 @settings(max_examples=150, deadline=None)
-@given(relabeled_documents(), documents("other"))
-def test_document_index_matches_the_tree_walks(doc, other):
-    """Built alone, and through a label memo that another document and then
-    this one filled, as the documents of one build share it."""
+@given(documents(), documents("other"))
+def test_flat_document_matches_its_nested_tree(doc, other):
+    """The lists, ranks and subtrees against the nested tree rebuilt from the
+    parent list; the token sets taken alone, and through a label memo that
+    another document and then this one filled, as the documents of one
+    build share it."""
+    _assert_flat_form_of(doc, nested(doc))
     label_sets = {}
-    DocumentIndex(other.root, label_sets)
-    preorder = list(walk(doc.root))
-    for index in (DocumentIndex(doc.root), DocumentIndex(doc.root, label_sets), DocumentIndex(doc.root, label_sets)):
-        assert list(index.nodes) == [node.id for node in preorder]
-        assert all(index.nodes[node.id] is node for node in preorder)
-        assert index.parents == parent_map(doc.root)
-        assert index.depths == {node.id: depth for node, depth in walk_depth(doc.root)}
-        assert index.ranks == sibling_rank_map(doc.root)
-        assert index.token_sets == {node.id: node.label.token_sets() for node in preorder}
-        assert list(index.token_sets) == list(index.nodes)
-    assert label_sets == {node.label.forms: node.label.token_sets() for node in walk(other.root)} | {
-        node.label.forms: node.label.token_sets() for node in preorder
-    }
-
-
-@settings(max_examples=50, deadline=None)
-@given(documents(), st.data())
-def test_document_index_rejects_duplicate_ids(doc, data):
-    nodes = list(walk(doc.root))
-    if len(nodes) < 2:
-        nodes[0].children.append(TopicNode(id=nodes[0].id, label=nodes[0].label))
-    else:
-        first, second = data.draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=2, unique_by=id))
-        second.id = first.id
-    with pytest.raises(ValueError, match="duplicate node id"):
-        DocumentIndex(doc.root)
+    other.token_sets(label_sets)
+    expected = [LexicalForms((label,)).token_sets() for label in doc.labels]
+    for memo in ({}, label_sets, label_sets):
+        assert doc.token_sets(memo) == expected
+    assert label_sets == {label: LexicalForms((label,)).token_sets() for label in other.labels + doc.labels}
 
 
 queries = st.one_of(surface, st.sampled_from(["", "   ", "\t"]))
@@ -717,16 +711,15 @@ def test_type_document_matches_the_full_walk_chain(docs, probe, query, k, alpha,
     typed, alignment = type_document(probe, composite, query, params, threshold)
     query_node, types, pairs, unmatched = oracle_type_document(probe, composite, query, k, alpha, tau, threshold)
     assert typed.query_node == query_node
-    assert {node_id: t.value for node_id, t in typed.types.items()} == types
-    assert list(typed.types) == list(types)
+    assert dict(enumerate(t.value for t in typed.types)) == types
     assert (alignment.pairs, alignment.unmatched) == (pairs, unmatched)
-    # the same stages called one by one, each building its own index
+    # the same stages called one by one, each taking its own token sets
     assert map_query(query, probe, tau) == query_node
     assert align_tree(probe, composite, threshold) == alignment
     assert assign_types(probe, composite, alignment, query, query_node, params) == typed
-    missing = max(node.id for node in walk(probe.root)) + 1
-    with pytest.raises(UnknownNodeError):
-        assign_types(probe, composite, alignment, query, missing, params)
+    for missing in (-1, len(probe.labels)):
+        with pytest.raises(UnknownNodeError):
+            assign_types(probe, composite, alignment, query, missing, params)
 
 
 @settings(max_examples=150, deadline=None)
@@ -744,8 +737,8 @@ def test_distribution_matches_counting_each_type_alone(docs, probe, query, k, al
     possible typical topic."""
     composite = _fold(docs, 0.5)
     params = TypingParams(k=k, alpha=alpha)
-    ids = [node.id for node in walk(probe.root)]
-    types = dict(zip(ids, data.draw(st.lists(st.sampled_from(TopicType), min_size=len(ids), max_size=len(ids)))))
+    ids = list(probe.nodes())
+    types = data.draw(st.lists(st.sampled_from(TopicType), min_size=len(ids), max_size=len(ids)))
     pairs = data.draw(st.dictionaries(st.sampled_from(ids), st.sampled_from(sorted(composite.index().nodes))))
     typed = TypedTree(doc=probe, query=query, query_node=None, types=types)
     d = distribution(typed, composite, Alignment(pairs=pairs, unmatched=set(ids) - set(pairs)), params)
@@ -781,10 +774,21 @@ header_texts = st.tuples(
 ).map(lambda parts: parts[0] + "".join(line + end for line, end in parts[1]) + parts[2])
 
 
+def _assert_parses_as_the_per_line_scan(doc, text):
+    expected = oracle_parse_document(text, "d.md")
+    assert (doc.doc_id, doc.metadata) == (expected.doc_id, expected.metadata)
+    _assert_flat_form_of(doc, expected.root)
+    memo = {}
+    assert doc.token_sets(memo) == [memo[label] for label in doc.labels]
+    assert all(sets == LexicalForms((label,)).token_sets() for label, sets in memo.items())
+
+
 @settings(max_examples=300, deadline=None)
 @given(header_texts)
 def test_prefiltered_parse_matches_the_per_line_scan(text):
-    assert parse_document(text, "d.md") == oracle_parse_document(text, "d.md")
+    """Texts mixing every line-break style: the flat lists, ranks, subtrees
+    and memo entries against the nested tree of the per-line scan."""
+    _assert_parses_as_the_per_line_scan(parse_document(text, "d.md"), text)
 
 
 # "\n"-only text: every line below, header or not, ends in "\n"
@@ -810,7 +814,7 @@ newline_texts = st.tuples(
 @given(newline_texts)
 def test_one_scan_parse_matches_the_per_line_scan(text):
     doc = parse_document(text, "d.md")
-    assert doc == oracle_parse_document(text, "d.md")
+    _assert_parses_as_the_per_line_scan(doc, text)
     # every line break style gives the tree of the "\n" text
     for end in LINE_BREAKS[1:]:
         assert parse_document(text.replace("\n", end), "d.md") == doc
@@ -819,11 +823,12 @@ def test_one_scan_parse_matches_the_per_line_scan(text):
 def test_each_line_break_style_gives_the_newline_tree():
     text = "---\ntitle: T\n---\n# Top  \n## Sub\t\n\n\nbody\n####### no\n#\tno\n### Deep\xa0\n## Last"
     newline_doc = parse_document(text, "d.md")
-    assert newline_doc == oracle_parse_document(text, "d.md")
-    assert [node.label.canonical for node in walk(newline_doc.root)] == ["T", "Top", "Sub", "Deep", "Last"]
+    _assert_parses_as_the_per_line_scan(newline_doc, text)
+    assert newline_doc.labels == ["T", "Top", "Sub", "Deep", "Last"]
     for end in LINE_BREAKS[1:]:
         other = text.replace("\n", end)
-        assert parse_document(other, "d.md") == oracle_parse_document(other, "d.md") == newline_doc
+        _assert_parses_as_the_per_line_scan(parse_document(other, "d.md"), other)
+        assert parse_document(other, "d.md") == newline_doc
 
 
 # labels whose JSON text needs escapes, or differs with ensure_ascii: quotes,
@@ -831,9 +836,9 @@ def test_each_line_break_style_gives_the_newline_tree():
 # surrogates, around the shared vocabulary so documents still align
 escaped = st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\t", "é", "漢", "\u2028", "\ud800", "\udfff", "\U0001f600"])
 trace_labels = st.one_of(
-    labels,
+    surface,
     st.builds(lambda word, marks, first: marks + " " + word if first else word + marks,
-              words, st.lists(escaped, min_size=1, max_size=3).map("".join), st.booleans()).map(LexicalForms.of),
+              words, st.lists(escaped, min_size=1, max_size=3).map("".join), st.booleans()),
 )
 
 
@@ -856,7 +861,7 @@ def _both_traces(docs, composite, query, params, threshold, seed=0, limit=5):
 @given(
     _trace_documents(),
     _trace_documents(),
-    st.one_of(surface, trace_labels.map(lambda label: label.canonical)),
+    trace_labels,
     st.sampled_from(THRESHOLDS),
     st.integers(min_value=1, max_value=3),
     st.sampled_from((0.3, 0.5, 1.0)),

@@ -2,29 +2,35 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import os
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from topicsift import CorpusReadError, load_corpus, parse_document, parse_metadata
-from topicsift.model import walk
+from topicsift import CorpusNameError, CorpusReadError, load_corpus, parse_document, parse_metadata
+from topicsift.model import LINE_BREAKS, brief_repr
 
 from conftest import write_corpus
+from oracles import nested
 
 
-def labels(tree):
-    return [n.label.canonical for n in walk(tree.root)]
+def labels(doc):
+    return doc.labels
 
 
-def shape(node):
-    return (node.label.canonical, [shape(c) for c in node.children])
+def shape(doc):
+    """A document as nested (label, [children]) pairs."""
+    def nest(node):
+        return (node.label.canonical, [nest(child) for child in node.children])
+
+    return nest(nested(doc))
 
 
 def test_parse_disease_article_shape():
     text = "# Coronary Artery Disease\n\n## Definition\n\n## Symptoms\n\n### Angina\n"
     doc = parse_document(text, "cad.md")
-    assert shape(doc.root) == (
+    assert shape(doc) == (
         "Coronary Artery Disease",
         [("Definition", []), ("Symptoms", [("Angina", [])])],
     )
@@ -32,27 +38,27 @@ def test_parse_disease_article_shape():
 
 def test_no_headers_yields_single_node_named_after_doc():
     doc = parse_document("just some text\nwith no structure\n", "x")
-    assert shape(doc.root) == ("x", [])
+    assert shape(doc) == ("x", [])
 
 
 def test_level_jump_attaches_to_nearest_ancestor():
     doc = parse_document("# A\n\n### B\n", "d.md")
-    assert shape(doc.root) == ("A", [("B", [])])
+    assert shape(doc) == ("A", [("B", [])])
 
 
 def test_deep_jump_back_out():
     doc = parse_document("# A\n## B\n#### C\n## D\n", "d.md")
-    assert shape(doc.root) == ("A", [("B", [("C", [])]), ("D", [])])
+    assert shape(doc) == ("A", [("B", [("C", [])]), ("D", [])])
 
 
 def test_second_top_level_header_nests_under_first():
     doc = parse_document("# A\n# B\n", "d.md")
-    assert shape(doc.root) == ("A", [("B", [])])
+    assert shape(doc) == ("A", [("B", [])])
 
 
 def test_top_headers_below_level_one_get_synthesized_root():
     doc = parse_document("## A\n## B\n", "d.md")
-    assert shape(doc.root) == ("d.md", [("A", []), ("B", [])])
+    assert shape(doc) == ("d.md", [("A", []), ("B", [])])
 
 
 def test_header_before_first_level_one_keeps_document_order():
@@ -63,7 +69,7 @@ def test_header_before_first_level_one_keeps_document_order():
 def test_front_matter_title_becomes_root():
     text = "---\ntitle: AMA Guide\ncontent_types: figures, tables\n---\n# Chapter one\n## Sub\n"
     doc = parse_document(text, "d.md")
-    assert shape(doc.root) == ("AMA Guide", [("Chapter one", [("Sub", [])])])
+    assert shape(doc) == ("AMA Guide", [("Chapter one", [("Sub", [])])])
     assert doc.metadata.title == "AMA Guide"
     assert doc.metadata.content_types == {"figures", "tables"}
 
@@ -108,7 +114,7 @@ def test_unterminated_front_matter_is_plain_body(caplog):
     with caplog.at_level(logging.WARNING):
         doc = parse_document("---\ntitle: T\n# H\n", "d.md")
     assert doc.metadata.title is None
-    assert shape(doc.root) == ("H", [])
+    assert shape(doc) == ("H", [])
     assert [r.getMessage() for r in caplog.records] == [
         "unterminated front-matter fence in d.md; treating file as plain body"
     ]
@@ -132,8 +138,15 @@ def test_blank_header_is_body_text():
 
 def test_parse_is_deterministic():
     text = "# A\n## B\n### C\n## D\n"
-    assert parse_document(text, "d.md") == parse_document(text, "d.md")
-    assert [n.id for n in walk(parse_document(text, "d.md").root)] == [0, 1, 2, 3]
+    doc = parse_document(text, "d.md")
+    assert doc == parse_document(text, "d.md")
+    assert (doc.labels, doc.parents, doc.depths) == (["A", "B", "C", "D"], [-1, 0, 1, 0], [0, 1, 2, 1])
+
+
+def test_a_synthesized_root_needs_a_non_blank_doc_id():
+    with pytest.raises(ValueError, match="non-blank doc id"):
+        parse_document("## A\n", " \t")
+    assert parse_document("# A\n", " ").labels == ["A"]
 
 
 _header_sequences = st.lists(
@@ -188,14 +201,31 @@ def test_load_corpus_drops_a_byte_order_mark(tmp_path, angina_docs):
     marked = load_corpus(write_corpus(tmp_path / "marked", {name: "\ufeff" + text for name, text in files.items()}))
     assert [doc.doc_id for doc in marked.docs] == [doc.doc_id for doc in plain.docs]
     for original, copy in zip(plain.docs, marked.docs):
-        assert copy.root == original.root
+        assert (copy.labels, copy.parents, copy.depths) == (original.labels, original.parents, original.depths)
         assert copy.metadata == dataclasses.replace(original.metadata, source_path=copy.metadata.source_path)
     by_name = {doc.doc_id: doc for doc in marked.docs}
     assert by_name["front.md"].metadata.title == "Angina guide"
-    assert shape(by_name["front.md"].root) == ("Angina guide", [("Symptoms", [])])
-    assert shape(by_name["top.md"].root) == ("Angina", [("Symptoms", [])])
+    assert shape(by_name["front.md"]) == ("Angina guide", [("Symptoms", [])])
+    assert shape(by_name["top.md"]) == ("Angina", [("Symptoms", [])])
 
 
 def test_load_corpus_rejects_missing_directory(tmp_path):
     with pytest.raises(CorpusReadError):
         load_corpus(tmp_path / "nope")
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"forged{mark}document: x.md" for mark in LINE_BREAKS] + [os.fsdecode(b"bad\xff.md")],
+)
+def test_load_corpus_refuses_a_file_name_that_is_not_one_line_of_utf8(tmp_path, name):
+    """A file name becomes the doc id, which the trace and the summary print
+    on one line, to a stdout that may encode strictly: a line break or an
+    undecodable byte in it stops the load, with the name escaped."""
+    corpus_dir = write_corpus(tmp_path / "c", {"a.md": "# A\n"})
+    (corpus_dir / name).write_text("no headers\n", encoding="utf-8")
+    with pytest.raises(CorpusNameError) as caught:
+        load_corpus(corpus_dir)
+    fault = "a line break" if name.startswith("forged") else "text that is not valid UTF-8"
+    assert str(caught.value) == f"the name of corpus file {brief_repr(name)} holds {fault}"
+    assert str(caught.value).isprintable()

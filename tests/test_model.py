@@ -4,19 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from topicsift import (
-    CorpusSet,
-    DocumentIndex,
-    DocumentMetadata,
-    DocumentTopicTree,
-    LexicalForms,
-    TopicNode,
-    build_composite,
-    normalize,
-)
+from topicsift import CompositeNode, CorpusSet, LexicalForms, build_composite, normalize
 from topicsift.model import walk, walk_depth
 
-from conftest import make_doc, make_node
+from conftest import make_doc
 from oracles import node_map
 
 
@@ -55,31 +46,38 @@ def test_lexical_forms_require_content():
 
 
 def test_lexical_forms_merge_keeps_first_spelling():
-    first = make_doc(("Symptoms", []))
-    doc = DocumentTopicTree("d", TopicNode(id=0, label=LexicalForms.of("Signs", "SYMPTOMS")), DocumentMetadata())
-    composite = build_composite(CorpusSet(docs=[first, doc], origin="mem"), 0.5)
+    docs = [make_doc(("Symptoms", [])), make_doc(("Signs", [])), make_doc(("SYMPTOMS", []))]
+    composite = build_composite(CorpusSet(docs=docs, origin="mem"), 0.5)
     assert composite.root.label.forms == ("Symptoms", "Signs")
 
 
+def _norm_tree(spec, counter):
+    """CompositeNodes from a nested spec, ids in pre-order."""
+    label, children = (spec, []) if isinstance(spec, str) else spec
+    node = CompositeNode(id=counter[0], label=LexicalForms.of(label), typicality=1.0, position=0.0, support=1)
+    counter[0] += 1
+    node.children.extend(_norm_tree(child, counter) for child in children)
+    return node
+
+
 def test_walk_is_preorder():
-    root = make_node(("r", [("a", ["a1", "a2"]), "b"]))
+    root = _norm_tree(("r", [("a", ["a1", "a2"]), "b"]), [0])
     assert [n.label.canonical for n in walk(root)] == ["r", "a", "a1", "a2", "b"]
+    assert [n.id for n in walk(root)] == [0, 1, 2, 3, 4]
     assert [d for _, d in walk_depth(root)] == [0, 1, 2, 2, 1]
 
 
-def test_node_ids_are_unique_preorder_indices():
-    root = make_node(("r", [("a", ["a1"]), "b"]))
-    assert [n.id for n in walk(root)] == [0, 1, 2, 3]
-    assert sorted(node_map(root)) == [0, 1, 2, 3]
+def test_node_ids_are_preorder_positions():
+    doc = make_doc(("r", [("a", ["a1"]), "b"]))
+    assert list(doc.nodes()) == [0, 1, 2, 3]
+    assert (doc.labels, doc.parents, doc.depths) == (["r", "a", "a1", "b"], [-1, 0, 1, 0], [0, 1, 2, 1])
 
 
 def test_node_map_rejects_duplicate_ids():
-    root = make_node(("r", ["a"]))
+    root = _norm_tree(("r", ["a"]), [0])
     root.children[0].id = 0
     with pytest.raises(ValueError):
         node_map(root)
-    with pytest.raises(ValueError):
-        DocumentIndex(root)
 
 
 def test_display_title_prefers_metadata_then_root():

@@ -20,7 +20,6 @@ from topicsift import (
 from topicsift.topic_typing import assign_types
 
 from conftest import make_doc
-from oracles import node_map
 
 
 def corpus_of(*docs):
@@ -28,7 +27,7 @@ def corpus_of(*docs):
 
 
 def by_label(doc):
-    return {n.label.canonical: n.id for n in doc.nodes()}
+    return {label: node_id for node_id, label in enumerate(doc.labels)}
 
 
 # --- query mapping -------------------------------------------------------------
@@ -85,12 +84,12 @@ def types_of(doc, query_node, composite=None, **params):
     the two-node one above."""
     composite = composite if composite is not None else _norm_with_typicalities()
     alignment = align_tree(doc, composite, 0.5)
-    return assign_types(doc, composite, alignment, "query", query_node, TypingParams(**params)).types
+    return dict(enumerate(assign_types(doc, composite, alignment, "query", query_node, TypingParams(**params)).types))
 
 
 def test_query_at_root_with_large_k_makes_everything_relevant():
     doc = make_doc(("Root", [("A", [("B", ["C"])]), "D"]))
-    types = types_of(doc, doc.root.id, k=10)
+    types = types_of(doc, 0, k=10)
     assert set(types.values()) <= RELEVANT
 
 
@@ -130,23 +129,23 @@ def test_k_must_be_positive():
 def test_high_typicality_relevant_node_is_typical():
     composite = _norm_with_typicalities()
     doc = make_doc(("Disease", ["Symptoms"]))
-    types = types_of(doc, doc.root.id, composite, k=2, alpha=0.5)
+    types = types_of(doc, 0, composite, k=2, alpha=0.5)
     assert types[by_label(doc)["Symptoms"]] is TopicType.TYPICAL
 
 
 def test_unmatched_relevant_node_is_rare():
     composite = _norm_with_typicalities()
     doc = make_doc(("Disease", ["Prognosis"]))
-    types = types_of(doc, doc.root.id, composite, k=2, alpha=0.5)
+    types = types_of(doc, 0, composite, k=2, alpha=0.5)
     assert types[by_label(doc)["Prognosis"]] is TopicType.RARE
 
 
 def test_alpha_one_makes_095_rare_and_alpha_zero_makes_all_relevant_typical():
     composite = _norm_with_typicalities()
     doc = make_doc(("Disease", ["Symptoms", "Prognosis"]))
-    strict = types_of(doc, doc.root.id, composite, k=2, alpha=1.0)
+    strict = types_of(doc, 0, composite, k=2, alpha=1.0)
     assert strict[by_label(doc)["Symptoms"]] is TopicType.RARE
-    lax = types_of(doc, doc.root.id, composite, k=2, alpha=0.0)
+    lax = types_of(doc, 0, composite, k=2, alpha=0.0)
     assert set(lax.values()) == {TopicType.TYPICAL}
 
 
@@ -155,15 +154,14 @@ def test_type_document_partition_and_no_match_behavior():
     doc = make_doc(("Gardening", ["Roses"]))
     typed, _ = type_document(doc, composite, "angina", TypingParams())
     assert typed.query_node is None
-    assert set(typed.types.values()) == {TopicType.IRRELEVANT}
-    assert set(typed.types) == set(node_map(doc.root))
+    assert typed.types == [TopicType.IRRELEVANT] * len(doc.labels)
 
 
 def test_every_node_gets_exactly_one_type():
     composite = _norm_with_typicalities()
     doc = make_doc(("Disease", [("Symptoms", ["Chest pain"]), "Prognosis"]))
     typed, _ = type_document(doc, composite, "disease", TypingParams())
-    assert set(typed.types) == set(node_map(doc.root))
+    assert len(typed.types) == len(doc.labels) == 4
 
 
 # --- monotonicity (spot checks; the 200-tree sweep lives in acceptance) ---------
@@ -186,7 +184,7 @@ def test_relevant_set_grows_with_k():
     pool = ["alpha", "beta", "gamma", "delta", "epsilon"]
     for _ in range(25):
         doc = make_doc(_random_doc_spec(rng, rng.randint(2, 9), pool))
-        query_node = rng.choice(doc.nodes()).id
+        query_node = rng.choice(doc.nodes())
         for k in (1, 2, 3):
             small = {i for i, t in types_of(doc, query_node, k=k).items() if t in RELEVANT}
             large = {i for i, t in types_of(doc, query_node, k=k + 1).items() if t in RELEVANT}
@@ -201,7 +199,7 @@ def test_typical_set_shrinks_with_alpha():
     probe = make_doc(_random_doc_spec(rng, 7, pool), doc_id="probe")
     previous = None
     for alpha in (0.0, 0.3, 0.6, 0.9, 1.0):
-        types = types_of(probe, probe.root.id, composite, k=3, alpha=alpha)
+        types = types_of(probe, 0, composite, k=3, alpha=alpha)
         typical = {i for i, t in types.items() if t is TopicType.TYPICAL}
         if previous is not None:
             assert typical <= previous
