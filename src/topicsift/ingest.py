@@ -169,7 +169,7 @@ def parse_document(text: str, doc_id: str, source_path: str = "") -> DocumentTop
         levels.append(level)
         open_ids.append(node_id)
 
-    return DocumentTopicTree(doc_id=doc_id, labels=labels, parents=parents, depths=depths, metadata=metadata)
+    return DocumentTopicTree._trusted(doc_id, labels, parents, depths, metadata)
 
 
 def load_corpus(directory: str | Path) -> CorpusSet:

@@ -16,12 +16,16 @@ Lexicon files reuse the composite file's meta format: versioned JSON.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .model import brief_repr
 
 SCHEMA_VERSION = "1"
+
+# a slot marker: an upper-case name in braces
+_SLOT = re.compile(r"\{([A-Z_]+)\}")
 
 # pattern-group keys, one per realized sentence kind
 OVERVIEW_LIST = "overview_list"
@@ -54,11 +58,21 @@ class LexiconGapError(KeyError):
 
 @dataclass(frozen=True)
 class Pattern:
-    """One sentence pattern; agree names the slot whose count controls verb number."""
+    """One sentence pattern; agree names the slot whose count controls verb number.
+
+    ``parts`` is the text split once at its slot markers: literal text at
+    even positions, slot names at odd ones, so the realizer fills a pattern
+    without scanning it. The pattern is frozen, so its parts always match
+    its text.
+    """
 
     id: str
     text: str
     agree: str = "members"
+    parts: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "parts", tuple(_SLOT.split(self.text)))
 
 
 @dataclass

@@ -209,6 +209,27 @@ class DocumentMetadata:
     source_path: str = ""
 
 
+def _preorder_fault(parents: list[int], depths: list[int], size: int) -> str | None:
+    """What keeps parallel parent and depth lists of size nodes from being
+    a pre-order tree, or None. ``path`` holds the ids from the root down to
+    the node before, so path[d - 1] is the nearest earlier node at depth
+    d - 1 whenever d is at most one past that node's depth."""
+    if not size or len(parents) != size or len(depths) != size:
+        return "labels, parents and depths need one equal, non-zero length"
+    if parents[0] != -1 or depths[0] != 0:
+        return "the root needs parent -1 and depth 0"
+    path = [0]
+    for node_id in range(1, size):
+        depth = depths[node_id]
+        if type(depth) is not int or not 1 <= depth <= len(path):
+            return f"node {node_id} has depth {depth!r}, not 1 to {len(path)}"
+        if type(parents[node_id]) is not int or parents[node_id] != path[depth - 1]:
+            return f"node {node_id} has parent {parents[node_id]!r}, not {path[depth - 1]}"
+        del path[depth:]
+        path.append(node_id)
+    return None
+
+
 @dataclass
 class DocumentTopicTree:
     """A single document's topic hierarchy plus its metadata, as parallel
@@ -221,6 +242,12 @@ class DocumentTopicTree:
     children's subtrees, so a subtree is a contiguous range of ids
     (``subtree``). Sibling ranks (``ranks``) and token sets
     (``token_sets``) are derived where a stage needs them, never stored.
+
+    Built by hand, the lists must hold to that order, or ValueError is
+    raised: one equal, non-zero length; a root with parent -1 at depth 0;
+    and each later node one level below its parent, at most one level below
+    the node before it, under the nearest earlier node one level up. The
+    parser builds its lists in that order and skips the check.
     """
 
     doc_id: str
@@ -228,6 +255,21 @@ class DocumentTopicTree:
     parents: list[int]
     depths: list[int]
     metadata: DocumentMetadata
+
+    def __post_init__(self) -> None:
+        fault = _preorder_fault(self.parents, self.depths, len(self.labels))
+        if fault is not None:
+            raise ValueError(f"document {brief_repr(self.doc_id)} is not in pre-order: {fault}")
+
+    @classmethod
+    def _trusted(
+        cls, doc_id: str, labels: list[str], parents: list[int], depths: list[int], metadata: DocumentMetadata
+    ) -> "DocumentTopicTree":
+        """A document over lists the caller built in pre-order, such as the
+        parser's; skips the order check."""
+        doc = object.__new__(cls)
+        doc.doc_id, doc.labels, doc.parents, doc.depths, doc.metadata = doc_id, labels, parents, depths, metadata
+        return doc
 
     def nodes(self) -> range:
         """The node ids, in pre-order."""

@@ -9,6 +9,13 @@ documents") when the planner made them contiguous, ordinal lists otherwise.
 
 All choices are drawn from a seeded PRNG, so (plan, lexicon, seed) maps to
 byte-identical text.
+
+A sentence is filled without scanning its pattern: each ``Pattern`` splits
+its text at the slot markers once, when it is made, and one loop over those
+parts binds the slots. ``realize_plan`` builds the verb table (slot name to
+verb forms) once for all its sentences, and the final-period rule is
+checked on the sentence's last three characters only, the one place it can
+match.
 """
 from __future__ import annotations
 
@@ -26,11 +33,10 @@ from .lexicon import (
     LexiconGapError,
 )
 from .model import DocumentCategory
-from .planner import CategoryPlan, HasFeature, HasTopics, SetElements, SummaryPlan
+from .planner import CategoryPlan, HasFeature, HasTopics, SummaryPlan
 
 NO_MATCH_NOTICE = "No documents matched the query."
 
-_SLOT = re.compile(r"\{([A-Z_]+)\}")
 _FINAL_PERIOD = re.compile(r"([.?!])\.$")
 
 _NUMBER_WORDS = (
@@ -248,6 +254,19 @@ def lexicalize(plan: SentencePlan, lexicon: Lexicon, rng_seed: int) -> str:
     Raises LexiconGapError, naming the missing entry, when the lexicon does
     not cover the plan's relation or category, or a slot stays unbound.
     """
+    return _lexicalize(plan, lexicon, rng_seed, _verb_table(lexicon))
+
+
+def _verb_table(lexicon: Lexicon) -> dict[str, tuple[str, str]]:
+    """Verb slot name -> (singular, plural) forms. A verb slot is a lemma's
+    upper-cased self and wins over a content slot of that name; of the
+    lemmas sharing an upper case, the last wins."""
+    return {lemma.upper(): forms for lemma, forms in lexicon.morphology.items()}
+
+
+def _lexicalize(plan: SentencePlan, lexicon: Lexicon, rng_seed: int, verbs: dict[str, tuple[str, str]]) -> str:
+    """lexicalize over a verb table the caller built from the lexicon's
+    morphology, once for all the sentences it realizes."""
     rng = random.Random(rng_seed)
     patterns = lexicon.patterns.get(plan.relation)
     if not patterns:
@@ -275,33 +294,33 @@ def lexicalize(plan: SentencePlan, lexicon: Lexicon, rng_seed: int) -> str:
         phrase = phrase.replace("{QUERY}", slots.get("QUERY", ""))
         description = phrase.replace("{EXTRACT_REF}", "the extract above")
 
-    # a verb slot is a lemma's upper-cased self and wins over a content slot
-    # of that name; of the lemmas sharing an upper case, the last wins.
-    # Only the slots the pattern names are looked up
-    verbs = {lemma.upper(): lemma for lemma in lexicon.morphology}
+    # literal text at even positions, slot names at odd ones
+    pieces = list(pattern.parts)
     plural = plan.counts.get(pattern.agree, 1) != 1
     missing: list[str] = []
-
-    def fill(match: re.Match) -> str:
-        name = match.group(1)
-        lemma = verbs.get(name)
-        if lemma is not None:
-            return lexicon.verb(lemma, plural)
-        if name == "DESCRIPTION" and description is not None:
-            return description
-        if name not in slots:
+    for position in range(1, len(pieces), 2):
+        name = pieces[position]
+        forms = verbs.get(name)
+        if forms is not None:
+            pieces[position] = forms[plural]
+        elif name == "DESCRIPTION" and description is not None:
+            pieces[position] = description
+        elif name in slots:
+            pieces[position] = slots[name]
+        else:
             missing.append(name)
-            return match.group(0)
-        return slots[name]
-
-    text = _SLOT.sub(fill, pattern.text)
     if missing:
         raise LexiconGapError(
             f"lexicon gap: pattern {pattern.id!r} leaves slots unbound: {', '.join(sorted(set(missing)))}"
         )
+    text = "".join(pieces)
     # slot values may end in their own punctuation ("what are the risks?");
-    # drop the pattern's final period rather than stacking marks
-    text = _FINAL_PERIOD.sub(r"\1", text)
+    # drop the pattern's final period rather than stacking marks. The rule
+    # can only match on the last three characters: "$" matches at the end
+    # or before a final "\n"
+    final = _FINAL_PERIOD.search(text, max(len(text) - 3, 0))
+    if final is not None:
+        text = text[:final.end(1)] + text[final.end():]
     return text[:1].upper() + text[1:]
 
 
@@ -329,6 +348,7 @@ def realize_plan(
 ) -> list[RealizedCategory]:
     """Realize every category of the plan, keeping the sentence plans around."""
     master = random.Random(seed)
+    verbs = _verb_table(lexicon)
     titles = titles or {}
     realized: list[RealizedCategory] = []
     for category_plan in plan.categories:
@@ -339,7 +359,7 @@ def realize_plan(
             limit=limit,
             extract_available=extract_exists,
         )
-        texts = [lexicalize(sp, lexicon, master.randrange(2**32)) for sp in sentence_plans]
+        texts = [_lexicalize(sp, lexicon, master.randrange(2**32), verbs) for sp in sentence_plans]
         realized.append(RealizedCategory(plan=category_plan, sentences=sentence_plans, texts=texts))
     return realized
 

@@ -54,7 +54,7 @@ class TypedTree:
 
     def relevant_count(self) -> int:
         """Topics in the relevant region (typical + rare)."""
-        return sum(1 for t in self.types if t is _TYPICAL or t is _RARE)
+        return self.types.count(_TYPICAL) + self.types.count(_RARE)
 
 
 def map_query(
@@ -70,6 +70,11 @@ def map_query(
     shallower node, then to the earlier node in pre-order. A document is
     scanned through token_sets, one entry per node (derived here when not
     given); a composite through its index's cached token sets.
+
+    Over a document only the root and the headers that share a token with
+    the query are scored. Any other header scores 0, which never displaces
+    the root: the root scores at least 0 and is the only node at depth 0,
+    so the result is the full scan's at every tau.
     """
     if not query or not query.strip():
         raise ValueError("query must be non-empty")
@@ -80,7 +85,15 @@ def map_query(
     else:
         if token_sets is None:
             token_sets = tree.token_sets({})
-        scored = zip(tree.nodes(), tree.depths, token_sets)
+        # a query has at most one token set, and a header at most one
+        disjoint = (query_sets[0] if query_sets else frozenset()).isdisjoint
+        depths = tree.depths
+        scored = [(0, 0, token_sets[0])]
+        scored += [
+            (node_id, depths[node_id], node_sets)
+            for node_id, node_sets in enumerate(token_sets[1:], 1)
+            if node_sets and not disjoint(node_sets[0])
+        ]
     # pre-order: a later node wins only by a higher score or a shallower tie
     best_id, best_similarity, best_depth = None, -1.0, 0
     for node_id, depth, node_sets in scored:

@@ -8,7 +8,7 @@ full-walk norm build below play the same part for the indexed norm, and the
 full-walk typing chain and the per-line header scan for typing over the
 flat lists and the parser, the walk_depth renderer for the one-pass trace, and
 the one-type-at-a-time counts and the bind-every-lemma realizer for the
-one-pass distribution and lexicalize.
+one-pass distribution, lexicalize and realize_plan.
 The oracles read a document as nested nodes, which ``nested`` rebuilds from
 its parent list alone; the plain tree walks over them (node_map,
 parent_map, sibling_rank_map) are the references for the document's flat
@@ -34,7 +34,7 @@ from topicsift.model import (
     walk_depth,
 )
 from topicsift.planner import HasFeature, HasTopics, SetElements
-from topicsift.realizer import NO_MATCH_NOTICE
+from topicsift.realizer import NO_MATCH_NOTICE, build_sentence_plans
 
 
 @dataclass
@@ -505,3 +505,18 @@ def oracle_lexicalize(plan, lexicon, rng_seed: int) -> str:
     text = re.sub(r"\{([A-Z_]+)\}", lambda match: bindings[match.group(1)], pattern.text)
     text = re.sub(r"([.?!])\.$", r"\1", text)
     return text[:1].upper() + text[1:]
+
+
+def oracle_realize_texts(plan, lexicon, seed: int, *, titles=None, limit: int = 5, extract_exists: bool = False) -> list[list[str]]:
+    """realize_plan's sentence texts, category by category, each sentence
+    lexicalized by oracle_lexicalize from the seed realize_plan draws for it."""
+    master = random.Random(seed)
+    return [
+        [
+            oracle_lexicalize(sentence, lexicon, master.randrange(2**32))
+            for sentence in build_sentence_plans(
+                category_plan, query=plan.query, titles=titles or {}, limit=limit, extract_available=extract_exists
+            )
+        ]
+        for category_plan in plan.categories
+    ]

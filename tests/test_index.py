@@ -211,13 +211,28 @@ def test_index_stays_current_across_merges(docs, more, threshold, probe):
     assert (alignment.pairs, alignment.unmatched) == oracle_align_tree(probe, composite, threshold)
 
 
-@settings(max_examples=80, deadline=None)
-@given(corpora, surface, st.sampled_from((0.0, 0.3, 0.5)))
+# headers of punctuation only normalize to "" and have no token set
+punctuation_only = st.sampled_from(["??", "...", "!", "-:"])
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(st.one_of(documents(), documents(node_labels=punctuation_only | surface)), min_size=1, max_size=5),
+    surface | st.sampled_from(["???", "gardening", "gardening tips", "signs of angina"]),
+    st.sampled_from((0.0, 0.3, 0.5, 1.0)),
+)
 def test_map_query_matches_full_scan(docs, query, tau):
+    """Over a document only the root and the headers sharing a token with
+    the query are scored; that picks what a full scan picks, also for a
+    query sharing no token with any header, one that normalizes to ""
+    ("???"), and punctuation-only headers."""
     composite = _fold(docs, 0.5)
     assert map_query(query, composite, tau) == oracle_map_query(query, composite, tau)
+    memo = {}
     for doc in docs:
-        assert map_query(query, doc, tau) == oracle_map_query(query, doc, tau)
+        expected = oracle_map_query(query, doc, tau)
+        assert map_query(query, doc, tau) == expected
+        assert map_query(query, doc, tau, token_sets=doc.token_sets(memo)) == expected
 
 
 @settings(max_examples=50, deadline=None)
@@ -732,13 +747,15 @@ def test_type_document_matches_the_full_walk_chain(docs, probe, query, k, alpha,
     st.data(),
 )
 def test_distribution_matches_counting_each_type_alone(docs, probe, query, k, alpha, data):
-    """Any types over any document, typical nodes with and without a match,
-    against a norm where the query matches or ("gardening") offers no
-    possible typical topic."""
+    """Any types over any document, none of them typical or all of them,
+    typical nodes with and without a match, against a norm where the query
+    matches or ("gardening") offers no possible typical topic; the relevant
+    count against a per-node count."""
     composite = _fold(docs, 0.5)
     params = TypingParams(k=k, alpha=alpha)
     ids = list(probe.nodes())
-    types = data.draw(st.lists(st.sampled_from(TopicType), min_size=len(ids), max_size=len(ids)))
+    choice = data.draw(st.sampled_from([TopicType, [TopicType.TYPICAL], [t for t in TopicType if t is not TopicType.TYPICAL]]))
+    types = data.draw(st.lists(st.sampled_from(choice), min_size=len(ids), max_size=len(ids)))
     pairs = data.draw(st.dictionaries(st.sampled_from(ids), st.sampled_from(sorted(composite.index().nodes))))
     typed = TypedTree(doc=probe, query=query, query_node=None, types=types)
     d = distribution(typed, composite, Alignment(pairs=pairs, unmatched=set(ids) - set(pairs)), params)
@@ -746,6 +763,7 @@ def test_distribution_matches_counting_each_type_alone(docs, probe, query, k, al
     assert (d.typical, d.rare, d.intricate, d.irrelevant, d.total, d.covered_typical, d.possible_typical) == (
         oracle_distribution_counts(types, pairs, possible)
     )
+    assert typed.relevant_count() == sum(1 for t in types if t.value in ("typical", "rare"))
 
 
 LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")

@@ -4,7 +4,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from topicsift import CompositeNode, CorpusSet, LexicalForms, build_composite, normalize
+from topicsift import (
+    CompositeNode,
+    CorpusSet,
+    DocumentMetadata,
+    DocumentTopicTree,
+    LexicalForms,
+    build_composite,
+    normalize,
+    parse_document,
+)
 from topicsift.model import walk, walk_depth
 
 from conftest import make_doc
@@ -86,3 +95,34 @@ def test_display_title_prefers_metadata_then_root():
     doc = make_doc(("Root label", []), doc_id="x.md")
     assert doc.display_title() == "Root label"
 
+
+
+@pytest.mark.parametrize(
+    "labels, parents, depths",
+    [
+        # node 1's parent comes after it, two levels below the root
+        (["A", "B", "C"], [-1, 2, 0], [0, 2, 1]),
+        # the lists differ in length
+        (["A", "B"], [-1, 0, 0], [0, 1, 1]),
+        # the root has a parent
+        (["A", "B"], [0, 0], [0, 1]),
+        # node 3 is filed under node 1, not under node 2, the nearest
+        # earlier node one level up
+        (["A", "B", "C", "D"], [-1, 0, 0, 1], [0, 1, 1, 2]),
+        # no nodes at all
+        ([], [], []),
+    ],
+)
+def test_hand_built_documents_out_of_pre_order_are_refused(labels, parents, depths):
+    with pytest.raises(ValueError, match="not in pre-order") as raised:
+        DocumentTopicTree("doc", labels, parents, depths, DocumentMetadata())
+    assert "\n" not in str(raised.value)
+
+
+def test_parsed_documents_pass_the_pre_order_check():
+    """The parser builds through a constructor that skips the check; its
+    lists pass it all the same."""
+    doc = parse_document("# A\n## B\n#### C\n### D\n# E\n## F\n", "doc")
+    rebuilt = DocumentTopicTree(doc.doc_id, doc.labels, doc.parents, doc.depths, doc.metadata)
+    assert rebuilt == doc
+    assert doc.parents == [-1, 0, 1, 1, 0, 4]

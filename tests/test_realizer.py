@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 import re
 
 import pytest
@@ -25,7 +26,15 @@ from topicsift import (
     refer_to_set,
     save_lexicon,
 )
-from topicsift.lexicon import CONTENT_SLOTS, OVERVIEW_EXEMPLAR, SAMPLE_TOPICS, Lexicon, Pattern
+from topicsift.lexicon import (
+    CONTENT_SLOTS,
+    OVERVIEW_EXEMPLAR,
+    OVERVIEW_LIST,
+    SAMPLE_TOPICS,
+    SHARED_FEATURES,
+    Lexicon,
+    Pattern,
+)
 from topicsift.realizer import (
     NO_MATCH_NOTICE,
     Enumeration,
@@ -38,7 +47,7 @@ from topicsift.realizer import (
     render_subset,
 )
 
-from oracles import oracle_lexicalize
+from oracles import oracle_lexicalize, oracle_realize_texts
 
 # seed 1 draws (pattern 0, description 0) from two-way choices; see the
 # determinism tests below for why pinning a seed is sound
@@ -339,6 +348,126 @@ def test_upper_case_lemma_collisions_resolve_to_the_last_lemma():
     lexicon.patterns[SAMPLE_TOPICS] = [Pattern(id="p", text="{TOPICS} {BE} {SS} {DESCRIPTION}.", agree="topics")]
     plan = SentencePlan(relation=SAMPLE_TOPICS, category=DocumentCategory.DEEP, slots={"TOPICS": "t"}, counts={"topics": 2})
     assert lexicalize(plan, lexicon, 0) == oracle_lexicalize(plan, lexicon, 0) == "T ARE sharps D2."
+
+
+# endings the final-period rule must treat as a whole string "sub" does: it
+# drops a period after ".", "?" or "!" at the very end or before a final "\n"
+ENDINGS = ("", ".", "?.", "!.", "..", ".\n", "?.\n")
+ended = st.tuples(st.sampled_from(["x", "two words", "{QUERY} on"]), st.sampled_from(ENDINGS)).map("".join)
+# the slots each relation binds, plus the description, verbs, a content slot
+# a lemma may take over ({TOPICS}, {QUERY}) and one that only "ß" or "ss" binds
+RELATION_SLOTS = {
+    "overview_list": ["{MEMBERS}"],
+    "overview_exemplar": ["{COUNT}", "{EXEMPLAR}"],
+    "sample_topics": ["{TOPICS}"],
+    "shared_features": ["{SUBSET}", "{FEATURES}"],
+}
+SHARED_PIECES = ["{DESCRIPTION}", "{QUERY}", "{BE}", "{SS}", "{HAVE}", "{TOPICS}", " and ", " "]
+
+
+@st.composite
+def punctuated_lexicons(draw):
+    """Lexicons whose patterns, descriptions and verb forms end in every
+    mark the final-period rule looks at, with lemmas that collide in upper
+    case ("Be"/"be", "ß"/"ss") or with a content slot ("topics", "query")."""
+    extra = draw(st.lists(st.sampled_from(["Be", "ß", "ss", "topics", "query"]), unique=True))
+    lemmas = draw(st.permutations(["be", "have", *extra]))
+    morphology = {
+        lemma: (f"{lemma}-one{draw(st.sampled_from(ENDINGS))}", f"{lemma}-many{draw(st.sampled_from(ENDINGS))}")
+        for lemma in lemmas
+    }
+    patterns = {}
+    for relation, slots in RELATION_SLOTS.items():
+        pieces = st.sampled_from(slots + SHARED_PIECES)
+        patterns[relation] = [
+            Pattern(
+                id=f"{relation}-{index}",
+                text="".join(draw(st.lists(pieces, min_size=1, max_size=5))) + draw(st.sampled_from(ENDINGS)),
+                agree=draw(st.sampled_from(["members", "topics", "subset", "description"])),
+            )
+            for index in range(draw(st.integers(1, 3)))
+        ]
+    descriptions = {
+        category.value: [draw(ended)] + draw(st.lists(ended.map(lambda p: p + " {EXTRACT_REF}"), max_size=2))
+        for category in DocumentCategory
+    }
+    return Lexicon(descriptions=descriptions, patterns=patterns, morphology=morphology)
+
+
+@st.composite
+def punctuated_summary_plans(draw):
+    """A summary plan of one to three categories whose query, titles, topics
+    and feature values end in every mark the final-period rule looks at;
+    returns the plan and its titles."""
+    value = st.tuples(st.sampled_from(["a", "b c"]), st.sampled_from(ENDINGS)).map("".join)
+    categories = draw(st.lists(st.sampled_from(list(DocumentCategory)), min_size=1, max_size=3, unique=True))
+    titles = {}
+    plans = []
+    for category in categories:
+        members = tuple(f"{category.value}-{index}" for index in range(draw(st.integers(1, 7))))
+        titles.update({member: draw(value) for member in members})
+        messages = [Description(category=category), SetElements(category=category, members=members)]
+        if draw(st.booleans()):
+            messages.append(HasTopics(category=category, topics=tuple(draw(st.lists(value, min_size=1, max_size=3)))))
+        if draw(st.booleans()):
+            subset = tuple(member for member in members if draw(st.booleans())) or members[:1]
+            values = tuple(draw(st.lists(value, min_size=1, max_size=2)))
+            messages.append(HasFeature(category=category, kind="content_types", values=values, members=subset))
+        plans.append(CategoryPlan(category=category, messages=messages))
+    return SummaryPlan(categories=plans, query=draw(value)), titles
+
+
+def _check_against_oracle(summary_plan, lexicon, seed, titles, extract_exists):
+    """realize_plan, and lexicalize on each of its sentence plans, give the
+    oracle's texts, or raise the oracle's lexicon gap."""
+    try:
+        expected = oracle_realize_texts(summary_plan, lexicon, seed, titles=titles, extract_exists=extract_exists)
+    except LexiconGapError as exc:
+        with pytest.raises(LexiconGapError) as raised:
+            realize_plan(summary_plan, lexicon, seed, titles=titles, extract_exists=extract_exists)
+        assert str(raised.value) == str(exc)
+        return
+    realized = realize_plan(summary_plan, lexicon, seed, titles=titles, extract_exists=extract_exists)
+    assert [item.texts for item in realized] == expected
+    master = random.Random(seed)
+    for item, texts in zip(realized, expected):
+        assert [lexicalize(sentence, lexicon, master.randrange(2**32)) for sentence in item.sentences] == texts
+
+
+@settings(max_examples=200, deadline=None)
+@given(punctuated_lexicons(), punctuated_summary_plans(), st.integers(0, 2**32 - 1), st.booleans())
+def test_realize_plan_and_lexicalize_match_the_oracle_on_final_marks_and_lemma_collisions(lexicon, drawn, seed, extract):
+    summary_plan, titles = drawn
+    _check_against_oracle(summary_plan, lexicon, seed, titles, extract)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_realize_plan_follows_a_lexicon_edited_between_calls(seed):
+    """Patterns keep their split parts, but the lexicon is read afresh on
+    every call: edits to its patterns, descriptions and morphology all show
+    in the next realize_plan."""
+    category = DocumentCategory.ATYPICAL
+    plan = _atypical_plan()
+    plan.messages.append(HasFeature(category=category, kind="content_types", values=("tables.",), members=("cu",)))
+    summary_plan = SummaryPlan(categories=[plan], query="what are the risks?")
+    titles = {"ama": "The AMA guide", "cu": "CU Guide."}
+    lexicon = default_lexicon()
+    edits = [
+        lambda: lexicon.patterns[OVERVIEW_LIST].append(Pattern(id="new", text="{MEMBERS} {HAVE} {DESCRIPTION}.")),
+        lambda: lexicon.patterns[OVERVIEW_LIST].__setitem__(0, Pattern(id="swap", text="Only {DESCRIPTION}.")),
+        lambda: lexicon.patterns.__setitem__(SAMPLE_TOPICS, [Pattern(id="t", text="{TOPICS} {BE} here.", agree="topics")]),
+        lambda: lexicon.descriptions["atypical"].__setitem__(0, "odd material on {QUERY}"),
+        lambda: lexicon.descriptions.__setitem__("atypical", ["only this?"]),
+        lambda: lexicon.morphology.__setitem__("be", ("IS", "ARE")),
+        lambda: lexicon.morphology.__setitem__("Be", ("Is.", "Are.")),
+        lambda: lexicon.morphology.__setitem__("ß", ("sharp", "sharps")),
+        lambda: lexicon.patterns[SHARED_FEATURES].__setitem__(0, Pattern(id="f", text="{SUBSET} {SS} {FEATURES}.", agree="subset")),
+        lambda: lexicon.morphology.pop("have"),
+    ]
+    _check_against_oracle(summary_plan, lexicon, seed, titles, False)
+    for edit in edits:
+        edit()
+        _check_against_oracle(summary_plan, lexicon, seed, titles, False)
 
 
 # --- summary assembly ----------------------------------------------------------------
