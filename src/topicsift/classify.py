@@ -33,7 +33,6 @@ class TypeDistribution:
     rare: int
     intricate: int
     irrelevant: int
-    total: int
     covered_typical: int
     possible_typical: int
 
@@ -41,12 +40,15 @@ class TypeDistribution:
         counts = (self.typical, self.rare, self.intricate, self.irrelevant)
         if any(c < 0 for c in counts) or self.covered_typical < 0 or self.possible_typical < 0:
             raise ValueError("distribution counts must be non-negative")
-        if sum(counts) != self.total:
-            raise ValueError("type counts must sum to total")
         if self.total < 1:
             raise ValueError("total must be positive")
         if self.covered_typical > self.possible_typical:
             raise ValueError("covered_typical cannot exceed possible_typical")
+
+    @property
+    def total(self) -> int:
+        """The number of typed topics: the four type counts summed."""
+        return self.typical + self.rare + self.intricate + self.irrelevant
 
     @property
     def coverage(self) -> float:
@@ -105,13 +107,11 @@ def distribution(
             rare += 1
         elif topic_type is _INTRICATE:
             intricate += 1
-    total = len(typed.types)
     return TypeDistribution(
         typical=typical,
         rare=rare,
         intricate=intricate,
-        irrelevant=total - typical - rare - intricate,
-        total=total,
+        irrelevant=len(typed.types) - typical - rare - intricate,
         covered_typical=len(covered & possible),
         possible_typical=len(possible),
     )
@@ -119,10 +119,11 @@ def distribution(
 
 def classify(dist: TypeDistribution) -> DocumentCategory:
     """Apply the category rules in order; anything that matches none is generic."""
-    typical = dist.typical / dist.total
-    rare = dist.rare / dist.total
-    intricate = dist.intricate / dist.total
-    irrelevant = dist.irrelevant / dist.total
+    total = dist.total
+    typical = dist.typical / total
+    rare = dist.rare / total
+    intricate = dist.intricate / total
+    irrelevant = dist.irrelevant / total
     coverage = dist.coverage
     if typical > 0.5 and coverage > 0.5:
         return DocumentCategory.PROTOTYPICAL

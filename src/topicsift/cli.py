@@ -3,9 +3,10 @@
 Two subcommands: ``build`` compiles a composite topic tree (the norm) from a
 reference corpus; ``summarize`` characterizes a document set against a norm
 for a query, emitting either the prose summary or a line-oriented trace of
-every intermediate stage. The command only checks flags, loads its inputs,
-maps errors to exit codes and prints: the pipeline and the trace renderer
-are ``pipeline.summarize`` and ``pipeline.render_trace``. All output is
+every intermediate stage. A command only checks flags, loads its inputs
+and prints, and ``main`` maps each error a command stops on to its exit code
+through one table. The pipeline and the trace renderer are
+``pipeline.summarize`` and ``pipeline.render_trace``. All output is
 deterministic for fixed inputs and seed; warnings go to stderr.
 """
 from __future__ import annotations
@@ -19,15 +20,21 @@ from pathlib import Path
 
 from .composite import CompositeSchemaError, EmptyCorpusError, build_composite, load_composite, save_composite
 from .ingest import CorpusNameError, CorpusReadError, load_corpus
-from .lexicon import Lexicon, LexiconError, LexiconGapError, default_lexicon, load_lexicon
-from .model import TypingParams, brief_repr, line_fault
+from .lexicon import LexiconError, LexiconGapError, default_lexicon, load_lexicon
+from .model import TypingParams, check_line
 from .pipeline import render_trace, summarize
 from .realizer import summary_lines
 
-EXIT_OK = 0
-EXIT_ERROR = 1
-EXIT_BAD_INPUT = 2
-EXIT_LEXICON_GAP = 3
+
+class _FlagError(ValueError):
+    """A flag value the command refuses."""
+
+
+class _WriteError(Exception):
+    """The composite file cannot be written."""
+
+    def __init__(self, path: str, reason: str) -> None:
+        super().__init__(f"cannot write composite file {path}: {reason}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -61,22 +68,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _check_align_threshold(args: argparse.Namespace) -> None:
     if not 0.0 <= args.align_threshold <= 1.0:
-        raise ValueError("align-threshold must be in [0, 1]")
+        raise _FlagError("align-threshold must be in [0, 1]")
 
 
 def _summarize_params(args: argparse.Namespace) -> TypingParams:
-    """Validate every summarize parameter; raises ValueError naming the first
-    bad one."""
+    """Validate every summarize parameter; raises _FlagError naming the
+    first bad one."""
     if not args.query.strip():
-        raise ValueError("query must be non-empty")
+        raise _FlagError("query must be non-empty")
     # the trace prints the query on one line, to a stdout that may encode strictly
-    fault = line_fault(args.query)
-    if fault is not None:
-        raise ValueError(f"query {brief_repr(args.query)} holds {fault}")
+    check_line(args.query, "query", _FlagError)
     _check_align_threshold(args)
     if args.limit < 1:
-        raise ValueError("limit must be >= 1")
-    return TypingParams(k=args.k, alpha=args.alpha, tau=args.tau)
+        raise _FlagError("limit must be >= 1")
+    try:
+        return TypingParams(k=args.k, alpha=args.alpha, tau=args.tau)
+    except ValueError as exc:
+        raise _FlagError(str(exc)) from None
 
 
 def _unwritable_reason(path: Path) -> str | None:
@@ -97,104 +105,68 @@ def _unwritable_reason(path: Path) -> str | None:
     return None
 
 
-def _write_error(path: str, reason: str) -> int:
-    print(f"error: cannot write composite file {path}: {reason}", file=sys.stderr)
-    return EXIT_ERROR
-
-
-def cmd_build(args: argparse.Namespace, out=None) -> int:
-    out = out if out is not None else sys.stdout
-    try:
-        _check_align_threshold(args)
-        # the "wrote OUT" line prints the path, to a stdout that may encode strictly
-        fault = line_fault(args.out)
-        if fault is not None:
-            raise ValueError(f"composite path {brief_repr(args.out)} holds {fault}")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+def cmd_build(args: argparse.Namespace) -> int:
+    _check_align_threshold(args)
+    # the "wrote OUT" line prints the path, to a stdout that may encode strictly
+    check_line(args.out, "composite path", _FlagError)
     # fail before the corpus is loaded and folded, not after
     reason = _unwritable_reason(Path(args.out))
     if reason is not None:
-        return _write_error(args.out, reason)
-    try:
-        corpus = load_corpus(args.corpus)
-    except CorpusReadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except CorpusNameError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        composite = build_composite(corpus, args.align_threshold, domain_genre=args.domain_genre)
-    except (EmptyCorpusError, CompositeSchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise _WriteError(args.out, reason)
+    corpus = load_corpus(args.corpus)
+    composite = build_composite(corpus, args.align_threshold, domain_genre=args.domain_genre)
     try:
         save_composite(composite, args.out)
     except OSError as exc:
-        return _write_error(args.out, exc.strerror or str(exc))
-    print(f"wrote {args.out} (documents={composite.doc_count}, topics={len(composite.nodes())})", file=out)
-    return EXIT_OK
+        raise _WriteError(args.out, exc.strerror or str(exc)) from exc
+    print(f"wrote {args.out} (documents={composite.doc_count}, topics={len(composite.nodes())})")
+    return 0
 
 
-def cmd_summarize(args: argparse.Namespace, out=None) -> int:
-    out = out if out is not None else sys.stdout
-    try:
-        params = _summarize_params(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        composite = load_composite(args.composite)
-    except CompositeSchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    if args.lexicon is None:
-        lexicon: Lexicon = default_lexicon()
-    else:
-        try:
-            lexicon = load_lexicon(args.lexicon)
-        except LexiconError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
-    try:
-        corpus = load_corpus(args.docs)
-    except CorpusReadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except CorpusNameError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-
-    try:
-        summary = summarize(
-            corpus.docs, composite, args.query, params, lexicon, seed=args.seed, limit=args.limit,
-            align_threshold=args.align_threshold, extract_exists=args.assume_extract,
-        )
-    except LexiconGapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LEXICON_GAP
-
+def cmd_summarize(args: argparse.Namespace) -> int:
+    params = _summarize_params(args)
+    composite = load_composite(args.composite)
+    lexicon = default_lexicon() if args.lexicon is None else load_lexicon(args.lexicon)
+    corpus = load_corpus(args.docs)
+    summary = summarize(
+        corpus.docs, composite, args.query, params, lexicon, seed=args.seed, limit=args.limit,
+        align_threshold=args.align_threshold, extract_exists=args.assume_extract,
+    )
     # write, not print, per line: the trace runs to thousands of lines, and
     # joining them into one string first would double its memory
     lines = render_trace(summary) if args.format == "trace" else summary_lines(summary.realized)
-    write = out.write
+    write = sys.stdout.write
     for line in lines:
         write(line)
         write("\n")
-    return EXIT_OK
+    return 0
+
+
+# the exit code of each error a command stops on (README "Exit codes"). Any
+# other exception is a program fault and keeps its traceback, so the table
+# names exact classes, never a bare ValueError or OSError.
+_EXIT_CODES: dict[type[Exception], int] = {
+    _FlagError: 2,
+    CorpusNameError: 2,
+    CompositeSchemaError: 2,
+    EmptyCorpusError: 2,
+    LexiconError: 2,
+    CorpusReadError: 1,
+    _WriteError: 1,
+    LexiconGapError: 3,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="warning: %(message)s", force=True)
     args = _build_parser().parse_args(argv)
-    if [] in vars(args).values():  # the argparse of Python 3.11 parses "--k=--" to []
-        print("error: '--' is not a flag value", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    if args.command == "build":
-        return cmd_build(args)
-    return cmd_summarize(args)
+    try:
+        if [] in vars(args).values():  # the argparse of Python 3.11 parses "--k=--" to []
+            raise _FlagError("'--' is not a flag value")
+        return cmd_build(args) if args.command == "build" else cmd_summarize(args)
+    except tuple(_EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_CODES[type(exc)]
 
 
 if __name__ == "__main__":

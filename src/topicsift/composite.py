@@ -89,7 +89,8 @@ from .model import (
     LexicalForms,
     best_jaccard,
     brief_repr,
-    line_fault,
+    check_line,
+    read_json,
     walk,
 )
 
@@ -119,14 +120,6 @@ class Alignment:
 def _check_threshold(threshold: float) -> None:
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must be in [0, 1]")
-
-
-def _check_domain_genre(domain_genre: str) -> None:
-    """A norm's domain genre is one line of UTF-8 text: the trace prints it
-    on one line and the norm file stores it as UTF-8."""
-    fault = line_fault(domain_genre)
-    if fault is not None:
-        raise CompositeSchemaError(f"the norm for domain genre {brief_repr(domain_genre)} holds {fault}")
 
 
 _UNSEEN = object()
@@ -310,7 +303,8 @@ def build_composite(corpus: CorpusSet, threshold: float, domain_genre: str | Non
         raise EmptyCorpusError("cannot build norm from empty corpus")
     if domain_genre is None:
         domain_genre = Path(corpus.origin).name or "corpus"
-    _check_domain_genre(domain_genre)
+    # the trace prints the domain genre on one line and the norm file stores it as UTF-8
+    check_line(domain_genre, "the norm for domain genre", CompositeSchemaError)
     first = corpus.docs[0]
     root = CompositeNode(id=0, label=LexicalForms._trusted((first.labels[0],)), typicality=0.0, position=0.0, support=0)
     composite = CompositeTopicTree(root=root, domain_genre=domain_genre, doc_count=0)
@@ -421,24 +415,14 @@ def load_composite(path: str | Path) -> CompositeTopicTree:
     """Load and validate a composite file (UTF-8, a leading byte-order mark
     dropped); typicality is re-derived and sibling lists are sorted by
     position."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))
-    except FileNotFoundError:
-        raise CompositeSchemaError(f"composite file not found: {path}") from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CompositeSchemaError(f"cannot read composite file {path}: {exc}") from exc
-    except ValueError as exc:
-        # a JSONDecodeError, or an integer too long to convert
-        raise CompositeSchemaError(f"composite file {path} is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise CompositeSchemaError(f"composite file {path} is nested too deeply") from exc
+    payload = read_json(path, "composite", CompositeSchemaError)
     _require(isinstance(payload, dict), "composite file must hold an object")
     _require(payload.get("version") == SCHEMA_VERSION, f"unsupported composite schema version {brief_repr(payload.get('version'))}")
     doc_count = payload.get("doc_count")
     _require(isinstance(doc_count, int) and not isinstance(doc_count, bool) and doc_count >= 1, "doc_count must be a positive integer")
     domain_genre = payload.get("domain_genre")
     _require(isinstance(domain_genre, str), "domain_genre must be a string")
-    _check_domain_genre(domain_genre)
+    check_line(domain_genre, "the norm for domain genre", CompositeSchemaError)
     try:
         root = _parse_node(payload.get("root"), doc_count, set())
     except RecursionError as exc:

@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .model import LINE_BREAKS, DocumentMetadata, DocumentTopicTree, brief_repr, line_fault, normalize
+from .model import LINE_BREAKS, DocumentMetadata, DocumentTopicTree, check_line, normalize
 
 log = logging.getLogger(__name__)
 
@@ -196,9 +196,7 @@ def load_corpus(directory: str | Path) -> CorpusSet:
             # is_file raises when the directory lets names be listed but not looked up
             if not path.is_file():
                 continue
-            fault = line_fault(path.name)
-            if fault is not None:
-                raise CorpusNameError(f"the name of corpus file {brief_repr(path.name)} holds {fault}")
+            check_line(path.name, "the name of corpus file", CorpusNameError)
             text = path.read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise CorpusReadError(f"cannot read corpus file {path.name}: {exc}") from exc

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .model import brief_repr
+from .model import brief_repr, check_line, read_json
 
 SCHEMA_VERSION = "1"
 
@@ -175,15 +175,7 @@ def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
 def load_lexicon(path: str | Path) -> Lexicon:
     """Load and validate a lexicon file (UTF-8, a leading byte-order mark
     dropped); any fault raises LexiconError."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise LexiconError(f"cannot read lexicon file {path}: {exc}") from exc
-    except ValueError as exc:
-        # a JSONDecodeError, or an integer too long to convert
-        raise LexiconError(f"lexicon file {path} is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise LexiconError(f"lexicon file {path} is nested too deeply") from exc
+    payload = read_json(path, "lexicon", LexiconError)
     if not isinstance(payload, dict) or payload.get("version") != SCHEMA_VERSION:
         raise LexiconError(f"unsupported lexicon schema version {brief_repr(payload.get('version'))}" if isinstance(payload, dict) else "lexicon file must hold an object")
     descriptions = payload.get("descriptions")
@@ -202,6 +194,11 @@ def load_lexicon(path: str | Path) -> Lexicon:
             pattern_id, agree = entry.get("id", ""), entry.get("agree", "members")
             if not isinstance(pattern_id, str) or not isinstance(agree, str):
                 raise LexiconError(f"pattern id and agree under {brief_repr(relation)} must be strings")
+            # the trace prints the pattern id and a sentence holds the pattern's
+            # text: a line break would forge output lines, a lone surrogate
+            # cannot be written to a UTF-8 stdout
+            check_line(pattern_id, "pattern id", LexiconError)
+            check_line(entry["text"], "pattern text", LexiconError)
             parsed.append(Pattern(id=pattern_id, text=entry["text"], agree=agree))
         patterns[relation] = parsed
     morphology: dict[str, tuple[str, str]] = {}
@@ -210,8 +207,12 @@ def load_lexicon(path: str | Path) -> Lexicon:
             raise LexiconError(f"morphology entry {brief_repr(lemma)} must be [singular, plural]")
         if lemma.upper() in CONTENT_SLOTS:
             raise LexiconError(f"morphology entry {brief_repr(lemma)} would replace the content slot {{{lemma.upper()}}}")
+        for form in forms:
+            check_line(form, "morphology form", LexiconError)
         morphology[lemma] = (forms[0], forms[1])
     for category, phrases in descriptions.items():
         if not isinstance(phrases, list) or not all(isinstance(p, str) for p in phrases):
             raise LexiconError(f"descriptions for {brief_repr(category)} must be a list of strings")
+        for phrase in phrases:
+            check_line(phrase, "description phrase", LexiconError)
     return Lexicon(descriptions=dict(descriptions), patterns=patterns, morphology=morphology)

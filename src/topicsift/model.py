@@ -18,11 +18,13 @@ that mutates composite nodes, and only during a build fold.
 """
 from __future__ import annotations
 
+import json
 import reprlib
 import string
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from pathlib import Path
 
 # after fold the only whitespace left is single inner spaces
 _TRAILING_JUNK = string.punctuation + " "
@@ -52,18 +54,39 @@ def brief_repr(value: object) -> str:
     return text if len(text) <= 40 else text[:40] + "..."
 
 
-def line_fault(text: str) -> str | None:
-    """What keeps text from standing as one line of UTF-8 text, as a query
-    and a domain genre must in the trace and the norm file: "a line break"
-    or "text that is not valid UTF-8" (a lone surrogate, which is how argv
-    and JSON escapes carry an undecodable byte); None when nothing does."""
+def check_line(text: str, what: str, error: type[Exception]) -> None:
+    """Raise error unless text stands as one line of UTF-8 text, as every
+    text that reaches an output line or the norm file must. The message
+    names the text as what and says what keeps it from standing: "a line
+    break" or "text that is not valid UTF-8" (a lone surrogate, which is how
+    argv and JSON escapes carry an undecodable byte)."""
     if any(mark in text for mark in LINE_BREAKS):
-        return "a line break"
+        fault = "a line break"
+    else:
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            fault = "text that is not valid UTF-8"
+        else:
+            return
+    raise error(f"{what} {brief_repr(text)} holds {fault}")
+
+
+def read_json(path: str | Path, what: str, error: type[Exception]) -> object:
+    """The JSON value of the what file at path, read as UTF-8 with a leading
+    byte-order mark dropped; a missing, unreadable, invalid or too deeply
+    nested file raises error, with a message naming the file."""
     try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        return "text that is not valid UTF-8"
-    return None
+        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    except FileNotFoundError:
+        raise error(f"{what} file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} file {path}: {exc}") from exc
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer too long to convert
+        raise error(f"{what} file {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise error(f"{what} file {path} is nested too deeply") from exc
 
 
 def normalize(text: str) -> str:

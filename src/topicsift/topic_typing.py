@@ -25,9 +25,9 @@ from .composite import Alignment, align_tree
 from .model import (
     CompositeTopicTree,
     DocumentTopicTree,
-    LexicalForms,
     TopicType,
     TypingParams,
+    _tokens,
     best_jaccard,
     walk_depth,
 )
@@ -78,15 +78,16 @@ def map_query(
     """
     if not query or not query.strip():
         raise ValueError("query must be non-empty")
-    query_sets = LexicalForms.of(query).token_sets()
+    query_tokens = _tokens(query)
+    query_sets = (query_tokens,) if query_tokens else ()
     if isinstance(tree, CompositeTopicTree):
         cached = tree.index().token_sets
         scored = ((node.id, depth, cached[node.id]) for node, depth in walk_depth(tree.root))
     else:
         if token_sets is None:
             token_sets = tree.token_sets({})
-        # a query has at most one token set, and a header at most one
-        disjoint = (query_sets[0] if query_sets else frozenset()).isdisjoint
+        # a header has at most one token set
+        disjoint = query_tokens.isdisjoint
         depths = tree.depths
         scored = [(0, 0, token_sets[0])]
         scored += [

@@ -115,7 +115,6 @@ def test_criterion_3_classifier_oracle_equivalence():
             rare=rare,
             intricate=intricate,
             irrelevant=irrelevant,
-            total=typical + rare + intricate + irrelevant,
             covered_typical=covered,
             possible_typical=possible,
         )

@@ -24,7 +24,6 @@ def dist(typical=0, rare=0, intricate=0, irrelevant=0, covered=0, possible=0):
         rare=rare,
         intricate=intricate,
         irrelevant=irrelevant,
-        total=typical + rare + intricate + irrelevant,
         covered_typical=covered,
         possible_typical=possible,
     )
@@ -63,8 +62,6 @@ def test_distribution_with_unmatched_query():
 
 
 def test_distribution_validation():
-    with pytest.raises(ValueError):
-        TypeDistribution(typical=1, rare=0, intricate=0, irrelevant=0, total=2, covered_typical=0, possible_typical=0)
     with pytest.raises(ValueError):
         dist(typical=1, covered=2, possible=1)
 

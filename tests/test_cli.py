@@ -373,6 +373,90 @@ def test_deeply_nested_lexicon_exits_2(tmp_path, composite_file, angina_docs, ca
     assert err == f"error: lexicon file {path} is nested too deeply\n"
 
 
+def test_missing_lexicon_exits_2(tmp_path, composite_file, angina_docs, capsys):
+    path = tmp_path / "absent.json"
+    code, out, err = run(
+        capsys,
+        "summarize", str(angina_docs), "--composite", str(composite_file),
+        "--query", "angina", "--lexicon", str(path),
+    )
+    assert (code, out, err) == (2, "", f"error: lexicon file not found: {path}\n")
+
+
+# each place where lexicon text reaches an output line: (what the error calls
+# it, the list or object of a lexicon payload that holds it, its index or key)
+_LEXICON_TEXTS = {
+    "description": ("description phrase", lambda p: p["descriptions"]["prototypical"], 0),
+    "pattern-id": ("pattern id", lambda p: p["patterns"]["overview_list"][0], "id"),
+    "pattern-text": ("pattern text", lambda p: p["patterns"]["overview_list"][0], "text"),
+    "morphology": ("morphology form", lambda p: p["morphology"]["be"], 1),
+}
+# a line break would forge an output line; a lone surrogate (a JSON escape)
+# cannot be written to a UTF-8 stdout
+_LEXICON_FAULTS = {"line-break": ("\ncategory: forged", "a line break"), "surrogate": ("\ud800", "text that is not valid UTF-8")}
+
+
+def _lexicon_with(path: Path, place: str, fault: str) -> str:
+    """Write the default lexicon to path with fault appended to the text at
+    place, escaped as ASCII JSON; returns the faulty text."""
+    save_lexicon(default_lexicon(), path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    _, container, key = _LEXICON_TEXTS[place]
+    holder = container(payload)
+    holder[key] += _LEXICON_FAULTS[fault][0]
+    path.write_text(json.dumps(payload), encoding="ascii")
+    return holder[key]
+
+
+@pytest.mark.parametrize("place", list(_LEXICON_TEXTS))
+@pytest.mark.parametrize("fault", list(_LEXICON_FAULTS))
+@pytest.mark.parametrize("output", ["text", "trace"])
+def test_lexicon_text_that_is_not_one_line_of_utf8_exits_2(tmp_path, composite_file, angina_docs, capsys, place, fault, output):
+    path = tmp_path / "lexicon.json"
+    text = _lexicon_with(path, place, fault)
+    code, out, err = run(
+        capsys, "summarize", str(angina_docs), "--composite", str(composite_file),
+        "--query", "angina", "--lexicon", str(path), "--format", output,
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {_LEXICON_TEXTS[place][0]} {brief_repr(text)} holds {_LEXICON_FAULTS[fault][1]}\n"
+
+
+@pytest.mark.parametrize("output", ["text", "trace"])
+def test_undecodable_lexicon_description_exits_2_where_stdout_encodes_utf8_strictly(tmp_path, composite_file, angina_docs, output):
+    """A lone surrogate in a description phrase used to end the run in a
+    UnicodeEncodeError traceback once the summary reached stdout."""
+    path = tmp_path / "lexicon.json"
+    _lexicon_with(path, "description", "surrogate")
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8", "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    argv = [sys.executable, "-m", "topicsift.cli", "summarize", str(angina_docs), "--composite", str(composite_file)]
+    result = subprocess.run(
+        argv + ["--query", "angina", "--lexicon", str(path), "--format", output], env=env, capture_output=True, timeout=60
+    )
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert result.stderr.startswith(b"error: description phrase ")
+    assert result.stderr.endswith(b" holds text that is not valid UTF-8\n") and result.stderr.count(b"\n") == 1
+
+
+@pytest.mark.parametrize("command", ["build", "summarize"])
+@pytest.mark.parametrize("error", [ValueError, OSError, KeyError, RuntimeError])
+def test_unexpected_exception_escapes_main(tmp_path, composite_file, angina_reference, angina_docs, monkeypatch, command, error):
+    """Only the exact error classes of the exit-code table map to a code;
+    any other exception is a program fault and keeps its traceback."""
+
+    def fault(*args, **kwargs):
+        raise error("unexpected")
+
+    if command == "build":
+        monkeypatch.setattr(cli, "build_composite", fault)
+        argv = ["build", str(angina_reference), str(tmp_path / "out.json")]
+    else:
+        monkeypatch.setattr(cli, "summarize", fault)
+        argv = ["summarize", str(angina_docs), "--composite", str(composite_file), "--query", "angina"]
+    with pytest.raises(error, match="unexpected"):
+        cli.main(argv)
+
+
 # JSON texts of version values whose repr runs to kilobytes
 HUGE_VERSIONS = {
     "nested-900": "[" * 900 + "]" * 900,
