@@ -7,10 +7,8 @@ wins; every ">50%" is strict.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .composite import Alignment
-from .model import CompositeTopicTree, DocumentCategory, TopicType, TypingParams, walk_depth
+from .model import CompositeTopicTree, DocumentCategory, FrozenRecord, TopicType, TypingParams, walk_depth
 from .topic_typing import TypedTree, map_query
 
 # read per node by distribution; on Python 3.11 a module global is several
@@ -20,8 +18,7 @@ _RARE = TopicType.RARE
 _INTRICATE = TopicType.INTRICATE
 
 
-@dataclass(frozen=True)
-class TypeDistribution:
+class TypeDistribution(FrozenRecord):
     """Topic-type counts for one document plus norm-coverage counters.
 
     covered_typical counts the distinct composite topics in the norm's
@@ -29,21 +26,40 @@ class TypeDistribution:
     possible_typical is the size of that set.
     """
 
-    typical: int
-    rare: int
-    intricate: int
-    irrelevant: int
-    covered_typical: int
-    possible_typical: int
+    __slots__ = _fields = ("typical", "rare", "intricate", "irrelevant", "covered_typical", "possible_typical")
 
-    def __post_init__(self) -> None:
-        counts = (self.typical, self.rare, self.intricate, self.irrelevant)
-        if any(c < 0 for c in counts) or self.covered_typical < 0 or self.possible_typical < 0:
+    def __init__(
+        self, typical: int, rare: int, intricate: int, irrelevant: int, covered_typical: int, possible_typical: int
+    ) -> None:
+        if min(typical, rare, intricate, irrelevant, covered_typical, possible_typical) < 0:
             raise ValueError("distribution counts must be non-negative")
-        if self.total < 1:
+        if typical + rare + intricate + irrelevant < 1:
             raise ValueError("total must be positive")
-        if self.covered_typical > self.possible_typical:
+        if covered_typical > possible_typical:
             raise ValueError("covered_typical cannot exceed possible_typical")
+        self._fill(typical, rare, intricate, irrelevant, covered_typical, possible_typical)
+
+    @classmethod
+    def _trusted(
+        cls, typical: int, rare: int, intricate: int, irrelevant: int, covered_typical: int, possible_typical: int
+    ) -> "TypeDistribution":
+        """A distribution over counts the caller knows to pass the checks,
+        such as distribution's: non-negative, a positive total, and no more
+        covered than possible typical topics."""
+        dist = object.__new__(cls)
+        dist._fill(typical, rare, intricate, irrelevant, covered_typical, possible_typical)
+        return dist
+
+    def _fill(
+        self, typical: int, rare: int, intricate: int, irrelevant: int, covered_typical: int, possible_typical: int
+    ) -> None:
+        set_field = object.__setattr__
+        set_field(self, "typical", typical)
+        set_field(self, "rare", rare)
+        set_field(self, "intricate", intricate)
+        set_field(self, "irrelevant", irrelevant)
+        set_field(self, "covered_typical", covered_typical)
+        set_field(self, "possible_typical", possible_typical)
 
     @property
     def total(self) -> int:
@@ -107,13 +123,10 @@ def distribution(
             rare += 1
         elif topic_type is _INTRICATE:
             intricate += 1
-    return TypeDistribution(
-        typical=typical,
-        rare=rare,
-        intricate=intricate,
-        irrelevant=len(typed.types) - typical - rare - intricate,
-        covered_typical=len(covered & possible),
-        possible_typical=len(possible),
+    # the counts pass the checks: a document has at least its root, and
+    # covered is a subset of possible
+    return TypeDistribution._trusted(
+        typical, rare, intricate, len(typed.types) - typical - rare - intricate, len(covered & possible), len(possible)
     )
 
 

@@ -76,7 +76,6 @@ from __future__ import annotations
 import json
 import operator
 import sys
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -87,6 +86,7 @@ from .model import (
     CompositeTopicTree,
     DocumentTopicTree,
     LexicalForms,
+    Record,
     best_jaccard,
     brief_repr,
     check_line,
@@ -105,16 +105,18 @@ class CompositeSchemaError(ValueError):
     """A composite file failed schema or invariant validation."""
 
 
-@dataclass
-class Alignment:
+class Alignment(Record):
     """Mapping from document node ids to composite node ids.
 
     Every document node is either in pairs or in unmatched; a matched child
     always maps inside the subtree of its parent's match.
     """
 
-    pairs: dict[int, int] = field(default_factory=dict)
-    unmatched: set[int] = field(default_factory=set)
+    __slots__ = _fields = ("pairs", "unmatched")
+
+    def __init__(self, pairs: dict[int, int] | None = None, unmatched: set[int] | None = None) -> None:
+        self.pairs = {} if pairs is None else pairs
+        self.unmatched = set() if unmatched is None else unmatched
 
 
 def _check_threshold(threshold: float) -> None:

@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from .model import LINE_BREAKS, DocumentMetadata, DocumentTopicTree, check_line, normalize
+from .model import LINE_BREAKS, DocumentMetadata, DocumentTopicTree, Record, check_line, normalize
 
 log = logging.getLogger(__name__)
 
@@ -57,12 +56,14 @@ class CorpusNameError(ValueError):
     UTF-8 text."""
 
 
-@dataclass
-class CorpusSet:
+class CorpusSet(Record):
     """An ordered set of parsed documents loaded from one directory."""
 
-    docs: list[DocumentTopicTree] = field(default_factory=list)
-    origin: str = ""
+    __slots__ = _fields = ("docs", "origin")
+
+    def __init__(self, docs: list[DocumentTopicTree] | None = None, origin: str = "") -> None:
+        self.docs = [] if docs is None else docs
+        self.origin = origin
 
 
 def parse_metadata(front_matter: str, source_path: str = "") -> DocumentMetadata:

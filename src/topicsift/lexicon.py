@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from .model import brief_repr, check_line, read_json
+from .model import FrozenRecord, Record, brief_repr, check_line, read_json
 
 SCHEMA_VERSION = "1"
 
@@ -56,30 +55,49 @@ class LexiconGapError(KeyError):
         return self.message
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(FrozenRecord):
     """One sentence pattern; agree names the slot whose count controls verb number.
 
     ``parts`` is the text split once at its slot markers: literal text at
     even positions, slot names at odd ones, so the realizer fills a pattern
     without scanning it. The pattern is frozen, so its parts always match
-    its text.
+    its text; they are neither compared nor shown.
+
+    An id or text that is not one line of UTF-8 raises LexiconError: the
+    trace prints the pattern id and a sentence holds the pattern's text, so
+    a line break would forge output lines, and a lone surrogate cannot be
+    written to a UTF-8 stdout.
     """
 
-    id: str
-    text: str
-    agree: str = "members"
-    parts: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("id", "text", "agree", "parts")
+    _fields = ("id", "text", "agree")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(_SLOT.split(self.text)))
+    def __init__(self, id: str, text: str, agree: str = "members") -> None:
+        check_line(id, "pattern id", LexiconError)
+        check_line(text, "pattern text", LexiconError)
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "agree", agree)
+        object.__setattr__(self, "parts", tuple(_SLOT.split(text)))
 
 
-@dataclass
-class Lexicon:
-    descriptions: dict[str, list[str]] = field(default_factory=dict)
-    patterns: dict[str, list[Pattern]] = field(default_factory=dict)
-    morphology: dict[str, tuple[str, str]] = field(default_factory=dict)
+class Lexicon(Record):
+    """Description phrases per category, patterns per relation and
+    (singular, plural) verb forms per lemma. Its phrases and forms are
+    checked where they are used: by the realizer, for each sentence, and by
+    the lexicon file's writer and reader."""
+
+    __slots__ = _fields = ("descriptions", "patterns", "morphology")
+
+    def __init__(
+        self,
+        descriptions: dict[str, list[str]] | None = None,
+        patterns: dict[str, list[Pattern]] | None = None,
+        morphology: dict[str, tuple[str, str]] | None = None,
+    ) -> None:
+        self.descriptions = {} if descriptions is None else descriptions
+        self.patterns = {} if patterns is None else patterns
+        self.morphology = {} if morphology is None else morphology
 
     def verb(self, lemma: str, plural: bool) -> str:
         if lemma not in self.morphology:
@@ -159,7 +177,16 @@ def default_lexicon() -> Lexicon:
 
 
 def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
-    """Write a lexicon file, encoding its text before the file is opened."""
+    """Write a lexicon file. Before the file is opened, a description
+    phrase or verb form that load_lexicon would refuse as not one line of
+    UTF-8 raises LexiconError (a pattern checks its own text), and the text
+    is encoded."""
+    for phrases in lexicon.descriptions.values():
+        for phrase in phrases:
+            check_line(phrase, "description phrase", LexiconError)
+    for forms in lexicon.morphology.values():
+        for form in forms:
+            check_line(form, "morphology form", LexiconError)
     payload = {
         "version": SCHEMA_VERSION,
         "descriptions": lexicon.descriptions,
@@ -194,11 +221,6 @@ def load_lexicon(path: str | Path) -> Lexicon:
             pattern_id, agree = entry.get("id", ""), entry.get("agree", "members")
             if not isinstance(pattern_id, str) or not isinstance(agree, str):
                 raise LexiconError(f"pattern id and agree under {brief_repr(relation)} must be strings")
-            # the trace prints the pattern id and a sentence holds the pattern's
-            # text: a line break would forge output lines, a lone surrogate
-            # cannot be written to a UTF-8 stdout
-            check_line(pattern_id, "pattern id", LexiconError)
-            check_line(entry["text"], "pattern text", LexiconError)
             parsed.append(Pattern(id=pattern_id, text=entry["text"], agree=agree))
         patterns[relation] = parsed
     morphology: dict[str, tuple[str, str]] = {}

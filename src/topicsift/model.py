@@ -15,14 +15,21 @@ collapse, trailing punctuation strip) because section headers are noisy.
 
 No document changes once parsed; the composite builder is the only code
 that mutates composite nodes, and only during a build fold.
+
+Every record class of the package derives from ``Record`` or
+``FrozenRecord`` and writes out its own ``__init__``, so importing the
+package generates no code: the standard library's dataclass decorator
+imports ``inspect`` and execs each method it writes, which took a third of
+every command's start-up. The records built per node or per document have
+``__slots__``.
 """
 from __future__ import annotations
 
 import json
+import operator
 import reprlib
 import string
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -34,6 +41,56 @@ LINE_BREAKS = ("\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u20
 
 class UnknownNodeError(LookupError):
     """A node id was used against a tree that does not contain it."""
+
+
+class Record:
+    """Base of the package's record classes: equality over the fields
+    ``_fields`` names, in order, and a repr that shows them. A field left
+    out of ``_fields`` is neither compared nor shown. Each subclass writes
+    out its own ``__init__``, so no constructor loops over field names.
+    A record's fields can change, so it is unhashable; see FrozenRecord."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "_fields" in vars(cls):
+            # the compared values, read by one C getter built once per class
+            cls._values = staticmethod(operator.attrgetter(*cls._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class FrozenRecord(Record):
+    """A record whose ``__init__`` sets each field once, through
+    ``object.__setattr__``; assigning or deleting a field afterwards raises
+    AttributeError. Hashable by the values it compares."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__qualname__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__qualname__}")
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild a frozen record through its constructor:
+        # restoring its slots one by one would meet __setattr__
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
 def fold(text: str) -> str:
@@ -116,21 +173,21 @@ def _tokens(form: str) -> frozenset[str]:
     return frozenset()
 
 
-@dataclass(frozen=True)
-class LexicalForms:
+class LexicalForms(FrozenRecord):
     """Ordered set of surface strings naming one topic, canonical form first."""
 
-    forms: tuple[str, ...]
+    __slots__ = _fields = ("forms",)
 
-    def __post_init__(self) -> None:
-        if not self.forms:
+    def __init__(self, forms: tuple[str, ...]) -> None:
+        if not forms:
             raise ValueError("a label needs at least one form")
-        if any(not f.strip() for f in self.forms):
-            raise ValueError("blank lexical form in %r" % (self.forms,))
-        if len(self.forms) > 1:
-            keys = {fold(f) for f in self.forms}
-            if len(keys) != len(self.forms):
-                raise ValueError("duplicate lexical forms in %r" % (self.forms,))
+        if any(not f.strip() for f in forms):
+            raise ValueError("blank lexical form in %r" % (forms,))
+        if len(forms) > 1:
+            keys = {fold(f) for f in forms}
+            if len(keys) != len(forms):
+                raise ValueError("duplicate lexical forms in %r" % (forms,))
+        object.__setattr__(self, "forms", forms)
 
     @classmethod
     def of(cls, *forms: str) -> "LexicalForms":
@@ -174,8 +231,7 @@ class LexicalForms:
         return tuple(sets)
 
 
-@dataclass
-class CompositeNode:
+class CompositeNode(Record):
     """One topic in the norm tree.
 
     typicality is always support / doc_count of the owning tree; position is
@@ -183,12 +239,23 @@ class CompositeNode:
     topic. Siblings are kept sorted by ascending position.
     """
 
-    id: int
-    label: LexicalForms
-    typicality: float
-    position: float
-    support: int
-    children: list["CompositeNode"] = field(default_factory=list)
+    __slots__ = _fields = ("id", "label", "typicality", "position", "support", "children")
+
+    def __init__(
+        self,
+        id: int,
+        label: LexicalForms,
+        typicality: float,
+        position: float,
+        support: int,
+        children: list[CompositeNode] | None = None,
+    ) -> None:
+        self.id = id
+        self.label = label
+        self.typicality = typicality
+        self.position = position
+        self.support = support
+        self.children = [] if children is None else children
 
 
 def best_jaccard(sets_a: Sequence[frozenset[str]], sets_b: Sequence[frozenset[str]]) -> float:
@@ -222,14 +289,22 @@ def walk_depth(root) -> Iterator[tuple[object, int]]:
         stack.extend((child, depth + 1) for child in reversed(node.children))
 
 
-@dataclass(frozen=True)
-class DocumentMetadata:
+class DocumentMetadata(FrozenRecord):
     """Extra document features carried alongside the topic tree."""
 
-    title: str | None = None
-    content_types: frozenset[str] = frozenset()
-    special_content: frozenset[str] = frozenset()
-    source_path: str = ""
+    __slots__ = _fields = ("title", "content_types", "special_content", "source_path")
+
+    def __init__(
+        self,
+        title: str | None = None,
+        content_types: frozenset[str] = frozenset(),
+        special_content: frozenset[str] = frozenset(),
+        source_path: str = "",
+    ) -> None:
+        object.__setattr__(self, "title", title)
+        object.__setattr__(self, "content_types", content_types)
+        object.__setattr__(self, "special_content", special_content)
+        object.__setattr__(self, "source_path", source_path)
 
 
 def _preorder_fault(parents: list[int], depths: list[int], size: int) -> str | None:
@@ -253,8 +328,7 @@ def _preorder_fault(parents: list[int], depths: list[int], size: int) -> str | N
     return None
 
 
-@dataclass
-class DocumentTopicTree:
+class DocumentTopicTree(Record):
     """A single document's topic hierarchy plus its metadata, as parallel
     pre-order lists.
 
@@ -273,16 +347,19 @@ class DocumentTopicTree:
     parser builds its lists in that order and skips the check.
     """
 
-    doc_id: str
-    labels: list[str]
-    parents: list[int]
-    depths: list[int]
-    metadata: DocumentMetadata
+    __slots__ = _fields = ("doc_id", "labels", "parents", "depths", "metadata")
 
-    def __post_init__(self) -> None:
-        fault = _preorder_fault(self.parents, self.depths, len(self.labels))
+    def __init__(
+        self, doc_id: str, labels: list[str], parents: list[int], depths: list[int], metadata: DocumentMetadata
+    ) -> None:
+        fault = _preorder_fault(parents, depths, len(labels))
         if fault is not None:
-            raise ValueError(f"document {brief_repr(self.doc_id)} is not in pre-order: {fault}")
+            raise ValueError(f"document {brief_repr(doc_id)} is not in pre-order: {fault}")
+        self.doc_id = doc_id
+        self.labels = labels
+        self.parents = parents
+        self.depths = depths
+        self.metadata = metadata
 
     @classmethod
     def _trusted(
@@ -481,19 +558,22 @@ class CompositeIndex:
             self._post(node_id, new_sets)
 
 
-@dataclass
-class CompositeTopicTree:
+class CompositeTopicTree(Record):
     """The norm for one domain/genre: merged topics over a reference corpus.
 
     The index is built on first use; the build's fold
     (``composite._fold_document``), the only code that changes a composite,
-    keeps it current.
+    keeps it current. It is neither compared nor shown.
     """
 
-    root: CompositeNode
-    domain_genre: str
-    doc_count: int
-    _index: CompositeIndex | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("root", "domain_genre", "doc_count", "_index")
+    _fields = ("root", "domain_genre", "doc_count")
+
+    def __init__(self, root: CompositeNode, domain_genre: str, doc_count: int) -> None:
+        self.root = root
+        self.domain_genre = domain_genre
+        self.doc_count = doc_count
+        self._index: CompositeIndex | None = None
 
     def nodes(self) -> list[CompositeNode]:
         return list(walk(self.root))
@@ -504,26 +584,27 @@ class CompositeTopicTree:
         return self._index
 
 
-@dataclass(frozen=True)
-class TypingParams:
+class TypingParams(FrozenRecord):
     """Knobs for query mapping and topic typing.
 
     k bounds how far below the query node a topic may sit and still count as
     relevant; alpha splits relevant topics into typical vs rare by norm
     typicality; tau is the minimum query/topic similarity for a query match.
+    Frozen and hashable: the params key the possible-typical memo.
     """
 
-    k: int = 2
-    alpha: float = 0.5
-    tau: float = 0.3
+    __slots__ = _fields = ("k", "alpha", "tau")
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
+    def __init__(self, k: int = 2, alpha: float = 0.5, tau: float = 0.3) -> None:
+        if k < 1:
             raise ValueError("k must be >= 1")
-        if not 0.0 <= self.alpha <= 1.0:
+        if not 0.0 <= alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
-        if not 0.0 <= self.tau <= 1.0:
+        if not 0.0 <= tau <= 1.0:
             raise ValueError("tau must be in [0, 1]")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "tau", tau)
 
 
 class TopicType(Enum):

@@ -12,14 +12,13 @@ from __future__ import annotations
 import importlib
 import logging
 from collections.abc import Iterable
-from dataclasses import dataclass
 from json.encoder import encode_basestring
 
 from . import planner, realizer, topic_typing
 from .classify import TypeDistribution
 from .composite import Alignment
 from .lexicon import Lexicon
-from .model import CompositeTopicTree, DocumentCategory, DocumentTopicTree, TopicType, TypingParams
+from .model import CompositeTopicTree, DocumentCategory, DocumentTopicTree, Record, TopicType, TypingParams
 from .planner import HasFeature, HasTopics, SetElements, SummaryPlan
 from .realizer import RealizedCategory, summary_lines
 from .topic_typing import TypedTree
@@ -38,27 +37,46 @@ _REGION_AND_TYPE = {
 }
 
 
-@dataclass
-class DocResult:
-    typed: TypedTree
-    alignment: Alignment
-    dist: TypeDistribution
-    category: DocumentCategory
+class DocResult(Record):
+    __slots__ = _fields = ("typed", "alignment", "dist", "category")
+
+    def __init__(
+        self, typed: TypedTree, alignment: Alignment, dist: TypeDistribution, category: DocumentCategory
+    ) -> None:
+        self.typed = typed
+        self.alignment = alignment
+        self.dist = dist
+        self.category = category
 
 
-@dataclass
-class Summary:
+class Summary(Record):
     """One summarize run: its settings and every intermediate result."""
 
-    query: str
-    params: TypingParams
-    align_threshold: float
-    seed: int
-    limit: int
-    composite: CompositeTopicTree
-    results: list[DocResult]
-    plan: SummaryPlan
-    realized: list[RealizedCategory]
+    __slots__ = _fields = (
+        "query", "params", "align_threshold", "seed", "limit", "composite", "results", "plan", "realized",
+    )
+
+    def __init__(
+        self,
+        query: str,
+        params: TypingParams,
+        align_threshold: float,
+        seed: int,
+        limit: int,
+        composite: CompositeTopicTree,
+        results: list[DocResult],
+        plan: SummaryPlan,
+        realized: list[RealizedCategory],
+    ) -> None:
+        self.query = query
+        self.params = params
+        self.align_threshold = align_threshold
+        self.seed = seed
+        self.limit = limit
+        self.composite = composite
+        self.results = results
+        self.plan = plan
+        self.realized = realized
 
 
 def summarize(

@@ -8,48 +8,56 @@ presentation order of DocumentCategory.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .model import CATEGORY_ORDER, DocumentCategory, TopicType, fold
+from .model import CATEGORY_ORDER, DocumentCategory, FrozenRecord, Record, TopicType, fold
 from .topic_typing import TypedTree
 
 FEATURE_KINDS = ("content_types", "special_content")
 TOPIC_CAP = 3
 
 
-@dataclass(frozen=True)
-class Description:
-    category: DocumentCategory
+class Description(FrozenRecord):
+    __slots__ = _fields = ("category",)
+
+    def __init__(self, category: DocumentCategory) -> None:
+        object.__setattr__(self, "category", category)
 
 
-@dataclass(frozen=True)
-class SetElements:
-    category: DocumentCategory
-    members: tuple[str, ...]
+class SetElements(FrozenRecord):
+    __slots__ = _fields = ("category", "members")
+
+    def __init__(self, category: DocumentCategory, members: tuple[str, ...]) -> None:
+        object.__setattr__(self, "category", category)
+        object.__setattr__(self, "members", members)
 
 
-@dataclass(frozen=True)
-class HasTopics:
-    category: DocumentCategory
-    topics: tuple[str, ...]
+class HasTopics(FrozenRecord):
+    __slots__ = _fields = ("category", "topics")
+
+    def __init__(self, category: DocumentCategory, topics: tuple[str, ...]) -> None:
+        object.__setattr__(self, "category", category)
+        object.__setattr__(self, "topics", topics)
 
 
-@dataclass(frozen=True)
-class HasFeature:
-    category: DocumentCategory
-    kind: str
-    values: tuple[str, ...]
-    members: tuple[str, ...]
+class HasFeature(FrozenRecord):
+    __slots__ = _fields = ("category", "kind", "values", "members")
+
+    def __init__(self, category: DocumentCategory, kind: str, values: tuple[str, ...], members: tuple[str, ...]) -> None:
+        object.__setattr__(self, "category", category)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "members", members)
 
 
 Message = Description | SetElements | HasTopics | HasFeature
 
 
-@dataclass
-class CategoryPlan:
-    category: DocumentCategory
-    messages: list[Message]
-    reordered: bool = False
+class CategoryPlan(Record):
+    __slots__ = _fields = ("category", "messages", "reordered")
+
+    def __init__(self, category: DocumentCategory, messages: list[Message], reordered: bool = False) -> None:
+        self.category = category
+        self.messages = messages
+        self.reordered = reordered
 
     def members(self) -> tuple[str, ...]:
         for message in self.messages:
@@ -58,10 +66,12 @@ class CategoryPlan:
         return ()
 
 
-@dataclass
-class SummaryPlan:
-    categories: list[CategoryPlan] = field(default_factory=list)
-    query: str = ""
+class SummaryPlan(Record):
+    __slots__ = _fields = ("categories", "query")
+
+    def __init__(self, categories: list[CategoryPlan] | None = None, query: str = "") -> None:
+        self.categories = [] if categories is None else categories
+        self.query = query
 
 
 def _sample_topics(members: list[TypedTree], wanted: TopicType) -> tuple[str, ...]:

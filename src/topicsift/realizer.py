@@ -22,7 +22,6 @@ from __future__ import annotations
 import random
 import re
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
 
 from .lexicon import (
     OVERVIEW_EXEMPLAR,
@@ -30,9 +29,10 @@ from .lexicon import (
     SAMPLE_TOPICS,
     SHARED_FEATURES,
     Lexicon,
+    LexiconError,
     LexiconGapError,
 )
-from .model import DocumentCategory
+from .model import DocumentCategory, FrozenRecord, Record, check_line
 from .planner import CategoryPlan, HasFeature, HasTopics, SummaryPlan
 
 NO_MATCH_NOTICE = "No documents matched the query."
@@ -76,28 +76,37 @@ def join_and(items: Sequence[str]) -> str:
 
 # --- referring expressions --------------------------------------------------
 
-@dataclass(frozen=True)
-class Enumeration:
-    titles: tuple[str, ...]
+class Enumeration(FrozenRecord):
+    __slots__ = _fields = ("titles",)
+
+    def __init__(self, titles: tuple[str, ...]) -> None:
+        object.__setattr__(self, "titles", titles)
 
 
-@dataclass(frozen=True)
-class Exemplar:
-    count: int
-    sample: str
+class Exemplar(FrozenRecord):
+    __slots__ = _fields = ("count", "sample")
+
+    def __init__(self, count: int, sample: str) -> None:
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "sample", sample)
 
 
-@dataclass(frozen=True)
-class RangeRef:
-    start: int  # 1-based, inclusive
-    stop: int
-    total: int
+class RangeRef(FrozenRecord):
+    __slots__ = _fields = ("start", "stop", "total")
+
+    def __init__(self, start: int, stop: int, total: int) -> None:
+        # 1-based positions, both inclusive
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "stop", stop)
+        object.__setattr__(self, "total", total)
 
 
-@dataclass(frozen=True)
-class OrdinalList:
-    positions: tuple[int, ...]
-    total: int
+class OrdinalList(FrozenRecord):
+    __slots__ = _fields = ("positions", "total")
+
+    def __init__(self, positions: tuple[int, ...], total: int) -> None:
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "total", total)
 
 
 RefExpr = Enumeration | Exemplar | RangeRef | OrdinalList
@@ -162,8 +171,7 @@ def render_subset(expr: RangeRef | OrdinalList) -> str:
 
 # --- sentence planning -------------------------------------------------------
 
-@dataclass
-class SentencePlan:
+class SentencePlan(Record):
     """One sentence to realize: a pattern group plus its slot bindings.
 
     counts carries the cardinality of each agreement controller; the chosen
@@ -171,13 +179,27 @@ class SentencePlan:
     can report them.
     """
 
-    relation: str
-    category: DocumentCategory
-    slots: dict[str, str]
-    counts: dict[str, int] = field(default_factory=dict)
-    extract_available: bool = False
-    chosen_pattern: str | None = None
-    chosen_description: int | None = None
+    __slots__ = _fields = (
+        "relation", "category", "slots", "counts", "extract_available", "chosen_pattern", "chosen_description",
+    )
+
+    def __init__(
+        self,
+        relation: str,
+        category: DocumentCategory,
+        slots: dict[str, str],
+        counts: dict[str, int] | None = None,
+        extract_available: bool = False,
+        chosen_pattern: str | None = None,
+        chosen_description: int | None = None,
+    ) -> None:
+        self.relation = relation
+        self.category = category
+        self.slots = slots
+        self.counts = {} if counts is None else counts
+        self.extract_available = extract_available
+        self.chosen_pattern = chosen_pattern
+        self.chosen_description = chosen_description
 
 
 def build_sentence_plans(
@@ -252,7 +274,9 @@ def lexicalize(plan: SentencePlan, lexicon: Lexicon, rng_seed: int) -> str:
     """Realize one sentence plan; deterministic for a given seed.
 
     Raises LexiconGapError, naming the missing entry, when the lexicon does
-    not cover the plan's relation or category, or a slot stays unbound.
+    not cover the plan's relation or category, or a slot stays unbound, and
+    LexiconError when a description phrase or verb form the sentence uses
+    is not one line of UTF-8 text (a pattern checks its own text).
     """
     return _lexicalize(plan, lexicon, rng_seed, _verb_table(lexicon))
 
@@ -290,6 +314,7 @@ def _lexicalize(plan: SentencePlan, lexicon: Lexicon, rng_seed: int, verbs: dict
                 f"lexicon gap: no description for category {plan.category.value!r} (relation {plan.relation!r})"
             )
         index, phrase = eligible[rng.randrange(len(eligible))]
+        check_line(phrase, "description phrase", LexiconError)
         plan.chosen_description = index
         phrase = phrase.replace("{QUERY}", slots.get("QUERY", ""))
         description = phrase.replace("{EXTRACT_REF}", "the extract above")
@@ -302,7 +327,9 @@ def _lexicalize(plan: SentencePlan, lexicon: Lexicon, rng_seed: int, verbs: dict
         name = pieces[position]
         forms = verbs.get(name)
         if forms is not None:
-            pieces[position] = forms[plural]
+            form = forms[plural]
+            check_line(form, "morphology form", LexiconError)
+            pieces[position] = form
         elif name == "DESCRIPTION" and description is not None:
             pieces[position] = description
         elif name in slots:
@@ -324,13 +351,15 @@ def _lexicalize(plan: SentencePlan, lexicon: Lexicon, rng_seed: int, verbs: dict
     return text[:1].upper() + text[1:]
 
 
-@dataclass
-class RealizedCategory:
+class RealizedCategory(Record):
     """One category bullet with its realized sentence plans, for tracing."""
 
-    plan: CategoryPlan
-    sentences: list[SentencePlan]
-    texts: list[str]
+    __slots__ = _fields = ("plan", "sentences", "texts")
+
+    def __init__(self, plan: CategoryPlan, sentences: list[SentencePlan], texts: list[str]) -> None:
+        self.plan = plan
+        self.sentences = sentences
+        self.texts = texts
 
     @property
     def bullet(self) -> str:

@@ -19,12 +19,11 @@ long as the norm.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .composite import Alignment, align_tree
 from .model import (
     CompositeTopicTree,
     DocumentTopicTree,
+    Record,
     TopicType,
     TypingParams,
     _tokens,
@@ -42,15 +41,19 @@ _INTRICATE = TopicType.INTRICATE
 _IRRELEVANT = TopicType.IRRELEVANT
 
 
-@dataclass
-class TypedTree:
+class TypedTree(Record):
     """A document tree with one TopicType per node, indexed by node id,
     under one query."""
 
-    doc: DocumentTopicTree
-    query: str
-    query_node: int | None
-    types: list[TopicType] = field(default_factory=list)
+    __slots__ = _fields = ("doc", "query", "query_node", "types")
+
+    def __init__(
+        self, doc: DocumentTopicTree, query: str, query_node: int | None, types: list[TopicType] | None = None
+    ) -> None:
+        self.doc = doc
+        self.query = query
+        self.query_node = query_node
+        self.types = [] if types is None else types
 
     def relevant_count(self) -> int:
         """Topics in the relevant region (typical + rare)."""

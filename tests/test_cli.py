@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import dataclasses
 import errno
 import io
 import json
@@ -17,7 +16,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from topicsift import cli, default_lexicon, save_lexicon
+from topicsift import Lexicon, LexiconError, cli, default_lexicon, save_lexicon
 from topicsift.model import brief_repr
 
 from conftest import FIXTURES, write_corpus
@@ -35,6 +34,19 @@ def composite_file(tmp_path, angina_reference, capsys):
     code, _, _ = run(capsys, "build", str(angina_reference), str(path))
     assert code == 0
     return path
+
+
+# --- start-up ------------------------------------------------------------------
+
+def test_importing_the_command_line_loads_neither_dataclasses_nor_inspect():
+    """Every command starts a fresh interpreter and pays for each module the
+    package imports; these two took a third of that start-up. -S keeps
+    whatever site-packages import at start-up out of the check."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    code = "import sys, topicsift.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 # --- build ---------------------------------------------------------------------
@@ -657,13 +669,27 @@ def test_corpus_directory_name_with_a_line_break_exits_2_and_keeps_the_old_norm(
     assert composite_file.read_bytes() == before
 
 
-def test_unencodable_lexicon_phrase_keeps_the_old_file(tmp_path):
+@pytest.mark.parametrize(
+    "section, text",
+    [
+        ("descriptions", "on \udcff {QUERY}"),
+        ("descriptions", "on {QUERY}\ncategory: forged"),
+        ("morphology", "is\ncategory: forged"),
+    ],
+    ids=["unencodable-phrase", "phrase-line-break", "verb-form-line-break"],
+)
+def test_lexicon_text_load_lexicon_would_refuse_keeps_the_old_file(tmp_path, section, text):
     path = tmp_path / "lexicon.json"
     lexicon = default_lexicon()
     save_lexicon(lexicon, path)
     before = path.read_bytes()
-    broken = dataclasses.replace(lexicon, descriptions={**lexicon.descriptions, "prototypical": ["on \udcff {QUERY}"]})
-    with pytest.raises(UnicodeEncodeError):
+    descriptions, morphology = dict(lexicon.descriptions), dict(lexicon.morphology)
+    if section == "descriptions":
+        descriptions["prototypical"] = [text]
+    else:
+        morphology["be"] = (text, "are")
+    broken = Lexicon(descriptions=descriptions, patterns=lexicon.patterns, morphology=morphology)
+    with pytest.raises(LexiconError, match="holds"):
         save_lexicon(broken, path)
     assert path.read_bytes() == before
 

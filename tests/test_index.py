@@ -24,6 +24,7 @@ from topicsift import (
     DocumentTopicTree,
     LexicalForms,
     TopicType,
+    TypeDistribution,
     TypedTree,
     TypingParams,
     UnknownNodeError,
@@ -750,7 +751,8 @@ def test_distribution_matches_counting_each_type_alone(docs, probe, query, k, al
     """Any types over any document, none of them typical or all of them,
     typical nodes with and without a match, against a norm where the query
     matches or ("gardening") offers no possible typical topic; the relevant
-    count against a per-node count."""
+    count against a per-node count, and the result against the checked
+    constructor's."""
     composite = _fold(docs, 0.5)
     params = TypingParams(k=k, alpha=alpha)
     ids = list(probe.nodes())
@@ -762,6 +764,15 @@ def test_distribution_matches_counting_each_type_alone(docs, probe, query, k, al
     possible = oracle_possible_typical(composite, query, k, alpha, params.tau)
     assert (d.typical, d.rare, d.intricate, d.irrelevant, d.total, d.covered_typical, d.possible_typical) == (
         oracle_distribution_counts(types, pairs, possible)
+    )
+    # distribution skips the checks, which its counts pass
+    assert d == TypeDistribution(
+        typical=d.typical,
+        rare=d.rare,
+        intricate=d.intricate,
+        irrelevant=d.irrelevant,
+        covered_typical=d.covered_typical,
+        possible_typical=d.possible_typical,
     )
     assert typed.relevant_count() == sum(1 for t in types if t.value in ("typical", "rare"))
 

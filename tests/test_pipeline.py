@@ -11,6 +11,7 @@ import pytest
 import topicsift
 from topicsift import (
     NO_MATCH_NOTICE,
+    LexiconError,
     TypingParams,
     build_composite,
     default_lexicon,
@@ -20,18 +21,19 @@ from topicsift import (
     summarize,
     summary_lines,
 )
+from topicsift.lexicon import Pattern
 
 from conftest import GOLDEN
 
 
-def _angina_summary(angina_reference, angina_docs):
+def _angina_summary(angina_reference, angina_docs, lexicon=None):
     composite = build_composite(load_corpus(angina_reference), 0.5)
     return summarize(
         load_corpus(angina_docs).docs,
         composite,
         "angina",
         TypingParams(),
-        default_lexicon(),
+        lexicon or default_lexicon(),
         seed=0,
         limit=5,
         align_threshold=0.5,
@@ -60,6 +62,28 @@ def test_summarize_and_render_trace_reproduce_the_golden_files(angina_reference,
     assert trace == (GOLDEN / "angina_trace.txt").read_text(encoding="utf-8")
     text = "".join(line + "\n" for line in summary_lines(summary.realized))
     assert text == (GOLDEN / "angina_summary.txt").read_text(encoding="utf-8")
+
+
+FORGED = "\ncategory: forged"
+
+
+def test_lexicon_text_built_in_code_cannot_forge_output_lines(angina_reference, angina_docs):
+    """A lexicon built in code skips load_lexicon, but a line break in its
+    text still reaches no summary or trace line: a pattern refuses it when
+    made, and the realizer refuses a description phrase or verb form it
+    uses."""
+    with pytest.raises(LexiconError, match="pattern text .* holds a line break"):
+        Pattern(id="x", text="{DESCRIPTION} {BE} in the {MEMBERS}." + FORGED, agree="description")
+    with pytest.raises(LexiconError, match="pattern id .* holds a line break"):
+        Pattern(id="x" + FORGED, text="{DESCRIPTION} {BE} in the {MEMBERS}.", agree="description")
+    phrases = default_lexicon()
+    for category in phrases.descriptions:
+        phrases.descriptions[category] = ["material on {QUERY}" + FORGED]
+    verbs = default_lexicon()
+    verbs.morphology = {lemma: (one + FORGED, many + FORGED) for lemma, (one, many) in verbs.morphology.items()}
+    for lexicon, what in ((phrases, "description phrase"), (verbs, "morphology form")):
+        with pytest.raises(LexiconError, match=f"{what} .* holds a line break"):
+            _angina_summary(angina_reference, angina_docs, lexicon)
 
 
 def test_summary_lines_of_nothing_is_the_notice():

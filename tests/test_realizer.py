@@ -283,7 +283,7 @@ def test_extract_reference_requires_the_flag():
 # binds S), braces that are no slot, and final marks
 pattern_pieces = st.sampled_from([
     "{BE}", "{HAVE}", "{MEMBERS}", "{DESCRIPTION}", "{QUERY}", "{COUNT}", "{NO_SUCH}", "{SS}", "{FI}", "{S}",
-    "{be}", "{", "}", " word", " ", ".", "?", "!", "\n",
+    "{be}", "{", "}", " word", " ", ".", "?", "!",
 ])
 lemmas = st.sampled_from(["be", "Be", "BE", "bE", "have", "members", "description", "query", "ß", "ss", "ﬁ", "ſ", "s"])
 
@@ -351,9 +351,11 @@ def test_upper_case_lemma_collisions_resolve_to_the_last_lemma():
 
 
 # endings the final-period rule must treat as a whole string "sub" does: it
-# drops a period after ".", "?" or "!" at the very end or before a final "\n"
-ENDINGS = ("", ".", "?.", "!.", "..", ".\n", "?.\n")
-ended = st.tuples(st.sampled_from(["x", "two words", "{QUERY} on"]), st.sampled_from(ENDINGS)).map("".join)
+# drops a period after ".", "?" or "!" at the very end or before a final "\n".
+# Lexicon text is one line, so only a slot value ends in a line break
+LEXICON_ENDINGS = ("", ".", "?.", "!.", "..")
+ENDINGS = LEXICON_ENDINGS + (".\n", "?.\n")
+ended = st.tuples(st.sampled_from(["x", "two words", "{QUERY} on"]), st.sampled_from(LEXICON_ENDINGS)).map("".join)
 # the slots each relation binds, plus the description, verbs, a content slot
 # a lemma may take over ({TOPICS}, {QUERY}) and one that only "ß" or "ss" binds
 RELATION_SLOTS = {
@@ -373,7 +375,7 @@ def punctuated_lexicons(draw):
     extra = draw(st.lists(st.sampled_from(["Be", "ß", "ss", "topics", "query"]), unique=True))
     lemmas = draw(st.permutations(["be", "have", *extra]))
     morphology = {
-        lemma: (f"{lemma}-one{draw(st.sampled_from(ENDINGS))}", f"{lemma}-many{draw(st.sampled_from(ENDINGS))}")
+        lemma: (f"{lemma}-one{draw(st.sampled_from(LEXICON_ENDINGS))}", f"{lemma}-many{draw(st.sampled_from(LEXICON_ENDINGS))}")
         for lemma in lemmas
     }
     patterns = {}
@@ -382,7 +384,7 @@ def punctuated_lexicons(draw):
         patterns[relation] = [
             Pattern(
                 id=f"{relation}-{index}",
-                text="".join(draw(st.lists(pieces, min_size=1, max_size=5))) + draw(st.sampled_from(ENDINGS)),
+                text="".join(draw(st.lists(pieces, min_size=1, max_size=5))) + draw(st.sampled_from(LEXICON_ENDINGS)),
                 agree=draw(st.sampled_from(["members", "topics", "subset", "description"])),
             )
             for index in range(draw(st.integers(1, 3)))
