@@ -70,6 +70,14 @@ per distinct document title): the index keeps each label's fold keys as a
 set, so the spelling is folded once and looked up, and only a new
 spelling's token set is posted. Inserted topics take the document's token
 sets.
+
+``load_composite`` reads the norm file's nodes in one loop, in pre-order,
+with a stack of the nodes still to read, so no file is too deep for it that
+``json`` could read: every node is checked before its children, and the
+first fault in that order is the one named. A one-spelling label is taken
+as it stands, and each sibling list of two or more is sorted once, after
+the loop. The index is not built on load: a caller that only saves or
+inspects the norm never pays for it, and it is built on the first lookup.
 """
 from __future__ import annotations
 
@@ -367,50 +375,70 @@ def _require(condition: bool, message: str) -> None:
         raise CompositeSchemaError(message)
 
 
-def _parse_node(payload: object, doc_count: int, seen: set[int]) -> CompositeNode:
+def _parse_root(payload: object, doc_count: int) -> CompositeNode:
+    """The norm tree a root payload holds, validated node by node.
+
+    One loop in pre-order, with a stack of (payload, the sibling list the
+    node joins): each node is checked before its children, and its children
+    in file order, so a file with several faults names the first of them
+    in that order. Each sibling list of two or more is sorted by position
+    once it is filled.
+    """
     # each message is formatted only when its check fails: a norm file holds
     # thousands of nodes, and nearly all of them pass
-    if not isinstance(payload, dict):
-        raise CompositeSchemaError("composite node must be an object")
-    node_id = payload.get("id")
-    if not isinstance(node_id, int) or isinstance(node_id, bool):
-        raise CompositeSchemaError("node id must be an integer")
-    if node_id in seen:
-        raise CompositeSchemaError(f"duplicate node id {node_id}")
-    seen.add(node_id)
-    forms = payload.get("forms")
-    if not (isinstance(forms, list) and forms and all(isinstance(f, str) and f.strip() for f in forms)):
-        raise CompositeSchemaError(f"node {node_id}: forms must be a non-empty list of strings")
-    support = payload.get("support")
-    if not isinstance(support, int) or isinstance(support, bool):
-        raise CompositeSchemaError(f"node {node_id}: support must be an integer")
-    if support < 1:
-        raise CompositeSchemaError(f"node {node_id}: support must be >= 1")
-    if support > doc_count:
-        raise CompositeSchemaError(f"node {node_id}: support {support} exceeds doc_count {doc_count}")
-    position = payload.get("position")
-    # json.loads accepts NaN and Infinity; either would make sibling order
-    # and alignment tie-breaks unstable. The bound also rejects integers too
-    # large for a float.
-    if not (
-        isinstance(position, (int, float)) and not isinstance(position, bool) and abs(position) <= sys.float_info.max
-    ):
-        raise CompositeSchemaError(f"node {node_id}: position must be a finite number")
-    children = payload.get("children", [])
-    if not isinstance(children, list):
-        raise CompositeSchemaError(f"node {node_id}: children must be a list")
-    nodes = [_parse_node(child, doc_count, seen) for child in children]
+    seen: set[int] = set()
+    roots: list[CompositeNode] = []
+    unsorted: list[list[CompositeNode]] = []
+    stack = [(payload, roots)]
+    while stack:
+        payload, siblings = stack.pop()
+        if not isinstance(payload, dict):
+            raise CompositeSchemaError("composite node must be an object")
+        node_id = payload.get("id")
+        if not isinstance(node_id, int) or isinstance(node_id, bool):
+            raise CompositeSchemaError("node id must be an integer")
+        if node_id in seen:
+            raise CompositeSchemaError(f"duplicate node id {node_id}")
+        seen.add(node_id)
+        forms = payload.get("forms")
+        # a single non-blank form is a valid label as it stands; more are
+        # deduplicated, which never fails once each is non-blank
+        if isinstance(forms, list) and len(forms) == 1 and isinstance(forms[0], str) and forms[0].strip():
+            label = LexicalForms._trusted((forms[0],))
+        elif isinstance(forms, list) and forms and all(isinstance(f, str) and f.strip() for f in forms):
+            label = LexicalForms.of(*forms)
+        else:
+            raise CompositeSchemaError(f"node {node_id}: forms must be a non-empty list of strings")
+        support = payload.get("support")
+        if not isinstance(support, int) or isinstance(support, bool):
+            raise CompositeSchemaError(f"node {node_id}: support must be an integer")
+        if support < 1:
+            raise CompositeSchemaError(f"node {node_id}: support must be >= 1")
+        if support > doc_count:
+            raise CompositeSchemaError(f"node {node_id}: support {support} exceeds doc_count {doc_count}")
+        position = payload.get("position")
+        # json.loads accepts NaN and Infinity; either would make sibling order
+        # and alignment tie-breaks unstable. The bound also rejects integers
+        # too large for a float.
+        if not (
+            isinstance(position, (int, float)) and not isinstance(position, bool) and abs(position) <= sys.float_info.max
+        ):
+            raise CompositeSchemaError(f"node {node_id}: position must be a finite number")
+        children = payload.get("children", [])
+        if not isinstance(children, list):
+            raise CompositeSchemaError(f"node {node_id}: children must be a list")
+        node = CompositeNode(node_id, label, support / doc_count, float(position), support)
+        siblings.append(node)
+        if children:
+            kin = node.children
+            stack.extend([(child, kin) for child in reversed(children)])
+            if len(children) > 1:
+                unsorted.append(kin)
     # siblings are kept sorted by position; a hand-written file may list them
     # in any order, and a stable sort keeps the file order of ties
-    nodes.sort(key=_by_position)
-    return CompositeNode(
-        id=node_id,
-        label=LexicalForms.of(*forms),
-        typicality=support / doc_count,
-        position=float(position),
-        support=support,
-        children=nodes,
-    )
+    for siblings in unsorted:
+        siblings.sort(key=_by_position)
+    return roots[0]
 
 
 def load_composite(path: str | Path) -> CompositeTopicTree:
@@ -425,9 +453,6 @@ def load_composite(path: str | Path) -> CompositeTopicTree:
     domain_genre = payload.get("domain_genre")
     _require(isinstance(domain_genre, str), "domain_genre must be a string")
     check_line(domain_genre, "the norm for domain genre", CompositeSchemaError)
-    try:
-        root = _parse_node(payload.get("root"), doc_count, set())
-    except RecursionError as exc:
-        raise CompositeSchemaError(f"composite file {path} is nested too deeply") from exc
+    root = _parse_root(payload.get("root"), doc_count)
     _require(root.support == doc_count, "root support must equal doc_count (root typicality is 1.0 by construction)")
     return CompositeTopicTree(root=root, domain_genre=domain_genre, doc_count=doc_count)

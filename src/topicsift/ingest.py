@@ -15,7 +15,16 @@ header is level 1, else a synthesized node labeled with the doc id.
 A text that breaks lines with anything but "\n" ("\r\n", "\r", "\x85",
 "\u2028", or any other line boundary ``str.splitlines`` knows) is first
 rewritten with "\n" breaks. The front-matter fences and then the headers
-are each found in one multi-line regex scan of that text.
+are each found in one regex scan of that text. The header scan runs over
+the text behind one "\n", from where the body starts, with a pattern that
+begins with that literal "\n": the regex engine then jumps from one line
+break to the next instead of trying every character as a header start, and
+the "\n" put in front stands for the start of the text.
+
+``load_corpus`` lists the directory in one ``os.scandir`` pass and builds
+no ``Path`` per file: it names each file from the directory's normalized
+``Path`` text and the entry's name, and asks the entry whether it is a file,
+which for anything but a symbolic link costs no system call.
 
 The parser writes the document straight into its pre-order lists (see
 ``model.DocumentTopicTree``): each header's spelling, its parent's id,
@@ -25,7 +34,9 @@ compare labels take the token sets from the norm's label memo.
 """
 from __future__ import annotations
 
+import errno
 import logging
+import os
 import re
 from pathlib import Path
 
@@ -33,10 +44,10 @@ from .model import LINE_BREAKS, DocumentMetadata, DocumentTopicTree, Record, che
 
 log = logging.getLogger(__name__)
 
-# the label runs to the line's last non-space character, so "#  " is body
-# text, not a header; matching it greedily backtracks only over the trailing
-# whitespace
-_HEADER = re.compile(r"^(#{1,6}) (.*\S)[^\S\n]*$", re.M)
+# a header line, behind the "\n" that ends the line before it. The label
+# runs to the line's last non-space character, so "#  " is body text, not a
+# header; matching it greedily backtracks only over the trailing whitespace
+_HEADER = re.compile(r"\n(#{1,6}) (.*\S)[^\S\n]*$", re.M)
 # every line boundary of str.splitlines except "\n"; nine substring tests
 # cost a tenth of one character-class regex search over a whole document
 _OTHER_BREAKS = LINE_BREAKS[1:]
@@ -45,6 +56,9 @@ _FENCE = re.compile(r"^---[^\S\n]*$", re.M)
 _META_LINE = re.compile(r"^([A-Za-z_][A-Za-z0-9_ -]*):\s*(.*)$")
 
 SOURCE_EXTENSIONS = (".md", ".txt")
+# the lookup errors Path.is_file answers False to: a file that went away, a
+# name that is no longer a directory entry, a symbolic link loop
+_GONE = frozenset((errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP))
 
 
 class CorpusReadError(OSError):
@@ -136,8 +150,9 @@ def parse_document(text: str, doc_id: str, source_path: str = "") -> DocumentTop
             break
     front, body_start = _split_front_matter(text, source_path or doc_id)
     metadata = parse_metadata(front, source_path)
-    # (marks, label) per header
-    headers = _HEADER.findall(text, body_start)
+    # (marks, label) per header; the "\n" put in front shifts every offset
+    # by one, so the scan starts at the break before the body's first line
+    headers = _HEADER.findall("\n" + text, body_start)
 
     # a title is stripped and non-empty, and a header label ends in a
     # non-space character, so no label is blank
@@ -173,6 +188,25 @@ def parse_document(text: str, doc_id: str, source_path: str = "") -> DocumentTop
     return DocumentTopicTree._trusted(doc_id, labels, parents, depths, metadata)
 
 
+def _is_source(name: str) -> bool:
+    """Whether a file name has a source suffix, as ``PurePath(name).suffix``
+    reads it: from the last dot, when that dot neither starts nor ends the
+    name, compared case-insensitively."""
+    dot = name.rfind(".")
+    return 0 < dot < len(name) - 1 and name[dot:].lower() in SOURCE_EXTENSIONS
+
+
+def _is_file(entry: os.DirEntry) -> bool:
+    """``entry.is_file()``, False where ``Path.is_file`` answers False to a
+    failed lookup: a symbolic link loop raises from the entry."""
+    try:
+        return entry.is_file()
+    except OSError as exc:
+        if exc.errno in _GONE:
+            return False
+        raise
+
+
 def load_corpus(directory: str | Path) -> CorpusSet:
     """Parse every .md/.txt file in a directory, in file-name order.
 
@@ -183,23 +217,33 @@ def load_corpus(directory: str | Path) -> CorpusSet:
     summary print on one line. An empty directory yields an empty corpus.
     A leading UTF-8 byte-order mark is dropped, so it hides neither front
     matter nor a first header.
+
+    The directory is normalized once, through ``Path``: "d", "d/", "./d" and
+    "d//" give the same origin and source paths.
     """
     root = Path(directory)
+    # each file's path as str(root / name) spells it ("x.md" under ".")
+    prefix = str(root / "_")[:-1]
     try:
-        paths = sorted(root.iterdir(), key=lambda p: p.name)
+        with os.scandir(root) as listing:
+            entries = sorted(listing, key=lambda entry: entry.name)
     except OSError as exc:
         raise CorpusReadError(f"cannot list corpus directory {root}: {exc.strerror or exc}") from exc
     docs: list[DocumentTopicTree] = []
-    for path in paths:
-        if path.suffix.lower() not in SOURCE_EXTENSIONS:
+    for entry in entries:
+        name = entry.name
+        if not _is_source(name):
             continue
+        source_path = prefix + name
         try:
-            # is_file raises when the directory lets names be listed but not looked up
-            if not path.is_file():
+            # a symbolic link's target is looked up, and a lookup fails when
+            # the directory lets names be listed but not looked up
+            if not _is_file(entry):
                 continue
-            check_line(path.name, "the name of corpus file", CorpusNameError)
-            text = path.read_text(encoding="utf-8-sig")
+            check_line(name, "the name of corpus file", CorpusNameError)
+            with open(source_path, encoding="utf-8-sig") as file:
+                text = file.read()
         except (OSError, UnicodeDecodeError) as exc:
-            raise CorpusReadError(f"cannot read corpus file {path.name}: {exc}") from exc
-        docs.append(parse_document(text, doc_id=path.name, source_path=str(path)))
+            raise CorpusReadError(f"cannot read corpus file {name}: {exc}") from exc
+        docs.append(parse_document(text, doc_id=name, source_path=source_path))
     return CorpusSet(docs=docs, origin=str(root))

@@ -13,6 +13,8 @@ The oracles read a document as nested nodes, which ``nested`` rebuilds from
 its parent list alone; the plain tree walks over them (node_map,
 parent_map, sibling_rank_map) are the references for the document's flat
 lists and derived ranks, and serve the oracles above.
+The per-file ``Path`` corpus loader and the recursive norm parser are the
+references for the one-pass ``load_corpus`` and ``load_composite``.
 """
 from __future__ import annotations
 
@@ -20,16 +22,29 @@ import json
 import random
 import re
 import string
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 
-from topicsift.ingest import parse_metadata
+from topicsift.composite import SCHEMA_VERSION, CompositeSchemaError
+from topicsift.ingest import (
+    SOURCE_EXTENSIONS,
+    CorpusNameError,
+    CorpusReadError,
+    CorpusSet,
+    parse_document,
+    parse_metadata,
+)
 from topicsift.lexicon import LexiconGapError
 from topicsift.model import (
     CompositeNode,
     CompositeTopicTree,
     DocumentMetadata,
     LexicalForms,
+    brief_repr,
+    check_line,
+    read_json,
     walk,
     walk_depth,
 )
@@ -520,3 +535,86 @@ def oracle_realize_texts(plan, lexicon, seed: int, *, titles=None, limit: int = 
         ]
         for category_plan in plan.categories
     ]
+
+
+def oracle_load_corpus(directory) -> CorpusSet:
+    """load_corpus through one ``Path`` per file: ``iterdir``, ``suffix``,
+    ``is_file`` and ``read_text``."""
+    root = Path(directory)
+    try:
+        paths = sorted(root.iterdir(), key=lambda p: p.name)
+    except OSError as exc:
+        raise CorpusReadError(f"cannot list corpus directory {root}: {exc.strerror or exc}") from exc
+    docs = []
+    for path in paths:
+        if path.suffix.lower() not in SOURCE_EXTENSIONS:
+            continue
+        try:
+            if not path.is_file():
+                continue
+            check_line(path.name, "the name of corpus file", CorpusNameError)
+            text = path.read_text(encoding="utf-8-sig")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise CorpusReadError(f"cannot read corpus file {path.name}: {exc}") from exc
+        docs.append(parse_document(text, doc_id=path.name, source_path=str(path)))
+    return CorpusSet(docs=docs, origin=str(root))
+
+
+def _oracle_parse_node(payload, doc_count: int, seen: set[int]) -> CompositeNode:
+    """One norm node and, recursively, its children, each checked before its
+    children; every sibling list is sorted by position."""
+    def require(condition, message):
+        if not condition:
+            raise CompositeSchemaError(message)
+
+    require(isinstance(payload, dict), "composite node must be an object")
+    node_id = payload.get("id")
+    require(isinstance(node_id, int) and not isinstance(node_id, bool), "node id must be an integer")
+    require(node_id not in seen, f"duplicate node id {node_id}")
+    seen.add(node_id)
+    forms = payload.get("forms")
+    require(
+        isinstance(forms, list) and forms and all(isinstance(f, str) and f.strip() for f in forms),
+        f"node {node_id}: forms must be a non-empty list of strings",
+    )
+    support = payload.get("support")
+    require(isinstance(support, int) and not isinstance(support, bool), f"node {node_id}: support must be an integer")
+    require(support >= 1, f"node {node_id}: support must be >= 1")
+    require(support <= doc_count, f"node {node_id}: support {support} exceeds doc_count {doc_count}")
+    position = payload.get("position")
+    require(
+        isinstance(position, (int, float)) and not isinstance(position, bool) and abs(position) <= sys.float_info.max,
+        f"node {node_id}: position must be a finite number",
+    )
+    children = payload.get("children", [])
+    require(isinstance(children, list), f"node {node_id}: children must be a list")
+    nodes = [_oracle_parse_node(child, doc_count, seen) for child in children]
+    nodes.sort(key=lambda node: node.position)
+    return CompositeNode(
+        id=node_id,
+        label=LexicalForms.of(*forms),
+        typicality=support / doc_count,
+        position=float(position),
+        support=support,
+        children=nodes,
+    )
+
+
+def oracle_load_composite(path) -> CompositeTopicTree:
+    """load_composite with a recursive node parser."""
+    payload = read_json(path, "composite", CompositeSchemaError)
+    if not isinstance(payload, dict):
+        raise CompositeSchemaError("composite file must hold an object")
+    if payload.get("version") != SCHEMA_VERSION:
+        raise CompositeSchemaError(f"unsupported composite schema version {brief_repr(payload.get('version'))}")
+    doc_count = payload.get("doc_count")
+    if not (isinstance(doc_count, int) and not isinstance(doc_count, bool) and doc_count >= 1):
+        raise CompositeSchemaError("doc_count must be a positive integer")
+    domain_genre = payload.get("domain_genre")
+    if not isinstance(domain_genre, str):
+        raise CompositeSchemaError("domain_genre must be a string")
+    check_line(domain_genre, "the norm for domain genre", CompositeSchemaError)
+    root = _oracle_parse_node(payload.get("root"), doc_count, set())
+    if root.support != doc_count:
+        raise CompositeSchemaError("root support must equal doc_count (root typicality is 1.0 by construction)")
+    return CompositeTopicTree(root=root, domain_genre=domain_genre, doc_count=doc_count)

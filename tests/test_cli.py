@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -550,6 +551,17 @@ def test_trace_categories_match_the_brute_force_oracle(composite_file, angina_do
         )
 
 
+class _UnstatableEntry:
+    """A directory entry whose lookup fails with EACCES, as under a directory
+    that lets names be listed but not looked up."""
+
+    def __init__(self, entry: os.DirEntry) -> None:
+        self.name = entry.name
+
+    def is_file(self) -> bool:
+        raise PermissionError(errno.EACCES, "Permission denied")
+
+
 @pytest.mark.parametrize("command", ["build", "summarize"])
 @pytest.mark.parametrize("method, error", [
     ("iterdir", "cannot list corpus directory {docs}: Permission denied"),
@@ -558,15 +570,19 @@ def test_trace_categories_match_the_brute_force_oracle(composite_file, angina_do
 def test_unreadable_corpus_directory_exits_1(
     tmp_path, composite_file, angina_docs, capsys, monkeypatch, command, method, error
 ):
-    # patched rather than chmod, which does not stop root from reading
-    original = getattr(Path, method)
+    # patched rather than chmod, which does not stop root from reading; the
+    # loader lists the directory with os.scandir and asks each entry is_file
+    scandir = os.scandir
 
-    def refuse(self):
-        if angina_docs in (self, self.parent):
-            raise PermissionError(13, "Permission denied")
-        return original(self)
+    def refuse(path, *args, **kwargs):
+        if os.fspath(path) != os.fspath(angina_docs):
+            return scandir(path, *args, **kwargs)
+        if method == "iterdir":
+            raise PermissionError(errno.EACCES, "Permission denied")
+        with scandir(path) as listing:
+            return contextlib.nullcontext([_UnstatableEntry(entry) for entry in listing])
 
-    monkeypatch.setattr(Path, method, refuse)
+    monkeypatch.setattr(os, "scandir", refuse)
     if command == "build":
         args = ["build", str(angina_docs), str(tmp_path / "c.json")]
     else:
@@ -589,8 +605,9 @@ def _deny_lookup(monkeypatch, target):
             return call(path, *args, **kwargs)
         return refuse
 
-    monkeypatch.setattr(os, "stat", denied(os.stat))
-    for method in ("stat", "iterdir", "open"):
+    for name in ("stat", "scandir"):
+        monkeypatch.setattr(os, name, denied(getattr(os, name)))
+    for method in ("stat", "open"):
         monkeypatch.setattr(Path, method, denied(getattr(Path, method)))
 
 
@@ -795,3 +812,107 @@ def test_command_line_exits_0_to_3_with_one_error_line_on_failure(fuzz_inputs, c
     assert len(errors) == (code != 0)
     if command == "build" and code != 0:
         assert out_path.read_bytes() == norm_bytes
+
+
+# --- a corpus, fuzzed end to end ------------------------------------------------
+
+# (edit, number, piece): number picks the file and the place in it
+_CORPUS_EDITS = st.one_of(
+    st.tuples(st.just("bytes"), st.integers(0, 10**4), st.sampled_from([b"\xff", b"\x00", b"\xef\xbb\xbf", b"\xc3", b"#"])),
+    st.tuples(st.just("breaks"), st.integers(0, 10**4), st.sampled_from(["\r\n", "\r", "\x0b", "\x85", "\u2028"])),
+    st.tuples(
+        st.just("header"),
+        st.integers(0, 10**4),
+        st.sampled_from(["# ", "#######", "###### deep", "# angina", "#\tTab", "  # indented", "# \udcff"]),
+    ),
+    st.tuples(
+        st.just("front"),
+        st.integers(0, 10**4),
+        st.sampled_from([
+            "---\n", "---\ntitle: \n---\n", "---\ntitle: T\ncontent_types: a, ,b\n---\n", "---\n:bad\n---\n",
+            "\ufeff---\ntitle: Marked\n---\n", "---\ntitle: line\x85break\n---\n",
+        ]),
+    ),
+    st.tuples(
+        st.just("name"),
+        st.integers(0, 10**4),
+        st.sampled_from(["x\n.md", "\udcff.md", ".md", "x.MD", "x.md.", "y.txt", "line\u2028.md", "sub.md/"]),
+    ),
+    st.tuples(st.just("drop"), st.integers(0, 10**4), st.none()),
+)
+
+
+def _edited_corpus(source: Path, directory: Path, edits) -> Path:
+    """A copy of the source corpus with each edit applied: bytes inserted,
+    line breaks replaced, a header or front matter added, a file renamed (a
+    name ending in "/" becomes an empty directory) or dropped."""
+    files = {path.name: path.read_bytes() for path in sorted(source.iterdir())}
+    for edit, number, piece in edits:
+        if not files:
+            break
+        name = sorted(files)[number % len(files)]
+        data = files[name]
+        if edit == "bytes":
+            at = number % (len(data) + 1)
+            files[name] = data[:at] + piece + data[at:]
+        elif edit == "breaks":
+            files[name] = data.replace(b"\n", piece.encode("utf-8"))
+        elif edit == "header":
+            lines = data.split(b"\n")
+            lines.insert(number % (len(lines) + 1), piece.encode("utf-8", "surrogateescape"))
+            files[name] = b"\n".join(lines)
+        elif edit == "front":
+            files[name] = piece.encode("utf-8") + data
+        elif edit == "name":
+            files[piece] = files.pop(name)
+        else:
+            del files[name]
+    directory.mkdir()
+    for name, data in files.items():
+        if name.endswith("/"):
+            (directory / name).mkdir()
+        else:
+            (directory / name).write_bytes(data)
+    return directory
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["build", "text", "trace"]), st.lists(_CORPUS_EDITS, min_size=1, max_size=4))
+def test_a_mutated_corpus_exits_0_to_3_with_one_error_line_on_failure(fuzz_inputs, command, edits):
+    work, _ = fuzz_inputs
+    with tempfile.TemporaryDirectory() as scratch:
+        if command == "build":
+            corpus = _edited_corpus(FIXTURES / "angina" / "reference", Path(scratch) / "reference", edits)
+            argv = ["build", str(corpus), str(Path(scratch) / "out.json")]
+        else:
+            corpus = _edited_corpus(FIXTURES / "angina" / "docs", Path(scratch) / "docs", edits)
+            argv = ["summarize", str(corpus), "--composite", str(work / "composite.json"), "--query", "angina"]
+            argv += ["--format", command]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+    event(f"{command} exit {code}")
+    errors = [line for line in stderr.getvalue().split("\n") if line.startswith("error: ")]
+    assert code in (0, 1, 2, 3)
+    assert len(errors) == (code != 0)
+
+
+@pytest.mark.parametrize("edits, expected", [
+    ([("name", 0, "\udcff.md")], 2),
+    ([("bytes", 7, b"\xff")], 1),
+    ([("header", 3, "# \udcff")], 1),
+    ([("breaks", 1, "\u2028"), ("front", 2, "---\ntitle: Marked\n---\n"), ("name", 0, "x.md.")], 0),
+], ids=["undecodable-name", "undecodable-byte", "undecodable-header", "breaks-front-matter-name"])
+def test_a_mutated_corpus_exits_with_one_error_line_where_stdout_encodes_utf8_strictly(
+    tmp_path, composite_file, edits, expected
+):
+    """The in-process fuzz above, for a few corpora, as a process of its own
+    whose standard streams encode UTF-8 strictly."""
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8", "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    corpus = _edited_corpus(FIXTURES / "angina" / "docs", tmp_path / "docs", edits)
+    argv = [sys.executable, "-m", "topicsift.cli", "summarize", str(corpus), "--composite", str(composite_file)]
+    result = subprocess.run(argv + ["--query", "angina", "--format", "trace"], env=env, capture_output=True, timeout=60)
+    lines = result.stderr.decode("utf-8").splitlines()
+    assert result.returncode == expected
+    assert [line for line in lines if line.startswith("error: ")] == lines[:1] * (expected != 0)
+    assert (result.stdout == b"") == (expected != 0)

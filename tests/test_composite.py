@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import math
 import random
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from topicsift import (
@@ -27,7 +31,7 @@ from topicsift.composite import _emit_node
 from topicsift.model import LINE_BREAKS, best_jaccard, walk
 
 from conftest import make_doc, write_corpus
-from oracles import node_map, parent_map
+from oracles import node_map, oracle_load_composite, parent_map
 
 
 def forms(*texts):
@@ -455,3 +459,85 @@ def test_typicality_rederived_from_support(tmp_path):
     composite = load_composite(path)
     assert composite.root.typicality == 1.0
     assert composite.root.children[0].typicality == 0.75
+
+
+_FAULTS = {
+    "id": ["1", True, None, 2.0, "duplicate"],
+    "forms": [[], [" "], ["Topic", 3], "Topic", ["topic", "TOPIC", "Other"]],
+    "support": [0, -1, True, 1.5, 10**6],
+    "position": [math.nan, math.inf, True, "0", 10**400, -2.0],
+    "children": [{}, "x", None, []],
+    "node": [[], "x", None],
+}
+_forms = st.lists(st.sampled_from(["Topic", "topic", "Topic!", "Other", "B"]), min_size=1, max_size=3)
+_norm_nodes = st.lists(
+    st.tuples(st.integers(0, 10**6), _forms, st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.integers(1, 4)),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _norm_payload(nodes, parents, doc_count):
+    """A valid norm payload: node i hangs under node parents[i] (< i), the
+    root under none; ids are drawn, so they follow no order."""
+    items = []
+    for index, (node_id, forms, position, support) in enumerate(nodes):
+        items.append({
+            "id": index * 10**7 + node_id,
+            "forms": forms,
+            "typicality": 0.5,
+            "position": position,
+            "support": doc_count if index == 0 else min(support, doc_count),
+            "children": [],
+        })
+    for index, parent in enumerate(parents, 1):
+        items[parent]["children"].append(items[index])
+    return {"version": "1", "domain_genre": "g", "doc_count": doc_count, "root": items[0]}, items
+
+
+def _loaded_norm(load, path):
+    try:
+        composite = load(path)
+    except CompositeSchemaError as exc:
+        return "error", str(exc)
+    saved = Path(path).with_suffix(".saved")
+    save_composite(composite, saved)
+    return composite, saved.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _norm_nodes,
+    st.data(),
+    st.integers(1, 4),
+    st.lists(st.tuples(st.integers(0, 11), st.sampled_from(sorted(_FAULTS)), st.integers(0, 5), st.booleans()), max_size=3),
+)
+def test_load_composite_equals_the_recursive_parser(nodes, data, doc_count, faults):
+    """load_composite checks the nodes in one pre-order loop; with zero to
+    three faults at drawn nodes it fails with the recursive parser's first
+    message, or loads the same norm and saves the same bytes."""
+    parents = [data.draw(st.integers(0, index - 1)) for index in range(1, len(nodes))]
+    payload, items = _norm_payload(nodes, parents, doc_count)
+    # where each node sits: (the list or object holding it, its key there)
+    places = {id(payload["root"]): (payload, "root")}
+    for item in items:
+        for offset, child in enumerate(item["children"]):
+            places[id(child)] = (item["children"], offset)
+    root_id = items[0]["id"]
+    for index, field, choice, delete in faults:
+        item = items[index % len(items)]
+        values = _FAULTS[field]
+        value = values[choice % len(values)]
+        if field == "node":
+            holder, key = places[id(item)]
+            holder[key] = value
+        elif delete:
+            item.pop(field, None)
+        else:
+            item[field] = root_id if value == "duplicate" else value
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "norm.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        expected = _loaded_norm(oracle_load_composite, path)
+        event(re.sub(r"\d+", "N", expected[1]) if expected[0] == "error" else "loaded")
+        assert _loaded_norm(load_composite, path) == expected

@@ -2,16 +2,26 @@ from __future__ import annotations
 
 import logging
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from topicsift import CorpusNameError, CorpusReadError, DocumentMetadata, load_corpus, parse_document, parse_metadata
+from topicsift import (
+    CorpusNameError,
+    CorpusReadError,
+    CorpusSet,
+    DocumentMetadata,
+    load_corpus,
+    parse_document,
+    parse_metadata,
+)
 from topicsift.model import LINE_BREAKS, brief_repr
 
 from conftest import write_corpus
-from oracles import nested
+from oracles import nested, oracle_load_corpus
 
 
 def labels(doc):
@@ -234,3 +244,63 @@ def test_load_corpus_refuses_a_file_name_that_is_not_one_line_of_utf8(tmp_path, 
     fault = "a line break" if name.startswith("forged") else "text that is not valid UTF-8"
     assert str(caught.value) == f"the name of corpus file {brief_repr(name)} holds {fault}"
     assert str(caught.value).isprintable()
+
+
+# names around the suffix rule: a dot that starts or ends the name leaves no
+# suffix, the last dot counts, case is folded
+_CORPUS_NAMES = [
+    "a.md", "b.txt", "c.MD", "d.Txt", ".md", "..md", "x.md.", "İ.md", "x.txt~", "x.md.txt", "x.markdown",
+    "notes", "e\n.md", "\udcff.md",
+]
+_CORPUS_TEXTS = [
+    b"# A\n## B\n", b"---\ntitle: T\n---\n# H\n", b"\xef\xbb\xbf# Marked\n", b"", b"no headers\r\n",
+    b"# bad \xff byte\n",
+]
+
+
+def _place_corpus(base: Path, files: dict[str, bytes], extras: set[str]) -> Path:
+    directory = base / "d"
+    directory.mkdir()
+    for name, data in files.items():
+        (directory / name).write_bytes(data)
+    if "subdirectory" in extras:
+        (directory / "sub.md").mkdir()
+    if "dangling" in extras:
+        (directory / "dangling.md").symlink_to(base / "missing.md")
+    if "loop" in extras:
+        (directory / "loop.md").symlink_to(directory / "loop.md")
+    if "link" in extras:
+        (base / "target.txt").write_bytes(b"# Linked\n")
+        (directory / "link.md").symlink_to(base / "target.txt")
+    return directory
+
+
+def _loaded(load, directory):
+    try:
+        return load(directory)
+    except (CorpusReadError, CorpusNameError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(_CORPUS_NAMES), st.sampled_from(_CORPUS_TEXTS), max_size=6),
+    st.sets(st.sampled_from(["subdirectory", "dangling", "loop", "link"])),
+    st.sampled_from(["d", "d/", "./d", "d//", ".", "absolute"]),
+)
+def test_load_corpus_equals_the_per_file_path_loader(files, extras, spelling):
+    """load_corpus lists with os.scandir and builds no Path per file; for
+    any directory and any spelling of it, it loads what one Path per file
+    loads (doc ids, source paths, origin) or fails with the same error."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as base:
+        directory = _place_corpus(Path(base), files, extras)
+        try:
+            os.chdir(directory if spelling == "." else base)
+            argument = str(directory) if spelling == "absolute" else spelling
+            expected = _loaded(oracle_load_corpus, argument)
+            event("loaded" if isinstance(expected, CorpusSet) else expected[0].__name__)
+            assert _loaded(load_corpus, argument) == expected
+            assert _loaded(load_corpus, Path(argument)) == expected
+        finally:
+            os.chdir(cwd)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,7 +16,7 @@ from topicsift import (
     normalize,
     parse_document,
 )
-from topicsift.model import walk, walk_depth
+from topicsift.model import LINE_BREAKS, check_line, walk, walk_depth
 
 from conftest import make_doc
 from oracles import node_map
@@ -126,3 +128,30 @@ def test_parsed_documents_pass_the_pre_order_check():
     rebuilt = DocumentTopicTree(doc.doc_id, doc.labels, doc.parents, doc.depths, doc.metadata)
     assert rebuilt == doc
     assert doc.parents == [-1, 0, 1, 1, 0, 4]
+
+
+def test_check_line_agrees_with_a_test_per_line_break():
+    """check_line asks str.splitlines whether a text breaks; the reference
+    looks for each break character in turn. Both must agree on every string
+    of up to three characters drawn from the breaks, a letter, a space and a
+    lone surrogate."""
+    def reference(text):
+        if any(mark in text for mark in LINE_BREAKS):
+            return "a line break"
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            return "text that is not valid UTF-8"
+        return None
+
+    alphabet = LINE_BREAKS + ("a", " ", "\udcff")
+    for size in range(4):
+        for chars in itertools.product(alphabet, repeat=size):
+            text = "".join(chars)
+            fault = reference(text)
+            if fault is None:
+                check_line(text, "text", ValueError)
+            else:
+                with pytest.raises(ValueError) as caught:
+                    check_line(text, "text", ValueError)
+                assert str(caught.value).endswith(f" holds {fault}")
