@@ -72,12 +72,15 @@ spelling's token set is posted. Inserted topics take the document's token
 sets.
 
 ``load_composite`` reads the norm file's nodes in one loop, in pre-order,
-with a stack of the nodes still to read, so no file is too deep for it that
-``json`` could read: every node is checked before its children, and the
-first fault in that order is the one named. A one-spelling label is taken
-as it stands, and each sibling list of two or more is sorted once, after
-the loop. The index is not built on load: a caller that only saves or
-inspects the norm never pays for it, and it is built on the first lookup.
+with a stack of the nodes still to read: every node is checked before its
+children, and the first fault in that order is the one named. A node more
+than half the recursion limit below the root makes the file "nested too
+deeply", as deep as a parser recursing through a function and a list
+comprehension per level could read; that leaves ``save_composite``'s
+writer, which recurses once per level, half the stack. Each sibling list of
+two or more is sorted once, after the loop. The index is not built on load:
+a caller that only saves or inspects the norm never pays for it, and it is
+built on the first lookup.
 """
 from __future__ import annotations
 
@@ -375,23 +378,27 @@ def _require(condition: bool, message: str) -> None:
         raise CompositeSchemaError(message)
 
 
-def _parse_root(payload: object, doc_count: int) -> CompositeNode:
-    """The norm tree a root payload holds, validated node by node.
+def _parse_root(payload: object, doc_count: int, path: str | Path) -> CompositeNode:
+    """The norm tree a root payload of the file at path holds, validated
+    node by node.
 
     One loop in pre-order, with a stack of (payload, the sibling list the
-    node joins): each node is checked before its children, and its children
-    in file order, so a file with several faults names the first of them
-    in that order. Each sibling list of two or more is sorted by position
-    once it is filled.
+    node joins, its depth): each node is checked before its children, and
+    its children in file order, so a file with several faults names the
+    first of them in that order. Each sibling list of two or more is sorted
+    by position once it is filled.
     """
     # each message is formatted only when its check fails: a norm file holds
     # thousands of nodes, and nearly all of them pass
+    max_depth = sys.getrecursionlimit() // 2
     seen: set[int] = set()
     roots: list[CompositeNode] = []
     unsorted: list[list[CompositeNode]] = []
-    stack = [(payload, roots)]
+    stack = [(payload, roots, 0)]
     while stack:
-        payload, siblings = stack.pop()
+        payload, siblings, depth = stack.pop()
+        if depth > max_depth:
+            raise CompositeSchemaError(f"composite file {path} is nested too deeply")
         if not isinstance(payload, dict):
             raise CompositeSchemaError("composite node must be an object")
         node_id = payload.get("id")
@@ -401,13 +408,7 @@ def _parse_root(payload: object, doc_count: int) -> CompositeNode:
             raise CompositeSchemaError(f"duplicate node id {node_id}")
         seen.add(node_id)
         forms = payload.get("forms")
-        # a single non-blank form is a valid label as it stands; more are
-        # deduplicated, which never fails once each is non-blank
-        if isinstance(forms, list) and len(forms) == 1 and isinstance(forms[0], str) and forms[0].strip():
-            label = LexicalForms._trusted((forms[0],))
-        elif isinstance(forms, list) and forms and all(isinstance(f, str) and f.strip() for f in forms):
-            label = LexicalForms.of(*forms)
-        else:
+        if not (isinstance(forms, list) and forms and all(isinstance(f, str) and f.strip() for f in forms)):
             raise CompositeSchemaError(f"node {node_id}: forms must be a non-empty list of strings")
         support = payload.get("support")
         if not isinstance(support, int) or isinstance(support, bool):
@@ -427,11 +428,12 @@ def _parse_root(payload: object, doc_count: int) -> CompositeNode:
         children = payload.get("children", [])
         if not isinstance(children, list):
             raise CompositeSchemaError(f"node {node_id}: children must be a list")
-        node = CompositeNode(node_id, label, support / doc_count, float(position), support)
+        node = CompositeNode(node_id, LexicalForms.of(*forms), support / doc_count, float(position), support)
         siblings.append(node)
         if children:
             kin = node.children
-            stack.extend([(child, kin) for child in reversed(children)])
+            depth += 1
+            stack.extend([(child, kin, depth) for child in reversed(children)])
             if len(children) > 1:
                 unsorted.append(kin)
     # siblings are kept sorted by position; a hand-written file may list them
@@ -453,6 +455,6 @@ def load_composite(path: str | Path) -> CompositeTopicTree:
     domain_genre = payload.get("domain_genre")
     _require(isinstance(domain_genre, str), "domain_genre must be a string")
     check_line(domain_genre, "the norm for domain genre", CompositeSchemaError)
-    root = _parse_root(payload.get("root"), doc_count)
+    root = _parse_root(payload.get("root"), doc_count, path)
     _require(root.support == doc_count, "root support must equal doc_count (root typicality is 1.0 by construction)")
     return CompositeTopicTree(root=root, domain_genre=domain_genre, doc_count=doc_count)

@@ -614,7 +614,10 @@ def oracle_load_composite(path) -> CompositeTopicTree:
     if not isinstance(domain_genre, str):
         raise CompositeSchemaError("domain_genre must be a string")
     check_line(domain_genre, "the norm for domain genre", CompositeSchemaError)
-    root = _oracle_parse_node(payload.get("root"), doc_count, set())
+    try:
+        root = _oracle_parse_node(payload.get("root"), doc_count, set())
+    except RecursionError as exc:
+        raise CompositeSchemaError(f"composite file {path} is nested too deeply") from exc
     if root.support != doc_count:
         raise CompositeSchemaError("root support must equal doc_count (root typicality is 1.0 by construction)")
     return CompositeTopicTree(root=root, domain_genre=domain_genre, doc_count=doc_count)

@@ -163,8 +163,11 @@ def test_corrupt_composite_exits_2(tmp_path, angina_docs, capsys):
     assert "error" in err
 
 
-def test_deeply_nested_composite_exits_2(tmp_path, angina_docs, capsys):
-    depth = 3000
+@pytest.mark.parametrize("depth", [sys.getrecursionlimit() // 2 + 2, 3000])
+def test_deeply_nested_composite_exits_2(tmp_path, angina_docs, capsys, depth):
+    """Nodes in a chain, the deepest one level past half the recursion limit
+    or far past it: json refuses the file on some Pythons, the norm loader
+    on the others."""
     node = '{"id": %d, "forms": ["t"], "position": 0.0, "support": 1, "children": ['
     text = (
         '{"version": "1", "domain_genre": "g", "doc_count": 1, "root": '

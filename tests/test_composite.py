@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from topicsift import (
     save_composite,
 )
 from topicsift.composite import _emit_node
-from topicsift.model import LINE_BREAKS, best_jaccard, walk
+from topicsift.model import LINE_BREAKS, best_jaccard, walk, walk_depth
 
 from conftest import make_doc, write_corpus
 from oracles import node_map, oracle_load_composite, parent_map
@@ -447,6 +448,47 @@ def test_invalid_json_is_a_schema_error(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(CompositeSchemaError):
         load_composite(path)
+
+
+def _chain_payload(nodes):
+    """A valid norm payload of nodes, each the only child of the one before."""
+    root = node = {"id": 0, "forms": ["t"], "position": 0.0, "support": 1, "children": []}
+    for node_id in range(1, nodes):
+        child = {"id": node_id, "forms": ["t"], "position": 0.0, "support": 1, "children": []}
+        node["children"].append(child)
+        node = child
+    return {"version": "1", "domain_genre": "g", "doc_count": 1, "root": root}
+
+
+def test_a_norm_half_the_recursion_limit_deep_loads_and_saves(tmp_path, monkeypatch):
+    """The payload is handed to the loader decoded, as json on some Pythons
+    refuses a file this deep before the loader sees it."""
+    depth = sys.getrecursionlimit() // 2
+    monkeypatch.setattr("topicsift.composite.read_json", lambda *args: _chain_payload(depth + 1))
+    composite = load_composite(tmp_path / "deep.json")
+    assert max(level for _, level in walk_depth(composite.root)) == depth
+    save_composite(composite, tmp_path / "saved.json")
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [(None, "composite file {path} is nested too deeply"), (1, "node 1: support must be >= 1")],
+    ids=["too-deep", "fault-read-first"],
+)
+def test_a_norm_deeper_than_half_the_recursion_limit_is_refused(tmp_path, monkeypatch, fault, message):
+    """Whatever depth json itself decodes, one level past the bound is
+    "nested too deeply"; a fault in a node read before it is named first."""
+    payload = _chain_payload(sys.getrecursionlimit() // 2 + 2)
+    if fault is not None:
+        node = payload["root"]
+        for _ in range(fault):
+            node = node["children"][0]
+        node["support"] = 0
+    monkeypatch.setattr("topicsift.composite.read_json", lambda *args: payload)
+    path = tmp_path / "deep.json"
+    with pytest.raises(CompositeSchemaError) as caught:
+        load_composite(path)
+    assert str(caught.value) == message.format(path=path)
 
 
 def test_typicality_rederived_from_support(tmp_path):
