@@ -1,86 +1,65 @@
 """Building the composite topic tree (the domain/genre norm) by aligning and
-folding document topic trees from a reference corpus.
+folding document topic trees from a reference corpus; reading and writing
+norm files.
 
-The build is a deterministic fold in document (file-name) order, from a norm
-of the first document's root only: the first document is folded in without
-being aligned, so none of its headers is absorbed into the root, and every
-further one is aligned against the current composite, then folded in.
-``build_composite`` is the only public way to change a norm. Per node the
-composite tracks support (how many documents contributed the topic),
-typicality (support / documents seen) and position (mean normalized sibling
-rank over contributors).
+``build_composite`` is the only public way to change a norm. It folds the
+corpus in document (file-name) order into a norm of the first document's
+root only: the first document is folded in without being aligned, so none of
+its headers is absorbed into the root, and every further one is aligned
+against the current norm, then folded in. Per node the norm tracks support
+(how many documents contributed the topic), typicality (support / documents
+seen) and position (mean normalized sibling rank over contributors).
 
 Alignment is greedy and top-down. Roots always align. Every other document
 node may only match among the children of its parent's matched composite
-node, plus that node itself so a level skip in one document can be absorbed.
-A match needs label similarity >= threshold; ties fall to the candidate with
-the lower position, then the lower id.
+node, plus that node itself, so a level skip in one document can be
+absorbed. A match needs label similarity >= threshold, the best token-set
+Jaccard between the labels' normal forms; ties fall to the candidate with
+the lower position, then the lower id. Scoring reads the norm's index
+(``CompositeTopicTree.index``), which the fold keeps current:
 
-Similarity is the best token-set Jaccard between two labels' normal forms, so
-scoring goes through the composite's index (``CompositeTopicTree.index``),
-which the fold keeps current, so no alignment re-walks the growing norm.
-Each composite label's token sets are computed once, and each parent posts
-its children by every token of their labels and by every token set they
-hold. A candidate that holds one of the header's token sets scores 1.0, the
-best there is, so when the anchor or one of its children holds one, the
-lowest (position, id) among those holders wins and nothing is scored.
-Otherwise, with a threshold above 0, a document node is scored only against
-the anchor and the children that share a token with it; any other child
-scores 0 and could never reach the threshold. A threshold of exactly 0
-accepts a score of 0, so there every child of the anchor is scored. A label
-of several token sets is scored only over the sets that share a token with
-the header, through its set postings (token -> indices of its sets): every
-other set scores 0. This matters for the root, which gains one token set
-per distinct document title and is the anchor of every top-level header.
+- a candidate that holds one of the header's token sets scores 1.0, the best
+  there is, so when the anchor or one of its children holds one, the lowest
+  (position, id) among those holders wins and nothing is scored;
+- otherwise, above a threshold of 0, only the anchor and the children that
+  share a token with the header are scored: any other child scores 0. At a
+  threshold of exactly 0 every child of the anchor is scored;
+- a label of several token sets, such as the root's, which gains one per
+  distinct document title, is scored only over its sets that share a token
+  with the header; every other set scores 0.
 
-A header's match depends on the norm and on nothing else but the threshold,
-the header's anchor (the match of its parent) and its label's token sets.
-``align_tree`` memoizes it in the composite index: ``alignments`` maps
-(threshold, anchor id, token sets) to the matched composite id or None, so
-against a norm loaded once each distinct header is scored once per anchor,
-however many documents repeat it. The memo holds one entry per distinct key
-seen and lives as long as the norm's index; the fold clears it, together
-with the possible-typical memo, whenever it changes the norm.
-``build_composite`` aligns without the memo: each of its documents is
-aligned against a norm that the next fold changes, so no entry could ever be
-read back.
+A header's match depends on nothing but the norm, the threshold, its anchor
+(the match of its parent) and its token sets. ``align_tree`` memoizes it in
+the index's ``alignments``, so against a norm loaded once each distinct
+header is scored once per anchor. Whatever changes the norm clears the memo;
+``build_composite`` aligns without it, as the next fold would clear each
+entry before it could be read back.
 
-A document is read through its pre-order lists (``model.DocumentTopicTree``).
 ``build_composite`` takes each document's token sets once, from the norm's
-label memo (``CompositeIndex.label_sets``), and passes them to
-``align_tree`` and to the fold, so each distinct header spelling of the
-corpus is tokenized once; the built norm keeps the memo for every document
-later read against it. The fold derives the document's sibling ranks once
-and takes new composite ids from the index's next free id.
+label memo (``CompositeIndex.label_sets``), and hands them to both alignment
+and the fold, so each distinct header spelling of a corpus is tokenized
+once. Folding a document costs in proportion to the document and the
+sibling lists it changes, never to the whole norm:
 
-Folding a document walks the document and the sibling lists it changes,
-never the whole norm. Sibling lists are sorted by position:
-``load_composite`` sorts each list it reads (stably, so ties keep file
-order), and the fold re-sorts only the lists in which the document moved a
-child's position or inserted a child, with a stable sort, so ties keep the
-order they had, new children last. Nothing in the fold reads typicality,
-so ``build_composite`` refreshes it once, after the last document.
-Typicality stays a stored field because readers such as ``save_composite``
-and ``classify`` take it from the node, which has no link to its tree's
-doc_count.
+- sibling lists are always sorted by position; the fold re-sorts, stably,
+  only those in which it moved a child's position or inserted a child, so
+  ties keep their order and new children come last;
+- merging a header's spelling into a label costs in proportion to that one
+  spelling, not to the spellings the label holds
+  (``CompositeIndex.merge_label``); a new topic takes the header's token
+  sets;
+- nothing reads typicality during the build, so ``build_composite`` sets it
+  once, after the last document. It stays a stored field because readers
+  such as ``save_composite`` and ``classify`` take it from the node.
 
-A label merge costs in proportion to the one spelling a document node
-brings, not to the spellings the composite label holds (the root gains one
-per distinct document title): the index keeps each label's fold keys as a
-set, so the spelling is folded once and looked up, and only a new
-spelling's token set is posted. Inserted topics take the document's token
-sets.
-
-``load_composite`` reads the norm file's nodes in one loop, in pre-order,
-with a stack of the nodes still to read: every node is checked before its
-children, and the first fault in that order is the one named. A node more
-than half the recursion limit below the root makes the file "nested too
-deeply", as deep as a parser recursing through a function and a list
-comprehension per level could read; that leaves ``save_composite``'s
-writer, which recurses once per level, half the stack. Each sibling list of
-two or more is sorted once, after the loop. The index is not built on load:
-a caller that only saves or inspects the norm never pays for it, and it is
-built on the first lookup.
+``save_composite`` writes a versioned JSON file, byte-identical for
+identical trees. ``load_composite`` reads a file's nodes in one loop, in
+pre-order: every node is checked before its children, and the first fault in
+that order is the one named. A node more than half the recursion limit below
+the root makes the file "nested too deeply", which leaves the writer, which
+recurses once per level, half the stack. Each sibling list is sorted by
+position once, stably, after the loop. Loading builds no index; it is built
+on the first lookup.
 """
 from __future__ import annotations
 
@@ -89,6 +68,7 @@ import operator
 import sys
 from json.encoder import encode_basestring
 from pathlib import Path
+from types import MappingProxyType
 
 from .ingest import CorpusSet
 from .model import (
@@ -102,7 +82,6 @@ from .model import (
     brief_repr,
     check_line,
     read_json,
-    walk,
 )
 
 SCHEMA_VERSION = "1"
@@ -136,6 +115,8 @@ def _check_threshold(threshold: float) -> None:
 
 
 _UNSEEN = object()
+# the posting maps of a node with no children: read, never written
+_NONE_POSTED = MappingProxyType({})
 
 
 def align_tree(
@@ -194,7 +175,7 @@ def _best_match(
     nodes = norm.nodes
     # a candidate holding one of the header's token sets scores 1.0, which
     # no other can beat: the lowest (position, id) among those wins
-    held_below = norm.children_by_set.get(anchor_id, {})
+    held_below = norm.children_by_set.get(anchor_id, _NONE_POSTED)
     held_beside = norm.children_by_set[norm.parents[anchor_id]]
     exact: tuple[float, int] | None = None
     for tokens in token_sets:
@@ -210,7 +191,7 @@ def _best_match(
         return exact[1]
     if threshold > 0.0:
         candidates = {anchor_id}
-        postings = norm.children_by_token.get(anchor_id, {})
+        postings = norm.children_by_token.get(anchor_id, _NONE_POSTED)
         for tokens in token_sets:
             for token in tokens:
                 candidates.update(postings.get(token, ()))
@@ -255,9 +236,9 @@ def _fold_document(
     refresh; nothing here reads it.
     """
     norm = composite.index()
-    comp_nodes = norm.nodes
+    comp_nodes, comp_parents = norm.nodes, norm.parents
+    add, merge_label = norm.add, norm.merge_label
     parents = doc.parents
-    ranks = doc.ranks()
 
     touched: set[int] = set()
     contributed: set[int] = set()
@@ -265,13 +246,11 @@ def _fold_document(
     # pre-order: the first document node to hit a composite node carries the
     # support and rank contribution for this document, and an unmatched
     # parent is inserted before its children
-    for node_id, label in enumerate(doc.labels):
+    for node_id, (label, rank, sets) in enumerate(zip(doc.labels, doc.ranks(), token_sets)):
         target = pairs.get(node_id)
         if target is None:
             # valid by construction: token_sets refused a blank label
-            fresh = CompositeNode(
-                id=norm.next_id, label=LexicalForms._trusted((label,)), typicality=0.0, position=ranks[node_id], support=1
-            )
+            fresh = CompositeNode(norm.next_id, LexicalForms._trusted((label,)), 0.0, rank, 1)
             parent = parents[node_id]
             comp_parent = inserted.get(parent)
             if comp_parent is None:
@@ -280,18 +259,20 @@ def _fold_document(
             # else a fresh parent, whose children arrive in document order,
             # so by ascending rank
             comp_parent.children.append(fresh)
-            norm.add(fresh, comp_parent.id, token_sets[node_id])
+            add(fresh, comp_parent.id, sets)
             inserted[node_id] = fresh
         elif target not in contributed:
             contributed.add(target)
             comp = comp_nodes[target]
-            position = (comp.position * comp.support + ranks[node_id]) / (comp.support + 1)
-            parent_id = norm.parents[target]
-            if parent_id is not None and position != comp.position:
-                touched.add(parent_id)
+            support = comp.support
+            position = (comp.position * support + rank) / (support + 1)
+            if position != comp.position:
+                parent_id = comp_parents[target]
+                if parent_id is not None:
+                    touched.add(parent_id)
             comp.position = position
-            comp.support += 1
-            norm.merge_label(comp, label, token_sets[node_id])
+            comp.support = support + 1
+            merge_label(comp, label, sets)
 
     for parent_id in touched:
         comp_nodes[parent_id].children.sort(key=_by_position)
@@ -300,8 +281,9 @@ def _fold_document(
 
 
 def _refresh_typicality(composite: CompositeTopicTree) -> None:
-    for node in walk(composite.root):
-        node.typicality = node.support / composite.doc_count
+    doc_count = composite.doc_count
+    for node in composite.index().nodes.values():
+        node.typicality = node.support / doc_count
 
 
 def build_composite(corpus: CorpusSet, threshold: float, domain_genre: str | None = None) -> CompositeTopicTree:
@@ -319,7 +301,7 @@ def build_composite(corpus: CorpusSet, threshold: float, domain_genre: str | Non
     # the trace prints the domain genre on one line and the norm file stores it as UTF-8
     check_line(domain_genre, "the norm for domain genre", CompositeSchemaError)
     first = corpus.docs[0]
-    root = CompositeNode(id=0, label=LexicalForms._trusted((first.labels[0],)), typicality=0.0, position=0.0, support=0)
+    root = CompositeNode(0, LexicalForms._trusted((first.labels[0],)), 0.0, 0.0, 0)
     composite = CompositeTopicTree(root=root, domain_genre=domain_genre, doc_count=0)
     label_sets = composite.index().label_sets
     # the first document meets a norm of its own root only: it is not aligned,
@@ -338,26 +320,30 @@ def build_composite(corpus: CorpusSet, threshold: float, domain_genre: str | Non
 # doc_count round-trip bit-exactly as integers; typicality is written with 12
 # decimals for readability but re-derived as support / doc_count on load.
 
-def _emit_node(node: CompositeNode, out: list[str], indent: str) -> None:
-    # encode_basestring and float.__repr__ are what json.dumps writes for a
-    # str (ensure_ascii=False) and for a finite float, which every position
-    # is, without setting up an encoder per call
+def _emit_node(node: CompositeNode, out: list[str], indent: str, lead: str = "") -> None:
+    # one string per node, from lead (the separator after the sibling before
+    # it) up to its closing brace, and for a node with children one more
+    # that closes them. encode_basestring and float.__repr__ are what
+    # json.dumps writes for a str (ensure_ascii=False) and for a finite
+    # float, which every position is, without setting up an encoder per call
     inner = indent + "  "
-    out.append(indent + "{\n")
-    out.append(f'{inner}"id": {node.id},\n')
-    out.append(f'{inner}"forms": [{", ".join(map(encode_basestring, node.label.forms))}],\n')
-    out.append(f'{inner}"typicality": {node.typicality:.12f},\n')
-    out.append(f'{inner}"position": {float.__repr__(node.position)},\n')
-    out.append(f'{inner}"support": {node.support},\n')
-    if node.children:
-        out.append(f'{inner}"children": [\n')
-        for index, child in enumerate(node.children):
-            _emit_node(child, out, inner + "  ")
-            out.append(",\n" if index < len(node.children) - 1 else "\n")
-        out.append(f"{inner}]\n")
-    else:
-        out.append(f'{inner}"children": []\n')
-    out.append(indent + "}")
+    children = node.children
+    opened = "[\n" if children else f"[]\n{indent}}}"
+    out.append(
+        f'{lead}{indent}{{\n{inner}"id": {node.id},\n'
+        f'{inner}"forms": [{", ".join(map(encode_basestring, node.label.forms))}],\n'
+        f'{inner}"typicality": {node.typicality:.12f},\n'
+        f'{inner}"position": {float.__repr__(node.position)},\n'
+        f'{inner}"support": {node.support},\n'
+        f'{inner}"children": {opened}'
+    )
+    if children:
+        below = inner + "  "
+        lead = ""
+        for child in children:
+            _emit_node(child, out, below, lead)
+            lead = ",\n"
+        out.append(f"\n{inner}]\n{indent}}}")
 
 
 def save_composite(composite: CompositeTopicTree, path: str | Path) -> None:

@@ -46,8 +46,9 @@ log = logging.getLogger(__name__)
 
 # a header line, behind the "\n" that ends the line before it. The label
 # runs to the line's last non-space character, so "#  " is body text, not a
-# header; matching it greedily backtracks only over the trailing whitespace
-_HEADER = re.compile(r"\n(#{1,6}) (.*\S)[^\S\n]*$", re.M)
+# header: "." stops at the line's end and the greedy ".*" backs off only
+# over trailing whitespace, which is left unmatched
+_HEADER = re.compile(r"\n(#{1,6}) (.*\S)")
 # every line boundary of str.splitlines except "\n"; nine substring tests
 # cost a tenth of one character-class regex search over a whole document
 _OTHER_BREAKS = LINE_BREAKS[1:]

@@ -394,10 +394,12 @@ class DocumentTopicTree(Record):
         counts = [0] * len(parents)
         for parent in parents[1:]:
             counts[parent] += 1
+        # max(count - 1, 1) for a parent; a leaf's -1 is never read
+        spans = [count - 1 or 1 for count in counts]
         seen = [0] * len(parents)
         ranks = [0.0]
         for parent in parents[1:]:
-            ranks.append(seen[parent] / max(counts[parent] - 1, 1))
+            ranks.append(seen[parent] / spans[parent])
             seen[parent] += 1
         return ranks
 
@@ -440,11 +442,14 @@ class CompositeIndex:
     scored only over the sets it shares a token with; every other set
     scores 0.
 
-    ``merge_label`` keeps, per node, the fold keys of its label's spellings
-    (``fold_keys``, built the first time a document brings the node a
-    spelling other than its own), so no merge scans a label's spellings; a
-    new token set is looked up in ``children_by_set``. ``add`` and
-    ``merge_label`` post a node's new token sets through one routine.
+    From the first time a document brings a node a spelling other than
+    its own, ``merge_label`` keeps two sets for it: every raw spelling
+    merged into it so far (``spellings``, its label's forms among them) and
+    the fold keys of its label's forms (``fold_keys``). A spelling seen
+    before is found in the first without folding; a new one is folded once
+    and looked up in the second. A new token set is looked up in
+    ``children_by_set``. ``add`` and ``merge_label`` post a node's new
+    token sets through one routine.
 
     Two memos hold results derived from the tree, so a norm loaded once
     computes each only once: ``possible_typical`` maps (query, params) to
@@ -472,6 +477,7 @@ class CompositeIndex:
         self.children_by_set: dict[int | None, dict[frozenset[str], list[int]]] = {}
         self.set_postings: dict[int, dict[str, list[int]]] = {}
         self.parents: dict[int, int | None] = {}
+        self.spellings: dict[int, set[str]] = {}
         self.fold_keys: dict[int, set[str]] = {}
         self.possible_typical: dict[tuple[str, TypingParams], frozenset[int]] = {}
         self.alignments: dict[tuple[float, int, tuple[frozenset[str], ...]], int | None] = {}
@@ -496,64 +502,95 @@ class CompositeIndex:
     ) -> None:
         """Register a node that was just attached under parent_id; token_sets
         are its label's, when the caller already has them."""
-        if node.id in self.nodes:
-            raise ValueError("duplicate node id %r" % (node.id,))
-        self.nodes[node.id] = node
-        self.parents[node.id] = parent_id
-        self.next_id = max(self.next_id, node.id + 1)
+        node_id = node.id
+        if node_id in self.nodes:
+            raise ValueError("duplicate node id %r" % (node_id,))
+        self.nodes[node_id] = node
+        self.parents[node_id] = parent_id
+        if node_id >= self.next_id:
+            self.next_id = node_id + 1
         if token_sets is None:
             token_sets = node.label.token_sets()
-        self._post(node.id, token_sets)
+        self._post(node_id, token_sets)
 
     def _post(self, node_id: int, new_sets: tuple[frozenset[str], ...]) -> None:
-        """Give a node the new token sets new_sets and post them: in its
-        parent's set holders, under the tokens its label did not have yet in
-        its parent's token postings, and, once it holds more than one set, in
-        its own set postings."""
+        """Give a node the token sets new_sets, none of which it holds yet,
+        and post them: under each set in its parent's set holders, under each
+        token its label did not have yet in its parent's token postings, and,
+        once it holds more than one set, under each token in its own set
+        postings.
+
+        A posting map or list is made only for its first entry, and a list
+        then holds just that entry: most hold one id, and an appended empty
+        list would reserve room for four."""
         old_sets = self.token_sets.get(node_id, ())
         parent_id = self.parents[node_id]
-        holders = self.children_by_set.setdefault(parent_id, {})
+        holders = self.children_by_set.get(parent_id)
+        if holders is None:
+            holders = self.children_by_set[parent_id] = {}
         for tokens in new_sets:
-            holders.setdefault(tokens, []).append(node_id)
+            ids = holders.get(tokens)
+            if ids is None:
+                holders[tokens] = [node_id]
+            else:
+                ids.append(node_id)
         if parent_id is not None:
             had = self.set_postings.get(node_id) or (old_sets[0] if old_sets else ())
-            postings = self.children_by_token.setdefault(parent_id, {})
-            for token in set().union(*new_sets).difference(had):
-                postings.setdefault(token, []).append(node_id)
+            postings = self.children_by_token.get(parent_id)
+            if postings is None:
+                postings = self.children_by_token[parent_id] = {}
+            for token in new_sets[0] if len(new_sets) == 1 else set().union(*new_sets):
+                if token not in had:
+                    ids = postings.get(token)
+                    if ids is None:
+                        postings[token] = [node_id]
+                    else:
+                        ids.append(node_id)
         sets = self.token_sets[node_id] = old_sets + new_sets
         if len(sets) > 1:
             # a label that had one set gets its set postings now, from set 0
             first = len(old_sets) if len(old_sets) > 1 else 0
-            by_token = self.set_postings.setdefault(node_id, {})
+            by_token = self.set_postings.get(node_id)
+            if by_token is None:
+                by_token = self.set_postings[node_id] = {}
             for offset in range(first, len(sets)):
                 for token in sets[offset]:
-                    by_token.setdefault(token, []).append(offset)
+                    offsets = by_token.get(token)
+                    if offsets is None:
+                        by_token[token] = [offset]
+                    else:
+                        offsets.append(offset)
 
     def merge_label(self, node: CompositeNode, spelling: str, token_sets: tuple[frozenset[str], ...]) -> None:
         """Give a node a document's spelling, unless it holds one of the same
         fold key, and post the spelling's token sets (token_sets) it lacks.
 
         Costs in proportion to the spelling, not to the spellings the node
-        holds: a node spelled only this way is skipped without folding, and
-        otherwise the spelling is folded once and checked against the node's
-        fold keys; its token sets are looked up among the sets its parent's
-        children hold. Fold keys and token sets are looked up, never scanned
-        for.
+        holds: a node spelled only this way is skipped without folding, a
+        spelling the node's spelling set holds is skipped without folding,
+        and any other is folded once, added to that set and looked up among
+        the node's fold keys; its token sets are looked up among the sets
+        its parent's children hold. Nothing is scanned for.
         """
-        forms = node.label.forms
-        if forms == (spelling,):
-            # the common repeat: a header spelled as the node it matched
-            return
         node_id = node.id
-        keys = self.fold_keys.get(node_id)
-        if keys is None:
-            keys = self.fold_keys[node_id] = {fold(form) for form in forms}
+        seen = self.spellings.get(node_id)
+        if seen is None:
+            forms = node.label.forms
+            if forms[0] == spelling and len(forms) == 1:
+                # the common repeat: a header spelled as the node it matched
+                return
+            seen = self.spellings[node_id] = set(forms)
+            self.fold_keys[node_id] = {fold(form) for form in forms}
+        if spelling in seen:
+            return
+        seen.add(spelling)
         key = fold(spelling)
+        keys = self.fold_keys[node_id]
         if key in keys:
             return
         keys.add(key)
         # valid by construction: a non-blank spelling with a new fold key
-        node.label = LexicalForms._trusted(forms + (spelling,))
+        node.label = LexicalForms._trusted(node.label.forms + (spelling,))
         holders = self.children_by_set[self.parents[node_id]]
         new_sets = tuple(tokens for tokens in token_sets if node_id not in holders.get(tokens, ()))
         if new_sets:

@@ -28,12 +28,14 @@ classify = importlib.import_module(f"{__package__}.classify")  # the package bin
 
 log = logging.getLogger(__name__)
 
-# the "region=... type=..." text of a trace node line, per topic type
+# the "region=... type=..." text of a trace node line, per topic type, keyed
+# by the member's id: hashing an Enum member calls Enum.__hash__, a Python
+# function, once per node line, while an int hashes in C
 _REGION_AND_TYPE = {
-    TopicType.TYPICAL: "region=relevant type=typical",
-    TopicType.RARE: "region=relevant type=rare",
-    TopicType.INTRICATE: "region=intricate type=intricate",
-    TopicType.IRRELEVANT: "region=irrelevant type=irrelevant",
+    id(TopicType.TYPICAL): "region=relevant type=typical",
+    id(TopicType.RARE): "region=relevant type=rare",
+    id(TopicType.INTRICATE): "region=intricate type=intricate",
+    id(TopicType.IRRELEVANT): "region=irrelevant type=irrelevant",
 }
 
 
@@ -164,7 +166,7 @@ def render_trace(summary: Summary) -> list[str]:
                     )
             # encode_basestring writes what json.dumps(ensure_ascii=False) does for a str
             append(
-                f"  node: id={node_id} depth={depth} {_REGION_AND_TYPE[types[node_id]]}"
+                f"  node: id={node_id} depth={depth} {_REGION_AND_TYPE[id(types[node_id])]}"
                 f" {norm_text} label={encode_basestring(label)}"
             )
         d = result.dist

@@ -28,10 +28,11 @@ from topicsift import (
     parse_document,
     save_composite,
 )
+from topicsift import cli
 from topicsift.composite import _emit_node
 from topicsift.model import LINE_BREAKS, best_jaccard, walk, walk_depth
 
-from conftest import make_doc, write_corpus
+from conftest import GOLDEN, make_doc, write_corpus
 from oracles import node_map, oracle_load_composite, parent_map
 
 
@@ -348,6 +349,15 @@ def test_save_is_byte_deterministic(tmp_path):
     save_composite(composite, tmp_path / "one.json")
     save_composite(composite, tmp_path / "two.json")
     assert (tmp_path / "one.json").read_bytes() == (tmp_path / "two.json").read_bytes()
+
+
+def test_built_angina_norm_matches_the_golden_file(tmp_path, angina_reference):
+    """The angina build writes the pinned composite byte for byte. The
+    oracle tests save both of the norms they compare through the same
+    writer, so this file is what pins the writer's bytes."""
+    path = tmp_path / "composite.json"
+    assert cli.main(["build", str(angina_reference), str(path)]) == 0
+    assert path.read_bytes() == (GOLDEN / "angina_composite.json").read_bytes()
 
 
 def _minimal_payload(**overrides):

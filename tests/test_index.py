@@ -150,6 +150,12 @@ def _index_contents(index: CompositeIndex):
     }
     for node_id, keys in index.fold_keys.items():
         assert keys == {fold(form) for form in index.nodes[node_id].label.forms}
+    # the spellings a merge skips without folding: every form of the node,
+    # and no spelling of a fold key the node lacks
+    assert index.spellings.keys() == index.fold_keys.keys()
+    for node_id, seen in index.spellings.items():
+        assert seen.issuperset(index.nodes[node_id].label.forms)
+        assert {fold(spelling) for spelling in seen} <= index.fold_keys[node_id]
     return index.nodes, index.token_sets, index.parents, postings, holders, set_postings
 
 
