@@ -32,7 +32,7 @@ from topicsift import cli
 from topicsift.composite import _emit_node
 from topicsift.model import LINE_BREAKS, best_jaccard, walk, walk_depth
 
-from conftest import GOLDEN, make_doc, write_corpus
+from conftest import FIXTURES, GOLDEN, make_doc, write_corpus
 from oracles import node_map, oracle_load_composite, parent_map
 
 
@@ -358,6 +358,24 @@ def test_built_angina_norm_matches_the_golden_file(tmp_path, angina_reference):
     path = tmp_path / "composite.json"
     assert cli.main(["build", str(angina_reference), str(path)]) == 0
     assert path.read_bytes() == (GOLDEN / "angina_composite.json").read_bytes()
+
+
+def test_built_multi_spelling_norm_matches_the_golden_file(tmp_path):
+    """Headers that spell one topic several ways, with a quote, a backslash,
+    a tab and a non-ASCII letter: the writer's bytes for labels of several
+    escaped forms are pinned too."""
+    path = tmp_path / "composite.json"
+    assert cli.main(["build", str(FIXTURES / "spellings" / "reference"), str(path)]) == 0
+    assert path.read_bytes() == (GOLDEN / "spellings_composite.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["angina_composite.json", "spellings_composite.json"])
+def test_loading_and_saving_a_golden_norm_gives_its_bytes(tmp_path, name):
+    """Both label paths of the loader, one spelling and several, read back
+    what the writer wrote."""
+    path = tmp_path / name
+    save_composite(load_composite(GOLDEN / name), path)
+    assert path.read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def _minimal_payload(**overrides):

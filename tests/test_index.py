@@ -71,7 +71,10 @@ from oracles import (
     sibling_rank_map,
 )
 
-THRESHOLDS = (0.0, 0.3, 0.5, 1.0)
+# 1e-9 is the smallest kind of positive threshold: a header that shares no
+# token with a candidate scores 0 and cannot match it, but one that shares
+# a single token with it can
+THRESHOLDS = (0.0, 1e-9, 0.3, 0.5, 1.0)
 
 # a small vocabulary so labels often share tokens; "??" and "..." normalize
 # to "" and must never match anything
@@ -108,6 +111,11 @@ def documents(draw, doc_id="doc", node_labels=surface):
 
 
 corpora = st.lists(documents(), min_size=1, max_size=5)
+# probe headers may share no token with any norm label: not with the root,
+# which holds one token set per distinct document title, nor with any other
+# anchor or its children
+foreign = st.sampled_from(["gardening", "Gardening tips:", "weather report"])
+probe_documents = documents("probe", node_labels=surface | foreign)
 
 
 def _fold(docs, threshold):
@@ -181,7 +189,7 @@ def test_label_similarity_edge_cases():
 
 
 @settings(max_examples=80, deadline=None)
-@given(corpora, documents("probe"), st.sampled_from(THRESHOLDS))
+@given(corpora, probe_documents, st.sampled_from(THRESHOLDS))
 def test_alignment_matches_brute_force(docs, probe, threshold):
     composite = _fold(docs, threshold)
     alignment = align_tree(probe, composite, threshold)
@@ -205,7 +213,7 @@ def test_zero_threshold_scores_children_that_share_no_token():
 
 
 @settings(max_examples=50, deadline=None)
-@given(corpora, st.lists(documents("more"), min_size=1, max_size=4), st.sampled_from(THRESHOLDS), documents("probe"))
+@given(corpora, st.lists(documents("more"), min_size=1, max_size=4), st.sampled_from(THRESHOLDS), probe_documents)
 def test_index_stays_current_across_merges(docs, more, threshold, probe):
     composite = _fold(docs, threshold)
     composite.index()
@@ -256,7 +264,7 @@ def test_possible_typical_memo_is_cleared_by_merge(docs, late, query, k, alpha):
 
 
 @settings(max_examples=60, deadline=None)
-@given(corpora, st.lists(st.tuples(documents("probe"), st.sampled_from(THRESHOLDS)), min_size=1, max_size=6))
+@given(corpora, st.lists(st.tuples(probe_documents, st.sampled_from(THRESHOLDS)), min_size=1, max_size=6))
 def test_memoized_alignment_matches_brute_force_across_probes_and_thresholds(docs, probes):
     """One norm aligns every probe in turn, at mixed thresholds, then the
     probes again and its own documents; every header seen before at the
@@ -269,7 +277,7 @@ def test_memoized_alignment_matches_brute_force_across_probes_and_thresholds(doc
 
 
 @settings(max_examples=60, deadline=None)
-@given(corpora, documents("late"), documents("probe"), st.booleans(), st.sampled_from(THRESHOLDS))
+@given(corpora, documents("late"), probe_documents, st.booleans(), st.sampled_from(THRESHOLDS))
 def test_alignment_memo_is_cleared_by_merge(docs, late, probe, merge_probe, threshold):
     composite = _fold(docs, threshold)
     before = align_tree(probe, composite, threshold)
@@ -280,6 +288,27 @@ def test_alignment_memo_is_cleared_by_merge(docs, late, probe, merge_probe, thre
     assert composite.index().alignments == {}
     after = align_tree(probe, composite, threshold)
     assert (after.pairs, after.unmatched) == oracle_align_tree(probe, composite, threshold)
+
+
+def test_a_header_sharing_no_token_with_its_candidates_is_not_scored():
+    """Above a threshold of 0 a header that shares no token with its anchor,
+    here the root of several token sets, nor with any child of it matches
+    nothing, and alignment scores no candidate for it; at 0 every candidate
+    scores 0, and the lowest-position one still wins."""
+    docs = [
+        make_doc(("Angina guide", ["Symptoms", "Treatment"]), doc_id="a"),
+        make_doc(("Chest pain", ["Symptoms"]), doc_id="b"),
+    ]
+    composite = _fold(docs, 0.5)
+    assert len(composite.index().token_sets[composite.root.id]) == 2
+    probe = make_doc(("Angina", ["Gardening tips", ("Symptoms", ["Weather"])]))
+    for threshold in THRESHOLDS:
+        with mock.patch("topicsift.composite.best_jaccard", side_effect=best_jaccard) as counter:
+            alignment = align_tree(probe, composite, threshold)
+        assert (alignment.pairs, alignment.unmatched) == oracle_align_tree(probe, composite, threshold)
+        # "Symptoms" has an exact holder; "Weather", under it, has no candidate but its anchor
+        assert (counter.call_count == 0) == (threshold > 0.0)
+    assert align_tree(probe, composite, 1e-9).unmatched == {1, 3}
 
 
 def test_a_repeated_alignment_scores_no_candidate_and_the_build_fills_no_alignment_memo():
@@ -310,7 +339,7 @@ def test_a_repeated_alignment_scores_no_candidate_and_the_build_fills_no_alignme
 @settings(max_examples=60, deadline=None)
 @given(
     corpora,
-    st.lists(documents("probe"), min_size=1, max_size=4),
+    st.lists(probe_documents, min_size=1, max_size=4),
     surface,
     st.integers(min_value=1, max_value=3),
     st.sampled_from((0.0, 0.5, 1.0)),
@@ -714,7 +743,7 @@ queries = st.one_of(surface, st.sampled_from(["", "   ", "\t"]))
 @settings(max_examples=120, deadline=None)
 @given(
     corpora,
-    documents("probe"),
+    probe_documents,
     queries,
     st.integers(min_value=1, max_value=3),
     st.sampled_from((0.0, 0.3, 0.5, 1.0)),

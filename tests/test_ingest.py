@@ -200,6 +200,17 @@ def test_load_corpus_names_undecodable_file(tmp_path):
         load_corpus(corpus_dir)
 
 
+@pytest.mark.parametrize("data", [b"\xef", b"\xef\xbb", b"\xef\xbbx"])
+def test_load_corpus_refuses_a_cut_byte_order_mark(tmp_path, data):
+    """A file of the first bytes of a byte-order mark is not UTF-8. (A
+    text-mode reader with the utf-8-sig codec returns "" for the first two.)"""
+    directory = tmp_path / "c"
+    directory.mkdir()
+    (directory / "cut.md").write_bytes(data)
+    with pytest.raises(CorpusReadError, match="cannot read corpus file cut.md: 'utf-8' codec can't decode"):
+        load_corpus(directory)
+
+
 def test_load_corpus_drops_a_byte_order_mark(tmp_path, angina_docs):
     """Editors often save UTF-8 with a leading byte-order mark; it must hide
     neither the front matter nor the first header."""
@@ -255,6 +266,14 @@ _CORPUS_NAMES = [
 _CORPUS_TEXTS = [
     b"# A\n## B\n", b"---\ntitle: T\n---\n# H\n", b"\xef\xbb\xbf# Marked\n", b"", b"no headers\r\n",
     b"# bad \xff byte\n",
+    # load_corpus reads bytes, so the parser, not text mode, rewrites these breaks
+    b"---\r\ntitle: T\r\n---\r\n# H\r\n## I\r\n",
+    b"# A\r## B\rbody\r### C\r",
+    "# A\r\n## B\u2028### C\r\nbody\u2028".encode(),
+    b"\xef\xbb\xbf---\r\ntitle: Marked\r\n---\r\n## H\r\n",
+    # decode errors after a byte-order mark and beyond the first 8 KiB
+    b"\xef\xbb\xbf# bad \xfe byte\n",
+    b"# Long\n" + b"body line\n" * 1000 + b"# bad \xff byte\n",
 ]
 
 
