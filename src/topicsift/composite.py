@@ -22,10 +22,8 @@ the lower position, then the lower id. Scoring reads the norm's index
   there is, so when the anchor or one of its children holds one, the lowest
   (position, id) among those holders wins and nothing is scored;
 - otherwise, above a threshold of 0, only the anchor and the children that
-  share a token with the header are scored: any other candidate scores 0,
-  and a header that shares no token with any of them matches nothing and is
-  not scored at all. At a threshold of exactly 0 the anchor and every child
-  of it are scored;
+  share a token with the header are scored: any other child scores 0. At a
+  threshold of exactly 0 every child of the anchor is scored;
 - a label of several token sets, such as the root's, which gains one per
   distinct document title, is scored only over its sets that share a token
   with the header; every other set scores 0.
@@ -191,29 +189,15 @@ def _best_match(
                 exact = key
     if exact is not None:
         return exact[1]
-    sets_of, set_postings = norm.token_sets, norm.set_postings
     if threshold > 0.0:
-        # a candidate that shares no token with the header scores 0, below
-        # the threshold: only the anchor and the children that share one are
-        # scored, and a header that shares none with any of them is not scored
+        candidates = {anchor_id}
         postings = norm.children_by_token.get(anchor_id, _NONE_POSTED)
-        anchor_sets = sets_of[anchor_id]
-        if len(anchor_sets) > 1:
-            anchor_tokens = set_postings[anchor_id].keys()
-        else:
-            anchor_tokens = anchor_sets[0] if anchor_sets else frozenset()
-        candidates = set()
-        shares = False
         for tokens in token_sets:
-            shares = shares or not anchor_tokens.isdisjoint(tokens)
             for token in tokens:
                 candidates.update(postings.get(token, ()))
-        if shares:
-            candidates.add(anchor_id)
-        elif not candidates:
-            return None
     else:
         candidates = {anchor_id, *(child.id for child in nodes[anchor_id].children)}
+    sets_of, set_postings = norm.token_sets, norm.set_postings
     best_key: tuple[float, float, int] | None = None
     for candidate_id in candidates:
         sets = sets_of[candidate_id]
@@ -392,19 +376,14 @@ def _parse_root(payload: object, doc_count: int, path: str | Path) -> CompositeN
 
     JSON values are never instances of a subclass, so each type is checked
     with one ``type(x) is`` test, which also keeps ``bool`` out of ``int``.
-    A label of one spelling, as most are, is built as it stands; one of
-    several goes through ``LexicalForms.of``, which folds each spelling once
-    to drop duplicates.
     """
     # each message is formatted only when its check fails: a norm file holds
     # thousands of nodes, and nearly all of them pass
     max_depth = sys.getrecursionlimit() // 2
-    max_float = sys.float_info.max
     seen: set[int] = set()
     roots: list[CompositeNode] = []
     unsorted: list[list[CompositeNode]] = []
     stack = [(payload, roots, 0)]
-    push = stack.append
     while stack:
         payload, siblings, depth = stack.pop()
         if depth > max_depth:
@@ -418,11 +397,8 @@ def _parse_root(payload: object, doc_count: int, path: str | Path) -> CompositeN
             raise CompositeSchemaError(f"duplicate node id {node_id}")
         seen.add(node_id)
         forms = payload.get("forms")
-        if type(forms) is not list or not forms:
+        if not (type(forms) is list and forms and all(type(f) is str and f.strip() for f in forms)):
             raise CompositeSchemaError(f"node {node_id}: forms must be a non-empty list of strings")
-        for form in forms:
-            if type(form) is not str or not form.strip():
-                raise CompositeSchemaError(f"node {node_id}: forms must be a non-empty list of strings")
         support = payload.get("support")
         if type(support) is not int:
             raise CompositeSchemaError(f"node {node_id}: support must be an integer")
@@ -434,19 +410,17 @@ def _parse_root(payload: object, doc_count: int, path: str | Path) -> CompositeN
         # json.loads accepts NaN and Infinity; either would make sibling order
         # and alignment tie-breaks unstable. The bound also rejects integers
         # too large for a float.
-        if not ((type(position) is float or type(position) is int) and abs(position) <= max_float):
+        if not ((type(position) is float or type(position) is int) and abs(position) <= sys.float_info.max):
             raise CompositeSchemaError(f"node {node_id}: position must be a finite number")
         children = payload.get("children", [])
         if type(children) is not list:
             raise CompositeSchemaError(f"node {node_id}: children must be a list")
-        label = LexicalForms._trusted((forms[0],)) if len(forms) == 1 else LexicalForms.of(*forms)
-        node = CompositeNode(node_id, label, support / doc_count, float(position), support)
+        node = CompositeNode(node_id, LexicalForms.of(*forms), support / doc_count, float(position), support)
         siblings.append(node)
         if children:
             kin = node.children
             depth += 1
-            for child in reversed(children):
-                push((child, kin, depth))
+            stack.extend([(child, kin, depth) for child in reversed(children)])
             if len(children) > 1:
                 unsorted.append(kin)
     # siblings are kept sorted by position; a hand-written file may list them

@@ -134,9 +134,12 @@ def check_line(text: str, what: str, error: type[Exception]) -> None:
 def read_json(path: str | Path, what: str, error: type[Exception]) -> object:
     """The JSON value of the what file at path, read as UTF-8 with a leading
     byte-order mark dropped; a missing, unreadable, invalid or too deeply
-    nested file raises error, with a message naming the file."""
+    nested file raises error, with a message naming the file. The bytes are
+    decoded in one call, as ``ingest.load_corpus`` does, so a file of only
+    the first bytes of a byte-order mark is refused as not UTF-8 (a
+    text-mode read would return "" for it)."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
+        return json.loads(Path(path).read_bytes().decode("utf-8-sig"))
     except FileNotFoundError:
         raise error(f"{what} file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:

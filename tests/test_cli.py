@@ -348,6 +348,21 @@ def test_byte_order_marked_composite_and_lexicon_load(tmp_path, composite_file, 
     assert marked == plain
 
 
+@pytest.mark.parametrize("flag", ["--composite", "--lexicon"])
+@pytest.mark.parametrize("data", [b"\xef", b"\xef\xbb"])
+def test_a_cut_byte_order_mark_is_refused_as_not_utf8(tmp_path, composite_file, angina_docs, capsys, flag, data):
+    """A composite or lexicon file of the first bytes of a byte-order mark is
+    not UTF-8, as for a corpus file, rather than an empty JSON text."""
+    cut = tmp_path / "cut.json"
+    cut.write_bytes(data)
+    inputs = {"--composite": str(composite_file), flag: str(cut)}
+    argv = ["summarize", str(angina_docs), "--query", "angina", *(part for pair in inputs.items() for part in pair)]
+    code, _, err = run(capsys, *argv)
+    what = flag[2:]
+    assert code == 2
+    assert err.startswith(f"error: cannot read {what} file {cut}: 'utf-8' codec can't decode")
+
+
 def test_invalid_lexicon_file_exits_2(tmp_path, composite_file, angina_docs, capsys):
     bad = tmp_path / "bad_lexicon.json"
     bad.write_text(json.dumps({"version": "0"}), encoding="utf-8")

@@ -371,8 +371,8 @@ def test_built_multi_spelling_norm_matches_the_golden_file(tmp_path):
 
 @pytest.mark.parametrize("name", ["angina_composite.json", "spellings_composite.json"])
 def test_loading_and_saving_a_golden_norm_gives_its_bytes(tmp_path, name):
-    """Both label paths of the loader, one spelling and several, read back
-    what the writer wrote."""
+    """Labels of one spelling and of several read back as the writer wrote
+    them."""
     path = tmp_path / name
     save_composite(load_composite(GOLDEN / name), path)
     assert path.read_bytes() == (GOLDEN / name).read_bytes()
