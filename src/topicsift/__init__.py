@@ -24,12 +24,12 @@ from .ingest import CorpusNameError, CorpusReadError, CorpusSet, load_corpus, pa
 from .lexicon import Lexicon, LexiconError, LexiconGapError, default_lexicon, load_lexicon, save_lexicon
 from .model import (
     CATEGORY_ORDER,
-    CompositeNode,
     CompositeTopicTree,
     DocumentCategory,
     DocumentMetadata,
     DocumentTopicTree,
     LexicalForms,
+    NormNode,
     TopicType,
     TypingParams,
     UnknownNodeError,
@@ -69,7 +69,6 @@ __all__ = [
     "Alignment",
     "CATEGORY_ORDER",
     "CategoryPlan",
-    "CompositeNode",
     "CompositeSchemaError",
     "CompositeTopicTree",
     "CorpusNameError",
@@ -91,6 +90,7 @@ __all__ = [
     "LexiconGapError",
     "Message",
     "NO_MATCH_NOTICE",
+    "NormNode",
     "OrdinalList",
     "RangeRef",
     "SentencePlan",

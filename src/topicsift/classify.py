@@ -8,7 +8,7 @@ wins; every ">50%" is strict.
 from __future__ import annotations
 
 from .composite import Alignment
-from .model import CompositeTopicTree, DocumentCategory, FrozenRecord, TopicType, TypingParams, walk_depth
+from .model import CompositeTopicTree, DocumentCategory, FrozenRecord, TopicType, TypingParams
 from .topic_typing import TypedTree, map_query
 
 # read per node by distribution; on Python 3.11 a module global is several
@@ -95,10 +95,11 @@ def _possible_typical(composite: CompositeTopicTree, query: str, params: TypingP
     query_node = map_query(query, composite, params.tau)
     if query_node is None:
         return frozenset()
+    supports, doc_count = composite.supports, composite.doc_count
     return frozenset(
-        node.id
-        for node, depth in walk_depth(composite.index().nodes[query_node])
-        if depth <= params.k and node.typicality >= params.alpha
+        node_id
+        for node_id, depth in composite.preorder(query_node)
+        if depth <= params.k and supports[node_id] / doc_count >= params.alpha
     )
 
 

@@ -129,7 +129,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         save_composite(composite, args.out)
     except OSError as exc:
         raise _WriteError(args.out, exc.strerror or str(exc)) from exc
-    print(f"wrote {args.out} (documents={composite.doc_count}, topics={len(composite.nodes())})")
+    print(f"wrote {args.out} (documents={composite.doc_count}, topics={len(composite.forms)})")
     return 0
 
 

@@ -7,8 +7,9 @@ corpus in document (file-name) order into a norm of the first document's
 root only: the first document is folded in without being aligned, so none of
 its headers is absorbed into the root, and every further one is aligned
 against the current norm, then folded in. Per node the norm tracks support
-(how many documents contributed the topic), typicality (support / documents
-seen) and position (mean normalized sibling rank over contributors).
+(how many documents contributed the topic) and position (mean normalized
+sibling rank over contributors); typicality, support / documents seen, is
+derived where it is read, never stored.
 
 Alignment is greedy and top-down. Roots always align. Every other document
 node may only match among the children of its parent's matched composite
@@ -47,24 +48,22 @@ sibling lists it changes, never to the whole norm:
 - merging a header's spelling into a label costs in proportion to that one
   spelling, not to the spellings the label holds
   (``CompositeIndex.merge_label``); a new topic takes the header's token
-  sets;
-- nothing reads typicality during the build, so ``build_composite`` sets it
-  once, after the last document. It stays a stored field because readers
-  such as ``save_composite`` and ``classify`` take it from the node.
+  sets.
 
 ``save_composite`` writes a versioned JSON file, byte-identical for
-identical trees. ``load_composite`` reads a file's nodes in one loop, in
-pre-order: every node is checked before its children, and the first fault in
-that order is the one named. A node more than half the recursion limit below
-the root makes the file "nested too deeply", which leaves the writer, which
-recurses once per level, half the stack. Each sibling list is sorted by
-position once, stably, after the loop. Loading builds no index; it is built
-on the first lookup.
+identical norms, in one f-string per node; within one call it formats each
+distinct support's typicality and each distinct non-zero position once.
+``load_composite`` reads a file's nodes in one loop, in pre-order, straight
+into the norm's fields: every node is checked before its children, and the
+first fault in that order is the one named. A node more than half the
+recursion limit below the root makes the file "nested too deeply", which
+leaves the writer, which recurses once per level, half the stack. Each
+sibling list is sorted by position once, stably, after the loop. Loading
+builds no index; it is built on the first lookup.
 """
 from __future__ import annotations
 
 import json
-import operator
 import sys
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -73,7 +72,6 @@ from types import MappingProxyType
 from .ingest import CorpusSet
 from .model import (
     CompositeIndex,
-    CompositeNode,
     CompositeTopicTree,
     DocumentTopicTree,
     LexicalForms,
@@ -142,7 +140,7 @@ def align_tree(
     memo = norm.alignments if _memoize else None
     doc_parents = doc.parents
 
-    alignment = Alignment(pairs={0: composite.root.id})
+    alignment = Alignment(pairs={0: composite.root})
     pairs, unmatched = alignment.pairs, alignment.unmatched
     for node_id in range(1, len(doc_parents)):
         anchor_id = pairs.get(doc_parents[node_id])
@@ -172,7 +170,7 @@ def _best_match(
 ) -> int | None:
     """The id of the composite node a header with these token sets matches
     under the anchor (the anchor itself or one of its children), or None."""
-    nodes = norm.nodes
+    positions = norm.positions
     # a candidate holding one of the header's token sets scores 1.0, which
     # no other can beat: the lowest (position, id) among those wins
     held_below = norm.children_by_set.get(anchor_id, _NONE_POSTED)
@@ -180,11 +178,11 @@ def _best_match(
     exact: tuple[float, int] | None = None
     for tokens in token_sets:
         for candidate_id in held_below.get(tokens, ()):
-            key = (nodes[candidate_id].position, candidate_id)
+            key = (positions[candidate_id], candidate_id)
             if exact is None or key < exact:
                 exact = key
         if anchor_id in held_beside.get(tokens, ()):
-            key = (nodes[anchor_id].position, anchor_id)
+            key = (positions[anchor_id], anchor_id)
             if exact is None or key < exact:
                 exact = key
     if exact is not None:
@@ -196,7 +194,7 @@ def _best_match(
             for token in tokens:
                 candidates.update(postings.get(token, ()))
     else:
-        candidates = {anchor_id, *(child.id for child in nodes[anchor_id].children)}
+        candidates = {anchor_id, *norm.children[anchor_id]}
     sets_of, set_postings = norm.token_sets, norm.set_postings
     best_key: tuple[float, float, int] | None = None
     for candidate_id in candidates:
@@ -209,13 +207,10 @@ def _best_match(
         similarity = best_jaccard(token_sets, sets)
         if similarity < threshold:
             continue
-        key = (-similarity, nodes[candidate_id].position, candidate_id)
+        key = (-similarity, positions[candidate_id], candidate_id)
         if best_key is None or key < best_key:
             best_key = key
     return None if best_key is None else best_key[2]
-
-
-_by_position = operator.attrgetter("position")
 
 
 def _fold_document(
@@ -232,58 +227,58 @@ def _fold_document(
     Work is in proportion to the document: only the parents whose child lists
     changed (a child's position moved or a child was inserted) are re-sorted.
     Every other child list kept its positions and, as every list is sorted
-    from the start, stays sorted. Typicality is left stale for the caller to
-    refresh; nothing here reads it.
+    from the start, stays sorted.
     """
     norm = composite.index()
-    comp_nodes, comp_parents = norm.nodes, norm.parents
-    add, merge_label = norm.add, norm.merge_label
+    forms, comp_parents, supports = composite.forms, composite.parents, composite.supports
+    positions, children = composite.positions, composite.children
+    post, merge_label = norm.post, norm.merge_label
     parents = doc.parents
 
     touched: set[int] = set()
     contributed: set[int] = set()
-    inserted: dict[int, CompositeNode] = {}
+    inserted: dict[int, int] = {}
     # pre-order: the first document node to hit a composite node carries the
     # support and rank contribution for this document, and an unmatched
     # parent is inserted before its children
     for node_id, (label, rank, sets) in enumerate(zip(doc.labels, doc.ranks(), token_sets)):
         target = pairs.get(node_id)
         if target is None:
-            # valid by construction: token_sets refused a blank label
-            fresh = CompositeNode(norm.next_id, LexicalForms._trusted((label,)), 0.0, rank, 1)
+            fresh = norm.next_id
+            norm.next_id = fresh + 1
             parent = parents[node_id]
             comp_parent = inserted.get(parent)
             if comp_parent is None:
-                comp_parent = comp_nodes[pairs[parent]]
-                touched.add(comp_parent.id)
+                comp_parent = pairs[parent]
+                touched.add(comp_parent)
             # else a fresh parent, whose children arrive in document order,
             # so by ascending rank
-            comp_parent.children.append(fresh)
-            add(fresh, comp_parent.id, sets)
+            # valid by construction: token_sets refused a blank label
+            forms[fresh] = (label,)
+            comp_parents[fresh] = comp_parent
+            supports[fresh] = 1
+            positions[fresh] = rank
+            children[fresh] = []
+            children[comp_parent].append(fresh)
+            post(fresh, sets)
             inserted[node_id] = fresh
         elif target not in contributed:
             contributed.add(target)
-            comp = comp_nodes[target]
-            support = comp.support
-            position = (comp.position * support + rank) / (support + 1)
-            if position != comp.position:
+            support = supports[target]
+            old = positions[target]
+            position = positions[target] = (old * support + rank) / (support + 1)
+            if position != old:
                 parent_id = comp_parents[target]
                 if parent_id is not None:
                     touched.add(parent_id)
-            comp.position = position
-            comp.support = support + 1
-            merge_label(comp, label, sets)
+            supports[target] = support + 1
+            merge_label(target, label, sets)
 
+    by_position = positions.__getitem__
     for parent_id in touched:
-        comp_nodes[parent_id].children.sort(key=_by_position)
+        children[parent_id].sort(key=by_position)
     norm.clear_memos()
     composite.doc_count += 1
-
-
-def _refresh_typicality(composite: CompositeTopicTree) -> None:
-    doc_count = composite.doc_count
-    for node in composite.index().nodes.values():
-        node.typicality = node.support / doc_count
 
 
 def build_composite(corpus: CorpusSet, threshold: float, domain_genre: str | None = None) -> CompositeTopicTree:
@@ -301,60 +296,75 @@ def build_composite(corpus: CorpusSet, threshold: float, domain_genre: str | Non
     # the trace prints the domain genre on one line and the norm file stores it as UTF-8
     check_line(domain_genre, "the norm for domain genre", CompositeSchemaError)
     first = corpus.docs[0]
-    root = CompositeNode(0, LexicalForms._trusted((first.labels[0],)), 0.0, 0.0, 0)
-    composite = CompositeTopicTree(root=root, domain_genre=domain_genre, doc_count=0)
+    composite = CompositeTopicTree(domain_genre, 0, 0, {0: (first.labels[0],)}, {0: None}, {0: 0}, {0: 0.0}, {0: []})
     label_sets = composite.index().label_sets
     # the first document meets a norm of its own root only: it is not aligned,
     # so every header is new and none is absorbed into the root
-    _fold_document(composite, {0: root.id}, first, first.token_sets(label_sets))
+    _fold_document(composite, {0: 0}, first, first.token_sets(label_sets))
     for doc in corpus.docs[1:]:
         token_sets = doc.token_sets(label_sets)
         pairs = align_tree(doc, composite, threshold, token_sets=token_sets, _memoize=False).pairs
         _fold_document(composite, pairs, doc, token_sets)
-    _refresh_typicality(composite)
     return composite
 
 
 # ---------------------------------------------------------------------------
 # serialization: versioned JSON with a deterministic writer. Support and
 # doc_count round-trip bit-exactly as integers; typicality is written with 12
-# decimals for readability but re-derived as support / doc_count on load.
-
-def _emit_node(node: CompositeNode, out: list[str], indent: str, lead: str = "") -> None:
-    # one string per node, from lead (the separator after the sibling before
-    # it) up to its closing brace, and for a node with children one more
-    # that closes them. encode_basestring and float.__repr__ are what
-    # json.dumps writes for a str (ensure_ascii=False) and for a finite
-    # float, which every position is, without setting up an encoder per call
-    inner = indent + "  "
-    children = node.children
-    opened = "[\n" if children else f"[]\n{indent}}}"
-    out.append(
-        f'{lead}{indent}{{\n{inner}"id": {node.id},\n'
-        f'{inner}"forms": [{", ".join(map(encode_basestring, node.label.forms))}],\n'
-        f'{inner}"typicality": {node.typicality:.12f},\n'
-        f'{inner}"position": {float.__repr__(node.position)},\n'
-        f'{inner}"support": {node.support},\n'
-        f'{inner}"children": {opened}'
-    )
-    if children:
-        below = inner + "  "
-        lead = ""
-        for child in children:
-            _emit_node(child, out, below, lead)
-            lead = ",\n"
-        out.append(f"\n{inner}]\n{indent}}}")
-
+# decimals for readability and derived again as support / doc_count on load.
 
 def save_composite(composite: CompositeTopicTree, path: str | Path) -> None:
     """Write a composite tree; byte-identical for identical trees. Text that
     UTF-8 cannot encode raises before the file is opened, leaving it intact."""
-    out: list[str] = ["{\n"]
-    out.append(f'  "version": {json.dumps(SCHEMA_VERSION)},\n')
-    out.append(f'  "domain_genre": {json.dumps(composite.domain_genre, ensure_ascii=False)},\n')
-    out.append(f'  "doc_count": {composite.doc_count},\n')
-    out.append('  "root":\n')
-    _emit_node(composite.root, out, "  ")
+    forms, supports, positions, children = composite.forms, composite.supports, composite.positions, composite.children
+    doc_count = composite.doc_count
+    # each distinct support's typicality text and each distinct non-zero
+    # position's, made once per call: 0.0 and -0.0 are one key, so a zero
+    # bypasses the table to keep its sign
+    typicality_text: dict[int, str] = {}
+    position_text: dict[float, str] = {}
+    out: list[str] = [
+        f'{{\n  "version": {json.dumps(SCHEMA_VERSION)},\n'
+        f'  "domain_genre": {json.dumps(composite.domain_genre, ensure_ascii=False)},\n'
+        f'  "doc_count": {doc_count},\n  "root":\n'
+    ]
+
+    def emit(node_id: int, indent: str, lead: str) -> None:
+        # one string per node, from lead (the separator after the sibling
+        # before it) up to its closing brace, and one more that closes its
+        # children. encode_basestring and float.__repr__ write what json.dumps
+        # writes for a str (ensure_ascii=False) and a finite float
+        inner = indent + "  "
+        support = supports[node_id]
+        typicality = typicality_text.get(support)
+        if typicality is None:
+            typicality = typicality_text[support] = f"{support / doc_count:.12f}"
+        position = positions[node_id]
+        if position:
+            place = position_text.get(position)
+            if place is None:
+                place = position_text[position] = float.__repr__(position)
+        else:
+            place = float.__repr__(position)
+        below = children[node_id]
+        opened = "[\n" if below else f"[]\n{indent}}}"
+        out.append(
+            f'{lead}{indent}{{\n{inner}"id": {node_id},\n'
+            f'{inner}"forms": [{", ".join(map(encode_basestring, forms[node_id]))}],\n'
+            f'{inner}"typicality": {typicality},\n'
+            f'{inner}"position": {place},\n'
+            f'{inner}"support": {support},\n'
+            f'{inner}"children": {opened}'
+        )
+        if below:
+            deeper = inner + "  "
+            lead = ""
+            for child in below:
+                emit(child, deeper, lead)
+                lead = ",\n"
+            out.append(f"\n{inner}]\n{indent}}}")
+
+    emit(composite.root, "  ", "")
     out.append("\n}\n")
     Path(path).write_bytes("".join(out).encode("utf-8"))
 
@@ -364,76 +374,20 @@ def _require(condition: bool, message: str) -> None:
         raise CompositeSchemaError(message)
 
 
-def _parse_root(payload: object, doc_count: int, path: str | Path) -> CompositeNode:
-    """The norm tree a root payload of the file at path holds, validated
-    node by node.
-
-    One loop in pre-order, with a stack of (payload, the sibling list the
-    node joins, its depth): each node is checked before its children, and
-    its children in file order, so a file with several faults names the
-    first of them in that order. Each sibling list of two or more is sorted
-    by position once it is filled.
-
-    JSON values are never instances of a subclass, so each type is checked
-    with one ``type(x) is`` test, which also keeps ``bool`` out of ``int``.
-    """
-    # each message is formatted only when its check fails: a norm file holds
-    # thousands of nodes, and nearly all of them pass
-    max_depth = sys.getrecursionlimit() // 2
-    seen: set[int] = set()
-    roots: list[CompositeNode] = []
-    unsorted: list[list[CompositeNode]] = []
-    stack = [(payload, roots, 0)]
-    while stack:
-        payload, siblings, depth = stack.pop()
-        if depth > max_depth:
-            raise CompositeSchemaError(f"composite file {path} is nested too deeply")
-        if type(payload) is not dict:
-            raise CompositeSchemaError("composite node must be an object")
-        node_id = payload.get("id")
-        if type(node_id) is not int:
-            raise CompositeSchemaError("node id must be an integer")
-        if node_id in seen:
-            raise CompositeSchemaError(f"duplicate node id {node_id}")
-        seen.add(node_id)
-        forms = payload.get("forms")
-        if not (type(forms) is list and forms and all(type(f) is str and f.strip() for f in forms)):
-            raise CompositeSchemaError(f"node {node_id}: forms must be a non-empty list of strings")
-        support = payload.get("support")
-        if type(support) is not int:
-            raise CompositeSchemaError(f"node {node_id}: support must be an integer")
-        if support < 1:
-            raise CompositeSchemaError(f"node {node_id}: support must be >= 1")
-        if support > doc_count:
-            raise CompositeSchemaError(f"node {node_id}: support {support} exceeds doc_count {doc_count}")
-        position = payload.get("position")
-        # json.loads accepts NaN and Infinity; either would make sibling order
-        # and alignment tie-breaks unstable. The bound also rejects integers
-        # too large for a float.
-        if not ((type(position) is float or type(position) is int) and abs(position) <= sys.float_info.max):
-            raise CompositeSchemaError(f"node {node_id}: position must be a finite number")
-        children = payload.get("children", [])
-        if type(children) is not list:
-            raise CompositeSchemaError(f"node {node_id}: children must be a list")
-        node = CompositeNode(node_id, LexicalForms.of(*forms), support / doc_count, float(position), support)
-        siblings.append(node)
-        if children:
-            kin = node.children
-            depth += 1
-            stack.extend([(child, kin, depth) for child in reversed(children)])
-            if len(children) > 1:
-                unsorted.append(kin)
-    # siblings are kept sorted by position; a hand-written file may list them
-    # in any order, and a stable sort keeps the file order of ties
-    for siblings in unsorted:
-        siblings.sort(key=_by_position)
-    return roots[0]
-
-
 def load_composite(path: str | Path) -> CompositeTopicTree:
     """Load and validate a composite file (UTF-8, a leading byte-order mark
-    dropped); typicality is re-derived and sibling lists are sorted by
-    position."""
+    dropped); typicality is derived from support, and sibling lists are
+    sorted by position.
+
+    The nodes are read in one loop in pre-order, with a stack of (payload,
+    its parent's id, its depth): each node is checked before its children,
+    and its children in file order, so a file with several faults names the
+    first of them in that order. Each node's fields go straight into the
+    norm's dicts, and each child list of two or more is sorted by position
+    once it is filled. JSON values are never instances of a subclass, so
+    each type is checked with one ``type(x) is`` test, which also keeps
+    ``bool`` out of ``int``.
+    """
     payload = read_json(path, "composite", CompositeSchemaError)
     _require(isinstance(payload, dict), "composite file must hold an object")
     _require(payload.get("version") == SCHEMA_VERSION, f"unsupported composite schema version {brief_repr(payload.get('version'))}")
@@ -442,6 +396,63 @@ def load_composite(path: str | Path) -> CompositeTopicTree:
     domain_genre = payload.get("domain_genre")
     _require(isinstance(domain_genre, str), "domain_genre must be a string")
     check_line(domain_genre, "the norm for domain genre", CompositeSchemaError)
-    root = _parse_root(payload.get("root"), doc_count, path)
-    _require(root.support == doc_count, "root support must equal doc_count (root typicality is 1.0 by construction)")
-    return CompositeTopicTree(root=root, domain_genre=domain_genre, doc_count=doc_count)
+    # each message is formatted only when its check fails: a norm file holds
+    # thousands of nodes, and nearly all of them pass
+    max_depth = sys.getrecursionlimit() // 2
+    labels: dict[int, tuple[str, ...]] = {}
+    parents: dict[int, int | None] = {}
+    supports: dict[int, int] = {}
+    positions: dict[int, float] = {}
+    kids: dict[int, list[int]] = {}
+    unsorted: list[list[int]] = []
+    stack: list[tuple[object, int | None, int]] = [(payload.get("root"), None, 0)]
+    while stack:
+        node, parent_id, depth = stack.pop()
+        if depth > max_depth:
+            raise CompositeSchemaError(f"composite file {path} is nested too deeply")
+        if type(node) is not dict:
+            raise CompositeSchemaError("composite node must be an object")
+        node_id = node.get("id")
+        if type(node_id) is not int:
+            raise CompositeSchemaError("node id must be an integer")
+        if node_id in labels:
+            raise CompositeSchemaError(f"duplicate node id {node_id}")
+        forms = node.get("forms")
+        if not (type(forms) is list and forms and all(type(f) is str and f.strip() for f in forms)):
+            raise CompositeSchemaError(f"node {node_id}: forms must be a non-empty list of strings")
+        support = node.get("support")
+        if type(support) is not int:
+            raise CompositeSchemaError(f"node {node_id}: support must be an integer")
+        if support < 1:
+            raise CompositeSchemaError(f"node {node_id}: support must be >= 1")
+        if support > doc_count:
+            raise CompositeSchemaError(f"node {node_id}: support {support} exceeds doc_count {doc_count}")
+        position = node.get("position")
+        # json.loads accepts NaN and Infinity; either would make sibling order
+        # and alignment tie-breaks unstable. The bound also rejects integers
+        # too large for a float.
+        if not ((type(position) is float or type(position) is int) and abs(position) <= sys.float_info.max):
+            raise CompositeSchemaError(f"node {node_id}: position must be a finite number")
+        children = node.get("children", [])
+        if type(children) is not list:
+            raise CompositeSchemaError(f"node {node_id}: children must be a list")
+        labels[node_id] = LexicalForms.of(*forms).forms
+        parents[node_id] = parent_id
+        supports[node_id] = support
+        positions[node_id] = float(position)
+        kin = kids[node_id] = []
+        if parent_id is not None:
+            kids[parent_id].append(node_id)
+        if children:
+            depth += 1
+            stack.extend([(child, node_id, depth) for child in reversed(children)])
+            if len(children) > 1:
+                unsorted.append(kin)
+    # siblings are kept sorted by position; a hand-written file may list them
+    # in any order, and a stable sort keeps the file order of ties
+    by_position = positions.__getitem__
+    for siblings in unsorted:
+        siblings.sort(key=by_position)
+    root = next(iter(labels))
+    _require(supports[root] == doc_count, "root support must equal doc_count (root typicality is 1.0 by construction)")
+    return CompositeTopicTree(domain_genre, doc_count, root, labels, parents, supports, positions, kids)

@@ -1,20 +1,23 @@
-"""Shared domain model: documents, the composite norm tree, labels and
-their token sets, and the typing parameters and categories.
+"""Shared domain model: documents, the composite norm, labels and their
+token sets, and the typing parameters and categories.
 
 A document (``DocumentTopicTree``) is a set of parallel pre-order lists:
 each topic's one spelling, its parent's id and its depth. A node's id is its
 list position, so a subtree is a contiguous range of ids. A norm
-(``CompositeTopicTree``) is a tree of ``CompositeNode`` whose labels
-(``LexicalForms``) gather every spelling the reference documents gave a
-topic; its ``CompositeIndex`` holds the lookups and memos every stage reads
-the norm through, the label memo that tokenizes documents among them.
+(``CompositeTopicTree``) is a set of fields keyed by node id: the spellings
+the reference documents gave each topic (its forms), its parent, support
+and position, and its child ids in sibling order. The ids are whatever
+integers the build or the norm file gave the nodes. Typicality is never
+stored: each reader derives it as support / doc_count. ``CompositeIndex``
+reads the norm's own fields and adds the lookups and memos every stage
+reads the norm through, the label memo that tokenizes documents among them.
 
 Labels keep their original surface strings for display; all comparison goes
 through the tokens of their :func:`normalize` forms (case fold, whitespace
 collapse, trailing punctuation strip) because section headers are noisy.
 
 No document changes once parsed; the composite builder is the only code
-that mutates composite nodes, and only during a build fold.
+that changes a norm, and only during a build fold.
 
 Every record class of the package derives from ``Record`` or
 ``FrozenRecord`` and writes out its own ``__init__``, so importing the
@@ -29,7 +32,7 @@ import json
 import operator
 import reprlib
 import string
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from enum import Enum
 from pathlib import Path
 
@@ -211,14 +214,8 @@ class LexicalForms(FrozenRecord):
             for form in kept:
                 unique.setdefault(fold(form), form)
             kept = tuple(unique.values())
-        return cls._trusted(kept)
-
-    @classmethod
-    def _trusted(cls, forms: tuple[str, ...]) -> "LexicalForms":
-        """A label over forms the caller already knows to be non-blank with
-        distinct fold keys; skips the validating fold of every form."""
         label = object.__new__(cls)
-        object.__setattr__(label, "forms", forms)
+        object.__setattr__(label, "forms", kept)
         return label
 
     @property
@@ -228,39 +225,17 @@ class LexicalForms(FrozenRecord):
     def token_sets(self) -> tuple[frozenset[str], ...]:
         """Distinct token sets of the non-empty normal forms, in form order;
         labels are compared by these. A label that normalizes to "" has none."""
-        sets: list[frozenset[str]] = []
-        for form in self.forms:
-            tokens = _tokens(form)
-            if tokens and tokens not in sets:
-                sets.append(tokens)
-        return tuple(sets)
+        return token_sets_of(self.forms)
 
 
-class CompositeNode(Record):
-    """One topic in the norm tree.
-
-    typicality is always support / doc_count of the owning tree; position is
-    the mean normalized sibling rank over the documents that contributed the
-    topic. Siblings are kept sorted by ascending position.
-    """
-
-    __slots__ = _fields = ("id", "label", "typicality", "position", "support", "children")
-
-    def __init__(
-        self,
-        id: int,
-        label: LexicalForms,
-        typicality: float,
-        position: float,
-        support: int,
-        children: list[CompositeNode] | None = None,
-    ) -> None:
-        self.id = id
-        self.label = label
-        self.typicality = typicality
-        self.position = position
-        self.support = support
-        self.children = [] if children is None else children
+def token_sets_of(forms: tuple[str, ...]) -> tuple[frozenset[str], ...]:
+    """``LexicalForms(forms).token_sets()``, without building the label."""
+    sets: list[frozenset[str]] = []
+    for form in forms:
+        tokens = _tokens(form)
+        if tokens and tokens not in sets:
+            sets.append(tokens)
+    return tuple(sets)
 
 
 def best_jaccard(sets_a: Sequence[frozenset[str]], sets_b: Sequence[frozenset[str]]) -> float:
@@ -273,25 +248,6 @@ def best_jaccard(sets_a: Sequence[frozenset[str]], sets_b: Sequence[frozenset[st
             if shared:
                 best = max(best, shared / (len(tokens_a) + len(tokens_b) - shared))
     return best
-
-
-def walk(root) -> Iterator:
-    """Pre-order traversal over a tree of nodes with ``children``, such as
-    a norm's CompositeNode tree."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(node.children))
-
-
-def walk_depth(root) -> Iterator[tuple[object, int]]:
-    """Pre-order traversal yielding (node, depth below root)."""
-    stack = [(root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        yield node, depth
-        stack.extend((child, depth + 1) for child in reversed(node.children))
 
 
 class DocumentMetadata(FrozenRecord):
@@ -430,10 +386,12 @@ class DocumentTopicTree(Record):
 
 
 class CompositeIndex:
-    """Lookups over one composite tree, so no query re-walks it.
+    """Lookups over one norm, so no query re-walks it.
 
-    Holds id -> node, id -> the label's token sets, the next free id (one
-    past the largest) and, per parent, two posting maps over its children:
+    Reads the norm's own per-id fields (``forms``, ``parents``,
+    ``positions`` and ``children`` are the tree's dicts, not copies) and
+    holds id -> the label's token sets, the next free id (one past the
+    largest) and, per parent, two posting maps over its children:
     ``children_by_token`` maps token -> ids of the children whose label has
     that token, and ``children_by_set`` maps token set -> ids of the
     children whose label holds that very set (the root's own sets are under
@@ -451,8 +409,9 @@ class CompositeIndex:
     the fold keys of its label's forms (``fold_keys``). A spelling seen
     before is found in the first without folding; a new one is folded once
     and looked up in the second. A new token set is looked up in
-    ``children_by_set``. ``add`` and ``merge_label`` post a node's new
-    token sets through one routine.
+    ``children_by_set``. The fold, for a node it inserts, and
+    ``merge_label`` post a node's new token sets through one routine,
+    ``post``.
 
     Two memos hold results derived from the tree, so a norm loaded once
     computes each only once: ``possible_typical`` maps (query, params) to
@@ -472,23 +431,23 @@ class CompositeIndex:
     ``clear_memos`` keeps it.
     """
 
-    def __init__(self, root: CompositeNode) -> None:
-        self.next_id = root.id + 1
-        self.nodes: dict[int, CompositeNode] = {}
+    def __init__(self, tree: CompositeTopicTree) -> None:
+        self.forms = tree.forms
+        self.parents = tree.parents
+        self.positions = tree.positions
+        self.children = tree.children
+        self.next_id = max(tree.forms) + 1
         self.token_sets: dict[int, tuple[frozenset[str], ...]] = {}
         self.children_by_token: dict[int, dict[str, list[int]]] = {}
         self.children_by_set: dict[int | None, dict[frozenset[str], list[int]]] = {}
         self.set_postings: dict[int, dict[str, list[int]]] = {}
-        self.parents: dict[int, int | None] = {}
         self.spellings: dict[int, set[str]] = {}
         self.fold_keys: dict[int, set[str]] = {}
         self.possible_typical: dict[tuple[str, TypingParams], frozenset[int]] = {}
         self.alignments: dict[tuple[float, int, tuple[frozenset[str], ...]], int | None] = {}
         self.label_sets: dict[str, tuple[frozenset[str], ...]] = {}
-        self.add(root, None)
-        for node in walk(root):
-            for child in node.children:
-                self.add(child, node.id)
+        for node_id, forms in tree.forms.items():
+            self.post(node_id, token_sets_of(forms))
 
     def clear_memos(self) -> None:
         """Forget every memoized result derived from the tree; called by
@@ -497,26 +456,7 @@ class CompositeIndex:
         self.possible_typical.clear()
         self.alignments.clear()
 
-    def add(
-        self,
-        node: CompositeNode,
-        parent_id: int | None,
-        token_sets: tuple[frozenset[str], ...] | None = None,
-    ) -> None:
-        """Register a node that was just attached under parent_id; token_sets
-        are its label's, when the caller already has them."""
-        node_id = node.id
-        if node_id in self.nodes:
-            raise ValueError("duplicate node id %r" % (node_id,))
-        self.nodes[node_id] = node
-        self.parents[node_id] = parent_id
-        if node_id >= self.next_id:
-            self.next_id = node_id + 1
-        if token_sets is None:
-            token_sets = node.label.token_sets()
-        self._post(node_id, token_sets)
-
-    def _post(self, node_id: int, new_sets: tuple[frozenset[str], ...]) -> None:
+    def post(self, node_id: int, new_sets: tuple[frozenset[str], ...]) -> None:
         """Give a node the token sets new_sets, none of which it holds yet,
         and post them: under each set in its parent's set holders, under each
         token its label did not have yet in its parent's token postings, and,
@@ -564,7 +504,7 @@ class CompositeIndex:
                     else:
                         offsets.append(offset)
 
-    def merge_label(self, node: CompositeNode, spelling: str, token_sets: tuple[frozenset[str], ...]) -> None:
+    def merge_label(self, node_id: int, spelling: str, token_sets: tuple[frozenset[str], ...]) -> None:
         """Give a node a document's spelling, unless it holds one of the same
         fold key, and post the spelling's token sets (token_sets) it lacks.
 
@@ -575,10 +515,9 @@ class CompositeIndex:
         the node's fold keys; its token sets are looked up among the sets
         its parent's children hold. Nothing is scanned for.
         """
-        node_id = node.id
         seen = self.spellings.get(node_id)
         if seen is None:
-            forms = node.label.forms
+            forms = self.forms[node_id]
             if forms[0] == spelling and len(forms) == 1:
                 # the common repeat: a header spelled as the node it matched
                 return
@@ -593,36 +532,82 @@ class CompositeIndex:
             return
         keys.add(key)
         # valid by construction: a non-blank spelling with a new fold key
-        node.label = LexicalForms._trusted(node.label.forms + (spelling,))
+        self.forms[node_id] += (spelling,)
         holders = self.children_by_set[self.parents[node_id]]
         new_sets = tuple(tokens for tokens in token_sets if node_id not in holders.get(tokens, ()))
         if new_sets:
-            self._post(node_id, new_sets)
+            self.post(node_id, new_sets)
+
+
+class NormNode(FrozenRecord):
+    """One norm node as ``CompositeTopicTree.nodes`` reports it, built on
+    each call: the node's fields, its children aside, and its typicality,
+    support / doc_count."""
+
+    __slots__ = _fields = ("id", "forms", "position", "support", "typicality")
+
+    def __init__(self, id: int, forms: tuple[str, ...], position: float, support: int, typicality: float) -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "forms", forms)
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "typicality", typicality)
 
 
 class CompositeTopicTree(Record):
     """The norm for one domain/genre: merged topics over a reference corpus.
 
-    The index is built on first use; the build's fold
-    (``composite._fold_document``), the only code that changes a composite,
-    keeps it current. It is neither compared nor shown.
+    ``root`` is the root's id; keyed by node id are ``forms`` (the topic's
+    spellings), ``parents`` (None for the root), ``supports`` (documents
+    that contributed the topic), ``positions`` (mean normalized sibling rank
+    over them) and ``children`` (child ids, sorted by position). Typicality
+    is support / doc_count, derived by each reader. The constructor takes
+    the fields as given: ``build_composite`` and ``load_composite`` check
+    them. The index is built on first use and kept current by the build's
+    fold; it is neither compared nor shown.
     """
 
-    __slots__ = ("root", "domain_genre", "doc_count", "_index")
-    _fields = ("root", "domain_genre", "doc_count")
+    __slots__ = ("domain_genre", "doc_count", "root", "forms", "parents", "supports", "positions", "children", "_index")
+    _fields = __slots__[:-1]
 
-    def __init__(self, root: CompositeNode, domain_genre: str, doc_count: int) -> None:
-        self.root = root
+    def __init__(
+        self, domain_genre: str, doc_count: int, root: int, forms: dict[int, tuple[str, ...]],
+        parents: dict[int, int | None], supports: dict[int, int], positions: dict[int, float], children: dict[int, list[int]],
+    ) -> None:
         self.domain_genre = domain_genre
         self.doc_count = doc_count
+        self.root = root
+        self.forms = forms
+        self.parents = parents
+        self.supports = supports
+        self.positions = positions
+        self.children = children
         self._index: CompositeIndex | None = None
 
-    def nodes(self) -> list[CompositeNode]:
-        return list(walk(self.root))
+    def preorder(self, start: int | None = None) -> list[tuple[int, int]]:
+        """(id, depth below start) of start, the root by default, and of
+        every node below it, in pre-order: each node before its children,
+        siblings in position order."""
+        children = self.children
+        order = []
+        stack = [(self.root if start is None else start, 0)]
+        while stack:
+            node_id, depth = stack.pop()
+            order.append((node_id, depth))
+            stack.extend([(child, depth + 1) for child in reversed(children[node_id])])
+        return order
+
+    def nodes(self) -> list[NormNode]:
+        """One record per node, in pre-order."""
+        forms, positions, supports, doc_count = self.forms, self.positions, self.supports, self.doc_count
+        return [
+            NormNode(node_id, forms[node_id], positions[node_id], supports[node_id], supports[node_id] / doc_count)
+            for node_id, _ in self.preorder()
+        ]
 
     def index(self) -> CompositeIndex:
         if self._index is None:
-            self._index = CompositeIndex(self.root)
+            self._index = CompositeIndex(self)
         return self._index
 
 

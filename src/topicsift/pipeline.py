@@ -132,14 +132,14 @@ def render_trace(summary: Summary) -> list[str]:
     params = summary.params
     composite = summary.composite
     results = summary.results
-    norm_nodes = composite.index().nodes
+    supports, doc_count = composite.supports, composite.doc_count
     lines = [
         "trace-version: 1",
         f"query: {summary.query}",
         f"params: k={params.k} alpha={params.alpha:g} tau={params.tau:g} limit={summary.limit}"
         f" seed={summary.seed} align-threshold={summary.align_threshold:g}",
         f"composite: domain-genre={composite.domain_genre} doc-count={composite.doc_count}"
-        f" nodes={len(norm_nodes)}",
+        f" nodes={len(supports)}",
         f"documents: {len(results)}",
     ]
     append = lines.append
@@ -162,7 +162,7 @@ def render_trace(summary: Summary) -> list[str]:
                 norm_text = aligned_text.get(comp_id)
                 if norm_text is None:
                     norm_text = aligned_text[comp_id] = (
-                        f"composite={comp_id} typicality={norm_nodes[comp_id].typicality:.10f}"
+                        f"composite={comp_id} typicality={supports[comp_id] / doc_count:.10f}"
                     )
             # encode_basestring writes what json.dumps(ensure_ascii=False) does for a str
             append(

@@ -28,7 +28,6 @@ from .model import (
     TypingParams,
     _tokens,
     best_jaccard,
-    walk_depth,
 )
 
 
@@ -85,7 +84,7 @@ def map_query(
     query_sets = (query_tokens,) if query_tokens else ()
     if isinstance(tree, CompositeTopicTree):
         cached = tree.index().token_sets
-        scored = ((node.id, depth, cached[node.id]) for node, depth in walk_depth(tree.root))
+        scored = ((node_id, depth, cached[node_id]) for node_id, depth in tree.preorder())
     else:
         if token_sets is None:
             token_sets = tree.token_sets({})
@@ -130,7 +129,7 @@ def assign_types(
     types = [_IRRELEVANT] * len(doc.labels)
     if query_node is not None:
         subtree = doc.subtree(query_node)
-        comp_nodes = composite.index().nodes
+        supports, doc_count = composite.supports, composite.doc_count
         pairs = alignment.pairs
         depths = doc.depths
         deepest = depths[query_node] + params.k
@@ -139,7 +138,7 @@ def assign_types(
                 types[node_id] = _INTRICATE
             else:
                 comp_id = pairs.get(node_id)
-                typicality = comp_nodes[comp_id].typicality if comp_id is not None else 0.0
+                typicality = supports[comp_id] / doc_count if comp_id is not None else 0.0
                 types[node_id] = _TYPICAL if typicality >= params.alpha else _RARE
     return TypedTree(doc=doc, query=query, query_node=query_node, types=types)
 

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import json
+import tempfile
 from pathlib import Path
 
 import pytest
 
-from topicsift import DocumentMetadata, DocumentTopicTree, TopicType
+from topicsift import CompositeTopicTree, DocumentMetadata, DocumentTopicTree, TopicType, load_composite
 from topicsift.topic_typing import TypedTree
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -32,6 +34,22 @@ def make_doc(spec, doc_id="doc", title=None, content_types=(), special_content=(
         source_path="",
     )
     return DocumentTopicTree(doc_id=doc_id, labels=labels, parents=parents, depths=depths, metadata=meta)
+
+
+def norm_node(node_id, label, position, *children, support=1) -> dict:
+    """A schema-v1 norm node payload of one spelling."""
+    return {"id": node_id, "forms": [label], "position": position, "support": support, "children": list(children)}
+
+
+def make_norm(root: dict, doc_count: int = 1) -> CompositeTopicTree:
+    """The norm a schema-v1 file holding root (a node payload, such as
+    norm_node's) loads as: norms are built by hand through the loader,
+    which checks them."""
+    payload = {"version": "1", "domain_genre": "t", "doc_count": doc_count, "root": root}
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "norm.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return load_composite(path)
 
 
 def make_typed(

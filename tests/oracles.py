@@ -10,11 +10,14 @@ flat lists and the parser, the walk_depth renderer for the one-pass trace, and
 the one-type-at-a-time counts and the bind-every-lemma realizer for the
 one-pass distribution, lexicalize and realize_plan.
 The oracles read a document as nested nodes, which ``nested`` rebuilds from
-its parent list alone; the plain tree walks over them (node_map,
+its parent list alone, and a norm as a tree of nested norm nodes of their
+own (``OracleNorm``), which ``oracle_norm`` rebuilds from a package norm's
+child lists; the plain tree walks over them (walk, walk_depth, node_map,
 parent_map, sibling_rank_map) are the references for the document's flat
 lists and derived ranks, and serve the oracles above.
-The per-file ``Path`` corpus loader and the recursive norm parser are the
-references for the one-pass ``load_corpus`` and ``load_composite``.
+The per-file ``Path`` corpus loader, the recursive norm parser and the
+table-free norm writer are the references for the one-pass ``load_corpus``,
+``load_composite`` and ``save_composite``.
 """
 from __future__ import annotations
 
@@ -38,15 +41,12 @@ from topicsift.ingest import (
 )
 from topicsift.lexicon import LexiconGapError
 from topicsift.model import (
-    CompositeNode,
     CompositeTopicTree,
     DocumentMetadata,
     LexicalForms,
     brief_repr,
     check_line,
     read_json,
-    walk,
-    walk_depth,
 )
 from topicsift.planner import HasFeature, HasTopics, SetElements
 from topicsift.realizer import NO_MATCH_NOTICE, build_sentence_plans
@@ -69,6 +69,57 @@ class OracleDocument:
     metadata: DocumentMetadata
 
 
+@dataclass
+class OracleNormNode:
+    """A norm topic as a nested node; its typicality is support / the
+    norm's doc_count."""
+
+    id: int
+    label: LexicalForms
+    position: float
+    support: int
+    children: list["OracleNormNode"] = field(default_factory=list)
+
+
+@dataclass
+class OracleNorm:
+    root: OracleNormNode
+    domain_genre: str
+    doc_count: int
+
+
+def oracle_norm(composite) -> OracleNorm:
+    """A norm as nested nodes: a package norm is rebuilt from its fields and
+    child lists, an OracleNorm is taken as it is."""
+    if isinstance(composite, OracleNorm):
+        return composite
+
+    def convert(node_id):
+        return OracleNormNode(
+            id=node_id,
+            label=LexicalForms(composite.forms[node_id]),
+            position=composite.positions[node_id],
+            support=composite.supports[node_id],
+            children=[convert(child) for child in composite.children[node_id]],
+        )
+
+    return OracleNorm(convert(composite.root), composite.domain_genre, composite.doc_count)
+
+
+def walk(root):
+    """Pre-order traversal over nested nodes."""
+    yield root
+    for child in root.children:
+        yield from walk(child)
+
+
+def walk_depth(root, depth=0):
+    """Pre-order traversal yielding (node, depth below root)."""
+    yield root, depth
+    for child in root.children:
+        yield from walk_depth(child, depth + 1)
+
+
 def nested(doc) -> OracleNode:
     """A flat document's root as nested nodes, rebuilt from its labels and
     parent list alone: each node becomes the last child of its parent so
@@ -81,8 +132,10 @@ def nested(doc) -> OracleNode:
 
 
 def _root(tree):
-    """A norm's root, or a flat document's as nested nodes."""
-    return tree.root if isinstance(tree, CompositeTopicTree) else nested(tree)
+    """A norm's root, or a flat document's, as nested nodes."""
+    if isinstance(tree, (CompositeTopicTree, OracleNorm)):
+        return oracle_norm(tree).root
+    return nested(tree)
 
 
 def node_map(root) -> dict[int, object]:
@@ -207,9 +260,10 @@ def oracle_align_tree(doc, composite, threshold: float) -> tuple[dict[int, int],
     """Greedy top-down alignment scoring the anchor and every one of its
     children; returns (pairs, unmatched)."""
     root = nested(doc)
-    comp_nodes = node_map(composite.root)
+    norm = oracle_norm(composite)
+    comp_nodes = node_map(norm.root)
     doc_parents = parent_map(root)
-    pairs = {root.id: composite.root.id}
+    pairs = {root.id: norm.root.id}
     unmatched: set[int] = set()
     for node in walk(root):
         if node.id == root.id:
@@ -250,20 +304,21 @@ def oracle_map_query(query: str, tree, tau: float) -> int | None:
 
 def oracle_possible_typical(composite, query: str, k: int, alpha: float, tau: float) -> frozenset[int]:
     """Composite ids within k hops below the query node with typicality >= alpha."""
-    query_node = oracle_map_query(query, composite, tau)
+    norm = oracle_norm(composite)
+    query_node = oracle_map_query(query, norm, tau)
     if query_node is None:
         return frozenset()
-    start = node_map(composite.root)[query_node]
+    start = node_map(norm.root)[query_node]
     return frozenset(
         node.id
         for node, depth in walk_depth(start)
-        if depth <= k and node.typicality >= alpha
+        if depth <= k and node.support / norm.doc_count >= alpha
     )
 
 
-def oracle_merge(composite, doc, pairs: dict[int, int]) -> None:
-    """Fold one aligned document into the composite in place, then walk the
-    whole norm to refresh typicality and re-sort every sibling list."""
+def oracle_merge(composite: OracleNorm, doc, pairs: dict[int, int]) -> None:
+    """Fold one aligned document into the oracle norm in place, then walk
+    the whole norm to re-sort every sibling list."""
     root = nested(doc)
     comp_nodes = node_map(composite.root)
     doc_parents = parent_map(root)
@@ -285,10 +340,9 @@ def oracle_merge(composite, doc, pairs: dict[int, int]) -> None:
             continue
         parent = doc_parents[node.id]
         comp_parent = comp_nodes[pairs[parent]] if parent in pairs else inserted[parent]
-        fresh = CompositeNode(
+        fresh = OracleNormNode(
             id=next_id,
             label=LexicalForms.of(*node.label.forms),
-            typicality=0.0,
             position=doc_ranks[node.id],
             support=1,
         )
@@ -297,27 +351,25 @@ def oracle_merge(composite, doc, pairs: dict[int, int]) -> None:
         inserted[node.id] = fresh
     composite.doc_count += 1
     for comp in walk(composite.root):
-        comp.typicality = comp.support / composite.doc_count
         comp.children.sort(key=lambda child: child.position)
 
 
-def oracle_build_composite(docs, threshold: float, domain_genre: str) -> CompositeTopicTree:
+def oracle_build_composite(docs, threshold: float, domain_genre: str) -> OracleNorm:
     """Seed from the first document, then align and merge every further one
     with the brute-force versions above."""
     first = nested(docs[0])
     ranks = sibling_rank_map(first)
 
-    def convert(node) -> CompositeNode:
-        return CompositeNode(
+    def convert(node) -> OracleNormNode:
+        return OracleNormNode(
             id=node.id,
             label=LexicalForms.of(*node.label.forms),
-            typicality=1.0,
             position=ranks[node.id],
             support=1,
             children=[convert(child) for child in node.children],
         )
 
-    composite = CompositeTopicTree(root=convert(first), domain_genre=domain_genre, doc_count=1)
+    composite = OracleNorm(root=convert(first), domain_genre=domain_genre, doc_count=1)
     for doc in docs[1:]:
         pairs, _ = oracle_align_tree(doc, composite, threshold)
         oracle_merge(composite, doc, pairs)
@@ -332,12 +384,13 @@ def oracle_type_document(doc, composite, query: str, k: int, alpha: float, tau: 
     root = nested(doc)
     types = {node.id: "irrelevant" for node in walk(root)}
     if query_node is not None:
-        comp_nodes = node_map(composite.root)
+        norm = oracle_norm(composite)
+        comp_nodes = node_map(norm.root)
         for node, depth in walk_depth(node_map(root)[query_node]):
             if depth > k:
                 types[node.id] = "intricate"
             else:
-                typicality = comp_nodes[pairs[node.id]].typicality if node.id in pairs else 0.0
+                typicality = comp_nodes[pairs[node.id]].support / norm.doc_count if node.id in pairs else 0.0
                 types[node.id] = "typical" if typicality >= alpha else "rare"
     return query_node, types, pairs, unmatched
 
@@ -404,19 +457,20 @@ def oracle_trace_lines(
 ) -> list[str]:
     """The version-1 trace as the CLI rendered it before the one-pass walk
     of pipeline.render_trace: walk_depth per document, a lookup in the
-    reference walk node_map(composite.root) per node and json.dumps per
+    reference walk node_map over the nested norm per node and json.dumps per
     label. args carries limit, seed and align_threshold; a pipeline.Summary
     does."""
+    norm = oracle_norm(composite)
+    comp_nodes = node_map(norm.root)
     lines = [
         "trace-version: 1",
         f"query: {query}",
         f"params: k={params.k} alpha={params.alpha:g} tau={params.tau:g} limit={args.limit}"
         f" seed={args.seed} align-threshold={args.align_threshold:g}",
         f"composite: domain-genre={composite.domain_genre} doc-count={composite.doc_count}"
-        f" nodes={len(composite.nodes())}",
+        f" nodes={len(comp_nodes)}",
         f"documents: {len(results)}",
     ]
-    comp_nodes = node_map(composite.root)
     for result in results:
         typed = result.typed
         lines.append(f"document: {typed.doc.doc_id}")
@@ -425,7 +479,7 @@ def oracle_trace_lines(
         for node, depth in walk_depth(nested(typed.doc)):
             topic_type = typed.types[node.id]
             comp_id = result.alignment.pairs.get(node.id)
-            typicality = comp_nodes[comp_id].typicality if comp_id is not None else 0.0
+            typicality = comp_nodes[comp_id].support / norm.doc_count if comp_id is not None else 0.0
             lines.append(
                 f"  node: id={node.id} depth={depth} region={_TRACE_REGIONS[topic_type.value]}"
                 f" type={topic_type.value} composite={'-' if comp_id is None else comp_id}"
@@ -560,7 +614,7 @@ def oracle_load_corpus(directory) -> CorpusSet:
     return CorpusSet(docs=docs, origin=str(root))
 
 
-def _oracle_parse_node(payload, doc_count: int, seen: set[int]) -> CompositeNode:
+def _oracle_parse_node(payload, doc_count: int, seen: set[int]) -> OracleNormNode:
     """One norm node and, recursively, its children, each checked before its
     children; every sibling list is sorted by position."""
     def require(condition, message):
@@ -590,17 +644,16 @@ def _oracle_parse_node(payload, doc_count: int, seen: set[int]) -> CompositeNode
     require(isinstance(children, list), f"node {node_id}: children must be a list")
     nodes = [_oracle_parse_node(child, doc_count, seen) for child in children]
     nodes.sort(key=lambda node: node.position)
-    return CompositeNode(
+    return OracleNormNode(
         id=node_id,
         label=LexicalForms.of(*forms),
-        typicality=support / doc_count,
         position=float(position),
         support=support,
         children=nodes,
     )
 
 
-def oracle_load_composite(path) -> CompositeTopicTree:
+def oracle_load_composite(path) -> OracleNorm:
     """load_composite with a recursive node parser."""
     payload = read_json(path, "composite", CompositeSchemaError)
     if not isinstance(payload, dict):
@@ -620,4 +673,40 @@ def oracle_load_composite(path) -> CompositeTopicTree:
         raise CompositeSchemaError(f"composite file {path} is nested too deeply") from exc
     if root.support != doc_count:
         raise CompositeSchemaError("root support must equal doc_count (root typicality is 1.0 by construction)")
-    return CompositeTopicTree(root=root, domain_genre=domain_genre, doc_count=doc_count)
+    return OracleNorm(root=root, domain_genre=domain_genre, doc_count=doc_count)
+
+
+def oracle_composite_text(composite) -> str:
+    """The schema-v1 text save_composite writes for a norm, recursively, each
+    number formatted where it is written: json.dumps for every string and
+    position, ``.12f`` of support / doc_count for every typicality."""
+    norm = oracle_norm(composite)
+
+    def emit(node, indent):
+        inner = indent + "  "
+        lines = [
+            indent + "{",
+            f'{inner}"id": {node.id},',
+            f'{inner}"forms": {json.dumps(list(node.label.forms), ensure_ascii=False)},',
+            f'{inner}"typicality": {node.support / norm.doc_count:.12f},',
+            f'{inner}"position": {json.dumps(node.position)},',
+            f'{inner}"support": {node.support},',
+        ]
+        if node.children:
+            lines.append(f'{inner}"children": [')
+            lines.append(",\n".join(emit(child, inner + "  ") for child in node.children))
+            lines.append(inner + "]")
+        else:
+            lines.append(f'{inner}"children": []')
+        lines.append(indent + "}")
+        return "\n".join(lines)
+
+    return (
+        "{\n"
+        f'  "version": {json.dumps(SCHEMA_VERSION)},\n'
+        f'  "domain_genre": {json.dumps(norm.domain_genre, ensure_ascii=False)},\n'
+        f'  "doc_count": {norm.doc_count},\n'
+        '  "root":\n'
+        f"{emit(norm.root, '  ')}\n"
+        "}\n"
+    )

@@ -48,7 +48,7 @@ def test_criterion_1_typicality_reproduction(tmp_path):
     }
     corpus = load_corpus(write_corpus(tmp_path / "corpus", files))
     composite = build_composite(corpus, 0.5)
-    by_label = {normalize(n.label.canonical): n for n in composite.nodes()}
+    by_label = {normalize(n.forms[0]): n for n in composite.nodes()}
     assert composite.doc_count == 20
     assert by_label["symptoms"].support == 19
     assert by_label["symptoms"].typicality == 0.95

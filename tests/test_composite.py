@@ -13,9 +13,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from topicsift import (
-    CompositeNode,
     CompositeSchemaError,
-    CompositeTopicTree,
     CorpusSet,
     DocumentMetadata,
     DocumentTopicTree,
@@ -29,11 +27,10 @@ from topicsift import (
     save_composite,
 )
 from topicsift import cli
-from topicsift.composite import _emit_node
-from topicsift.model import LINE_BREAKS, best_jaccard, walk, walk_depth
+from topicsift.model import LINE_BREAKS, best_jaccard
 
-from conftest import FIXTURES, GOLDEN, make_doc, write_corpus
-from oracles import node_map, oracle_load_composite, parent_map
+from conftest import FIXTURES, GOLDEN, make_doc, make_norm, norm_node, write_corpus
+from oracles import node_map, oracle_composite_text, oracle_load_composite, oracle_norm, parent_map, walk
 
 
 def forms(*texts):
@@ -105,26 +102,22 @@ def test_roots_always_align_even_without_similarity():
     composite = build_composite(corpus_of(make_doc(("Angina", []))), 0.5)
     doc = make_doc(("Completely different", []), doc_id="d2")
     alignment = align_tree(doc, composite, 0.5)
-    assert alignment.pairs == {0: composite.root.id}
+    assert alignment.pairs == {0: composite.root}
 
 
 def test_equal_similarity_tie_breaks_to_lower_position():
-    root = CompositeNode(id=0, label=forms("Disease"), typicality=1.0, position=0.0, support=1)
-    high = CompositeNode(id=1, label=forms("Drug treatment"), typicality=1.0, position=1.0, support=1)
-    low = CompositeNode(id=2, label=forms("Laser treatment"), typicality=1.0, position=0.0, support=1)
-    root.children.extend([low, high])
-    composite = CompositeTopicTree(root=root, domain_genre="t", doc_count=1)
+    composite = make_norm(norm_node(
+        0, "Disease", 0.0, norm_node(2, "Laser treatment", 0.0), norm_node(1, "Drug treatment", 1.0)
+    ))
     doc = make_doc(("Disease", ["Treatment"]), doc_id="d")
     alignment = align_tree(doc, composite, 0.4)
     assert alignment.pairs[doc.labels.index("Treatment")] == 2
 
 
 def test_position_tie_breaks_to_lower_id():
-    root = CompositeNode(id=0, label=forms("Disease"), typicality=1.0, position=0.0, support=1)
-    first = CompositeNode(id=1, label=forms("Drug treatment"), typicality=1.0, position=0.5, support=1)
-    second = CompositeNode(id=2, label=forms("Laser treatment"), typicality=1.0, position=0.5, support=1)
-    root.children.extend([first, second])
-    composite = CompositeTopicTree(root=root, domain_genre="t", doc_count=1)
+    composite = make_norm(norm_node(
+        0, "Disease", 0.0, norm_node(1, "Drug treatment", 0.5), norm_node(2, "Laser treatment", 0.5)
+    ))
     doc = make_doc(("Disease", ["Treatment"]), doc_id="d")
     alignment = align_tree(doc, composite, 0.4)
     assert alignment.pairs[doc.labels.index("Treatment")] == 1
@@ -139,15 +132,14 @@ def test_level_skip_absorbed_by_parent_match():
     assert alignment.pairs[drug] == alignment.pairs[treatment]
     # the document still raises that topic's support only once
     merged = build_composite(corpus_of(first, doc), 0.5)
-    comp_treatment = merged.index().nodes[alignment.pairs[treatment]]
-    assert comp_treatment.support == 2
+    assert merged.supports[alignment.pairs[treatment]] == 2
     assert merged.doc_count == 2
 
 
 def _check_alignment_invariants(doc, composite, alignment):
     assert set(alignment.pairs) | alignment.unmatched == set(doc.nodes())
     assert not set(alignment.pairs) & alignment.unmatched
-    comp_nodes = node_map(composite.root)
+    comp_nodes = node_map(oracle_norm(composite).root)
     for node_id, comp_id in alignment.pairs.items():
         parent = doc.parents[node_id]
         if parent < 0 or parent not in alignment.pairs:
@@ -196,7 +188,7 @@ def test_nineteen_of_twenty_documents_gives_095():
         for i in range(20)
     ]
     composite = build_composite(corpus_of(*docs), 0.5)
-    by_label = {normalize(n.label.canonical): n for n in composite.nodes()}
+    by_label = {normalize(n.forms[0]): n for n in composite.nodes()}
     assert by_label["symptoms"].typicality == 0.95
     assert by_label["symptoms"].support == 19
     assert by_label["treatment"].typicality == 1.0
@@ -206,7 +198,7 @@ def test_new_sibling_in_last_of_four_docs():
     docs = [make_doc(("Disease", ["A", "B"]), doc_id=f"d{i}") for i in range(3)]
     docs.append(make_doc(("Disease", ["A", "B", "C"]), doc_id="d3"))
     composite = build_composite(corpus_of(*docs), 0.5)
-    c = {normalize(n.label.canonical): n for n in composite.nodes()}["c"]
+    c = {normalize(n.forms[0]): n for n in composite.nodes()}["c"]
     assert c.typicality == 0.25
     assert c.support == 1
     # only contribution: sibling index 2 of 3 -> rank 2 / (3 - 1) = 1.0
@@ -216,7 +208,7 @@ def test_new_sibling_in_last_of_four_docs():
 def test_single_document_corpus_is_isomorphic():
     doc = make_doc(("Disease", ["Symptoms", ("Treatment", ["Surgery"])]))
     composite = build_composite(corpus_of(doc), 0.5)
-    assert [n.label.canonical for n in composite.nodes()] == doc.labels
+    assert [n.forms[0] for n in composite.nodes()] == doc.labels
     assert all(n.typicality == 1.0 for n in composite.nodes())
     assert composite.doc_count == 1
 
@@ -227,12 +219,12 @@ def test_first_document_header_repeating_its_title_stays_a_child(threshold):
     matches its root exactly is still a topic of its own."""
     doc = parse_document("# Angina\n\n## Angina\n\n### Causes\n\n## Treatment\n", "doc")
     composite = build_composite(corpus_of(doc), threshold)
-    norm_parents = parent_map(composite.root)
-    assert [(n.id, n.label.forms, norm_parents[n.id]) for n in composite.nodes()] == [
+    norm_parents = parent_map(oracle_norm(composite).root)
+    assert [(n.id, n.forms, norm_parents[n.id]) for n in composite.nodes()] == [
         (node_id, (label,), None if parent < 0 else parent)
         for node_id, (label, parent) in enumerate(zip(doc.labels, doc.parents))
     ]
-    assert [n.label.canonical for n in composite.root.children] == ["Angina", "Treatment"]
+    assert [composite.forms[child][0] for child in composite.children[composite.root]] == ["Angina", "Treatment"]
     assert all(n.support == 1 and n.typicality == 1.0 for n in composite.nodes())
 
 
@@ -243,10 +235,10 @@ def test_hand_built_first_document_gives_the_norm_its_ids():
         "doc", ["Disease", "Symptoms", "Pain", "Treatment"], [-1, 0, 1, 0], [0, 1, 2, 1], DocumentMetadata()
     )
     composite = build_composite(corpus_of(doc), 0.5)
-    assert [(n.id, n.label.canonical) for n in composite.nodes()] == [
+    assert [(n.id, n.forms[0]) for n in composite.nodes()] == [
         (0, "Disease"), (1, "Symptoms"), (2, "Pain"), (3, "Treatment")
     ]
-    assert parent_map(composite.root) == {0: None, 1: 0, 2: 1, 3: 0}
+    assert parent_map(oracle_norm(composite).root) == {0: None, 1: 0, 2: 1, 3: 0}
 
 
 @pytest.mark.parametrize(
@@ -268,7 +260,7 @@ def test_ten_identical_documents_idempotent():
     docs = [make_doc(("Disease", ["Symptoms", "Treatment"]), doc_id=f"d{i}") for i in range(10)]
     composite = build_composite(corpus_of(*docs), 0.5)
     assert composite.doc_count == 10
-    assert [n.label.canonical for n in composite.nodes()] == ["Disease", "Symptoms", "Treatment"]
+    assert [n.forms[0] for n in composite.nodes()] == ["Disease", "Symptoms", "Treatment"]
     assert all(n.typicality == 1.0 for n in composite.nodes())
 
 
@@ -295,9 +287,9 @@ def test_typicality_equals_brute_force_document_frequency(tmp_path):
     composite = build_composite(load_corpus(corpus_dir), 0.5)
     assert composite.doc_count == 4
     for node in composite.nodes():
-        expected = doc_freq[normalize(node.label.canonical)] / 4
+        expected = doc_freq[normalize(node.forms[0])] / 4
         assert node.typicality == expected
-        assert node.support == doc_freq[normalize(node.label.canonical)]
+        assert node.support == doc_freq[normalize(node.forms[0])]
 
 
 def test_exact_match_corpora_are_permutation_invariant():
@@ -352,12 +344,12 @@ def test_save_is_byte_deterministic(tmp_path):
 
 
 def test_built_angina_norm_matches_the_golden_file(tmp_path, angina_reference):
-    """The angina build writes the pinned composite byte for byte. The
-    oracle tests save both of the norms they compare through the same
-    writer, so this file is what pins the writer's bytes."""
+    """The angina build writes the pinned composite byte for byte, as the
+    oracle writer writes it."""
     path = tmp_path / "composite.json"
     assert cli.main(["build", str(angina_reference), str(path)]) == 0
     assert path.read_bytes() == (GOLDEN / "angina_composite.json").read_bytes()
+    assert oracle_composite_text(oracle_load_composite(path)).encode("utf-8") == path.read_bytes()
 
 
 def test_built_multi_spelling_norm_matches_the_golden_file(tmp_path):
@@ -408,11 +400,15 @@ json_text = st.text(alphabet=st.one_of(st.sampled_from('"\\/\x00\x08\x1f\x7f\x85
 )
 def test_emitted_forms_and_position_match_json_dumps(texts, position):
     label = LexicalForms.of(*texts)
-    out: list[str] = []
-    _emit_node(CompositeNode(id=3, label=label, typicality=1.0, position=position, support=1), out, "")
-    lines = "".join(out).split("\n")
-    assert lines[2] == '  "forms": ' + json.dumps(list(label.forms), ensure_ascii=False) + ","
-    assert lines[4] == '  "position": ' + json.dumps(position) + ","
+    payload = _minimal_payload()
+    payload["root"].update(forms=list(label.forms), position=position)
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "c.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        save_composite(load_composite(path), path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines[7] == '    "forms": ' + json.dumps(list(label.forms), ensure_ascii=False) + ","
+    assert lines[9] == '    "position": ' + json.dumps(position) + ","
 
 
 def test_minimal_hand_written_file_loads(tmp_path):
@@ -420,9 +416,9 @@ def test_minimal_hand_written_file_loads(tmp_path):
     path.write_text(json.dumps(_minimal_payload()), encoding="utf-8")
     composite = load_composite(path)
     assert composite.doc_count == 1
-    assert composite.root.label.canonical == "Topic"
-    assert composite.root.typicality == 1.0
-    assert composite.root.children == []
+    assert composite.forms[composite.root] == ("Topic",)
+    assert composite.nodes()[0].typicality == 1.0
+    assert composite.children[composite.root] == []
 
 
 @pytest.mark.parametrize(
@@ -494,7 +490,7 @@ def test_a_norm_half_the_recursion_limit_deep_loads_and_saves(tmp_path, monkeypa
     depth = sys.getrecursionlimit() // 2
     monkeypatch.setattr("topicsift.composite.read_json", lambda *args: _chain_payload(depth + 1))
     composite = load_composite(tmp_path / "deep.json")
-    assert max(level for _, level in walk_depth(composite.root)) == depth
+    assert max(level for _, level in composite.preorder()) == depth
     save_composite(composite, tmp_path / "saved.json")
 
 
@@ -527,8 +523,7 @@ def test_typicality_rederived_from_support(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     composite = load_composite(path)
-    assert composite.root.typicality == 1.0
-    assert composite.root.children[0].typicality == 0.75
+    assert [node.typicality for node in composite.nodes()] == [1.0, 0.75]
 
 
 _FAULTS = {
@@ -565,14 +560,21 @@ def _norm_payload(nodes, parents, doc_count):
     return {"version": "1", "domain_genre": "g", "doc_count": doc_count, "root": items[0]}, items
 
 
-def _loaded_norm(load, path):
+def _package_text(path):
+    saved = Path(path).with_suffix(".saved")
+    save_composite(load_composite(path), saved)
+    return saved.read_text(encoding="utf-8")
+
+
+def _oracle_text(path):
+    return oracle_composite_text(oracle_load_composite(path))
+
+
+def _loaded_norm(text_of, path):
     try:
-        composite = load(path)
+        return "loaded", text_of(path)
     except CompositeSchemaError as exc:
         return "error", str(exc)
-    saved = Path(path).with_suffix(".saved")
-    save_composite(composite, saved)
-    return composite, saved.read_bytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -585,7 +587,8 @@ def _loaded_norm(load, path):
 def test_load_composite_equals_the_recursive_parser(nodes, data, doc_count, faults):
     """load_composite checks the nodes in one pre-order loop; with zero to
     three faults at drawn nodes it fails with the recursive parser's first
-    message, or loads the same norm and saves the same bytes."""
+    message, or loads a norm that save_composite writes as the oracle writer
+    writes the recursive parser's norm."""
     parents = [data.draw(st.integers(0, index - 1)) for index in range(1, len(nodes))]
     payload, items = _norm_payload(nodes, parents, doc_count)
     # where each node sits: (the list or object holding it, its key there)
@@ -608,6 +611,90 @@ def test_load_composite_equals_the_recursive_parser(nodes, data, doc_count, faul
     with tempfile.TemporaryDirectory() as work:
         path = Path(work) / "norm.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
-        expected = _loaded_norm(oracle_load_composite, path)
+        expected = _loaded_norm(_oracle_text, path)
         event(re.sub(r"\d+", "N", expected[1]) if expected[0] == "error" else "loaded")
-        assert _loaded_norm(load_composite, path) == expected
+        assert _loaded_norm(_package_text, path) == expected
+
+
+def _assert_nodes_are_the_saved_nodes(composite, path):
+    """nodes() gives one record per node of the saved file, in the file's
+    pre-order, each with its id, support and typicality support / doc_count:
+    what bench/run.py and bench/tracer.py read."""
+    save_composite(composite, path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    saved, stack = [], [payload["root"]]
+    while stack:
+        node = stack.pop()
+        saved.append(node)
+        stack.extend(reversed(node["children"]))
+    nodes = composite.nodes()
+    assert [node.id for node in nodes] == [node["id"] for node in saved]
+    assert [node.support for node in nodes] == [node["support"] for node in saved]
+    assert [(node.forms, node.position) for node in nodes] == [(tuple(node["forms"]), node["position"]) for node in saved]
+    assert all(node.typicality == node.support / composite.doc_count for node in nodes)
+    assert [node.id for node in nodes] == [node_id for node_id, _ in composite.preorder()]
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0])
+def test_nodes_of_a_built_and_a_loaded_norm_are_the_saved_nodes_in_preorder(tmp_path, angina_reference, threshold):
+    from topicsift import load_corpus
+
+    built = build_composite(load_corpus(angina_reference), threshold)
+    _assert_nodes_are_the_saved_nodes(built, tmp_path / "built.json")
+    # ids in no order, children listed out of position order, a 0.0 beside a -0.0
+    loaded = make_norm(norm_node(
+        7, "Disease", 0.0,
+        norm_node(30, "Treatment", 1.0, norm_node(2, "Surgery", -0.0), norm_node(11, "Drugs", 0.0)),
+        norm_node(4, "Symptoms", 0.25, support=2),
+        support=3,
+    ), doc_count=3)
+    _assert_nodes_are_the_saved_nodes(loaded, tmp_path / "loaded.json")
+    assert [node.id for node in loaded.nodes()] == [7, 4, 30, 2, 11]
+    _assert_nodes_are_the_saved_nodes(load_composite(tmp_path / "built.json"), tmp_path / "again.json")
+
+
+# the extremes, both zeros and a few plain values, so drawn nodes repeat them
+_edge_positions = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.5, 1.0, 1 / 3])
+
+
+@st.composite
+def _writer_payloads(draw):
+    """A schema-v1 payload of 1..15 nodes in a random shape: positions from
+    the whole finite range and from the edge values, supports from a few
+    values, so both repeat."""
+    doc_count = draw(st.integers(1, 6))
+    positions = st.one_of(st.floats(allow_nan=False, allow_infinity=False), _edge_positions)
+    supports = st.sampled_from(sorted({1, 2, doc_count}))
+    size = draw(st.integers(1, 15))
+    items = []
+    for index in range(size):
+        items.append({
+            "id": draw(st.integers(-3, 40).filter(lambda n: n not in {item["id"] for item in items})),
+            "forms": draw(st.lists(st.sampled_from(["Topic", "topic", "Other", 'a "b"', "é\\"]), min_size=1, max_size=3)),
+            "position": draw(positions),
+            "support": doc_count if index == 0 else min(draw(supports), doc_count),
+            "children": [],
+        })
+        if index:
+            items[draw(st.integers(0, index - 1))]["children"].append(items[index])
+    return {"version": "1", "domain_genre": "g é", "doc_count": doc_count, "root": items[0]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_writer_payloads())
+def test_save_composite_writes_what_the_oracle_writer_writes(payload):
+    """save_composite's per-call tables of typicality and position texts
+    against a writer that formats every number where it writes it: equal
+    text for drawn floats, 0.0 beside -0.0, the extremes, and repeated
+    positions and supports."""
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "norm.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert _package_text(path) == _oracle_text(path)
+
+
+def test_a_loaded_negative_zero_position_is_written_back_as_negative_zero(tmp_path):
+    composite = make_norm(norm_node(0, "Disease", -0.0, norm_node(1, "Symptoms", 0.0), norm_node(2, "Signs", -0.0)))
+    path = tmp_path / "saved.json"
+    save_composite(composite, path)
+    assert re.findall(r'"position": (\S+),', path.read_text(encoding="utf-8")) == ["-0.0", "0.0", "-0.0"]

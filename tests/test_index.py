@@ -17,8 +17,6 @@ from hypothesis import strategies as st
 
 from topicsift import (
     Alignment,
-    CompositeNode,
-    CompositeTopicTree,
     CorpusSet,
     DocumentMetadata,
     DocumentTopicTree,
@@ -42,23 +40,23 @@ from topicsift import (
     summarize,
     type_document,
 )
-from topicsift.composite import _fold_document, _refresh_typicality
+from topicsift.composite import _fold_document
 from topicsift.model import (
     CompositeIndex,
     best_jaccard,
     fold,
     normalize,
-    walk,
-    walk_depth,
 )
 
-from conftest import make_doc
+from conftest import make_doc, make_norm, norm_node
 from oracles import (
     oracle_align_tree,
     oracle_build_composite,
+    oracle_composite_text,
     oracle_distribution_counts,
     oracle_fold,
     oracle_label_similarity,
+    oracle_load_composite,
     oracle_map_query,
     oracle_merge,
     oracle_normalize,
@@ -69,6 +67,8 @@ from oracles import (
     nested,
     parent_map,
     sibling_rank_map,
+    walk,
+    walk_depth,
 )
 
 # 1e-9 is the smallest kind of positive threshold: a header that shares no
@@ -123,11 +123,10 @@ def _fold(docs, threshold):
 
 
 def _fold_in(composite, doc, threshold):
-    """Align one more document against the norm, fold it in and refresh
-    typicality, as a build does after its last document."""
+    """Align one more document against the norm and fold it in, as a build
+    does."""
     token_sets = doc.token_sets(composite.index().label_sets)
     _fold_document(composite, align_tree(doc, composite, threshold, token_sets=token_sets).pairs, doc, token_sets)
-    _refresh_typicality(composite)
 
 
 def _saved(composite, directory) -> bytes:
@@ -136,14 +135,19 @@ def _saved(composite, directory) -> bytes:
     return path.read_bytes()
 
 
+def _oracle_saved(norm) -> bytes:
+    """The bytes the oracle writer writes for an oracle norm."""
+    return oracle_composite_text(norm).encode("utf-8")
+
+
 @pytest.fixture(scope="module")
 def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("saved")
 
 
 def _index_contents(index: CompositeIndex):
-    """What a fresh index over the same tree must hold too; the state only
-    folds fill is checked against the tree here."""
+    """What a fresh index over the same norm must hold too; the state only
+    folds fill is checked against the norm here."""
     postings = {
         parent: {token: sorted(ids) for token, ids in by_token.items()}
         for parent, by_token in index.children_by_token.items()
@@ -157,14 +161,14 @@ def _index_contents(index: CompositeIndex):
         for node_id, by_token in index.set_postings.items()
     }
     for node_id, keys in index.fold_keys.items():
-        assert keys == {fold(form) for form in index.nodes[node_id].label.forms}
+        assert keys == {fold(form) for form in index.forms[node_id]}
     # the spellings a merge skips without folding: every form of the node,
     # and no spelling of a fold key the node lacks
     assert index.spellings.keys() == index.fold_keys.keys()
     for node_id, seen in index.spellings.items():
-        assert seen.issuperset(index.nodes[node_id].label.forms)
+        assert seen.issuperset(index.forms[node_id])
         assert {fold(spelling) for spelling in seen} <= index.fold_keys[node_id]
-    return index.nodes, index.token_sets, index.parents, postings, holders, set_postings
+    return index.next_id, index.token_sets, postings, holders, set_postings
 
 
 @settings(max_examples=200, deadline=None)
@@ -199,12 +203,8 @@ def test_alignment_matches_brute_force(docs, probe, threshold):
 def test_zero_threshold_scores_children_that_share_no_token():
     """At threshold 0 a score of 0 qualifies, so a child sharing no token with
     the label still wins on position over its parent."""
-    def node(node_id, label, position, *children):
-        return CompositeNode(id=node_id, label=LexicalForms.of(label), typicality=1.0,
-                             position=position, support=1, children=list(children))
-
-    root = node(0, "Disease", 0.0, node(1, "Treatment", 1.0, node(2, "Surgery", 0.0), node(3, "Drugs", 1.0)))
-    composite = CompositeTopicTree(root=root, domain_genre="t", doc_count=1)
+    node = norm_node
+    composite = make_norm(node(0, "Disease", 0.0, node(1, "Treatment", 1.0, node(2, "Surgery", 0.0), node(3, "Drugs", 1.0))))
     doc = make_doc(("Disease", [("Treatment", ["Prognosis"])]))
     for threshold in THRESHOLDS:
         alignment = align_tree(doc, composite, threshold)
@@ -219,9 +219,10 @@ def test_index_stays_current_across_merges(docs, more, threshold, probe):
     composite.index()
     for doc in more:
         _fold_in(composite, doc, threshold)
-        assert _index_contents(composite.index()) == _index_contents(CompositeIndex(composite.root))
-        for node in composite.nodes():
-            assert composite.index().nodes[node.id] is node
+        assert _index_contents(composite.index()) == _index_contents(CompositeIndex(composite))
+        index = composite.index()
+        assert index.forms is composite.forms and index.parents is composite.parents
+        assert index.positions is composite.positions and index.children is composite.children
     alignment = align_tree(probe, composite, threshold)
     assert (alignment.pairs, alignment.unmatched) == oracle_align_tree(probe, composite, threshold)
 
@@ -300,7 +301,7 @@ def test_a_header_sharing_no_token_with_its_candidates_matches_nothing():
         make_doc(("Chest pain", ["Symptoms"]), doc_id="b"),
     ]
     composite = _fold(docs, 0.5)
-    assert len(composite.index().token_sets[composite.root.id]) == 2
+    assert len(composite.index().token_sets[composite.root]) == 2
     probe = make_doc(("Angina", ["Gardening tips", ("Symptoms", ["Weather"])]))
     for threshold in THRESHOLDS:
         alignment = align_tree(probe, composite, threshold)
@@ -448,36 +449,35 @@ def test_merged_label_equals_rebuilt_label(a, others, data):
     """Merging document spellings into a composite node's label one by one,
     as the fold does, equals building the label from every spelling at once,
     and leaves the index as a fresh one would be."""
-    node = CompositeNode(id=1, label=a, typicality=1.0, position=0.0, support=1)
-    sibling = CompositeNode(id=2, label=LexicalForms.of("risk drug"), typicality=1.0, position=1.0, support=1)
-    root = CompositeNode(id=0, label=LexicalForms.of("Root"), typicality=1.0, position=0.0, support=1,
-                         children=[node, sibling])
-    index = CompositeIndex(root)
+    node = norm_node(1, a.canonical, 0.0)
+    node["forms"] = list(a.forms)
+    composite = make_norm(norm_node(0, "Root", 0.0, node, norm_node(2, "risk drug", 1.0)))
+    index = composite.index()
     spellings = list(a.forms)
     for other in others:
-        before = node.label
-        index.merge_label(node, other, LexicalForms((other,)).token_sets())
+        before = composite.forms[1]
+        index.merge_label(1, other, LexicalForms((other,)).token_sets())
         spellings.append(other)
-        assert node.label == LexicalForms.of(*spellings)
-        assert (node.label is before) == (node.label.forms == before.forms)
-        assert _index_contents(index) == _index_contents(CompositeIndex(root))
+        assert composite.forms[1] == LexicalForms.of(*spellings).forms
+        assert (composite.forms[1] is before) == (composite.forms[1] == before)
+        assert _index_contents(index) == _index_contents(CompositeIndex(composite))
     # a spelling already present verbatim leaves the label as it is
-    label = node.label
-    verbatim = data.draw(st.sampled_from(label.forms))
-    index.merge_label(node, verbatim, LexicalForms((verbatim,)).token_sets())
-    assert node.label is label
+    label = composite.forms[1]
+    verbatim = data.draw(st.sampled_from(label))
+    index.merge_label(1, verbatim, LexicalForms((verbatim,)).token_sets())
+    assert composite.forms[1] is label
     # and a node spelled only one way takes that spelling without a fold
-    lone = CompositeNode(id=0, label=LexicalForms((a.canonical,)), typicality=1.0, position=0.0, support=1)
-    label = lone.label
+    lone = make_norm(norm_node(0, a.canonical, 0.0))
+    label = lone.forms[0]
     with mock.patch("topicsift.model.fold", side_effect=AssertionError("folded")):
-        CompositeIndex(lone).merge_label(lone, a.canonical, label.token_sets())
-    assert lone.label is label
+        lone.index().merge_label(0, a.canonical, LexicalForms(label).token_sets())
+    assert lone.forms[0] is label
 
 
 @settings(max_examples=80, deadline=None)
 @given(corpora, st.sampled_from((0.0, 0.5, 1.0)))
 def test_build_matches_full_walk_build(scratch, docs, threshold):
-    expected = _saved(oracle_build_composite(docs, threshold, "mem"), scratch)
+    expected = _oracle_saved(oracle_build_composite(docs, threshold, "mem"))
     composite = _fold(docs, threshold)
     assert _saved(composite, scratch) == expected
     # the build tokenized through the norm's label memo: one entry per
@@ -504,9 +504,9 @@ def titled_corpora(draw):
 @given(titled_corpora(), st.sampled_from((0.0, 0.5, 1.0)))
 def test_build_over_many_titles_matches_full_walk_build(scratch, docs, threshold):
     composite = _fold(docs, threshold)
-    assert _saved(composite, scratch) == _saved(oracle_build_composite(docs, threshold, "mem"), scratch)
-    assert _index_contents(composite.index()) == _index_contents(CompositeIndex(composite.root))
-    assert len(composite.index().token_sets[composite.root.id]) == len(docs)
+    assert _saved(composite, scratch) == _oracle_saved(oracle_build_composite(docs, threshold, "mem"))
+    assert _index_contents(composite.index()) == _index_contents(CompositeIndex(composite))
+    assert len(composite.index().token_sets[composite.root]) == len(docs)
 
 
 def test_build_keeps_the_order_of_tied_positions(scratch):
@@ -520,8 +520,8 @@ def test_build_keeps_the_order_of_tied_positions(scratch):
     ]
     for threshold in (0.0, 0.5, 1.0):
         composite = _fold(docs, threshold)
-        assert _saved(composite, scratch) == _saved(oracle_build_composite(docs, threshold, "mem"), scratch)
-    positions = [child.position for child in composite.root.children]
+        assert _saved(composite, scratch) == _oracle_saved(oracle_build_composite(docs, threshold, "mem"))
+    positions = [composite.positions[child] for child in composite.children[composite.root]]
     assert len(set(positions)) < len(positions)
 
 
@@ -535,7 +535,7 @@ def test_folding_more_documents_into_a_built_norm_matches_the_full_walk(scratch,
         oracle_merge(reference, doc, oracle_align_tree(doc, reference, threshold)[0])
         for node in composite.nodes():
             assert node.typicality == node.support / composite.doc_count
-        assert _saved(composite, scratch) == _saved(reference, scratch)
+        assert _saved(composite, scratch) == _oracle_saved(reference)
 
 
 class _Counted(str):
@@ -582,8 +582,8 @@ def test_fold_cost_does_not_grow_with_a_labels_spellings():
             _fold_document(composite, alignment.pairs, doc, token_sets)
         folds[number] = counter.call_count
         compared[number] = _Counted.compared
-    assert len(composite.root.label.forms) == 200
-    assert len(composite.index().token_sets[composite.root.id]) == 200
+    assert len(composite.forms[composite.root]) == 200
+    assert len(composite.index().token_sets[composite.root]) == 200
     assert pairs[20] == pairs[200]
     assert folds[20] == folds[200]
     assert compared[20] == compared[200]
@@ -616,11 +616,11 @@ def test_labels_with_many_spellings_build_like_the_full_walk(scratch):
     docs = _variant_corpus(60, seed=11)
     for threshold in (0.0, 0.5, 1.0):
         composite = _fold(docs, threshold)
-        assert _saved(composite, scratch) == _saved(oracle_build_composite(docs, threshold, "mem"), scratch)
+        assert _saved(composite, scratch) == _oracle_saved(oracle_build_composite(docs, threshold, "mem"))
         index = composite.index()
-        assert _index_contents(index) == _index_contents(CompositeIndex(composite.root))
-    assert len(composite.root.label.forms) == 60
-    assert max(len(node.label.forms) for node in composite.root.children) > 3
+        assert _index_contents(index) == _index_contents(CompositeIndex(composite))
+    assert len(composite.forms[composite.root]) == 60
+    assert max(len(composite.forms[child]) for child in composite.children[composite.root]) > 3
 
 
 def test_save_load_and_continue_equals_a_full_build(tmp_path, scratch):
@@ -637,7 +637,6 @@ def test_save_load_and_continue_equals_a_full_build(tmp_path, scratch):
             for doc in docs[count:]:
                 token_sets = doc.token_sets(composite.index().label_sets)
                 _fold_document(composite, align_tree(doc, composite, threshold, token_sets=token_sets).pairs, doc, token_sets)
-            _refresh_typicality(composite)
             assert _saved(composite, scratch) == expected
 
 
@@ -648,7 +647,7 @@ def test_loading_a_norm_folds_each_spelling_once(tmp_path):
     save_composite(_fold(_variant_corpus(40, seed=3), 0.5), path)
     with mock.patch("topicsift.model.fold", side_effect=fold) as counter:
         loaded = load_composite(path)
-    spellings = sum(len(node.label.forms) for node in walk(loaded.root) if len(node.label.forms) > 1)
+    spellings = sum(len(forms) for forms in loaded.forms.values() if len(forms) > 1)
     assert spellings > 40
     assert counter.call_count == spellings
 
@@ -665,11 +664,11 @@ def test_fresh_ids_follow_the_largest_loaded_id(tmp_path, scratch):
         encoding="utf-8",
     )
     doc = make_doc(("Disease", [("Symptoms", ["Chest pain"]), "Prognosis", ("Diet", ["Salt"])]))
-    composite, reference = load_composite(path), load_composite(path)
+    composite, reference = load_composite(path), oracle_load_composite(path)
     _fold_in(composite, doc, 0.5)
     oracle_merge(reference, doc, oracle_align_tree(doc, reference, 0.5)[0])
     assert sorted(node.id for node in composite.nodes()) == [0, 5, 9, 10, 11, 12, 13]
-    assert _saved(composite, scratch) == _saved(reference, scratch)
+    assert _saved(composite, scratch) == _oracle_saved(reference)
 
 
 def test_a_hand_written_sibling_list_out_of_position_order_loads_sorted(tmp_path, scratch):
@@ -685,18 +684,19 @@ def test_a_hand_written_sibling_list_out_of_position_order_loads_sorted(tmp_path
         '{"id": 2, "forms": ["Symptoms"], "position": 0.0, "support": 1, "children": []}]}}',
         encoding="utf-8",
     )
-    assert [child.label.canonical for child in load_composite(path).root.children] == ["Diet", "Symptoms", "Treatment"]
+    loaded = load_composite(path)
+    assert [loaded.forms[child][0] for child in loaded.children[loaded.root]] == ["Diet", "Symptoms", "Treatment"]
     cases = (
         (("Disease", ["Treatment", "Prognosis"]), ["Diet", "Symptoms", "Treatment", "Prognosis"]),
         (("Disease", ["Symptoms", "Prognosis"]), ["Diet", "Symptoms", "Treatment", "Prognosis"]),
     )
     for tree, order in cases:
         doc = make_doc(tree)
-        composite, reference = load_composite(path), load_composite(path)
+        composite, reference = load_composite(path), oracle_load_composite(path)
         _fold_in(composite, doc, 0.5)
         oracle_merge(reference, doc, oracle_align_tree(doc, reference, 0.5)[0])
-        assert [child.label.canonical for child in composite.root.children] == order
-        assert _saved(composite, scratch) == _saved(reference, scratch)
+        assert [composite.forms[child][0] for child in composite.children[composite.root]] == order
+        assert _saved(composite, scratch) == _oracle_saved(reference)
 
 
 def _assert_flat_form_of(doc, root):
@@ -790,7 +790,7 @@ def test_distribution_matches_counting_each_type_alone(docs, probe, query, k, al
     ids = list(probe.nodes())
     choice = data.draw(st.sampled_from([TopicType, [TopicType.TYPICAL], [t for t in TopicType if t is not TopicType.TYPICAL]]))
     types = data.draw(st.lists(st.sampled_from(choice), min_size=len(ids), max_size=len(ids)))
-    pairs = data.draw(st.dictionaries(st.sampled_from(ids), st.sampled_from(sorted(composite.index().nodes))))
+    pairs = data.draw(st.dictionaries(st.sampled_from(ids), st.sampled_from(sorted(composite.forms))))
     typed = TypedTree(doc=probe, query=query, query_node=None, types=types)
     d = distribution(typed, composite, Alignment(pairs=pairs, unmatched=set(ids) - set(pairs)), params)
     possible = oracle_possible_typical(composite, query, k, alpha, params.tau)

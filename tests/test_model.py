@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from topicsift import (
-    CompositeNode,
     CorpusSet,
     DocumentMetadata,
     DocumentTopicTree,
@@ -16,10 +15,10 @@ from topicsift import (
     normalize,
     parse_document,
 )
-from topicsift.model import LINE_BREAKS, check_line, walk, walk_depth
+from topicsift.model import LINE_BREAKS, check_line
 
 from conftest import make_doc
-from oracles import node_map
+from oracles import nested, node_map
 
 
 def test_normalize_strips_case_whitespace_and_trailing_punctuation():
@@ -59,23 +58,16 @@ def test_lexical_forms_require_content():
 def test_lexical_forms_merge_keeps_first_spelling():
     docs = [make_doc(("Symptoms", [])), make_doc(("Signs", [])), make_doc(("SYMPTOMS", []))]
     composite = build_composite(CorpusSet(docs=docs, origin="mem"), 0.5)
-    assert composite.root.label.forms == ("Symptoms", "Signs")
-
-
-def _norm_tree(spec, counter):
-    """CompositeNodes from a nested spec, ids in pre-order."""
-    label, children = (spec, []) if isinstance(spec, str) else spec
-    node = CompositeNode(id=counter[0], label=LexicalForms.of(label), typicality=1.0, position=0.0, support=1)
-    counter[0] += 1
-    node.children.extend(_norm_tree(child, counter) for child in children)
-    return node
+    assert composite.forms[composite.root] == ("Symptoms", "Signs")
 
 
 def test_walk_is_preorder():
-    root = _norm_tree(("r", [("a", ["a1", "a2"]), "b"]), [0])
-    assert [n.label.canonical for n in walk(root)] == ["r", "a", "a1", "a2", "b"]
-    assert [n.id for n in walk(root)] == [0, 1, 2, 3, 4]
-    assert [d for _, d in walk_depth(root)] == [0, 1, 2, 2, 1]
+    """A norm's pre-order, from the root and from a node below it."""
+    composite = build_composite(CorpusSet(docs=[make_doc(("r", [("a", ["a1", "a2"]), "b"]))], origin="mem"), 0.5)
+    assert [n.forms[0] for n in composite.nodes()] == ["r", "a", "a1", "a2", "b"]
+    assert [n.id for n in composite.nodes()] == [0, 1, 2, 3, 4]
+    assert composite.preorder() == [(0, 0), (1, 1), (2, 2), (3, 2), (4, 1)]
+    assert composite.preorder(1) == [(1, 0), (2, 1), (3, 1)]
 
 
 def test_node_ids_are_preorder_positions():
@@ -85,7 +77,7 @@ def test_node_ids_are_preorder_positions():
 
 
 def test_node_map_rejects_duplicate_ids():
-    root = _norm_tree(("r", ["a"]), [0])
+    root = nested(make_doc(("r", ["a"])))
     root.children[0].id = 0
     with pytest.raises(ValueError):
         node_map(root)

@@ -11,7 +11,6 @@ import pytest
 from topicsift import (
     Alignment,
     CategoryPlan,
-    CompositeNode,
     CompositeTopicTree,
     CorpusSet,
     Description,
@@ -25,6 +24,7 @@ from topicsift import (
     HasTopics,
     LexicalForms,
     Lexicon,
+    NormNode,
     OrdinalList,
     RangeRef,
     SentencePlan,
@@ -41,7 +41,8 @@ from topicsift.model import FrozenRecord, Record
 from topicsift.realizer import RealizedCategory
 
 DEEP, ATYPICAL = DocumentCategory.DEEP, DocumentCategory.ATYPICAL
-LEAF = CompositeNode(id=1, label=LexicalForms(("Signs",)), typicality=0.5, position=0.0, support=1)
+# the fields of a norm of one node, in constructor order
+NORM = ("ref", 1, 0, {0: ("r",)}, {0: None}, {0: 1}, {0: 0.0}, {0: []})
 META = DocumentMetadata(title="A")
 DOC = DocumentTopicTree(doc_id="a.md", labels=["r", "x"], parents=[-1, 0], depths=[0, 1], metadata=META)
 OTHER_DOC = DocumentTopicTree(doc_id="b.md", labels=["r", "y"], parents=[-1, 0], depths=[0, 1], metadata=META)
@@ -53,13 +54,12 @@ SENTENCE = SentencePlan(relation="sample_topics", category=DEEP, slots={"TOPICS"
 # frozen classes are marked
 CASES = {
     LexicalForms: (True, {"forms": (("Symptoms",), ("Symptoms", "Signs"))}),
-    CompositeNode: (False, {
+    NormNode: (True, {
         "id": (0, 2),
-        "label": (LexicalForms(("Symptoms",)), LexicalForms(("Signs",))),
-        "typicality": (1.0, 0.5),
+        "forms": (("Symptoms",), ("Symptoms", "Signs")),
         "position": (0.0, 0.5),
         "support": (2, 1),
-        "children": ([], [LEAF]),
+        "typicality": (1.0, 0.5),
     }),
     DocumentMetadata: (True, {
         "title": (None, "A"),
@@ -75,9 +75,14 @@ CASES = {
         "metadata": (META, DocumentMetadata(title="B")),
     }),
     CompositeTopicTree: (False, {
-        "root": (LEAF, CompositeNode(id=0, label=LexicalForms(("r",)), typicality=1.0, position=0.0, support=2)),
         "domain_genre": ("ref", "other"),
         "doc_count": (1, 2),
+        "root": (0, 1),
+        "forms": ({0: ("r",)}, {0: ("r", "R!")}),
+        "parents": ({0: None}, {0: 0}),
+        "supports": ({0: 1}, {0: 2}),
+        "positions": ({0: 0.0}, {0: 0.5}),
+        "children": ({0: []}, {0: [0]}),
     }),
     TypingParams: (True, {"k": (2, 3), "alpha": (0.5, 0.7), "tau": (0.3, 0.4)}),
     Description: (True, {"category": (DEEP, ATYPICAL)}),
@@ -131,8 +136,7 @@ CASES = {
         "align_threshold": (0.5, 0.6),
         "seed": (0, 1),
         "limit": (5, 6),
-        "composite": (CompositeTopicTree(root=LEAF, domain_genre="ref", doc_count=1),
-                      CompositeTopicTree(root=LEAF, domain_genre="ref", doc_count=2)),
+        "composite": (CompositeTopicTree(*NORM), CompositeTopicTree("ref", 2, *NORM[2:])),
         "results": ([], [DocResult(typed=TypedTree(doc=DOC, query="a", query_node=0), alignment=Alignment(),
                                    dist=DIST, category=DEEP)]),
         "plan": (SummaryPlan(), SummaryPlan(query="b")),
@@ -214,9 +218,9 @@ def test_frozen_records_refuse_assignment(cls):
 
 
 def test_fields_left_out_of_comparison_are_ignored():
-    tree = CompositeTopicTree(root=LEAF, domain_genre="ref", doc_count=1)
+    tree = CompositeTopicTree(*NORM)
     tree.index()
-    assert tree == CompositeTopicTree(root=LEAF, domain_genre="ref", doc_count=1)
+    assert tree == CompositeTopicTree(*NORM)
     assert "_index" not in repr(tree)
     pattern = Pattern(id="p", text="{TOPICS}.")
     assert pattern.parts == ("", "TOPICS", ".")
@@ -229,7 +233,6 @@ def test_fields_left_out_of_comparison_are_ignored():
 @pytest.mark.parametrize(
     "make, fields",
     [
-        (lambda: CompositeNode(id=0, label=LexicalForms(("r",)), typicality=1.0, position=0.0, support=1), ["children"]),
         (SummaryPlan, ["categories"]),
         (lambda: SentencePlan(relation="sample_topics", category=DEEP, slots={}), ["counts"]),
         (Lexicon, ["descriptions", "patterns", "morphology"]),
@@ -237,7 +240,7 @@ def test_fields_left_out_of_comparison_are_ignored():
         (CorpusSet, ["docs"]),
         (lambda: TypedTree(doc=DOC, query="a", query_node=None), ["types"]),
     ],
-    ids=["CompositeNode", "SummaryPlan", "SentencePlan", "Lexicon", "Alignment", "CorpusSet", "TypedTree"],
+    ids=["SummaryPlan", "SentencePlan", "Lexicon", "Alignment", "CorpusSet", "TypedTree"],
 )
 def test_mutable_defaults_are_fresh_per_record(make, fields):
     first, second = make(), make()

@@ -5,10 +5,8 @@ import random
 import pytest
 
 from topicsift import (
-    CompositeNode,
     CompositeTopicTree,
     CorpusSet,
-    LexicalForms,
     TopicType,
     TypingParams,
     UnknownNodeError,
@@ -19,7 +17,7 @@ from topicsift import (
 )
 from topicsift.topic_typing import assign_types
 
-from conftest import make_doc
+from conftest import make_doc, make_norm, norm_node
 
 
 def corpus_of(*docs):
@@ -74,9 +72,8 @@ RELEVANT = {TopicType.TYPICAL, TopicType.RARE}
 
 
 def _norm_with_typicalities() -> CompositeTopicTree:
-    symptoms = CompositeNode(id=1, label=LexicalForms.of("Symptoms"), typicality=0.95, position=0.0, support=19)
-    root = CompositeNode(id=0, label=LexicalForms.of("Disease"), typicality=1.0, position=0.0, support=20, children=[symptoms])
-    return CompositeTopicTree(root=root, domain_genre="t", doc_count=20)
+    symptoms = norm_node(1, "Symptoms", 0.0, support=19)
+    return make_norm(norm_node(0, "Disease", 0.0, symptoms, support=20), doc_count=20)
 
 
 def types_of(doc, query_node, composite=None, **params):
