@@ -78,10 +78,7 @@ class CorpusSet(Record):
     """An ordered set of parsed documents loaded from one directory."""
 
     __slots__ = _fields = ("docs", "origin")
-
-    def __init__(self, docs: list[DocumentTopicTree] | None = None, origin: str = "") -> None:
-        self.docs = [] if docs is None else docs
-        self.origin = origin
+    _defaults = {"docs": [], "origin": ""}
 
 
 def parse_metadata(front_matter: str, source_path: str = "") -> DocumentMetadata:

@@ -88,16 +88,7 @@ class Lexicon(Record):
     the lexicon file's writer and reader."""
 
     __slots__ = _fields = ("descriptions", "patterns", "morphology")
-
-    def __init__(
-        self,
-        descriptions: dict[str, list[str]] | None = None,
-        patterns: dict[str, list[Pattern]] | None = None,
-        morphology: dict[str, tuple[str, str]] | None = None,
-    ) -> None:
-        self.descriptions = {} if descriptions is None else descriptions
-        self.patterns = {} if patterns is None else patterns
-        self.morphology = {} if morphology is None else morphology
+    _defaults = {"descriptions": {}, "patterns": {}, "morphology": {}}
 
     def verb(self, lemma: str, plural: bool) -> str:
         if lemma not in self.morphology:

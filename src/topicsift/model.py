@@ -20,10 +20,10 @@ No document changes once parsed; the composite builder is the only code
 that changes a norm, and only during a build fold.
 
 Every record class of the package derives from ``Record`` or
-``FrozenRecord`` and writes out its own ``__init__``, so importing the
-package generates no code: the standard library's dataclass decorator
-imports ``inspect`` and execs each method it writes, which took a third of
-every command's start-up. The records built per node or per document have
+``FrozenRecord``; the ``Record`` docstring says which write out their own
+constructor and which take the one ``Record`` builds. None is a
+dataclass, and nothing in the package calls ``exec`` or imports
+``inspect``. The records built per node or per document have
 ``__slots__``.
 """
 from __future__ import annotations
@@ -32,7 +32,7 @@ import json
 import operator
 import reprlib
 import string
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from enum import Enum
 from pathlib import Path
 
@@ -46,21 +46,71 @@ class UnknownNodeError(LookupError):
     """A node id was used against a tree that does not contain it."""
 
 
+def _constructor(cls: type) -> Callable[..., None]:
+    """The ``__init__`` Record gives a class that defines none; see Record."""
+    name, fields, defaults = cls.__qualname__, cls._fields, cls._defaults
+    store = object.__setattr__
+
+    def __init__(self, *args, **kwargs) -> None:
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        for field, value in zip(fields, args):
+            store(self, field, value)
+        for field in fields[len(args):]:
+            if field in kwargs:
+                value = kwargs.pop(field)
+            elif field in defaults:
+                value = defaults[field]
+                if value.__class__ in (list, dict, set):
+                    value = value.copy()
+            else:
+                raise TypeError(f"{name}() missing argument {field!r}")
+            store(self, field, value)
+        # a keyword left over names no field, or one given by position
+        for field in kwargs:
+            fault = "got multiple values for argument" if field in fields else "got an unexpected keyword argument"
+            raise TypeError(f"{name}() {fault} {field!r}")
+
+    return __init__
+
+
 class Record:
     """Base of the package's record classes: equality over the fields
     ``_fields`` names, in order, and a repr that shows them. A field left
-    out of ``_fields`` is neither compared nor shown. Each subclass writes
-    out its own ``__init__``, so no constructor loops over field names.
-    A record's fields can change, so it is unhashable; see FrozenRecord."""
+    out of ``_fields`` is neither compared nor shown. A record's fields can
+    change, so it is unhashable; see FrozenRecord.
+
+    A subclass that defines no ``__init__`` is given one, built once per
+    class as a closure over ``_fields`` and ``_defaults`` (field ->
+    default). It takes each field of ``_fields`` by position or by keyword
+    and raises TypeError for a missing, unknown, repeated or extra
+    argument. A default that is a list, dict or set is copied for each
+    record. It stores through ``object.__setattr__``, so frozen records
+    take it too. It is built without ``exec`` or ``inspect``, so ``help()``
+    shows its signature as ``(*args, **kwargs)``: the class's fields are
+    its ``_fields``.
+
+    A subclass writes out its own ``__init__`` where the generated one's
+    loop over field names, 0.5-2 µs more per call, would cost a workload:
+    the records built per document (``DocumentMetadata``,
+    ``DocumentTopicTree``, ``Alignment``, ``TypedTree``,
+    ``TypeDistribution`` and ``DocResult``) and those built most often per
+    request (``SentencePlan``, ``HasFeature``, ``RangeRef`` and
+    ``CategoryPlan``). So do the records that check their arguments:
+    ``LexicalForms``, ``TypingParams`` and ``Pattern``.
+    """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         if "_fields" in vars(cls):
             # the compared values, read by one C getter built once per class
             cls._values = staticmethod(operator.attrgetter(*cls._fields))
+            if "__init__" not in vars(cls):
+                cls.__init__ = _constructor(cls)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -546,13 +596,6 @@ class NormNode(FrozenRecord):
 
     __slots__ = _fields = ("id", "forms", "position", "support", "typicality")
 
-    def __init__(self, id: int, forms: tuple[str, ...], position: float, support: int, typicality: float) -> None:
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "forms", forms)
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "typicality", typicality)
-
 
 class CompositeTopicTree(Record):
     """The norm for one domain/genre: merged topics over a reference corpus.
@@ -569,20 +612,6 @@ class CompositeTopicTree(Record):
 
     __slots__ = ("domain_genre", "doc_count", "root", "forms", "parents", "supports", "positions", "children", "_index")
     _fields = __slots__[:-1]
-
-    def __init__(
-        self, domain_genre: str, doc_count: int, root: int, forms: dict[int, tuple[str, ...]],
-        parents: dict[int, int | None], supports: dict[int, int], positions: dict[int, float], children: dict[int, list[int]],
-    ) -> None:
-        self.domain_genre = domain_genre
-        self.doc_count = doc_count
-        self.root = root
-        self.forms = forms
-        self.parents = parents
-        self.supports = supports
-        self.positions = positions
-        self.children = children
-        self._index: CompositeIndex | None = None
 
     def preorder(self, start: int | None = None) -> list[tuple[int, int]]:
         """(id, depth below start) of start, the root by default, and of
@@ -606,9 +635,12 @@ class CompositeTopicTree(Record):
         ]
 
     def index(self) -> CompositeIndex:
-        if self._index is None:
+        try:
+            return self._index
+        except AttributeError:
+            # the slot stays unset until the first use
             self._index = CompositeIndex(self)
-        return self._index
+            return self._index
 
 
 class TypingParams(FrozenRecord):

@@ -19,8 +19,8 @@ from .classify import TypeDistribution
 from .composite import Alignment
 from .lexicon import Lexicon
 from .model import CompositeTopicTree, DocumentCategory, DocumentTopicTree, Record, TopicType, TypingParams
-from .planner import HasFeature, HasTopics, SetElements, SummaryPlan
-from .realizer import RealizedCategory, summary_lines
+from .planner import HasFeature, HasTopics, SetElements
+from .realizer import summary_lines
 from .topic_typing import TypedTree
 
 # stages are called through their modules, so patches on them (bench/tracer.py) see every call
@@ -57,28 +57,6 @@ class Summary(Record):
     __slots__ = _fields = (
         "query", "params", "align_threshold", "seed", "limit", "composite", "results", "plan", "realized",
     )
-
-    def __init__(
-        self,
-        query: str,
-        params: TypingParams,
-        align_threshold: float,
-        seed: int,
-        limit: int,
-        composite: CompositeTopicTree,
-        results: list[DocResult],
-        plan: SummaryPlan,
-        realized: list[RealizedCategory],
-    ) -> None:
-        self.query = query
-        self.params = params
-        self.align_threshold = align_threshold
-        self.seed = seed
-        self.limit = limit
-        self.composite = composite
-        self.results = results
-        self.plan = plan
-        self.realized = realized
 
 
 def summarize(

@@ -18,24 +18,13 @@ TOPIC_CAP = 3
 class Description(FrozenRecord):
     __slots__ = _fields = ("category",)
 
-    def __init__(self, category: DocumentCategory) -> None:
-        object.__setattr__(self, "category", category)
-
 
 class SetElements(FrozenRecord):
     __slots__ = _fields = ("category", "members")
 
-    def __init__(self, category: DocumentCategory, members: tuple[str, ...]) -> None:
-        object.__setattr__(self, "category", category)
-        object.__setattr__(self, "members", members)
-
 
 class HasTopics(FrozenRecord):
     __slots__ = _fields = ("category", "topics")
-
-    def __init__(self, category: DocumentCategory, topics: tuple[str, ...]) -> None:
-        object.__setattr__(self, "category", category)
-        object.__setattr__(self, "topics", topics)
 
 
 class HasFeature(FrozenRecord):
@@ -68,10 +57,7 @@ class CategoryPlan(Record):
 
 class SummaryPlan(Record):
     __slots__ = _fields = ("categories", "query")
-
-    def __init__(self, categories: list[CategoryPlan] | None = None, query: str = "") -> None:
-        self.categories = [] if categories is None else categories
-        self.query = query
+    _defaults = {"categories": [], "query": ""}
 
 
 def _sample_topics(members: list[TypedTree], wanted: TopicType) -> tuple[str, ...]:

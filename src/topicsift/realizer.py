@@ -79,16 +79,9 @@ def join_and(items: Sequence[str]) -> str:
 class Enumeration(FrozenRecord):
     __slots__ = _fields = ("titles",)
 
-    def __init__(self, titles: tuple[str, ...]) -> None:
-        object.__setattr__(self, "titles", titles)
-
 
 class Exemplar(FrozenRecord):
     __slots__ = _fields = ("count", "sample")
-
-    def __init__(self, count: int, sample: str) -> None:
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "sample", sample)
 
 
 class RangeRef(FrozenRecord):
@@ -103,10 +96,6 @@ class RangeRef(FrozenRecord):
 
 class OrdinalList(FrozenRecord):
     __slots__ = _fields = ("positions", "total")
-
-    def __init__(self, positions: tuple[int, ...], total: int) -> None:
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "total", total)
 
 
 RefExpr = Enumeration | Exemplar | RangeRef | OrdinalList
@@ -355,11 +344,6 @@ class RealizedCategory(Record):
     """One category bullet with its realized sentence plans, for tracing."""
 
     __slots__ = _fields = ("plan", "sentences", "texts")
-
-    def __init__(self, plan: CategoryPlan, sentences: list[SentencePlan], texts: list[str]) -> None:
-        self.plan = plan
-        self.sentences = sentences
-        self.texts = texts
 
     @property
     def bullet(self) -> str:

@@ -1,9 +1,12 @@
-"""Record semantics of every record class in the package: equality over the
-compared fields, value hashes and immutability for the frozen ones, copies
-and pickles, fresh mutable defaults, and a readable repr."""
+"""Record semantics of every record class in the package: the constructor's
+argument checks, equality over the compared fields, value hashes and
+immutability for the frozen ones, copies and pickles, fresh mutable
+defaults, and a readable repr."""
 from __future__ import annotations
 
 import copy
+import functools
+import inspect
 import pickle
 
 import pytest
@@ -230,17 +233,58 @@ def test_fields_left_out_of_comparison_are_ignored():
     assert "parts" not in repr(pattern)
 
 
+def _generated(cls):
+    """Whether cls takes the constructor Record generates, whose signature
+    is (*args, **kwargs), rather than one it writes out."""
+    return list(inspect.signature(cls).parameters) == ["args", "kwargs"]
+
+
+def _required(cls):
+    """The fields cls cannot be built without: those its _defaults lacks,
+    for a generated constructor, or those its signature gives no default."""
+    if _generated(cls):
+        return [name for name in cls._fields if name not in cls._defaults]
+    parameters = inspect.signature(cls).parameters
+    return [name for name, parameter in parameters.items() if parameter.default is inspect.Parameter.empty]
+
+
+@pytest.mark.parametrize("cls", CASES, ids=lambda cls: cls.__name__)
+def test_constructors_refuse_wrong_arguments(cls):
+    _, fields = CASES[cls]
+    base = {name: values[0] for name, values in fields.items()}
+    args = list(base.values())
+    with pytest.raises(TypeError):
+        cls(*args, args[-1])
+    with pytest.raises(TypeError):
+        cls(*args, unknown=args[-1])
+    with pytest.raises(TypeError):
+        cls(args[0], **base)
+    for name in _required(cls):
+        with pytest.raises(TypeError):
+            cls(**{other: value for other, value in base.items() if other != name})
+
+
+def _fresh_default_cases():
+    """A case per generated class with a list, dict or set default: a
+    constructor of the class from the base values of its other fields, and
+    the fields with such a default."""
+    for cls, (_, fields) in CASES.items():
+        fresh = [name for name, value in cls._defaults.items() if type(value) in (list, dict, set)]
+        if fresh and _generated(cls):
+            required = {name: values[0] for name, values in fields.items() if name not in cls._defaults}
+            yield pytest.param(functools.partial(cls, **required), fresh, id=cls.__name__)
+
+
 @pytest.mark.parametrize(
     "make, fields",
     [
-        (SummaryPlan, ["categories"]),
-        (lambda: SentencePlan(relation="sample_topics", category=DEEP, slots={}), ["counts"]),
-        (Lexicon, ["descriptions", "patterns", "morphology"]),
-        (Alignment, ["pairs", "unmatched"]),
-        (CorpusSet, ["docs"]),
-        (lambda: TypedTree(doc=DOC, query="a", query_node=None), ["types"]),
+        *_fresh_default_cases(),
+        pytest.param(
+            lambda: SentencePlan(relation="sample_topics", category=DEEP, slots={}), ["counts"], id="SentencePlan"
+        ),
+        pytest.param(Alignment, ["pairs", "unmatched"], id="Alignment"),
+        pytest.param(lambda: TypedTree(doc=DOC, query="a", query_node=None), ["types"], id="TypedTree"),
     ],
-    ids=["SummaryPlan", "SentencePlan", "Lexicon", "Alignment", "CorpusSet", "TypedTree"],
 )
 def test_mutable_defaults_are_fresh_per_record(make, fields):
     first, second = make(), make()
