@@ -79,6 +79,7 @@ from .model import (
     best_jaccard,
     brief_repr,
     check_line,
+    check_utf8,
     read_json,
 )
 
@@ -386,7 +387,9 @@ def load_composite(path: str | Path) -> CompositeTopicTree:
     norm's dicts, and each child list of two or more is sorted by position
     once it is filled. JSON values are never instances of a subclass, so
     each type is checked with one ``type(x) is`` test, which also keeps
-    ``bool`` out of ``int``.
+    ``bool`` out of ``int``. A form holding a lone surrogate, which a JSON
+    escape can carry but no UTF-8 text can, is refused: the norm file and
+    the trace could not hold it.
     """
     payload = read_json(path, "composite", CompositeSchemaError)
     _require(isinstance(payload, dict), "composite file must hold an object")
@@ -420,6 +423,11 @@ def load_composite(path: str | Path) -> CompositeTopicTree:
         forms = node.get("forms")
         if not (type(forms) is list and forms and all(type(f) is str and f.strip() for f in forms)):
             raise CompositeSchemaError(f"node {node_id}: forms must be a non-empty list of strings")
+        if not "".join(forms).isascii():
+            # a JSON escape can carry a lone surrogate, which the norm file
+            # and the trace, both UTF-8, cannot hold; line breaks load
+            for form in forms:
+                check_utf8(form, f"node {node_id}: form", CompositeSchemaError)
         support = node.get("support")
         if type(support) is not int:
             raise CompositeSchemaError(f"node {node_id}: support must be an integer")

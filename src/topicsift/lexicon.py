@@ -85,9 +85,15 @@ class Lexicon(Record):
     """Description phrases per category, patterns per relation and
     (singular, plural) verb forms per lemma. Its phrases and forms are
     checked where they are used: by the realizer, for each sentence, and by
-    the lexicon file's writer and reader."""
+    the lexicon file's writer and reader.
 
-    __slots__ = _fields = ("descriptions", "patterns", "morphology")
+    Besides its fields, a lexicon holds the realizer's draws under the last
+    master seed it realized under (``_draws``, unset until then; see
+    ``realizer._Draws``). They depend on no field, so they are neither
+    compared, shown, nor written to a lexicon file."""
+
+    __slots__ = ("descriptions", "patterns", "morphology", "_draws")
+    _fields = __slots__[:-1]
     _defaults = {"descriptions": {}, "patterns": {}, "morphology": {}}
 
     def verb(self, lemma: str, plural: bool) -> str:

@@ -173,15 +173,17 @@ def check_line(text: str, what: str, error: type[Exception]) -> None:
     # splitlines breaks at every mark of LINE_BREAKS and nowhere else, so
     # one C call stands for ten substring tests; "" splits into no lines
     if text and text.splitlines() != [text]:
-        fault = "a line break"
-    else:
-        try:
-            text.encode("utf-8")
-        except UnicodeEncodeError:
-            fault = "text that is not valid UTF-8"
-        else:
-            return
-    raise error(f"{what} {brief_repr(text)} holds {fault}")
+        raise error(f"{what} {brief_repr(text)} holds a line break")
+    check_utf8(text, what, error)
+
+
+def check_utf8(text: str, what: str, error: type[Exception]) -> None:
+    """Raise error unless text is valid UTF-8 text, that is, holds no lone
+    surrogate; check_line's message names the fault."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise error(f"{what} {brief_repr(text)} holds text that is not valid UTF-8") from None
 
 
 def read_json(path: str | Path, what: str, error: type[Exception]) -> object:

@@ -7,8 +7,17 @@ short: small document sets are enumerated by title, large ones are described
 by count plus one exemplar, and feature subsets are ranges ("The first five
 documents") when the planner made them contiguous, ordinal lists otherwise.
 
-All choices are drawn from a seeded PRNG, so (plan, lexicon, seed) maps to
-byte-identical text.
+All choices are drawn from seeded PRNGs, so (plan, lexicon, seed) maps to
+byte-identical text. The draws: a generator seeded with the master seed
+gives each sentence, in plan order, its own seed ``randrange(2**32)``; a
+generator seeded with that gives the pattern index
+``randrange(len(patterns))`` and then the description index
+``randrange(len(eligible))``, eligible being the category's description
+phrases the sentence may use. A sentence's draws are thus a pure function
+of (sentence seed, pattern count, eligible count). ``realize_plan`` keeps
+them on the lexicon it is given, with the sentence seeds of the last master
+seed it realized under (see ``_Draws``), so realizing again under that seed
+seeds no generator. ``lexicalize`` seeds its own.
 
 A sentence is filled without scanning its pattern: each ``Pattern`` splits
 its text at the slot markers once, when it is made, and one loop over those
@@ -267,7 +276,8 @@ def lexicalize(plan: SentencePlan, lexicon: Lexicon, rng_seed: int) -> str:
     LexiconError when a description phrase or verb form the sentence uses
     is not one line of UTF-8 text (a pattern checks its own text).
     """
-    return _lexicalize(plan, lexicon, rng_seed, _verb_table(lexicon))
+    eligible = _eligible(lexicon, plan.category, plan.extract_available)
+    return _lexicalize(plan, lexicon, _verb_table(lexicon), eligible, rng_seed, {})
 
 
 def _verb_table(lexicon: Lexicon) -> dict[str, tuple[str, str]]:
@@ -277,32 +287,90 @@ def _verb_table(lexicon: Lexicon) -> dict[str, tuple[str, str]]:
     return {lemma.upper(): forms for lemma, forms in lexicon.morphology.items()}
 
 
-def _lexicalize(plan: SentencePlan, lexicon: Lexicon, rng_seed: int, verbs: dict[str, tuple[str, str]]) -> str:
-    """lexicalize over a verb table the caller built from the lexicon's
-    morphology, once for all the sentences it realizes."""
-    rng = random.Random(rng_seed)
+def _eligible(lexicon: Lexicon, category: DocumentCategory, extract_available: bool) -> list[tuple[int, str]]:
+    """(index, phrase) of each description phrase of the category that a
+    sentence may use: one naming the extract only when the extract exists."""
+    return [
+        (index, phrase)
+        for index, phrase in enumerate(lexicon.descriptions.get(category.value, []))
+        if extract_available or "{EXTRACT_REF}" not in phrase
+    ]
+
+
+class _Draws:
+    """What ``realize_plan`` holds on a lexicon (its ``_draws`` slot) for
+    one int master seed: the sentence seeds the master generator gave, in
+    order, and each sentence's draws, (pattern index, description index),
+    keyed by (sentence seed, pattern count, eligible count). Every value
+    is a pure function of its key, so threads sharing a lexicon can at
+    worst draw the same values twice, and a lexicon edited since keeps
+    whatever draws still apply. A different master seed replaces the
+    record, so it never holds more than one seed's sentences."""
+
+    __slots__ = ("seed", "seeds", "picks")
+
+    def __init__(self, seed: int) -> None:
+        self.seed = seed
+        self.seeds: tuple[int, ...] = ()
+        self.picks: dict[tuple[int, int, int], tuple[int, int | None]] = {}
+
+    def sentence_seeds(self, count: int) -> tuple[int, ...]:
+        """At least the first count sentence seeds. The held ones are never
+        drawn on: a fresh generator draws them all again, and the rest."""
+        seeds = self.seeds
+        if len(seeds) < count:
+            master = random.Random(self.seed)
+            seeds = self.seeds = tuple([master.randrange(2**32) for _ in range(count)])
+        return seeds
+
+
+def _held_draws(lexicon: Lexicon, seed: int) -> _Draws:
+    """The draws the lexicon holds for seed, or new ones held in their
+    place. Only an int seed is held: an equal seed of another type may
+    seed a different generator (-1.0 and -1 do, as do 2.0**64 and 2**64),
+    and None seeds a random one."""
+    if seed.__class__ is not int:
+        return _Draws(seed)
+    draws = getattr(lexicon, "_draws", None)
+    if draws is None or draws.seed != seed:
+        draws = lexicon._draws = _Draws(seed)
+    return draws
+
+
+def _lexicalize(
+    plan: SentencePlan,
+    lexicon: Lexicon,
+    verbs: dict[str, tuple[str, str]],
+    eligible: list[tuple[int, str]],
+    seed: int,
+    picks: dict[tuple[int, int, int], tuple[int, int | None]],
+) -> str:
+    """lexicalize over a verb table and eligible descriptions the caller
+    built from the lexicon, once for all the sentences it realizes, taking
+    the sentence's draws from picks, and drawing them into it when absent."""
     patterns = lexicon.patterns.get(plan.relation)
     if not patterns:
         raise LexiconGapError(
             f"lexicon gap: no patterns for relation {plan.relation!r} (category {plan.category.value!r})"
         )
-    pattern = patterns[rng.randrange(len(patterns))]
+    key = (seed, len(patterns), len(eligible))
+    drawn = picks.get(key)
+    if drawn is None:
+        # the pattern index, then the description index, which no sentence
+        # uses when no description is eligible
+        rng = random.Random(seed)
+        drawn = picks[key] = (rng.randrange(len(patterns)), rng.randrange(len(eligible)) if eligible else None)
+    pattern = patterns[drawn[0]]
     plan.chosen_pattern = pattern.id
 
     slots = plan.slots
     description = None
     if "{DESCRIPTION}" in pattern.text:
-        variants = lexicon.descriptions.get(plan.category.value, [])
-        eligible = [
-            (index, phrase)
-            for index, phrase in enumerate(variants)
-            if plan.extract_available or "{EXTRACT_REF}" not in phrase
-        ]
         if not eligible:
             raise LexiconGapError(
                 f"lexicon gap: no description for category {plan.category.value!r} (relation {plan.relation!r})"
             )
-        index, phrase = eligible[rng.randrange(len(eligible))]
+        index, phrase = eligible[drawn[1]]
         check_line(phrase, "description phrase", LexiconError)
         plan.chosen_description = index
         phrase = phrase.replace("{QUERY}", slots.get("QUERY", ""))
@@ -359,20 +427,29 @@ def realize_plan(
     limit: int = 5,
     extract_exists: bool = False,
 ) -> list[RealizedCategory]:
-    """Realize every category of the plan, keeping the sentence plans around."""
-    master = random.Random(seed)
-    verbs = _verb_table(lexicon)
+    """Realize every category of the plan, keeping the sentence plans around.
+
+    Every category's sentence plans are built before any is lexicalized,
+    so that one master generator, at most, gives the sentence seeds."""
     titles = titles or {}
-    realized: list[RealizedCategory] = []
-    for category_plan in plan.categories:
-        sentence_plans = build_sentence_plans(
+    grouped = [
+        build_sentence_plans(
             category_plan,
             query=plan.query,
             titles=titles,
             limit=limit,
             extract_available=extract_exists,
         )
-        texts = [_lexicalize(sp, lexicon, master.randrange(2**32), verbs) for sp in sentence_plans]
+        for category_plan in plan.categories
+    ]
+    draws = _held_draws(lexicon, seed)
+    seeds = iter(draws.sentence_seeds(sum(map(len, grouped))))
+    picks = draws.picks
+    verbs = _verb_table(lexicon)
+    realized: list[RealizedCategory] = []
+    for category_plan, sentence_plans in zip(plan.categories, grouped):
+        eligible = _eligible(lexicon, category_plan.category, extract_exists)
+        texts = [_lexicalize(sp, lexicon, verbs, eligible, next(seeds), picks) for sp in sentence_plans]
         realized.append(RealizedCategory(plan=category_plan, sentences=sentence_plans, texts=texts))
     return realized
 

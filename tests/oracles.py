@@ -631,6 +631,11 @@ def _oracle_parse_node(payload, doc_count: int, seen: set[int]) -> OracleNormNod
         isinstance(forms, list) and forms and all(isinstance(f, str) and f.strip() for f in forms),
         f"node {node_id}: forms must be a non-empty list of strings",
     )
+    for form in forms:
+        require(
+            not any("\ud800" <= char <= "\udfff" for char in form),
+            f"node {node_id}: form {brief_repr(form)} holds text that is not valid UTF-8",
+        )
     support = payload.get("support")
     require(isinstance(support, int) and not isinstance(support, bool), f"node {node_id}: support must be an integer")
     require(support >= 1, f"node {node_id}: support must be >= 1")

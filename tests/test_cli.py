@@ -184,6 +184,21 @@ def test_deeply_nested_composite_exits_2(tmp_path, angina_docs, capsys, depth):
     assert err == f"error: composite file {path} is nested too deeply\n"
 
 
+def test_composite_form_that_is_not_utf8_exits_2(composite_file, angina_docs, capsys):
+    """A JSON escape can put a lone surrogate in a norm's form, which
+    neither the norm file nor the trace could hold: summarize refuses the
+    norm with one error line and writes nothing."""
+    payload = json.loads(composite_file.read_text(encoding="utf-8"))
+    child = payload["root"]["children"][0]
+    child["forms"].append("Risks\udcff")
+    composite_file.write_text(json.dumps(payload), encoding="utf-8")
+    code, out, err = run(
+        capsys, "summarize", str(angina_docs), "--composite", str(composite_file), "--query", "angina", "--format", "trace"
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: node {child['id']}: form 'Risks\\udcff' holds text that is not valid UTF-8\n"
+
+
 def test_empty_query_exits_2(composite_file, angina_docs, capsys):
     code, _, err = run(capsys, "summarize", str(angina_docs), "--composite", str(composite_file), "--query", "  ")
     assert code == 2

@@ -389,8 +389,9 @@ def _minimal_payload(**overrides):
 
 
 # quotes, backslashes, control characters, line and paragraph separators
-# (which JSON leaves unescaped) and non-ASCII text
-json_text = st.text(alphabet=st.one_of(st.sampled_from('"\\/\x00\x08\x1f\x7f\x85\u2028\u2029é中😀'), st.characters()))
+# (which JSON leaves unescaped), non-ASCII text and lone surrogates (which
+# only a JSON escape carries)
+json_text = st.text(alphabet=st.one_of(st.sampled_from('"\\/\x00\x08\x1f\x7f\x85\u2028\u2029é中😀\ud800\udfff'), st.characters()))
 
 
 @settings(max_examples=300, deadline=None)
@@ -399,12 +400,19 @@ json_text = st.text(alphabet=st.one_of(st.sampled_from('"\\/\x00\x08\x1f\x7f\x85
     st.floats(allow_nan=False, allow_infinity=False),
 )
 def test_emitted_forms_and_position_match_json_dumps(texts, position):
+    """Forms and positions survive load and save as json.dumps writes them,
+    line and paragraph separators too; a form holding a lone surrogate,
+    which no UTF-8 file can hold, is refused on load."""
     label = LexicalForms.of(*texts)
     payload = _minimal_payload()
     payload["root"].update(forms=list(label.forms), position=position)
     with tempfile.TemporaryDirectory() as work:
         path = Path(work) / "c.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
+        if any("\ud800" <= char <= "\udfff" for form in label.forms for char in form):
+            with pytest.raises(CompositeSchemaError, match="^node 0: form .* holds text that is not valid UTF-8$"):
+                load_composite(path)
+            return
         save_composite(load_composite(path), path)
         lines = path.read_text(encoding="utf-8").split("\n")
     assert lines[7] == '    "forms": ' + json.dumps(list(label.forms), ensure_ascii=False) + ","
@@ -528,7 +536,7 @@ def test_typicality_rederived_from_support(tmp_path):
 
 _FAULTS = {
     "id": ["1", True, None, 2.0, "duplicate"],
-    "forms": [[], [" "], ["Topic", 3], "Topic", ["topic", "TOPIC", "Other"]],
+    "forms": [[], [" "], ["Topic", 3], "Topic", ["topic", "TOPIC", "Other"], ["Topic", "Other\udfff"]],
     "support": [0, -1, True, 1.5, 10**6],
     "position": [math.nan, math.inf, True, "0", 10**400, -2.0],
     "children": [{}, "x", None, []],

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -470,6 +473,137 @@ def test_realize_plan_follows_a_lexicon_edited_between_calls(seed):
     for edit in edits:
         edit()
         _check_against_oracle(summary_plan, lexicon, seed, titles, False)
+
+
+# --- draws held on the lexicon --------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(punctuated_lexicons(), st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=3, unique=True), st.data())
+def test_realize_plan_matches_the_oracle_as_seeds_repeat_on_one_lexicon(lexicon, pool, data):
+    """realize_plan keeps each sentence's draws on the lexicon it is given:
+    plans realized one after another on one lexicon, under seeds from a
+    small pool that repeat, alternate and meet plans longer than any
+    realized under them before, give the oracle's texts, or raise its
+    lexicon gap, every time."""
+    for _ in range(data.draw(st.integers(2, 4), label="plans")):
+        summary_plan, titles = data.draw(punctuated_summary_plans())
+        seed = data.draw(st.sampled_from(pool), label="seed")
+        _check_against_oracle(summary_plan, lexicon, seed, titles, data.draw(st.booleans(), label="extract"))
+
+
+def _three_category_plan():
+    """A plan of three categories of three sentences each (overview, topics,
+    shared feature), and its titles."""
+    categories, titles = [], {}
+    for category, size in ((DocumentCategory.PROTOTYPICAL, 3), (DocumentCategory.ATYPICAL, 7), (DocumentCategory.DEEP, 2)):
+        members = tuple(f"{category.value}-{index}.md" for index in range(size))
+        titles.update({member: f"Guide {member}" for member in members})
+        categories.append(CategoryPlan(category=category, messages=[
+            Description(category=category),
+            SetElements(category=category, members=members),
+            HasTopics(category=category, topics=("risks", "treatment?")),
+            HasFeature(category=category, kind="content_types", values=("tables",), members=members[:2]),
+        ]))
+    return SummaryPlan(categories=categories, query="angina"), titles
+
+
+def _texts(summary_plan, lexicon, seed, titles, extract_exists=False):
+    return [item.texts for item in realize_plan(summary_plan, lexicon, seed, titles=titles, extract_exists=extract_exists)]
+
+
+def test_realizing_again_under_a_seed_seeds_no_generator(monkeypatch):
+    """A plan realized again under a seed the lexicon has realized it under
+    seeds no generator; a plan longer than any realized under the seed
+    seeds one for the sentence seeds and one per new sentence, and another
+    seed takes the held draws' place. lexicalize seeds its own generator
+    and leaves the held draws alone."""
+    summary_plan, titles = _three_category_plan()
+    first = SummaryPlan(categories=summary_plan.categories[:1], query=summary_plan.query)
+    lexicon = default_lexicon()
+    expected = {seed: oracle_realize_texts(summary_plan, lexicon, seed, titles=titles) for seed in (5, 6)}
+    seeded = []
+
+    class Counted(random.Random):
+        def __init__(self, *args):
+            seeded.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(random, "Random", Counted)
+
+    def seedings(plan, seed):
+        del seeded[:]
+        texts = _texts(plan, lexicon, seed, titles)
+        assert texts == expected[seed][:len(plan.categories)]
+        return len(seeded)
+
+    assert seedings(first, 5) == 1 + 3
+    assert seedings(first, 5) == 0
+    assert seedings(summary_plan, 5) == 1 + 6
+    assert seedings(summary_plan, 5) == 0
+    assert seedings(first, 5) == 0
+    assert seedings(summary_plan, 6) == 1 + 9
+    assert seedings(summary_plan, 5) == 1 + 9
+    assert seedings(summary_plan, 5) == 0
+    held = dict(lexicon._draws.picks)
+    sentence = realize_plan(summary_plan, lexicon, 5, titles=titles)[0].sentences[0]
+    text = oracle_lexicalize(sentence, lexicon, 5)
+    del seeded[:]
+    assert lexicalize(sentence, lexicon, 5) == text
+    assert len(seeded) == 1
+    assert lexicon._draws.picks == held
+
+
+@pytest.mark.parametrize("seeds", [(-1, -1.0), (2**64, 2.0**64)])
+def test_equal_seeds_of_another_type_are_realized_under_their_own_generator(seeds):
+    """Equal seeds of different types may seed different generators (-1
+    and -1.0 do, as do 2**64 and 2.0**64): the draws held for an int seed
+    serve no other."""
+    summary_plan, titles = _three_category_plan()
+    lexicon = default_lexicon()
+    for seed in seeds + seeds:
+        assert _texts(summary_plan, lexicon, seed, titles) == oracle_realize_texts(summary_plan, lexicon, seed, titles=titles)
+
+
+def test_threads_sharing_one_lexicon_realize_the_oracle_texts():
+    """Threads, more than there are cores, realize plans of one to three
+    categories on one lexicon under seeds from a small pool, switching as
+    often as the interpreter lets them: every text is the oracle's."""
+    summary_plan, titles = _three_category_plan()
+    lexicon = default_lexicon()
+    jobs = [
+        (SummaryPlan(categories=summary_plan.categories[:size], query=summary_plan.query), seed, extract)
+        for size in (1, 2, 3)
+        for seed in (0, 1, 2**32 - 1)
+        for extract in (False, True)
+    ]
+    expected = [oracle_realize_texts(plan, lexicon, seed, titles=titles, extract_exists=extract) for plan, seed, extract in jobs]
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    faults = []
+
+    def work(worker):
+        order = random.Random(worker)
+        try:
+            for _ in range(800):
+                index = order.randrange(len(jobs))
+                plan, seed, extract = jobs[index]
+                texts = _texts(plan, lexicon, seed, titles, extract)
+                if texts != expected[index]:
+                    faults.append((index, texts))
+        except Exception as exc:
+            faults.append(exc)
+
+    threads = [threading.Thread(target=work, args=(worker,)) for worker in range(2 * cores + 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert faults == []
 
 
 # --- summary assembly ----------------------------------------------------------------

@@ -38,6 +38,8 @@ from topicsift import (
     TypeDistribution,
     TypedTree,
     TypingParams,
+    default_lexicon,
+    realize_plan,
 )
 from topicsift.lexicon import Pattern
 from topicsift.model import FrozenRecord, Record
@@ -231,6 +233,12 @@ def test_fields_left_out_of_comparison_are_ignored():
     assert pattern == Pattern(id="p", text="{TOPICS}.")
     assert hash(pattern) == hash(Pattern(id="p", text="{TOPICS}."))
     assert "parts" not in repr(pattern)
+    lexicon = default_lexicon()
+    plan = CategoryPlan(category=DEEP, messages=[Description(category=DEEP), SetElements(category=DEEP, members=("a.md",))])
+    realize_plan(SummaryPlan(categories=[plan], query="q"), lexicon, 0)
+    assert lexicon._draws.picks
+    assert lexicon == default_lexicon()
+    assert "_draws" not in repr(lexicon)
 
 
 def _generated(cls):
