@@ -48,16 +48,11 @@ from .planner import (
 )
 from .realizer import (
     NO_MATCH_NOTICE,
-    Enumeration,
-    Exemplar,
-    OrdinalList,
-    RangeRef,
     SentencePlan,
     build_sentence_plans,
     lexicalize,
     realize_plan,
     realize_summary,
-    refer_to_set,
     summary_lines,
 )
 from .pipeline import DocResult, Summary, render_trace, summarize
@@ -80,8 +75,6 @@ __all__ = [
     "DocumentMetadata",
     "DocumentTopicTree",
     "EmptyCorpusError",
-    "Enumeration",
-    "Exemplar",
     "HasFeature",
     "HasTopics",
     "LexicalForms",
@@ -91,8 +84,6 @@ __all__ = [
     "Message",
     "NO_MATCH_NOTICE",
     "NormNode",
-    "OrdinalList",
-    "RangeRef",
     "SentencePlan",
     "SetElements",
     "Summary",
@@ -122,7 +113,6 @@ __all__ = [
     "possible_typical_topics",
     "realize_plan",
     "realize_summary",
-    "refer_to_set",
     "render_trace",
     "save_composite",
     "save_lexicon",

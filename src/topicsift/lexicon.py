@@ -32,8 +32,6 @@ OVERVIEW_EXEMPLAR = "overview_exemplar"
 SAMPLE_TOPICS = "sample_topics"
 SHARED_FEATURES = "shared_features"
 
-RELATIONS = (OVERVIEW_LIST, OVERVIEW_EXEMPLAR, SAMPLE_TOPICS, SHARED_FEATURES)
-
 # the content slots the realizer binds; a morphology lemma is bound as its
 # upper-cased self after them, so a lemma of one of these names would replace
 # the content

@@ -95,9 +95,9 @@ class Record:
     the records built per document (``DocumentMetadata``,
     ``DocumentTopicTree``, ``Alignment``, ``TypedTree``,
     ``TypeDistribution`` and ``DocResult``) and those built most often per
-    request (``SentencePlan``, ``HasFeature``, ``RangeRef`` and
-    ``CategoryPlan``). So do the records that check their arguments:
-    ``LexicalForms``, ``TypingParams`` and ``Pattern``.
+    request (``SentencePlan``, ``HasFeature`` and ``CategoryPlan``). So do
+    the records that check their arguments: ``LexicalForms``,
+    ``TypingParams`` and ``Pattern``.
     """
 
     __slots__ = ()

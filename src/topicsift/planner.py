@@ -110,12 +110,12 @@ def instantiate(category: DocumentCategory, members: list[tuple[TypedTree, Docum
     trees.sort(key=lambda t: (-t.relevant_count(), t.doc.doc_id))
 
     features: list[HasFeature] = []
-    primary_group: tuple[str, ...] | None = None
+    primary_group: set[str] | None = None
     for kind in FEATURE_KINDS:
         for values, ids in _feature_groups(trees, kind):
             features.append(HasFeature(category=category, kind=kind, values=values, members=ids))
             if primary_group is None:
-                primary_group = ids
+                primary_group = set(ids)
 
     reordered = False
     if primary_group is not None:
@@ -141,12 +141,21 @@ def instantiate(category: DocumentCategory, members: list[tuple[TypedTree, Docum
 
 
 def plan(classified: list[tuple[TypedTree, DocumentCategory]]) -> SummaryPlan:
-    """Order instantiated categories by the fixed inter-category plan."""
+    """Order instantiated categories by the fixed inter-category plan.
+
+    Raises ValueError when the documents were typed under different queries
+    or a doc id appears twice: member lists and feature groups are keyed by
+    doc id."""
     queries = {typed.query for typed, _ in classified}
     if len(queries) > 1:
         raise ValueError("all documents in a summary must be typed under one query")
     by_category: dict[DocumentCategory, list[tuple[TypedTree, DocumentCategory]]] = {}
+    seen: set[str] = set()
     for typed, category in classified:
+        doc_id = typed.doc.doc_id
+        if doc_id in seen:
+            raise ValueError(f"doc id {doc_id!r} appears twice in the summary")
+        seen.add(doc_id)
         by_category.setdefault(category, []).append((typed, category))
     plans = [
         instantiate(category, by_category[category])

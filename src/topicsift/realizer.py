@@ -2,10 +2,11 @@
 
 Each instantiated category becomes one bulleted list item. The obligatory
 description + member messages fuse into the first sentence; every optional
-message gets a sentence of its own. Referring expressions keep sentences
-short: small document sets are enumerated by title, large ones are described
-by count plus one exemplar, and feature subsets are ranges ("The first five
-documents") when the planner made them contiguous, ordinal lists otherwise.
+message gets a sentence of its own. Sentences stay short: small document
+sets are enumerated by title, large ones are described by count plus one
+exemplar, and feature subsets are named by position in the category's member
+order, as ranges ("The first five documents") when the planner made them
+contiguous, ordinal lists otherwise.
 
 All choices are drawn from seeded PRNGs, so (plan, lexicon, seed) maps to
 byte-identical text. The draws: a generator seeded with the master seed
@@ -41,7 +42,7 @@ from .lexicon import (
     LexiconError,
     LexiconGapError,
 )
-from .model import DocumentCategory, FrozenRecord, Record, check_line
+from .model import DocumentCategory, Record, check_line
 from .planner import CategoryPlan, HasFeature, HasTopics, SummaryPlan
 
 NO_MATCH_NOTICE = "No documents matched the query."
@@ -83,88 +84,20 @@ def join_and(items: Sequence[str]) -> str:
     return ", ".join(items[:-1]) + " and " + items[-1]
 
 
-# --- referring expressions --------------------------------------------------
-
-class Enumeration(FrozenRecord):
-    __slots__ = _fields = ("titles",)
-
-
-class Exemplar(FrozenRecord):
-    __slots__ = _fields = ("count", "sample")
-
-
-class RangeRef(FrozenRecord):
-    __slots__ = _fields = ("start", "stop", "total")
-
-    def __init__(self, start: int, stop: int, total: int) -> None:
-        # 1-based positions, both inclusive
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "stop", stop)
-        object.__setattr__(self, "total", total)
-
-
-class OrdinalList(FrozenRecord):
-    __slots__ = _fields = ("positions", "total")
-
-
-RefExpr = Enumeration | Exemplar | RangeRef | OrdinalList
-
-
-def refer_to_set(
-    members: Sequence[str], limit: int, *, within: Sequence[str] | None = None
-) -> RefExpr:
-    """Pick a referring expression for an ordered set of document titles.
-
-    Without ``within``: enumerate when there are at most ``limit`` members,
-    otherwise fall back to a count + exemplar (the first member). With
-    ``within`` (the full ordered member list of the category), the members
-    are a subset referred to by position: a contiguous run becomes a range,
-    anything else an explicit ordinal list.
-    """
-    if not members:
-        raise ValueError("cannot refer to an empty set")
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    if within is None:
-        if len(members) <= limit:
-            return Enumeration(titles=tuple(members))
-        return Exemplar(count=len(members), sample=members[0])
-    positions = _subset_positions(members, within)
-    if positions[-1] - positions[0] + 1 == len(positions):
-        return RangeRef(start=positions[0], stop=positions[-1], total=len(within))
-    return OrdinalList(positions=tuple(positions), total=len(within))
-
-
-def _subset_positions(members: Sequence[str], within: Sequence[str]) -> list[int]:
-    used: set[int] = set()
-    positions: list[int] = []
-    for member in members:
-        for index, candidate in enumerate(within):
-            if index not in used and candidate == member:
-                used.add(index)
-                positions.append(index + 1)
-                break
-        else:
-            raise ValueError(f"subset member {member!r} is not in the containing set")
-    return sorted(positions)
-
-
-def render_members(expr: Enumeration) -> str:
-    noun = "file" if len(expr.titles) == 1 else "files"
-    return f"{noun} ({join_and(expr.titles)})"
-
-
-def render_subset(expr: RangeRef | OrdinalList) -> str:
-    if isinstance(expr, OrdinalList):
-        return "The " + join_and([ordinal_word(p) for p in expr.positions]) + " documents"
-    size = expr.stop - expr.start + 1
+def _subset_phrase(positions: Sequence[int], total: int) -> str:
+    """Name the documents at the sorted 1-based positions of a category of
+    total documents: a contiguous run as a range ("The first five
+    documents"), anything else as an ordinal list."""
+    first, last, size = positions[0], positions[-1], len(positions)
+    if last - first + 1 != size:
+        return "The " + join_and([ordinal_word(p) for p in positions]) + " documents"
     if size == 1:
-        return "The document" if expr.total == 1 else f"The {ordinal_word(expr.start)} document"
-    if size == expr.total:
+        return "The document" if total == 1 else f"The {ordinal_word(first)} document"
+    if size == total:
         return f"All {number_word(size)} documents"
-    if expr.start == 1:
+    if first == 1:
         return f"The first {number_word(size)} documents"
-    return f"The {ordinal_word(expr.start)} through {ordinal_word(expr.stop)} documents"
+    return f"The {ordinal_word(first)} through {ordinal_word(last)} documents"
 
 
 # --- sentence planning -------------------------------------------------------
@@ -210,53 +143,62 @@ def build_sentence_plans(
 ) -> list[SentencePlan]:
     """Group a category's messages into sentence plans.
 
-    The Description and SetElements messages fuse into one sentence; each
-    optional message becomes its own sentence, in plan order.
+    The Description and SetElements messages fuse into one sentence: it
+    lists the members' titles when there are at most limit of them, and
+    otherwise gives their count and the first member's title. Each optional
+    message becomes its own sentence, in plan order; a feature names its
+    documents by their positions in the category's member order.
+    Raises ValueError when limit is below 1, the category or a feature has
+    no members, or a feature's member is not in the category.
     """
-    def title(doc_id: str) -> str:
-        return titles.get(doc_id, doc_id)
-
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
     members = category_plan.members()
-    member_titles = [title(doc_id) for doc_id in members]
-    overview = refer_to_set(member_titles, limit)
-    common = {"QUERY": query}
-    if isinstance(overview, Enumeration):
-        first = SentencePlan(
-            relation=OVERVIEW_LIST,
-            category=category_plan.category,
-            slots={**common, "MEMBERS": render_members(overview)},
-            counts={"members": len(members), "description": 1},
-            extract_available=extract_available,
-        )
+    if not members:
+        raise ValueError("cannot refer to an empty set")
+    if len(members) <= limit:
+        noun = "file" if len(members) == 1 else "files"
+        named = join_and([titles.get(doc_id, doc_id) for doc_id in members])
+        relation, slots = OVERVIEW_LIST, {"QUERY": query, "MEMBERS": f"{noun} ({named})"}
     else:
-        first = SentencePlan(
-            relation=OVERVIEW_EXEMPLAR,
+        exemplar = titles.get(members[0], members[0])
+        relation, slots = OVERVIEW_EXEMPLAR, {"QUERY": query, "COUNT": str(len(members)), "EXEMPLAR": exemplar}
+    plans = [
+        SentencePlan(
+            relation=relation,
             category=category_plan.category,
-            slots={**common, "COUNT": str(overview.count), "EXEMPLAR": overview.sample},
+            slots=slots,
             counts={"members": len(members), "description": 1},
             extract_available=extract_available,
         )
-    plans = [first]
+    ]
+    # doc ids are unique within a category (planner.plan refuses repeats)
+    position = {doc_id: index for index, doc_id in enumerate(members, 1)}
     for message in category_plan.messages:
         if isinstance(message, HasTopics):
             plans.append(
                 SentencePlan(
                     relation=SAMPLE_TOPICS,
                     category=category_plan.category,
-                    slots={**common, "TOPICS": join_and(message.topics)},
+                    slots={"QUERY": query, "TOPICS": join_and(message.topics)},
                     counts={"topics": len(message.topics), "description": 1},
                     extract_available=extract_available,
                 )
             )
         elif isinstance(message, HasFeature):
-            subset = refer_to_set([title(m) for m in message.members], limit, within=member_titles)
+            if not message.members:
+                raise ValueError("cannot refer to an empty set")
+            try:
+                positions = sorted([position[doc_id] for doc_id in message.members])
+            except KeyError as missing:
+                raise ValueError(f"subset member {missing.args[0]!r} is not in the category") from None
             plans.append(
                 SentencePlan(
                     relation=SHARED_FEATURES,
                     category=category_plan.category,
                     slots={
-                        **common,
-                        "SUBSET": render_subset(subset),
+                        "QUERY": query,
+                        "SUBSET": _subset_phrase(positions, len(members)),
                         "FEATURES": join_and(message.values),
                     },
                     counts={"subset": len(message.members), "description": 1},

@@ -8,7 +8,8 @@ full-walk norm build below play the same part for the indexed norm, and the
 full-walk typing chain and the per-line header scan for typing over the
 flat lists and the parser, the walk_depth renderer for the one-pass trace, and
 the one-type-at-a-time counts and the bind-every-lemma realizer for the
-one-pass distribution, lexicalize and realize_plan.
+one-pass distribution, lexicalize and realize_plan, and the enumerated
+member positions for the subset phrases of build_sentence_plans.
 The oracles read a document as nested nodes, which ``nested`` rebuilds from
 its parent list alone, and a norm as a tree of nested norm nodes of their
 own (``OracleNorm``), which ``oracle_norm`` rebuilds from a package norm's
@@ -49,7 +50,7 @@ from topicsift.model import (
     read_json,
 )
 from topicsift.planner import HasFeature, HasTopics, SetElements
-from topicsift.realizer import NO_MATCH_NOTICE, build_sentence_plans
+from topicsift.realizer import NO_MATCH_NOTICE, build_sentence_plans, join_and, number_word, ordinal_word
 
 
 @dataclass
@@ -589,6 +590,26 @@ def oracle_realize_texts(plan, lexicon, seed: int, *, titles=None, limit: int = 
         ]
         for category_plan in plan.categories
     ]
+
+
+def oracle_subset_phrase(category_plan, feature) -> str:
+    """The SUBSET slot of a feature's sentence: the 1-based positions of the
+    feature's members, taken by enumerating the category's SetElements
+    members, as one contiguous run or an ordinal list."""
+    members = next(message.members for message in category_plan.messages if isinstance(message, SetElements))
+    positions = [index for index, doc_id in enumerate(members, 1) if doc_id in feature.members]
+    first, size = positions[0], len(positions)
+    if positions != list(range(first, first + size)):
+        return f"The {join_and([ordinal_word(p) for p in positions])} documents"
+    if len(members) == 1:
+        return "The document"
+    if size == 1:
+        return f"The {ordinal_word(first)} document"
+    if size == len(members):
+        return f"All {number_word(size)} documents"
+    if first == 1:
+        return f"The first {number_word(size)} documents"
+    return f"The {ordinal_word(first)} through {ordinal_word(positions[-1])} documents"
 
 
 def oracle_load_corpus(directory) -> CorpusSet:

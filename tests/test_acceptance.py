@@ -10,9 +10,13 @@ import random
 import time
 
 from topicsift import (
+    CategoryPlan,
     CorpusSet,
+    Description,
     DocumentCategory,
     DocumentTopicTree,
+    HasFeature,
+    SetElements,
     TopicType,
     TypeDistribution,
     TypingParams,
@@ -25,10 +29,10 @@ from topicsift import (
     lexicalize,
     load_corpus,
     normalize,
-    refer_to_set,
     type_document,
 )
-from topicsift.realizer import Enumeration, Exemplar, SentencePlan, render_subset
+from topicsift.lexicon import OVERVIEW_EXEMPLAR, OVERVIEW_LIST, SHARED_FEATURES
+from topicsift.realizer import build_sentence_plans, join_and
 from topicsift.topic_typing import assign_types
 
 from conftest import GOLDEN, make_doc, write_corpus
@@ -155,23 +159,31 @@ def test_criterion_4_sample_summary_structure(tmp_path, capsys, angina_reference
 def test_criterion_5_referring_expression_thresholds():
     """Enumeration up to five members, exemplar beyond; contiguous subsets
     come out as the compact range phrase."""
+    category = DocumentCategory.SPECIALIZED
+
+    def sentences(members, *features):
+        messages = [Description(category=category), SetElements(category=category, members=tuple(members))]
+        messages += [
+            HasFeature(category=category, kind="content_types", values=("figures", "tables"), members=feature)
+            for feature in features
+        ]
+        titles = {doc_id: f"Doc {doc_id}" for doc_id in members}
+        return build_sentence_plans(CategoryPlan(category=category, messages=messages), query="angina", titles=titles, limit=5)
+
     for count in range(1, 11):
-        titles = [f"Doc {i}" for i in range(1, count + 1)]
-        expr = refer_to_set(titles, limit=5)
+        members = [str(i) for i in range(1, count + 1)]
+        first = sentences(members)[0]
         if count <= 5:
-            assert isinstance(expr, Enumeration) and expr.titles == tuple(titles)
+            noun = "file" if count == 1 else "files"
+            assert first.relation == OVERVIEW_LIST
+            assert first.slots["MEMBERS"] == f"{noun} ({join_and([f'Doc {m}' for m in members])})"
         else:
-            assert isinstance(expr, Exemplar)
-            assert expr.count == count and expr.sample == "Doc 1"
-    members = [f"Doc {i}" for i in range(1, 7)]
-    subset = refer_to_set(members[:5], limit=5, within=members)
-    assert render_subset(subset) == "The first five documents"
-    sentence = SentencePlan(
-        relation="shared_features",
-        category=DocumentCategory.SPECIALIZED,
-        slots={"QUERY": "angina", "SUBSET": render_subset(subset), "FEATURES": "figures and tables"},
-        counts={"subset": 5},
-    )
+            assert first.relation == OVERVIEW_EXEMPLAR
+            assert first.slots["COUNT"] == str(count) and first.slots["EXEMPLAR"] == "Doc 1"
+    members = [str(i) for i in range(1, 7)]
+    sentence = sentences(members, tuple(members[:5]))[1]
+    assert sentence.relation == SHARED_FEATURES
+    assert sentence.slots["SUBSET"] == "The first five documents"
     assert (
         lexicalize(sentence, default_lexicon(), 1)
         == "The first five documents contain figures and tables as well."

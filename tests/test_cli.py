@@ -130,6 +130,25 @@ def test_summary_text_mode(composite_file, angina_docs, capsys):
     assert all(line.startswith("- ") for line in lines)
 
 
+def test_feature_subsets_name_documents_by_position_when_titles_repeat(tmp_path, composite_file, capsys):
+    """d1.md and d3.md are both titled Angina and d3.md alone has video: the
+    video sentence names d3.md's place in the category, not the first
+    document of that title."""
+    body = "# Angina\n\n## Definition\n\nA short definition.\n\n## What are the risks?\n\nRisk discussion.\n"
+    docs = write_corpus(
+        tmp_path / "docs",
+        {
+            "d1.md": "---\ntitle: Angina\ncontent_types: text\n---\n" + body,
+            "d2.md": "---\ntitle: Angina overview\n---\n" + body,
+            "d3.md": "---\ntitle: Angina\ncontent_types: text\nspecial_content: video\n---\n" + body,
+        },
+    )
+    code, out, _ = run(capsys, "summarize", str(docs), "--composite", str(composite_file), "--query", "angina")
+    assert code == 0
+    assert "(Angina, Angina and Angina overview). The first two documents contain text as well." in out
+    assert out.endswith(" The second document contains video as well.\n")
+
+
 def test_text_and_trace_modes_agree(composite_file, angina_docs, capsys):
     base = ["summarize", str(angina_docs), "--composite", str(composite_file), "--query", "angina"]
     _, text_out, _ = run(capsys, *base)

@@ -186,3 +186,15 @@ def test_plan_rejects_mixed_queries():
     ]
     with pytest.raises(ValueError):
         plan(docs)
+
+
+def test_plan_refuses_a_repeated_doc_id():
+    """Member lists and feature groups are keyed by doc id, so a document
+    given twice, as summarize(docs, ...) can be, is refused by name."""
+    docs = [
+        (make_typed("a.md", [("A", TYPICAL)]), DocumentCategory.GENERIC),
+        (make_typed("b.md", [("A", TYPICAL)]), DocumentCategory.DEEP),
+        (make_typed("a.md", [("B", TYPICAL)]), DocumentCategory.DEEP),
+    ]
+    with pytest.raises(ValueError, match="'a.md' appears twice"):
+        plan(docs)

@@ -26,7 +26,6 @@ from topicsift import (
     load_lexicon,
     realize_plan,
     realize_summary,
-    refer_to_set,
     save_lexicon,
 )
 from topicsift.lexicon import (
@@ -40,17 +39,12 @@ from topicsift.lexicon import (
 )
 from topicsift.realizer import (
     NO_MATCH_NOTICE,
-    Enumeration,
-    Exemplar,
-    OrdinalList,
-    RangeRef,
     SentencePlan,
     build_sentence_plans,
-    render_members,
-    render_subset,
+    join_and,
 )
 
-from oracles import oracle_lexicalize, oracle_realize_texts
+from oracles import oracle_lexicalize, oracle_realize_texts, oracle_subset_phrase
 
 # seed 1 draws (pattern 0, description 0) from two-way choices; see the
 # determinism tests below for why pinning a seed is sound
@@ -61,71 +55,119 @@ def titles(n):
     return [f"Guide {index:02d}" for index in range(1, n + 1)]
 
 
+def _feature_plan(members, *subsets):
+    """A specialized category of the given member ids, one content-type
+    feature per subset."""
+    category = DocumentCategory.SPECIALIZED
+    return CategoryPlan(
+        category=category,
+        messages=[
+            Description(category=category),
+            SetElements(category=category, members=tuple(members)),
+            *(
+                HasFeature(category=category, kind="content_types", values=("tables",), members=tuple(subset))
+                for subset in subsets
+            ),
+        ],
+    )
+
+
+def _overview(names, limit=5):
+    """The relation and slots of the first sentence of a category whose
+    members are titled names."""
+    ids = [f"d{index}.md" for index in range(len(names))]
+    first = build_sentence_plans(
+        _feature_plan(ids), query="angina", titles=dict(zip(ids, names)), limit=limit
+    )[0]
+    return first.relation, first.slots
+
+
+def _subset(total, picked):
+    """The SUBSET slot naming the members at the 0-based indices picked of
+    a category of total members."""
+    ids = [f"d{index}.md" for index in range(total)]
+    plans = build_sentence_plans(_feature_plan(ids, [ids[i] for i in picked]), query="angina", titles={})
+    assert plans[1].relation == SHARED_FEATURES
+    return plans[1].slots["SUBSET"]
+
+
 # --- referring expressions -------------------------------------------------------
 
 @pytest.mark.parametrize("count", range(1, 11))
 def test_enumeration_exemplar_threshold(count):
-    expr = refer_to_set(titles(count), limit=5)
+    relation, slots = _overview(titles(count), limit=5)
     if count <= 5:
-        assert isinstance(expr, Enumeration)
-        assert expr.titles == tuple(titles(count))
+        assert relation == OVERVIEW_LIST
+        noun = "file" if count == 1 else "files"
+        assert slots["MEMBERS"] == f"{noun} ({join_and(titles(count))})"
     else:
-        assert isinstance(expr, Exemplar)
-        assert expr.count == count
-        assert expr.sample == "Guide 01"
+        assert relation == OVERVIEW_EXEMPLAR
+        assert slots["COUNT"] == str(count)
+        assert slots["EXEMPLAR"] == "Guide 01"
 
 
 def test_two_member_enumeration_renders_like_a_file_list():
-    expr = refer_to_set(["The AMA guide", "CU Guide"], limit=5)
-    assert render_members(expr) == "files (The AMA guide and CU Guide)"
+    assert _overview(["The AMA guide", "CU Guide"])[1]["MEMBERS"] == "files (The AMA guide and CU Guide)"
 
 
 def test_single_member_uses_singular_noun():
-    assert render_members(refer_to_set(["Only doc"], limit=5)) == "file (Only doc)"
+    assert _overview(["Only doc"])[1]["MEMBERS"] == "file (Only doc)"
 
 
 def test_three_member_enumeration_uses_serial_join():
-    assert render_members(refer_to_set(["A", "B", "C"], limit=5)) == "files (A, B and C)"
+    assert _overview(["A", "B", "C"])[1]["MEMBERS"] == "files (A, B and C)"
 
 
 def test_contiguous_prefix_subset_is_a_range():
-    members = titles(6)
-    expr = refer_to_set(members[:5], limit=5, within=members)
-    assert expr == RangeRef(start=1, stop=5, total=6)
-    assert render_subset(expr) == "The first five documents"
+    assert _subset(6, range(5)) == "The first five documents"
 
 
 def test_whole_set_subset_reads_as_all():
-    members = titles(3)
-    expr = refer_to_set(members, limit=5, within=members)
-    assert render_subset(expr) == "All three documents"
+    assert _subset(3, range(3)) == "All three documents"
 
 
 def test_mid_range_subset():
-    members = titles(5)
-    expr = refer_to_set(members[1:4], limit=5, within=members)
-    assert render_subset(expr) == "The second through fourth documents"
+    assert _subset(5, range(1, 4)) == "The second through fourth documents"
 
 
 def test_scattered_subset_is_an_ordinal_list():
-    members = titles(6)
-    expr = refer_to_set([members[0], members[2], members[4]], limit=5, within=members)
-    assert expr == OrdinalList(positions=(1, 3, 5), total=6)
-    assert render_subset(expr) == "The first, third and fifth documents"
+    assert _subset(6, [4, 0, 2]) == "The first, third and fifth documents"
 
 
 def test_singleton_subset():
-    members = titles(4)
-    assert render_subset(refer_to_set([members[2]], limit=5, within=members)) == "The third document"
+    assert _subset(4, [2]) == "The third document"
+    assert _subset(1, [0]) == "The document"
 
 
-def test_refer_to_set_validates_input():
-    with pytest.raises(ValueError):
-        refer_to_set([], limit=5)
-    with pytest.raises(ValueError):
-        refer_to_set(["a"], limit=0)
-    with pytest.raises(ValueError):
-        refer_to_set(["stranger"], limit=5, within=["a", "b"])
+def test_build_sentence_plans_validates_input():
+    with pytest.raises(ValueError, match="empty"):
+        build_sentence_plans(_feature_plan([]), query="q", titles={})
+    with pytest.raises(ValueError, match="empty"):
+        build_sentence_plans(_feature_plan(["a"], []), query="q", titles={})
+    with pytest.raises(ValueError, match="limit"):
+        build_sentence_plans(_feature_plan(["a"]), query="q", titles={}, limit=0)
+    with pytest.raises(ValueError, match="'stranger'"):
+        build_sentence_plans(_feature_plan(["a", "b"], ["stranger"]), query="q", titles={})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_subset_phrases_follow_member_positions_when_titles_repeat(data):
+    """Members titled from a pool of two or three titles, so that titles
+    repeat, in a drawn order, and scattered feature subsets: every SUBSET
+    slot names the subset's positions in the member order."""
+    pool = ["Angina", "Chest pain", "Heart"][: data.draw(st.integers(2, 3))]
+    count = data.draw(st.integers(1, 12))
+    members = data.draw(st.permutations([f"d{index:02d}.md" for index in range(count)]))
+    names = data.draw(st.lists(st.sampled_from(pool), min_size=count, max_size=count))
+    subsets = data.draw(
+        st.lists(st.lists(st.sampled_from(members), min_size=1, unique=True), min_size=1, max_size=3)
+    )
+    category_plan = _feature_plan(members, *subsets)
+    plans = build_sentence_plans(category_plan, query="angina", titles=dict(zip(members, names)))
+    features = [message for message in category_plan.messages if isinstance(message, HasFeature)]
+    subset_slots = [sentence.slots["SUBSET"] for sentence in plans if sentence.relation == SHARED_FEATURES]
+    assert subset_slots == [oracle_subset_phrase(category_plan, feature) for feature in features]
 
 
 # --- lexicalization -----------------------------------------------------------------

@@ -21,15 +21,11 @@ from topicsift import (
     DocumentCategory,
     DocumentMetadata,
     DocumentTopicTree,
-    Enumeration,
-    Exemplar,
     HasFeature,
     HasTopics,
     LexicalForms,
     Lexicon,
     NormNode,
-    OrdinalList,
-    RangeRef,
     SentencePlan,
     SetElements,
     Summary,
@@ -105,10 +101,6 @@ CASES = {
         "reordered": (False, True),
     }),
     SummaryPlan: (False, {"categories": ([], [CategoryPlan(category=DEEP, messages=[])]), "query": ("", "angina")}),
-    Enumeration: (True, {"titles": (("A",), ("B",))}),
-    Exemplar: (True, {"count": (3, 4), "sample": ("A", "B")}),
-    RangeRef: (True, {"start": (1, 2), "stop": (2, 3), "total": (3, 4)}),
-    OrdinalList: (True, {"positions": ((1, 3), (2, 4)), "total": (4, 5)}),
     SentencePlan: (False, {
         "relation": ("overview_list", "sample_topics"),
         "category": (DEEP, ATYPICAL),
