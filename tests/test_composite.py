@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from topicsift import (
@@ -389,8 +389,9 @@ def _minimal_payload(**overrides):
 
 
 # quotes, backslashes, control characters, line and paragraph separators
-# (which JSON leaves unescaped), non-ASCII text and lone surrogates (which
-# only a JSON escape carries)
+# (which JSON leaves unescaped), non-ASCII text and surrogates (which only a
+# JSON escape carries; a high one escaped just before a low one decodes as
+# one character outside the Basic Multilingual Plane)
 json_text = st.text(alphabet=st.one_of(st.sampled_from('"\\/\x00\x08\x1f\x7f\x85\u2028\u2029é中😀\ud800\udfff'), st.characters()))
 
 
@@ -399,23 +400,28 @@ json_text = st.text(alphabet=st.one_of(st.sampled_from('"\\/\x00\x08\x1f\x7f\x85
     st.lists(json_text.filter(str.strip), min_size=1, max_size=4),
     st.floats(allow_nan=False, allow_infinity=False),
 )
+@example(["\ud800\udfff"], 0.0)
+@example(["\ud800\udfff", "\U000103ff"], 0.0)
+@example(["\udfff\ud800"], 0.0)
 def test_emitted_forms_and_position_match_json_dumps(texts, position):
     """Forms and positions survive load and save as json.dumps writes them,
-    line and paragraph separators too; a form holding a lone surrogate,
-    which no UTF-8 file can hold, is refused on load."""
+    line and paragraph separators too; a form holding a surrogate that is
+    still lone once the JSON is decoded, which no UTF-8 file can hold, is
+    refused on load."""
     label = LexicalForms.of(*texts)
     payload = _minimal_payload()
     payload["root"].update(forms=list(label.forms), position=position)
+    decoded = json.loads(json.dumps(list(label.forms)))
     with tempfile.TemporaryDirectory() as work:
         path = Path(work) / "c.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
-        if any("\ud800" <= char <= "\udfff" for form in label.forms for char in form):
+        if any("\ud800" <= char <= "\udfff" for form in decoded for char in form):
             with pytest.raises(CompositeSchemaError, match="^node 0: form .* holds text that is not valid UTF-8$"):
                 load_composite(path)
             return
         save_composite(load_composite(path), path)
         lines = path.read_text(encoding="utf-8").split("\n")
-    assert lines[7] == '    "forms": ' + json.dumps(list(label.forms), ensure_ascii=False) + ","
+    assert lines[7] == '    "forms": ' + json.dumps(list(LexicalForms.of(*decoded).forms), ensure_ascii=False) + ","
     assert lines[9] == '    "position": ' + json.dumps(position) + ","
 
 

@@ -198,3 +198,13 @@ def test_plan_refuses_a_repeated_doc_id():
     ]
     with pytest.raises(ValueError, match="'a.md' appears twice"):
         plan(docs)
+
+
+def test_plan_refuses_a_doc_id_repeated_within_one_category():
+    docs = [
+        (make_typed("a.md", [("A", TYPICAL)]), DocumentCategory.DEEP),
+        (make_typed("b.md", [("A", TYPICAL)]), DocumentCategory.DEEP),
+        (make_typed("b.md", [("A", TYPICAL)]), DocumentCategory.DEEP),
+    ]
+    with pytest.raises(ValueError, match="'b.md' appears twice"):
+        plan(docs)

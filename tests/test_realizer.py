@@ -139,6 +139,28 @@ def test_singleton_subset():
     assert _subset(1, [0]) == "The document"
 
 
+@pytest.mark.parametrize(
+    "total, picked, phrase",
+    [
+        (6, [3, 4, 5], "The fourth through sixth documents"),
+        (6, [5], "The sixth document"),
+        (6, [5, 0], "The first and sixth documents"),
+        (21, range(21), "All 21 documents"),
+        (25, range(21), "The first 21 documents"),
+        (25, range(19, 22), "The twentieth through 22nd documents"),
+        (30, [10, 22, 23], "The eleventh, 23rd and 24th documents"),
+        (115, range(109, 113), "The 110th through 113th documents"),
+        (125, [120, 100, 111, 102, 101], "The 101st, 102nd, 103rd, 112th and 121st documents"),
+    ],
+    ids=["last-run", "last-one", "ends", "all-21", "first-21", "past-twenty", "scattered-past-twenty",
+         "teens-of-hundreds", "st-nd-rd-hundreds"],
+)
+def test_subset_phrase_past_the_spelled_ordinals(total, picked, phrase):
+    """Runs that end the category, and positions and counts past twenty,
+    which are written as numerals with their English suffix."""
+    assert _subset(total, picked) == phrase
+
+
 def test_build_sentence_plans_validates_input():
     with pytest.raises(ValueError, match="empty"):
         build_sentence_plans(_feature_plan([]), query="q", titles={})
