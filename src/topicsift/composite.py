@@ -55,7 +55,10 @@ identical norms, in one f-string per node; within one call it formats each
 distinct support's typicality and each distinct non-zero position once.
 ``load_composite`` reads a file's nodes in one loop, in pre-order, straight
 into the norm's fields: every node is checked before its children, and the
-first fault in that order is the one named. A node more than half the
+first fault in that order is the one named. A ``forms`` list of one form,
+which most nodes hold, goes through the same checks, in the same order and
+with the same messages, on that one string, and is stored as ``(form,)``:
+one form has nothing to join or deduplicate. A node more than half the
 recursion limit below the root makes the file "nested too deeply", which
 leaves the writer, which recurses once per level, half the stack. Each
 sibling list is sorted by position once, stably, after the loop. Loading
@@ -421,13 +424,23 @@ def load_composite(path: str | Path) -> CompositeTopicTree:
         if node_id in labels:
             raise CompositeSchemaError(f"duplicate node id {node_id}")
         forms = node.get("forms")
-        if not (type(forms) is list and forms and all(type(f) is str and f.strip() for f in forms)):
-            raise CompositeSchemaError(f"node {node_id}: forms must be a non-empty list of strings")
-        if not "".join(forms).isascii():
-            # a JSON escape can carry a lone surrogate, which the norm file
-            # and the trace, both UTF-8, cannot hold; line breaks load
-            for form in forms:
+        if type(forms) is list and len(forms) == 1:
+            # most nodes have one spelling: nothing to join or deduplicate
+            form = forms[0]
+            if not (type(form) is str and form.strip()):
+                raise CompositeSchemaError(f"node {node_id}: forms must be a non-empty list of strings")
+            if not form.isascii():
                 check_utf8(form, f"node {node_id}: form", CompositeSchemaError)
+            label = (form,)
+        else:
+            if not (type(forms) is list and forms and all(type(f) is str and f.strip() for f in forms)):
+                raise CompositeSchemaError(f"node {node_id}: forms must be a non-empty list of strings")
+            if not "".join(forms).isascii():
+                # a JSON escape can carry a lone surrogate, which the norm
+                # file and the trace, both UTF-8, cannot hold; line breaks load
+                for form in forms:
+                    check_utf8(form, f"node {node_id}: form", CompositeSchemaError)
+            label = LexicalForms.of(*forms).forms
         support = node.get("support")
         if type(support) is not int:
             raise CompositeSchemaError(f"node {node_id}: support must be an integer")
@@ -444,7 +457,7 @@ def load_composite(path: str | Path) -> CompositeTopicTree:
         children = node.get("children", [])
         if type(children) is not list:
             raise CompositeSchemaError(f"node {node_id}: children must be a list")
-        labels[node_id] = LexicalForms.of(*forms).forms
+        labels[node_id] = label
         parents[node_id] = parent_id
         supports[node_id] = support
         positions[node_id] = float(position)

@@ -25,9 +25,11 @@ the "\n" put in front stands for the start of the text.
 no ``Path`` per file: it names each file from the directory's normalized
 ``Path`` text and the entry's name, and asks the entry whether it is a file,
 which for anything but a symbolic link costs no system call. It reads each
-file as bytes and decodes them in one call, which is cheaper than a
-text-mode read; the parser's line-break rewrite stands in for text mode's
-newline translation.
+file with ``os.open``, ``os.fstat`` and one ``os.read`` of one byte more
+than the reported size, and reads on only when that read does not return
+exactly that size (the file changed, or its size was misreported); it
+decodes the bytes in one call, which is cheaper than a text-mode read. The
+parser's line-break rewrite stands in for text mode's newline translation.
 
 The parser writes the document straight into its pre-order lists (see
 ``model.DocumentTopicTree``): each header's spelling, its parent's id,
@@ -38,14 +40,12 @@ compare labels take the token sets from the norm's label memo.
 from __future__ import annotations
 
 import errno
-import logging
 import os
 import re
+from io import FileIO
 from pathlib import Path
 
 from .model import LINE_BREAKS, DocumentMetadata, DocumentTopicTree, Record, check_line, normalize
-
-log = logging.getLogger(__name__)
 
 # a header line, behind the "\n" that ends the line before it. The label
 # runs to the line's last non-space character, so "#  " is body text, not a
@@ -96,7 +96,10 @@ def parse_metadata(front_matter: str, source_path: str = "") -> DocumentMetadata
             continue
         match = _META_LINE.match(line)
         if match is None:
-            log.warning("skipping malformed metadata line %r in %s", raw, source_path or "<text>")
+            import logging  # imported only to warn, so importing the package skips it
+
+            source = source_path or "<text>"
+            logging.getLogger(__name__).warning("skipping malformed metadata line %r in %s", raw, source)
             continue
         key = match.group(1).strip().lower()
         value = match.group(2).strip()
@@ -133,7 +136,11 @@ def _split_front_matter(text: str, source: str) -> tuple[str, int]:
     # the search starts at the opening fence's "\n", so ^ first matches on the next line
     closing = _FENCE.search(text, opening.end())
     if closing is None:
-        log.warning("unterminated front-matter fence in %s; treating file as plain body", source)
+        import logging
+
+        logging.getLogger(__name__).warning(
+            "unterminated front-matter fence in %s; treating file as plain body", source
+        )
         return "", 0
     return text[opening.end():closing.start()], closing.end()
 
@@ -208,6 +215,22 @@ def _is_file(entry: os.DirEntry) -> bool:
         raise
 
 
+def _read_bytes(path: str) -> bytes:
+    """The bytes of the file at path, in one ``os.read`` of one byte more
+    than ``os.fstat`` reports. Only a read that does not come back with
+    exactly the reported size (the file grew or shrank, or its size is not
+    what the file system reports) reads on, to the end of the file."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        size = os.fstat(fd).st_size
+        data = os.read(fd, size + 1)
+        if len(data) != size:
+            data += FileIO(fd, closefd=False).readall()
+        return data
+    finally:
+        os.close(fd)
+
+
 def load_corpus(directory: str | Path) -> CorpusSet:
     """Parse every .md/.txt file in a directory, in file-name order.
 
@@ -242,9 +265,7 @@ def load_corpus(directory: str | Path) -> CorpusSet:
             if not _is_file(entry):
                 continue
             check_line(name, "the name of corpus file", CorpusNameError)
-            with open(source_path, "rb") as file:
-                data = file.read()
-            text = data.decode("utf-8-sig")
+            text = _read_bytes(source_path).decode("utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise CorpusReadError(f"cannot read corpus file {name}: {exc}") from exc
         docs.append(parse_document(text, doc_id=name, source_path=source_path))

@@ -10,7 +10,6 @@ formatted once per run and one region/type text per topic type.
 from __future__ import annotations
 
 import importlib
-import logging
 from collections.abc import Iterable
 from json.encoder import encode_basestring
 
@@ -25,8 +24,6 @@ from .topic_typing import TypedTree
 
 # stages are called through their modules, so patches on them (bench/tracer.py) see every call
 classify = importlib.import_module(f"{__package__}.classify")  # the package binds "classify" to the function
-
-log = logging.getLogger(__name__)
 
 # the "region=... type=..." text of a trace node line, per topic type, keyed
 # by the member's id: hashing an Enum member calls Enum.__hash__, a Python
@@ -78,7 +75,9 @@ def summarize(
     for doc in docs:
         typed, alignment = topic_typing.type_document(doc, composite, query, params, align_threshold)
         if typed.query_node is None:
-            log.warning("query %r matched no topic in %s", query, doc.doc_id)
+            import logging  # imported only to warn, so importing the package skips it
+
+            logging.getLogger(__name__).warning("query %r matched no topic in %s", query, doc.doc_id)
         dist = classify.distribution(typed, composite, alignment, params)
         results.append(DocResult(typed=typed, alignment=alignment, dist=dist, category=classify.classify(dist)))
     splan = planner.plan([(r.typed, r.category) for r in results])

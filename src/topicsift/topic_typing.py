@@ -71,20 +71,47 @@ def map_query(
     Returns None when the best similarity falls below tau. Ties break to the
     shallower node, then to the earlier node in pre-order. A document is
     scanned through token_sets, one entry per node (derived here when not
-    given); a composite through its index's cached token sets.
+    given).
 
-    Over a document only the root and the headers that share a token with
-    the query are scored. Any other header scores 0, which never displaces
+    Over either tree only the root and the nodes that share a token with
+    the query are scored. Any other node scores 0, which never displaces
     the root: the root scores at least 0 and is the only node at depth 0,
-    so the result is the full scan's at every tau.
+    so the result is the full scan's at every tau. A composite is not
+    walked: its index's token postings give the nodes that share a token,
+    through any of their labels' token sets, and each of them is placed in
+    pre-order by its sibling indices from the root down.
     """
     if not query or not query.strip():
         raise ValueError("query must be non-empty")
     query_tokens = _tokens(query)
     query_sets = (query_tokens,) if query_tokens else ()
     if isinstance(tree, CompositeTopicTree):
-        cached = tree.index().token_sets
-        scored = ((node_id, depth, cached[node_id]) for node_id, depth in tree.preorder())
+        norm = tree.index()
+        parents, children = tree.parents, tree.children
+        # every node but the root is posted under its parent by each token
+        # of its label, so these are the nodes that share a token
+        found = {tree.root}
+        for postings in norm.children_by_token.values():
+            for token in query_tokens:
+                found.update(postings.get(token, ()))
+        # each parent's child -> sibling index, made once per parent met,
+        # so a wide sibling list is never searched once per node
+        ranks: dict[int, dict[int, int]] = {}
+        placed = []
+        for node_id in found:
+            # the sibling indices from the root down, which compare as lists
+            # in pre-order; as many as the node's depth
+            path = []
+            child, parent = node_id, parents[node_id]
+            while parent is not None:
+                rank = ranks.get(parent)
+                if rank is None:
+                    rank = ranks[parent] = {sibling: index for index, sibling in enumerate(children[parent])}
+                path.append(rank[child])
+                child, parent = parent, parents[parent]
+            placed.append((path[::-1], node_id))
+        placed.sort()
+        scored = [(node_id, len(path), norm.token_sets[node_id]) for path, node_id in placed]
     else:
         if token_sets is None:
             token_sets = tree.token_sets({})

@@ -619,13 +619,20 @@ class _UnstatableEntry:
 @pytest.mark.parametrize("method, error", [
     ("iterdir", "cannot list corpus directory {docs}: Permission denied"),
     ("is_file", "cannot read corpus file ama_angina_guide.md: [Errno 13] Permission denied"),
-], ids=["iterdir", "is_file"])
+    ("open", "cannot read corpus file ama_angina_guide.md: [Errno 13] Permission denied: {first!r}"),
+], ids=["iterdir", "is_file", "open"])
 def test_unreadable_corpus_directory_exits_1(
     tmp_path, composite_file, angina_docs, capsys, monkeypatch, command, method, error
 ):
     # patched rather than chmod, which does not stop root from reading; the
-    # loader lists the directory with os.scandir and asks each entry is_file
-    scandir = os.scandir
+    # loader lists the directory with os.scandir, asks each entry is_file and
+    # opens each file with os.open
+    scandir, open_fd = os.scandir, os.open
+
+    def refuse_open(path, *args, **kwargs):
+        if os.path.dirname(os.fspath(path)) == os.fspath(angina_docs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        return open_fd(path, *args, **kwargs)
 
     def refuse(path, *args, **kwargs):
         if os.fspath(path) != os.fspath(angina_docs):
@@ -635,7 +642,10 @@ def test_unreadable_corpus_directory_exits_1(
         with scandir(path) as listing:
             return contextlib.nullcontext([_UnstatableEntry(entry) for entry in listing])
 
-    monkeypatch.setattr(os, "scandir", refuse)
+    if method == "open":
+        monkeypatch.setattr(os, "open", refuse_open)
+    else:
+        monkeypatch.setattr(os, "scandir", refuse)
     if command == "build":
         args = ["build", str(angina_docs), str(tmp_path / "c.json")]
     else:
@@ -643,7 +653,8 @@ def test_unreadable_corpus_directory_exits_1(
     code, out, err = run(capsys, *args)
     assert code == 1
     assert out == ""
-    assert err == "error: " + error.format(docs=angina_docs) + "\n"
+    first = os.path.join(angina_docs, "ama_angina_guide.md")
+    assert err == "error: " + error.format(docs=angina_docs, first=first) + "\n"
 
 
 def _deny_lookup(monkeypatch, target):

@@ -542,7 +542,11 @@ def test_typicality_rederived_from_support(tmp_path):
 
 _FAULTS = {
     "id": ["1", True, None, 2.0, "duplicate"],
-    "forms": [[], [" "], ["Topic", 3], "Topic", ["topic", "TOPIC", "Other"], ["Topic", "Other\udfff"]],
+    "forms": [
+        [], [" "], ["Topic", 3], "Topic", ["topic", "TOPIC", "Other"], ["Topic", "Other\udfff"],
+        # one form, the loader's own path: a number, null, an empty string, a lone surrogate (a JSON escape)
+        [3], [None], [""], ["\ud800"],
+    ],
     "support": [0, -1, True, 1.5, 10**6],
     "position": [math.nan, math.inf, True, "0", 10**400, -2.0],
     "children": [{}, "x", None, []],
@@ -628,6 +632,18 @@ def test_load_composite_equals_the_recursive_parser(nodes, data, doc_count, faul
         expected = _loaded_norm(_oracle_text, path)
         event(re.sub(r"\d+", "N", expected[1]) if expected[0] == "error" else "loaded")
         assert _loaded_norm(_package_text, path) == expected
+
+
+@pytest.mark.parametrize("forms", _FAULTS["forms"], ids=repr)
+def test_each_forms_value_loads_as_the_recursive_parser_loads_it(tmp_path, forms):
+    """Every drawn forms value, at a child after a valid sibling: the same
+    first fault and message as the recursive parser, or the same norm. The
+    loader takes a list of one form through its own path."""
+    payload, items = _norm_payload([(0, ["Root"], 0.0, 2), (1, ["Kept"], 0.5, 1), (2, ["Topic"], 1.0, 2)], [0, 0], 2)
+    items[2]["forms"] = forms
+    path = tmp_path / "norm.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert _loaded_norm(_package_text, path) == _loaded_norm(_oracle_text, path)
 
 
 def _assert_nodes_are_the_saved_nodes(composite, path):

@@ -38,6 +38,7 @@ from topicsift import (
     render_trace,
     save_composite,
     summarize,
+    summary_lines,
     type_document,
 )
 from topicsift.composite import _fold_document
@@ -238,10 +239,11 @@ punctuation_only = st.sampled_from(["??", "...", "!", "-:"])
     st.sampled_from((0.0, 0.3, 0.5, 1.0)),
 )
 def test_map_query_matches_full_scan(docs, query, tau):
-    """Over a document only the root and the headers sharing a token with
-    the query are scored; that picks what a full scan picks, also for a
-    query sharing no token with any header, one that normalizes to ""
-    ("???"), and punctuation-only headers."""
+    """Over a document or a norm only the root and the nodes sharing a
+    token with the query are scored (a norm node through any of the token
+    sets its merged spellings give it); that picks what a full scan picks,
+    also for a query sharing no token with any node, one that normalizes
+    to "" ("???"), and punctuation-only headers."""
     composite = _fold(docs, 0.5)
     assert map_query(query, composite, tau) == oracle_map_query(query, composite, tau)
     memo = {}
@@ -932,6 +934,45 @@ def test_trace_lines_match_the_walk_depth_renderer(norm_docs, docs, query, thres
     composite = build_composite(CorpusSet(docs=norm_docs, origin="mem"), threshold)
     lines, expected = _both_traces(docs, composite, query, TypingParams(k=k, alpha=alpha, tau=tau), threshold)
     assert lines == expected
+
+
+features = st.frozensets(st.sampled_from(["video", "images", "tables"]), max_size=2)
+
+
+@st.composite
+def summarized_sets(draw):
+    """One to six documents with distinct ids, each with drawn content types
+    and special content, so feature messages are planned too."""
+    docs = []
+    for index in range(draw(st.integers(1, 6))):
+        doc = draw(documents(f"d{index}.md"))
+        metadata = DocumentMetadata(content_types=draw(features), special_content=draw(features))
+        docs.append(DocumentTopicTree(doc.doc_id, doc.labels, doc.parents, doc.depths, metadata))
+    return docs
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    corpora,
+    summarized_sets(),
+    surface | st.sampled_from(["gardening", "???"]),
+    st.sampled_from((0.3, 0.5, 1.0)),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=3),
+    st.booleans(),
+)
+def test_summary_bullets_partition_the_document_set(norm_docs, docs, query, alpha, limit, seed, extract_exists):
+    """Every document lands in exactly one planned category, each planned
+    category is realized once, and every summary line is a bullet."""
+    composite = _fold(norm_docs, 0.5)
+    s = summarize(
+        docs, composite, query, TypingParams(alpha=alpha), default_lexicon(),
+        seed=seed, limit=limit, align_threshold=0.5, extract_exists=extract_exists,
+    )
+    members = [doc_id for category in s.plan.categories for doc_id in category.members()]
+    assert sorted(members) == sorted(doc.doc_id for doc in docs)
+    assert len(s.plan.categories) == len(s.realized)
+    assert all(line.startswith("- ") for line in summary_lines(s.realized))
 
 
 def test_trace_lines_cover_unmatched_nodes_shared_norm_nodes_and_unmatched_queries():

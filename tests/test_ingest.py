@@ -4,6 +4,7 @@ import logging
 import os
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import event, given, settings
@@ -18,6 +19,7 @@ from topicsift import (
     parse_document,
     parse_metadata,
 )
+from topicsift import ingest
 from topicsift.model import LINE_BREAKS, brief_repr
 
 from conftest import write_corpus
@@ -274,6 +276,8 @@ _CORPUS_TEXTS = [
     # decode errors after a byte-order mark and beyond the first 8 KiB
     b"\xef\xbb\xbf# bad \xfe byte\n",
     b"# Long\n" + b"body line\n" * 1000 + b"# bad \xff byte\n",
+    # larger than 64 KiB, with a character of several bytes
+    b"# Large\n" + "## S\u00e9ance\nbody line\n".encode() * 3000,
 ]
 
 
@@ -323,3 +327,26 @@ def test_load_corpus_equals_the_per_file_path_loader(files, extras, spelling):
             assert _loaded(load_corpus, Path(argument)) == expected
         finally:
             os.chdir(cwd)
+
+
+@pytest.mark.parametrize("fault", ["size zero", "half the size", "double the size", "short read"])
+def test_load_corpus_reads_on_when_one_read_misses_the_size(tmp_path, monkeypatch, fault):
+    """load_corpus reads each file in one os.read of one byte more than
+    os.fstat reports; when that read does not return exactly the reported
+    size (the size is misreported, or the read stops short), it reads on to
+    the end of the file, and loads what the per-file path loader loads, or
+    fails with its error."""
+    directories = []
+    for index, text in enumerate(_CORPUS_TEXTS):
+        directory = tmp_path / str(index)
+        directory.mkdir()
+        (directory / "d.md").write_bytes(text)
+        directories.append((directory, _loaded(oracle_load_corpus, directory)))
+    fstat, read = os.fstat, os.read
+    if fault == "short read":
+        monkeypatch.setattr(ingest.os, "read", lambda fd, size: read(fd, max(1, size // 2)))
+    else:
+        scale = {"size zero": 0, "half the size": 0.5, "double the size": 2}[fault]
+        monkeypatch.setattr(ingest.os, "fstat", lambda fd: SimpleNamespace(st_size=int(fstat(fd).st_size * scale)))
+    for directory, expected in directories:
+        assert _loaded(load_corpus, directory) == expected

@@ -60,6 +60,33 @@ def test_tie_breaks_to_earlier_preorder():
     assert map_query("treatment", doc, tau=0.3) == labels["Drug treatment"]
 
 
+@pytest.mark.parametrize("query, expected", [
+    ("drug", 1), ("signs", 1), ("symptoms", 1), ("surgery", 3), ("laser surgery", 4), ("gardening", None),
+])
+def test_query_over_a_norm_scores_every_token_set_of_a_label(query, expected):
+    """Over a norm only the root and the nodes sharing a token with the
+    query are scored, a node through any of its labels' token sets: node 1
+    shares "drug" only through its middle spelling."""
+    signs = {**norm_node(1, "Signs", 0.0), "forms": ["Signs", "Drug signs", "Symptoms"]}
+    surgery = norm_node(3, "Surgery", 0.5, norm_node(4, "Laser surgery", 0.0))
+    norm = make_norm(norm_node(0, "Disease", 0.0, signs, norm_node(2, "Treatment", 0.25), surgery))
+    assert map_query(query, norm, tau=0.3) == expected
+
+
+@pytest.mark.parametrize("query, expected", [("drug therapy", 9), ("laser", 6), ("therapy", 3)])
+def test_query_over_a_norm_breaks_ties_in_pre_order(query, expected):
+    """Equal scores at equal depth go to the node first in pre-order, whose
+    id is the larger here: node 9, under the root's first child, before
+    node 8, first under the second child; node 6, placed first by its
+    position, before node 5; node 3 at depth 1 before the deeper nodes."""
+    care = norm_node(1, "Care", 0.0, norm_node(7, "Other", 0.0), norm_node(9, "Drug therapy", 0.5))
+    tests = norm_node(
+        2, "Tests", 0.5, norm_node(8, "Drug therapy", 0.0), norm_node(5, "Laser", 0.75), norm_node(6, "Laser", 0.25)
+    )
+    norm = make_norm(norm_node(0, "Disease", 0.0, care, tests, norm_node(3, "Therapy options", 1.0)))
+    assert map_query(query, norm, tau=0.3) == expected
+
+
 def test_empty_query_rejected():
     doc = make_doc(("Disease", []))
     with pytest.raises(ValueError):
