@@ -28,7 +28,6 @@ from .model import (
     DocumentCategory,
     DocumentMetadata,
     DocumentTopicTree,
-    LexicalForms,
     NormNode,
     TopicType,
     TypingParams,
@@ -77,7 +76,6 @@ __all__ = [
     "EmptyCorpusError",
     "HasFeature",
     "HasTopics",
-    "LexicalForms",
     "Lexicon",
     "LexiconError",
     "LexiconGapError",

@@ -37,29 +37,12 @@ class TypeDistribution(FrozenRecord):
             raise ValueError("total must be positive")
         if covered_typical > possible_typical:
             raise ValueError("covered_typical cannot exceed possible_typical")
-        self._fill(typical, rare, intricate, irrelevant, covered_typical, possible_typical)
-
-    @classmethod
-    def _trusted(
-        cls, typical: int, rare: int, intricate: int, irrelevant: int, covered_typical: int, possible_typical: int
-    ) -> "TypeDistribution":
-        """A distribution over counts the caller knows to pass the checks,
-        such as distribution's: non-negative, a positive total, and no more
-        covered than possible typical topics."""
-        dist = object.__new__(cls)
-        dist._fill(typical, rare, intricate, irrelevant, covered_typical, possible_typical)
-        return dist
-
-    def _fill(
-        self, typical: int, rare: int, intricate: int, irrelevant: int, covered_typical: int, possible_typical: int
-    ) -> None:
-        set_field = object.__setattr__
-        set_field(self, "typical", typical)
-        set_field(self, "rare", rare)
-        set_field(self, "intricate", intricate)
-        set_field(self, "irrelevant", irrelevant)
-        set_field(self, "covered_typical", covered_typical)
-        set_field(self, "possible_typical", possible_typical)
+        object.__setattr__(self, "typical", typical)
+        object.__setattr__(self, "rare", rare)
+        object.__setattr__(self, "intricate", intricate)
+        object.__setattr__(self, "irrelevant", irrelevant)
+        object.__setattr__(self, "covered_typical", covered_typical)
+        object.__setattr__(self, "possible_typical", possible_typical)
 
     @property
     def total(self) -> int:
@@ -124,9 +107,7 @@ def distribution(
             rare += 1
         elif topic_type is _INTRICATE:
             intricate += 1
-    # the counts pass the checks: a document has at least its root, and
-    # covered is a subset of possible
-    return TypeDistribution._trusted(
+    return TypeDistribution(
         typical, rare, intricate, len(typed.types) - typical - rare - intricate, len(covered & possible), len(possible)
     )
 

@@ -58,11 +58,13 @@ into the norm's fields: every node is checked before its children, and the
 first fault in that order is the one named. A ``forms`` list of one form,
 which most nodes hold, goes through the same checks, in the same order and
 with the same messages, on that one string, and is stored as ``(form,)``:
-one form has nothing to join or deduplicate. A node more than half the
-recursion limit below the root makes the file "nested too deeply", which
-leaves the writer, which recurses once per level, half the stack. Each
-sibling list is sorted by position once, stably, after the loop. Loading
-builds no index; it is built on the first lookup.
+one form has nothing to join or deduplicate. A longer list keeps the first
+spelling of each fold key (``model.fold``) and drops the rest, as a build's
+``CompositeIndex.merge_label`` does. A node more than half the recursion
+limit below the root makes the file "nested too deeply", which leaves the
+writer, which recurses once per level, half the stack. Each sibling list is
+sorted by position once, stably, after the loop. Loading builds no index;
+it is built on the first lookup.
 """
 from __future__ import annotations
 
@@ -77,12 +79,12 @@ from .model import (
     CompositeIndex,
     CompositeTopicTree,
     DocumentTopicTree,
-    LexicalForms,
     Record,
     best_jaccard,
     brief_repr,
     check_line,
     check_utf8,
+    fold,
     read_json,
 )
 
@@ -440,7 +442,11 @@ def load_composite(path: str | Path) -> CompositeTopicTree:
                 # file and the trace, both UTF-8, cannot hold; line breaks load
                 for form in forms:
                     check_utf8(form, f"node {node_id}: form", CompositeSchemaError)
-            label = LexicalForms.of(*forms).forms
+            # one spelling per fold key, the first kept, as merge_label keeps them
+            unique: dict[str, str] = {}
+            for form in forms:
+                unique.setdefault(fold(form), form)
+            label = tuple(unique.values())
         support = node.get("support")
         if type(support) is not int:
             raise CompositeSchemaError(f"node {node_id}: support must be an integer")

@@ -94,12 +94,6 @@ class Lexicon(Record):
     _fields = __slots__[:-1]
     _defaults = {"descriptions": {}, "patterns": {}, "morphology": {}}
 
-    def verb(self, lemma: str, plural: bool) -> str:
-        if lemma not in self.morphology:
-            raise LexiconGapError(f"no morphology entry for verb {lemma!r}")
-        singular, plural_form = self.morphology[lemma]
-        return plural_form if plural else singular
-
 
 def default_lexicon() -> Lexicon:
     """The built-in lexicon."""

@@ -96,8 +96,8 @@ class Record:
     ``DocumentTopicTree``, ``Alignment``, ``TypedTree``,
     ``TypeDistribution`` and ``DocResult``) and those built most often per
     request (``SentencePlan``, ``HasFeature`` and ``CategoryPlan``). So do
-    the records that check their arguments: ``LexicalForms``,
-    ``TypingParams`` and ``Pattern``.
+    the records that check their arguments: ``TypingParams`` and
+    ``Pattern``.
     """
 
     __slots__ = ()
@@ -148,7 +148,7 @@ class FrozenRecord(Record):
 
 def fold(text: str) -> str:
     """Case-fold, trim and collapse runs of whitespace (``str.isspace``) to
-    one space; the lexical-form dedup key.
+    one space; a topic keeps one spelling per fold key.
 
     No non-whitespace character casefolds to whitespace, so collapsing before
     folding leaves no leading, trailing or doubled whitespace.
@@ -233,55 +233,10 @@ def _tokens(form: str) -> frozenset[str]:
     return frozenset()
 
 
-class LexicalForms(FrozenRecord):
-    """Ordered set of surface strings naming one topic, canonical form first."""
-
-    __slots__ = _fields = ("forms",)
-
-    def __init__(self, forms: tuple[str, ...]) -> None:
-        if not forms:
-            raise ValueError("a label needs at least one form")
-        if any(not f.strip() for f in forms):
-            raise ValueError("blank lexical form in %r" % (forms,))
-        if len(forms) > 1:
-            keys = {fold(f) for f in forms}
-            if len(keys) != len(forms):
-                raise ValueError("duplicate lexical forms in %r" % (forms,))
-        object.__setattr__(self, "forms", forms)
-
-    @classmethod
-    def of(cls, *forms: str) -> "LexicalForms":
-        """Build from raw strings, dropping blanks and duplicates (first spelling wins).
-
-        A one-form label, such as every parsed header, is never folded: it
-        has nothing to be a duplicate of. Every other form is folded once,
-        to deduplicate; the result is then valid by construction and skips
-        the validating fold.
-        """
-        kept = tuple(form for form in forms if form and form.strip())
-        if not kept:
-            raise ValueError("a label needs at least one form")
-        if len(kept) > 1:
-            unique: dict[str, str] = {}
-            for form in kept:
-                unique.setdefault(fold(form), form)
-            kept = tuple(unique.values())
-        label = object.__new__(cls)
-        object.__setattr__(label, "forms", kept)
-        return label
-
-    @property
-    def canonical(self) -> str:
-        return self.forms[0]
-
-    def token_sets(self) -> tuple[frozenset[str], ...]:
-        """Distinct token sets of the non-empty normal forms, in form order;
-        labels are compared by these. A label that normalizes to "" has none."""
-        return token_sets_of(self.forms)
-
-
 def token_sets_of(forms: tuple[str, ...]) -> tuple[frozenset[str], ...]:
-    """``LexicalForms(forms).token_sets()``, without building the label."""
+    """The distinct token sets of a topic's spellings' non-empty normal
+    forms, in spelling order; labels are compared by these. A spelling that
+    normalizes to "" gives none."""
     sets: list[frozenset[str]] = []
     for form in forms:
         tokens = _tokens(form)
@@ -415,9 +370,9 @@ class DocumentTopicTree(Record):
         return ranks
 
     def token_sets(self, memo: dict[str, tuple[frozenset[str], ...]]) -> list[tuple[frozenset[str], ...]]:
-        """Each node's token sets, ``LexicalForms((label,)).token_sets()``,
-        read from memo (spelling -> token sets) and filled in where it lacks
-        a spelling: a genre's documents repeat their headers, so with one
+        """Each node's token sets, ``token_sets_of((label,))``, read from
+        memo (spelling -> token sets) and filled in where it lacks a
+        spelling: a genre's documents repeat their headers, so with one
         memo per norm each distinct spelling is tokenized once. Raises
         ValueError for a blank label, which only a hand-built document can
         hold, before any stage compares it."""

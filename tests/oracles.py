@@ -3,13 +3,14 @@
 Kept separate from the package on purpose: it re-reads the classification
 table with exact Fraction arithmetic and a data-driven rule loop, so tests
 can cross-check the production classifier against it. The regex label
-folding, brute-force label similarity, alignment, query mapping and the
-full-walk norm build below play the same part for the indexed norm, and the
-full-walk typing chain and the per-line header scan for typing over the
-flat lists and the parser, the walk_depth renderer for the one-pass trace, and
-the one-type-at-a-time counts and the bind-every-lemma realizer for the
-one-pass distribution, lexicalize and realize_plan, and the enumerated
-member positions for the subset phrases of build_sentence_plans.
+folding and the spelling merge built on it, brute-force label similarity,
+alignment, query mapping and the full-walk norm build below play the same
+part for the indexed norm, and the full-walk typing chain and the per-line
+header scan for typing over the flat lists and the parser, the walk_depth
+renderer for the one-pass trace, and the one-type-at-a-time counts and the
+bind-every-lemma realizer for the one-pass distribution, lexicalize and
+realize_plan, and the enumerated member positions for the subset phrases of
+build_sentence_plans.
 The oracles read a document as nested nodes, which ``nested`` rebuilds from
 its parent list alone, and a norm as a tree of nested norm nodes of their
 own (``OracleNorm``), which ``oracle_norm`` rebuilds from a package norm's
@@ -44,7 +45,6 @@ from topicsift.lexicon import LexiconGapError
 from topicsift.model import (
     CompositeTopicTree,
     DocumentMetadata,
-    LexicalForms,
     brief_repr,
     check_line,
     read_json,
@@ -59,7 +59,7 @@ class OracleNode:
     document in."""
 
     id: int
-    label: LexicalForms
+    label: tuple[str, ...]
     children: list["OracleNode"] = field(default_factory=list)
 
 
@@ -72,11 +72,11 @@ class OracleDocument:
 
 @dataclass
 class OracleNormNode:
-    """A norm topic as a nested node; its typicality is support / the
-    norm's doc_count."""
+    """A norm topic as a nested node; its label is its spellings, one per
+    oracle_fold key, and its typicality is support / the norm's doc_count."""
 
     id: int
-    label: LexicalForms
+    label: tuple[str, ...]
     position: float
     support: int
     children: list["OracleNormNode"] = field(default_factory=list)
@@ -91,14 +91,17 @@ class OracleNorm:
 
 def oracle_norm(composite) -> OracleNorm:
     """A norm as nested nodes: a package norm is rebuilt from its fields and
-    child lists, an OracleNorm is taken as it is."""
+    child lists, an OracleNorm is taken as it is. Each of a package node's
+    spellings must be non-blank and have an oracle_fold key of its own."""
     if isinstance(composite, OracleNorm):
         return composite
 
     def convert(node_id):
+        forms = composite.forms[node_id]
+        assert oracle_merge_forms(*forms) == forms, f"node {node_id}: blank or repeated forms {forms!r}"
         return OracleNormNode(
             id=node_id,
-            label=LexicalForms(composite.forms[node_id]),
+            label=forms,
             position=composite.positions[node_id],
             support=composite.supports[node_id],
             children=[convert(child) for child in composite.children[node_id]],
@@ -125,7 +128,7 @@ def nested(doc) -> OracleNode:
     """A flat document's root as nested nodes, rebuilt from its labels and
     parent list alone: each node becomes the last child of its parent so
     far."""
-    nodes = [OracleNode(node_id, LexicalForms.of(label)) for node_id, label in enumerate(doc.labels)]
+    nodes = [OracleNode(node_id, oracle_merge_forms(label)) for node_id, label in enumerate(doc.labels)]
     for node, parent in zip(nodes, doc.parents):
         if parent >= 0:
             nodes[parent].children.append(node)
@@ -238,11 +241,22 @@ def oracle_normalize(text: str) -> str:
     return _TRAILING_PUNCT.sub("", oracle_fold(text))
 
 
-def oracle_label_similarity(a: LexicalForms, b: LexicalForms) -> float:
+def oracle_merge_forms(*forms: str) -> tuple[str, ...]:
+    """A topic's spellings: the first of each oracle_fold key, in order.
+    ValueError for no spelling or a blank one."""
+    if not forms or not all(form.strip() for form in forms):
+        raise ValueError(f"a label needs non-blank forms, not {forms!r}")
+    merged: dict[str, str] = {}
+    for form in forms:
+        merged.setdefault(oracle_fold(form), form)
+    return tuple(merged.values())
+
+
+def oracle_label_similarity(a: tuple[str, ...], b: tuple[str, ...]) -> float:
     """1.0 when any normalized form is shared, otherwise the best token-level
     Jaccard over all form pairs."""
-    forms_a = {n for n in (oracle_normalize(f) for f in a.forms) if n}
-    forms_b = {n for n in (oracle_normalize(f) for f in b.forms) if n}
+    forms_a = {n for n in (oracle_normalize(f) for f in a) if n}
+    forms_b = {n for n in (oracle_normalize(f) for f in b) if n}
     if forms_a & forms_b:
         return 1.0
     best = 0.0
@@ -292,7 +306,7 @@ def oracle_align_tree(doc, composite, threshold: float) -> tuple[dict[int, int],
 def oracle_map_query(query: str, tree, tau: float) -> int | None:
     """The node most similar to the query over a full scan of the tree; ties
     go to the shallower node, then the earlier one in pre-order."""
-    query_forms = LexicalForms.of(query)
+    query_forms = oracle_merge_forms(query)
     best_id, best_key = None, None
     for order, (node, depth) in enumerate(walk_depth(_root(tree))):
         key = (-oracle_label_similarity(query_forms, node.label), depth, order)
@@ -334,7 +348,7 @@ def oracle_merge(composite: OracleNorm, doc, pairs: dict[int, int]) -> None:
         comp = comp_nodes[comp_id]
         comp.position = (comp.position * comp.support + doc_ranks[node.id]) / (comp.support + 1)
         comp.support += 1
-        comp.label = LexicalForms.of(*comp.label.forms, *node.label.forms)
+        comp.label = oracle_merge_forms(*comp.label, *node.label)
     inserted = {}
     for node in walk(root):
         if node.id in pairs:
@@ -343,7 +357,7 @@ def oracle_merge(composite: OracleNorm, doc, pairs: dict[int, int]) -> None:
         comp_parent = comp_nodes[pairs[parent]] if parent in pairs else inserted[parent]
         fresh = OracleNormNode(
             id=next_id,
-            label=LexicalForms.of(*node.label.forms),
+            label=node.label,
             position=doc_ranks[node.id],
             support=1,
         )
@@ -364,7 +378,7 @@ def oracle_build_composite(docs, threshold: float, domain_genre: str) -> OracleN
     def convert(node) -> OracleNormNode:
         return OracleNormNode(
             id=node.id,
-            label=LexicalForms.of(*node.label.forms),
+            label=node.label,
             position=ranks[node.id],
             support=1,
             children=[convert(child) for child in node.children],
@@ -425,7 +439,7 @@ def oracle_parse_document(text: str, doc_id: str, source_path: str = "") -> Orac
     ids = iter(range(len(headers) + 1))
 
     def make(label):
-        return OracleNode(id=next(ids), label=LexicalForms.of(label))
+        return OracleNode(id=next(ids), label=oracle_merge_forms(label))
 
     if metadata.title:
         root, root_level = make(metadata.title), 0
@@ -484,7 +498,7 @@ def oracle_trace_lines(
             lines.append(
                 f"  node: id={node.id} depth={depth} region={_TRACE_REGIONS[topic_type.value]}"
                 f" type={topic_type.value} composite={'-' if comp_id is None else comp_id}"
-                f" typicality={typicality:.10f} label={json.dumps(node.label.canonical, ensure_ascii=False)}"
+                f" typicality={typicality:.10f} label={json.dumps(node.label[0], ensure_ascii=False)}"
             )
         d = result.dist
         lines.append(
@@ -565,8 +579,8 @@ def oracle_lexicalize(plan, lexicon, rng_seed: int) -> str:
         phrase = phrase.replace("{QUERY}", plan.slots.get("QUERY", ""))
         bindings["DESCRIPTION"] = phrase.replace("{EXTRACT_REF}", "the extract above")
     plural = plan.counts.get(pattern.agree, 1) != 1
-    for lemma in lexicon.morphology:
-        bindings[lemma.upper()] = lexicon.verb(lemma, plural)
+    for lemma, (singular, plural_form) in lexicon.morphology.items():
+        bindings[lemma.upper()] = plural_form if plural else singular
     missing = [name for name in re.findall(r"\{([A-Z_]+)\}", pattern.text) if name not in bindings]
     if missing:
         raise LexiconGapError(
@@ -672,7 +686,7 @@ def _oracle_parse_node(payload, doc_count: int, seen: set[int]) -> OracleNormNod
     nodes.sort(key=lambda node: node.position)
     return OracleNormNode(
         id=node_id,
-        label=LexicalForms.of(*forms),
+        label=oracle_merge_forms(*forms),
         position=float(position),
         support=support,
         children=nodes,
@@ -713,7 +727,7 @@ def oracle_composite_text(composite) -> str:
         lines = [
             indent + "{",
             f'{inner}"id": {node.id},',
-            f'{inner}"forms": {json.dumps(list(node.label.forms), ensure_ascii=False)},',
+            f'{inner}"forms": {json.dumps(list(node.label), ensure_ascii=False)},',
             f'{inner}"typicality": {node.support / norm.doc_count:.12f},',
             f'{inner}"position": {json.dumps(node.position)},',
             f'{inner}"support": {node.support},',

@@ -167,6 +167,31 @@ def test_summarize_is_deterministic(composite_file, angina_docs, capsys):
     assert first == second
 
 
+def test_the_query_case_changes_only_the_lines_that_echo_the_query(composite_file, angina_docs, capsys):
+    """"angina" and "Angina" type, classify and plan the angina documents
+    alike: their document blocks, categories, plan and messages match line
+    for line. Only the query line and the sentence, bullet and summary lines
+    that echo the query differ, each only in the case of the echoed query."""
+    traces = []
+    for query in ("angina", "Angina"):
+        code, out, _ = run(
+            capsys, "summarize", str(angina_docs), "--composite", str(composite_file), "--query", query, "--format", "trace"
+        )
+        assert code == 0
+        traces.append(out.splitlines())
+    lower, upper = traces
+    assert len(lower) == len(upper)
+    summary = lower.index("summary:")
+    differing = set()
+    for number, (a, b) in enumerate(zip(lower, upper)):
+        if a != b:
+            differing.add("summary" if number > summary else a.split(":")[0].strip())
+            spots = [index for index, (x, y) in enumerate(zip(a, b)) if x != y]
+            assert len(a) == len(b)
+            assert all(a.startswith("angina", index) and b.startswith("Angina", index) for index in spots), (a, b)
+    assert differing == {"query", "sentence", "bullet", "summary"}
+
+
 def test_missing_composite_exits_2(tmp_path, angina_docs, capsys):
     code, _, err = run(
         capsys, "summarize", str(angina_docs), "--composite", str(tmp_path / "nope.json"), "--query", "angina"

@@ -18,7 +18,6 @@ from topicsift import (
     DocumentMetadata,
     DocumentTopicTree,
     EmptyCorpusError,
-    LexicalForms,
     align_tree,
     build_composite,
     load_composite,
@@ -27,14 +26,18 @@ from topicsift import (
     save_composite,
 )
 from topicsift import cli
-from topicsift.model import LINE_BREAKS, best_jaccard
+from topicsift.model import LINE_BREAKS, best_jaccard, token_sets_of
 
 from conftest import FIXTURES, GOLDEN, make_doc, make_norm, norm_node, write_corpus
-from oracles import node_map, oracle_composite_text, oracle_load_composite, oracle_norm, parent_map, walk
-
-
-def forms(*texts):
-    return LexicalForms.of(*texts)
+from oracles import (
+    node_map,
+    oracle_composite_text,
+    oracle_load_composite,
+    oracle_merge_forms,
+    oracle_norm,
+    parent_map,
+    walk,
+)
 
 
 def corpus_of(*docs):
@@ -42,42 +45,43 @@ def corpus_of(*docs):
 
 
 def similarity(a, b):
-    """What alignment scores two labels by: the best token-set Jaccard."""
-    return best_jaccard(a.token_sets(), b.token_sets())
+    """What alignment scores two labels, tuples of spellings, by: the best
+    token-set Jaccard."""
+    return best_jaccard(token_sets_of(a), token_sets_of(b))
 
 
 # --- label similarity ---------------------------------------------------------
 
 def test_shared_variant_unifies():
-    assert similarity(forms("Symptoms"), forms("Signs", "Symptoms")) == 1.0
+    assert similarity(("Symptoms",), ("Signs", "Symptoms")) == 1.0
 
 
 def test_identical_label():
-    assert similarity(forms("Definition"), forms("Definition")) == 1.0
+    assert similarity(("Definition",), ("Definition",)) == 1.0
 
 
 def test_token_jaccard_half():
     # hand-derived: |{treatment}| / |{drug, treatment}| = 0.5
-    assert similarity(forms("drug treatment"), forms("treatment")) == 0.5
+    assert similarity(("drug treatment",), ("treatment",)) == 0.5
 
 
 def test_similarity_ignores_case_and_trailing_punctuation():
-    assert similarity(forms("Symptoms:"), forms("symptoms")) == 1.0
+    assert similarity(("Symptoms:",), ("symptoms",)) == 1.0
 
 
 def test_similarity_symmetric_and_bounded():
     rng = random.Random(7)
     pool = ["alpha", "beta gamma", "beta", "delta epsilon zeta", "??"]
     for _ in range(50):
-        a = forms(rng.choice(pool))
-        b = forms(rng.choice(pool))
+        a = (rng.choice(pool),)
+        b = (rng.choice(pool),)
         s = similarity(a, b)
         assert s == similarity(b, a)
         assert 0.0 <= s <= 1.0
 
 
 def test_punctuation_only_labels_never_match():
-    assert similarity(forms("??"), forms("!!")) == 0.0
+    assert similarity(("??",), ("!!",)) == 0.0
 
 
 # --- alignment ------------------------------------------------------------------
@@ -408,10 +412,10 @@ def test_emitted_forms_and_position_match_json_dumps(texts, position):
     line and paragraph separators too; a form holding a surrogate that is
     still lone once the JSON is decoded, which no UTF-8 file can hold, is
     refused on load."""
-    label = LexicalForms.of(*texts)
+    label = oracle_merge_forms(*texts)
     payload = _minimal_payload()
-    payload["root"].update(forms=list(label.forms), position=position)
-    decoded = json.loads(json.dumps(list(label.forms)))
+    payload["root"].update(forms=list(label), position=position)
+    decoded = json.loads(json.dumps(list(label)))
     with tempfile.TemporaryDirectory() as work:
         path = Path(work) / "c.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
@@ -421,7 +425,7 @@ def test_emitted_forms_and_position_match_json_dumps(texts, position):
             return
         save_composite(load_composite(path), path)
         lines = path.read_text(encoding="utf-8").split("\n")
-    assert lines[7] == '    "forms": ' + json.dumps(list(LexicalForms.of(*decoded).forms), ensure_ascii=False) + ","
+    assert lines[7] == '    "forms": ' + json.dumps(list(oracle_merge_forms(*decoded)), ensure_ascii=False) + ","
     assert lines[9] == '    "position": ' + json.dumps(position) + ","
 
 

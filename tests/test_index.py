@@ -20,7 +20,6 @@ from topicsift import (
     CorpusSet,
     DocumentMetadata,
     DocumentTopicTree,
-    LexicalForms,
     TopicType,
     TypeDistribution,
     TypedTree,
@@ -47,6 +46,7 @@ from topicsift.model import (
     best_jaccard,
     fold,
     normalize,
+    token_sets_of,
 )
 
 from conftest import make_doc, make_norm, norm_node
@@ -60,6 +60,7 @@ from oracles import (
     oracle_load_composite,
     oracle_map_query,
     oracle_merge,
+    oracle_merge_forms,
     oracle_normalize,
     oracle_parse_document,
     oracle_possible_typical,
@@ -89,7 +90,7 @@ surface = st.one_of(
     words.map(lambda w: f"{w} {w}"),
     st.sampled_from(["??", "...", "Risk  factors!", "factors risk"]),
 )
-labels = st.lists(surface, min_size=1, max_size=3).map(lambda forms: LexicalForms.of(*forms))
+labels = st.lists(surface, min_size=1, max_size=3).map(lambda forms: oracle_merge_forms(*forms))
 
 
 @st.composite
@@ -175,7 +176,7 @@ def _index_contents(index: CompositeIndex):
 @settings(max_examples=200, deadline=None)
 @given(labels, labels)
 def test_label_similarity_matches_oracle(a, b):
-    assert best_jaccard(a.token_sets(), b.token_sets()) == oracle_label_similarity(a, b)
+    assert best_jaccard(token_sets_of(a), token_sets_of(b)) == oracle_label_similarity(a, b)
 
 
 def test_label_similarity_edge_cases():
@@ -187,10 +188,9 @@ def test_label_similarity_edge_cases():
         (("drug treatment", "treatment"), ("Drug  Treatment!",)),
     ]
     for a, b in cases:
-        a, b = LexicalForms.of(*a), LexicalForms.of(*b)
-        assert best_jaccard(a.token_sets(), b.token_sets()) == oracle_label_similarity(a, b)
-    assert best_jaccard(LexicalForms.of("a b").token_sets(), LexicalForms.of("b a").token_sets()) == 1.0
-    assert LexicalForms.of("??").token_sets() == ()
+        assert best_jaccard(token_sets_of(a), token_sets_of(b)) == oracle_label_similarity(a, b)
+    assert best_jaccard(token_sets_of(("a b",)), token_sets_of(("b a",))) == 1.0
+    assert token_sets_of(("??",)) == ()
 
 
 @settings(max_examples=80, deadline=None)
@@ -363,7 +363,7 @@ def test_a_stream_typed_against_one_loaded_norm_matches_a_fresh_load_per_documen
         assert (alignment.pairs, alignment.unmatched) == (fresh_alignment.pairs, fresh_alignment.unmatched)
     label_sets = shared.index().label_sets
     assert set(label_sets) == {label for probe in probes for label in probe.labels}
-    assert all(sets == LexicalForms((label,)).token_sets() for label, sets in label_sets.items())
+    assert all(sets == token_sets_of((label,)) for label, sets in label_sets.items())
 
 
 def test_a_fold_clears_the_tree_memos_and_keeps_the_label_memo():
@@ -431,7 +431,7 @@ def test_one_form_token_sets_split_the_normal_form(text, tail, more):
         normal = oracle_normalize(form)
         if normal:
             expected.setdefault(frozenset(normal.split()), None)
-    assert LexicalForms.of(*forms).token_sets() == tuple(expected)
+    assert token_sets_of(tuple(forms)) == tuple(expected)
 
 
 def test_whitespace_split_and_casefold_agree_with_regex_over_all_unicode():
@@ -451,28 +451,28 @@ def test_merged_label_equals_rebuilt_label(a, others, data):
     """Merging document spellings into a composite node's label one by one,
     as the fold does, equals building the label from every spelling at once,
     and leaves the index as a fresh one would be."""
-    node = norm_node(1, a.canonical, 0.0)
-    node["forms"] = list(a.forms)
+    node = norm_node(1, a[0], 0.0)
+    node["forms"] = list(a)
     composite = make_norm(norm_node(0, "Root", 0.0, node, norm_node(2, "risk drug", 1.0)))
     index = composite.index()
-    spellings = list(a.forms)
+    spellings = list(a)
     for other in others:
         before = composite.forms[1]
-        index.merge_label(1, other, LexicalForms((other,)).token_sets())
+        index.merge_label(1, other, token_sets_of((other,)))
         spellings.append(other)
-        assert composite.forms[1] == LexicalForms.of(*spellings).forms
+        assert composite.forms[1] == oracle_merge_forms(*spellings)
         assert (composite.forms[1] is before) == (composite.forms[1] == before)
         assert _index_contents(index) == _index_contents(CompositeIndex(composite))
     # a spelling already present verbatim leaves the label as it is
     label = composite.forms[1]
     verbatim = data.draw(st.sampled_from(label))
-    index.merge_label(1, verbatim, LexicalForms((verbatim,)).token_sets())
+    index.merge_label(1, verbatim, token_sets_of((verbatim,)))
     assert composite.forms[1] is label
     # and a node spelled only one way takes that spelling without a fold
-    lone = make_norm(norm_node(0, a.canonical, 0.0))
+    lone = make_norm(norm_node(0, a[0], 0.0))
     label = lone.forms[0]
     with mock.patch("topicsift.model.fold", side_effect=AssertionError("folded")):
-        lone.index().merge_label(0, a.canonical, LexicalForms(label).token_sets())
+        lone.index().merge_label(0, a[0], token_sets_of(label))
     assert lone.forms[0] is label
 
 
@@ -486,7 +486,7 @@ def test_build_matches_full_walk_build(scratch, docs, threshold):
     # distinct label of the corpus, each the label's own token sets
     label_sets = composite.index().label_sets
     assert set(label_sets) == {label for doc in docs for label in doc.labels}
-    assert all(sets == LexicalForms((label,)).token_sets() for label, sets in label_sets.items())
+    assert all(sets == token_sets_of((label,)) for label, sets in label_sets.items())
 
 
 @st.composite
@@ -647,7 +647,7 @@ def test_loading_a_norm_folds_each_spelling_once(tmp_path):
     drop duplicates; the deduplicated label is not validated again."""
     path = tmp_path / "norm.json"
     save_composite(_fold(_variant_corpus(40, seed=3), 0.5), path)
-    with mock.patch("topicsift.model.fold", side_effect=fold) as counter:
+    with mock.patch("topicsift.composite.fold", side_effect=fold) as counter:
         loaded = load_composite(path)
     spellings = sum(len(forms) for forms in loaded.forms.values() if len(forms) > 1)
     assert spellings > 40
@@ -707,7 +707,7 @@ def _assert_flat_form_of(doc, root):
     walked = list(walk_depth(root))
     assert [node.id for node, _ in walked] == list(doc.nodes())
     parents = parent_map(root)
-    assert doc.labels == [node.label.canonical for node, _ in walked]
+    assert doc.labels == [node.label[0] for node, _ in walked]
     assert doc.parents == [-1 if parents[node.id] is None else parents[node.id] for node, _ in walked]
     assert doc.depths == [depth for _, depth in walked]
     ranks = sibling_rank_map(root)
@@ -730,10 +730,10 @@ def test_flat_document_matches_its_nested_tree(doc, other):
     _assert_flat_form_of(doc, nested(doc))
     label_sets = {}
     other.token_sets(label_sets)
-    expected = [LexicalForms((label,)).token_sets() for label in doc.labels]
+    expected = [token_sets_of((label,)) for label in doc.labels]
     for memo in ({}, label_sets, label_sets):
         assert doc.token_sets(memo) == expected
-    assert label_sets == {label: LexicalForms((label,)).token_sets() for label in other.labels + doc.labels}
+    assert label_sets == {label: token_sets_of((label,)) for label in other.labels + doc.labels}
 
 
 queries = st.one_of(surface, st.sampled_from(["", "   ", "\t"]))
@@ -843,7 +843,7 @@ def _assert_parses_as_the_per_line_scan(doc, text):
     _assert_flat_form_of(doc, expected.root)
     memo = {}
     assert doc.token_sets(memo) == [memo[label] for label in doc.labels]
-    assert all(sets == LexicalForms((label,)).token_sets() for label, sets in memo.items())
+    assert all(sets == token_sets_of((label,)) for label, sets in memo.items())
 
 
 @settings(max_examples=300, deadline=None)

@@ -33,7 +33,7 @@ def labels(doc):
 def shape(doc):
     """A document as nested (label, [children]) pairs."""
     def nest(node):
-        return (node.label.canonical, [nest(child) for child in node.children])
+        return (node.label[0], [nest(child) for child in node.children])
 
     return nest(nested(doc))
 

@@ -7,18 +7,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from topicsift import (
+    CompositeSchemaError,
     CorpusSet,
     DocumentMetadata,
     DocumentTopicTree,
-    LexicalForms,
     build_composite,
     normalize,
     parse_document,
 )
 from topicsift.model import LINE_BREAKS, check_line
 
-from conftest import make_doc
-from oracles import nested, node_map
+from conftest import make_doc, make_norm
+from oracles import nested, node_map, oracle_merge_forms
 
 
 def test_normalize_strips_case_whitespace_and_trailing_punctuation():
@@ -38,21 +38,33 @@ def test_normalize_ignores_case(text):
     assert normalize(text.upper()) == normalize(text.lower())
 
 
-def test_lexical_forms_dedupe_and_canonical():
-    forms = LexicalForms.of("Symptoms", " symptoms ", "Signs")
-    assert forms.forms == ("Symptoms", "Signs")
-    assert forms.canonical == "Symptoms"
+def _loaded_forms(forms):
+    """The forms a norm file listing forms for its one node loads as."""
+    return make_norm({"id": 0, "forms": list(forms), "position": 0.0, "support": 1}).forms[0]
 
 
-def test_lexical_forms_require_content():
+@pytest.mark.parametrize(
+    "forms, kept",
+    [
+        (("Symptoms", " symptoms ", "Signs"), ("Symptoms", "Signs")),
+        (("SYMPTOMS", "Symptoms", "symptoms"), ("SYMPTOMS",)),
+        # fold keeps punctuation: "risk factors:" is a key of its own
+        (("Risk  factors", "risk factors", "Risk factors:"), ("Risk  factors", "Risk factors:")),
+        (("Straße", "STRASSE", "Signs", "strasse"), ("Straße", "Signs")),
+    ],
+)
+def test_a_loaded_topic_keeps_the_first_spelling_of_each_fold_key(forms, kept):
+    """A topic's spellings are deduplicated by fold key, the first spelling
+    of each kept, in order: by the norm loader and by the oracles' merge."""
+    assert _loaded_forms(forms) == kept == oracle_merge_forms(*forms)
+
+
+@pytest.mark.parametrize("forms", [(), ("", "  ", "\t"), ("", "x"), ("x", "\u3000")])
+def test_a_loaded_topic_needs_forms_none_of_them_blank(forms):
+    with pytest.raises(CompositeSchemaError, match="^node 0: forms must be a non-empty list of strings$"):
+        _loaded_forms(forms)
     with pytest.raises(ValueError):
-        LexicalForms.of()
-    with pytest.raises(ValueError):
-        LexicalForms.of("", "  ", "\t")
-    with pytest.raises(ValueError):
-        LexicalForms(())
-    with pytest.raises(ValueError):
-        LexicalForms(("", "x"))
+        oracle_merge_forms(*forms)
 
 
 def test_lexical_forms_merge_keeps_first_spelling():

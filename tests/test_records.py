@@ -23,7 +23,6 @@ from topicsift import (
     DocumentTopicTree,
     HasFeature,
     HasTopics,
-    LexicalForms,
     Lexicon,
     NormNode,
     SentencePlan,
@@ -54,7 +53,6 @@ SENTENCE = SentencePlan(relation="sample_topics", category=DEEP, slots={"TOPICS"
 # per class, each field in order with a base value and a different one; the
 # frozen classes are marked
 CASES = {
-    LexicalForms: (True, {"forms": (("Symptoms",), ("Symptoms", "Signs"))}),
     NormNode: (True, {
         "id": (0, 2),
         "forms": (("Symptoms",), ("Symptoms", "Signs")),
