@@ -69,9 +69,11 @@ def possible_typical_topics(
     changes the norm."""
     memo = composite.index().possible_typical
     key = (query, params)
-    if key not in memo:
-        memo[key] = _possible_typical(composite, query, params)
-    return memo[key]
+    # one probe: the key hashes params through FrozenRecord.__hash__
+    possible = memo.get(key)
+    if possible is None:
+        possible = memo[key] = _possible_typical(composite, query, params)
+    return possible
 
 
 def _possible_typical(composite: CompositeTopicTree, query: str, params: TypingParams) -> frozenset[int]:

@@ -31,10 +31,11 @@ the lower position, then the lower id. Scoring reads the norm's index
 
 A header's match depends on nothing but the norm, the threshold, its anchor
 (the match of its parent) and its token sets. ``align_tree`` memoizes it in
-the index's ``alignments``, so against a norm loaded once each distinct
-header is scored once per anchor. Whatever changes the norm clears the memo;
-``build_composite`` aligns without it, as the next fold would clear each
-entry before it could be read back.
+the index's ``alignments``, by threshold, then anchor id, then token sets,
+so against a norm loaded once each distinct header is scored once per
+anchor. Whatever changes the norm clears the memo; ``build_composite``
+aligns without it, as the next fold would clear each entry before it could
+be read back.
 
 ``build_composite`` takes each document's token sets once, from the norm's
 label memo (``CompositeIndex.label_sets``), and hands them to both alignment
@@ -143,7 +144,8 @@ def align_tree(
     norm = composite.index()
     if token_sets is None:
         token_sets = doc.token_sets(norm.label_sets)
-    memo = norm.alignments if _memoize else None
+    # anchor id -> header token sets -> match, at this threshold
+    memo = norm.alignments.setdefault(threshold, {}) if _memoize else None
     doc_parents = doc.parents
 
     alignment = Alignment(pairs={0: composite.root})
@@ -157,10 +159,12 @@ def align_tree(
         if memo is None:
             match = _best_match(norm, anchor_id, sets, threshold)
         else:
-            key = (threshold, anchor_id, sets)
-            match = memo.get(key, _UNSEEN)
+            matches = memo.get(anchor_id)
+            if matches is None:
+                matches = memo[anchor_id] = {}
+            match = matches.get(sets, _UNSEEN)
             if match is _UNSEEN:
-                match = memo[key] = _best_match(norm, anchor_id, sets, threshold)
+                match = matches[sets] = _best_match(norm, anchor_id, sets, threshold)
         if match is None:
             unmatched.add(node_id)
         else:

@@ -14,12 +14,13 @@ header is level 1, else a synthesized node labeled with the doc id.
 
 A text that breaks lines with anything but "\n" ("\r\n", "\r", "\x85",
 "\u2028", or any other line boundary ``str.splitlines`` knows) is first
-rewritten with "\n" breaks. The front-matter fences and then the headers
-are each found in one regex scan of that text. The header scan runs over
-the text behind one "\n", from where the body starts, with a pattern that
-begins with that literal "\n": the regex engine then jumps from one line
-break to the next instead of trying every character as a header start, and
-the "\n" put in front stands for the start of the text.
+rewritten with "\n" breaks. The front-matter block, both fences and the
+body between them, and then the headers are each found in one regex scan
+of that text. The header scan runs over the text behind one "\n", from
+where the body starts, with a pattern that begins with that literal "\n":
+the regex engine then jumps from one line break to the next instead of
+trying every character as a header start, and the "\n" put in front stands
+for the start of the text.
 
 ``load_corpus`` lists the directory in one ``os.scandir`` pass and builds
 no ``Path`` per file: it names each file from the directory's normalized
@@ -57,6 +58,9 @@ _HEADER = re.compile(r"\n(#{1,6}) (.*\S)")
 _OTHER_BREAKS = LINE_BREAKS[1:]
 # a front-matter fence: a line of "---" and whitespace
 _FENCE = re.compile(r"^---[^\S\n]*$", re.M)
+# a front-matter block from the text's start: the opening fence, the body
+# from the "\n" that ends that fence's line, and the first closing fence
+_FRONT_MATTER = re.compile(r"---[^\S\n]*(\n(?:.*\n)*?)---[^\S\n]*$", re.M)
 _META_LINE = re.compile(r"^([A-Za-z_][A-Za-z0-9_ -]*):\s*(.*)$")
 
 SOURCE_EXTENSIONS = (".md", ".txt")
@@ -88,8 +92,8 @@ def parse_metadata(front_matter: str, source_path: str = "") -> DocumentMetadata
     never fatally. An empty block yields all-empty metadata.
     """
     title: str | None = None
-    content_types: set[str] = set()
-    special_content: set[str] = set()
+    content_types: list[str] = []
+    special_content: list[str] = []
     for raw in front_matter.splitlines():
         line = raw.strip()
         if not line:
@@ -101,21 +105,18 @@ def parse_metadata(front_matter: str, source_path: str = "") -> DocumentMetadata
             source = source_path or "<text>"
             logging.getLogger(__name__).warning("skipping malformed metadata line %r in %s", raw, source)
             continue
-        key = match.group(1).strip().lower()
-        value = match.group(2).strip()
+        # the line is stripped and the pattern takes the whitespace after
+        # the colon, so the value is stripped too; a key may end in spaces
+        key, value = match.groups()
+        key = key.rstrip().lower()
         if key == "title":
             title = value or None
         elif key == "content_types":
-            content_types.update(_tags(value))
+            content_types += _tags(value)
         elif key == "special_content":
-            special_content.update(_tags(value))
+            special_content += _tags(value)
         # anything else is a foreign key: ignore
-    return DocumentMetadata(
-        title=title,
-        content_types=frozenset(content_types),
-        special_content=frozenset(special_content),
-        source_path=source_path,
-    )
+    return DocumentMetadata(title, frozenset(content_types), frozenset(special_content), source_path)
 
 
 def _tags(value: str) -> list[str]:
@@ -126,23 +127,22 @@ def _split_front_matter(text: str, source: str) -> tuple[str, int]:
     """Return (front-matter body, offset where the document body starts) of
     a text whose only line break is "\n".
 
-    Reads the text only up to the closing fence. An opening fence without a
-    closing one is not front matter; the text is then treated as plain body
-    (with a warning naming source).
+    Reads the text only up to the closing fence, in one match. An opening
+    fence without a closing one is not front matter; the text is then
+    treated as plain body (with a warning naming source). Only a text with
+    no front-matter block is matched against the lone fence, to tell the two
+    apart.
     """
-    opening = _FENCE.match(text)
-    if opening is None:
-        return "", 0
-    # the search starts at the opening fence's "\n", so ^ first matches on the next line
-    closing = _FENCE.search(text, opening.end())
-    if closing is None:
+    block = _FRONT_MATTER.match(text)
+    if block is not None:
+        return block.group(1), block.end()
+    if _FENCE.match(text) is not None:
         import logging
 
         logging.getLogger(__name__).warning(
             "unterminated front-matter fence in %s; treating file as plain body", source
         )
-        return "", 0
-    return text[opening.end():closing.start()], closing.end()
+    return "", 0
 
 
 def parse_document(text: str, doc_id: str, source_path: str = "") -> DocumentTopicTree:

@@ -422,20 +422,25 @@ class CompositeIndex:
 
     Two memos hold results derived from the tree, so a norm loaded once
     computes each only once: ``possible_typical`` maps (query, params) to
-    ``classify.possible_typical_topics``, and ``alignments`` maps
-    (threshold, anchor id, a header's token sets) to the id of the composite
-    node ``composite.align_tree`` matches that header to, or None. The
-    alignment memo holds one entry per distinct key seen; the norm build
-    aligns without it, since each of its folds changes the norm. Whatever
-    changes the tree calls ``clear_memos``.
+    ``classify.possible_typical_topics``, and ``alignments`` maps threshold
+    -> anchor id -> a header's token sets to the id of the composite node
+    ``composite.align_tree`` matches that header to, or None.
+    ``align_tree`` takes one threshold's dict per document, so a header
+    costs two dict lookups and builds no key. The alignment memo holds one
+    entry per distinct header seen under an anchor; the norm build aligns
+    without it, since each of its folds changes the norm. Whatever changes
+    the tree calls ``clear_memos``.
 
-    A third memo, ``label_sets``, maps a header spelling to its token sets
-    for every document read against this norm
+    Two more memos do not depend on the tree, so ``clear_memos`` keeps
+    them; each lives as long as the norm. ``label_sets`` maps a header
+    spelling to its token sets for every document read against this norm
     (``DocumentTopicTree.token_sets``): by the build, for each reference
     document, and by typing, for each document typed against it. It holds
-    one entry per distinct header spelling the norm has seen and lives as
-    long as the norm. A spelling's token sets do not depend on the tree, so
-    ``clear_memos`` keeps it.
+    one entry per distinct header spelling the norm has seen.
+    ``query_sets`` maps a query to its token sets,
+    ``token_sets_of((query,))``, for ``topic_typing.type_document``, so a
+    query typed against many documents is tokenized once; it holds one
+    entry per distinct non-blank query.
     """
 
     def __init__(self, tree: CompositeTopicTree) -> None:
@@ -451,15 +456,16 @@ class CompositeIndex:
         self.spellings: dict[int, set[str]] = {}
         self.fold_keys: dict[int, set[str]] = {}
         self.possible_typical: dict[tuple[str, TypingParams], frozenset[int]] = {}
-        self.alignments: dict[tuple[float, int, tuple[frozenset[str], ...]], int | None] = {}
+        self.alignments: dict[float, dict[int, dict[tuple[frozenset[str], ...], int | None]]] = {}
         self.label_sets: dict[str, tuple[frozenset[str], ...]] = {}
+        self.query_sets: dict[str, tuple[frozenset[str], ...]] = {}
         for node_id, forms in tree.forms.items():
             self.post(node_id, token_sets_of(forms))
 
     def clear_memos(self) -> None:
         """Forget every memoized result derived from the tree; called by
-        whatever changes it. The label memo stays: it does not depend on the
-        tree."""
+        whatever changes it. The label and query memos stay: they do not
+        depend on the tree."""
         self.possible_typical.clear()
         self.alignments.clear()
 
@@ -624,6 +630,10 @@ class TypingParams(FrozenRecord):
 
 
 class TopicType(Enum):
+    # a member equals only itself, so hashing by identity agrees with
+    # equality, and in C: Enum.__hash__ is a Python function
+    __hash__ = object.__hash__
+
     TYPICAL = "typical"
     RARE = "rare"
     INTRICATE = "intricate"
@@ -632,6 +642,8 @@ class TopicType(Enum):
 
 class DocumentCategory(Enum):
     """Document classes, in presentation order."""
+
+    __hash__ = object.__hash__
 
     PROTOTYPICAL = "prototypical"
     COMPREHENSIVE = "comprehensive"

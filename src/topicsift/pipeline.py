@@ -2,7 +2,11 @@
 
 ``summarize`` types each document against the norm, classifies it by its
 topic-type distribution, plans the summary and realizes it; the returned
-``Summary`` holds every intermediate result. ``render_trace`` renders a
+``Summary`` holds every intermediate result. Each document is typed
+through the norm's memos (``model.CompositeIndex``), so across a set typed
+against one norm each header spelling and the query are tokenized once,
+each distinct header is scored once per anchor and threshold, and the
+possible-typical set is computed once. ``render_trace`` renders a
 summary as the line-oriented version-1 trace, in one pass: one loop over
 each document's pre-order lists, with each norm node's typicality text
 formatted once per run and one region/type text per topic type.
@@ -25,14 +29,12 @@ from .topic_typing import TypedTree
 # stages are called through their modules, so patches on them (bench/tracer.py) see every call
 classify = importlib.import_module(f"{__package__}.classify")  # the package binds "classify" to the function
 
-# the "region=... type=..." text of a trace node line, per topic type, keyed
-# by the member's id: hashing an Enum member calls Enum.__hash__, a Python
-# function, once per node line, while an int hashes in C
+# the "region=... type=..." text of a trace node line, per topic type
 _REGION_AND_TYPE = {
-    id(TopicType.TYPICAL): "region=relevant type=typical",
-    id(TopicType.RARE): "region=relevant type=rare",
-    id(TopicType.INTRICATE): "region=intricate type=intricate",
-    id(TopicType.IRRELEVANT): "region=irrelevant type=irrelevant",
+    TopicType.TYPICAL: "region=relevant type=typical",
+    TopicType.RARE: "region=relevant type=rare",
+    TopicType.INTRICATE: "region=intricate type=intricate",
+    TopicType.IRRELEVANT: "region=irrelevant type=irrelevant",
 }
 
 
@@ -143,7 +145,7 @@ def render_trace(summary: Summary) -> list[str]:
                     )
             # encode_basestring writes what json.dumps(ensure_ascii=False) does for a str
             append(
-                f"  node: id={node_id} depth={depth} {_REGION_AND_TYPE[id(types[node_id])]}"
+                f"  node: id={node_id} depth={depth} {_REGION_AND_TYPE[types[node_id]]}"
                 f" {norm_text} label={encode_basestring(label)}"
             )
         d = result.dist

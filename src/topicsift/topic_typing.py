@@ -15,7 +15,10 @@ label memo (``CompositeIndex.label_sets``), and passes them as
 re-tokenizes a label; each of them called without token sets takes its own.
 A header spelling that many documents repeat is therefore tokenized once
 per norm; the memo grows by one entry per distinct spelling and lives as
-long as the norm.
+long as the norm. The query's token sets come the same way from the norm's
+query memo (``CompositeIndex.query_sets``) and reach ``map_query`` as
+``query_sets=``, so a query typed against a page of documents is tokenized
+once.
 """
 from __future__ import annotations
 
@@ -26,8 +29,8 @@ from .model import (
     Record,
     TopicType,
     TypingParams,
-    _tokens,
     best_jaccard,
+    token_sets_of,
 )
 
 
@@ -65,13 +68,15 @@ def map_query(
     tau: float,
     *,
     token_sets: list[tuple[frozenset[str], ...]] | None = None,
+    query_sets: tuple[frozenset[str], ...] | None = None,
 ) -> int | None:
     """Find the single node most similar to the query text.
 
     Returns None when the best similarity falls below tau. Ties break to the
     shallower node, then to the earlier node in pre-order. A document is
-    scanned through token_sets, one entry per node (derived here when not
-    given).
+    scanned through token_sets, one entry per node, and the query is
+    compared by query_sets, ``token_sets_of((query,))`` (each derived here
+    when not given). A blank query raises ValueError.
 
     Over either tree only the root and the nodes that share a token with
     the query are scored. Any other node scores 0, which never displaces
@@ -83,8 +88,10 @@ def map_query(
     """
     if not query or not query.strip():
         raise ValueError("query must be non-empty")
-    query_tokens = _tokens(query)
-    query_sets = (query_tokens,) if query_tokens else ()
+    if query_sets is None:
+        query_sets = token_sets_of((query,))
+    # a query has at most one token set
+    query_tokens = query_sets[0] if query_sets else frozenset()
     if isinstance(tree, CompositeTopicTree):
         norm = tree.index()
         parents, children = tree.parents, tree.children
@@ -183,7 +190,12 @@ def type_document(
     When the query matches no topic (best similarity below tau) every topic
     is irrelevant and the document will land in the irrelevant/generic bins.
     """
-    token_sets = doc.token_sets(composite.index().label_sets)
+    norm = composite.index()
+    token_sets = doc.token_sets(norm.label_sets)
     alignment = align_tree(doc, composite, align_threshold, token_sets=token_sets)
-    query_node = map_query(query, doc, params.tau, token_sets=token_sets)
+    query_sets = norm.query_sets.get(query)
+    if query_sets is None and query.strip():
+        # a blank query is left to map_query, which refuses it
+        query_sets = norm.query_sets[query] = token_sets_of((query,))
+    query_node = map_query(query, doc, params.tau, token_sets=token_sets, query_sets=query_sets)
     return assign_types(doc, composite, alignment, query, query_node, params), alignment

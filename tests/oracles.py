@@ -6,9 +6,10 @@ can cross-check the production classifier against it. The regex label
 folding and the spelling merge built on it, brute-force label similarity,
 alignment, query mapping and the full-walk norm build below play the same
 part for the indexed norm, and the full-walk typing chain and the per-line
-header scan for typing over the flat lists and the parser, the walk_depth
-renderer for the one-pass trace, and the one-type-at-a-time counts and the
-bind-every-lemma realizer for the one-pass distribution, lexicalize and
+header scan for typing over the flat lists and the parser, the per-line
+fence finder and regex-free metadata reader for the parser's front matter,
+the walk_depth renderer for the one-pass trace, and the one-type-at-a-time
+counts and the bind-every-lemma realizer for the one-pass distribution, lexicalize and
 realize_plan, and the enumerated member positions for the subset phrases of
 build_sentence_plans.
 The oracles read a document as nested nodes, which ``nested`` rebuilds from
@@ -39,7 +40,6 @@ from topicsift.ingest import (
     CorpusReadError,
     CorpusSet,
     parse_document,
-    parse_metadata,
 )
 from topicsift.lexicon import LexiconGapError
 from topicsift.model import (
@@ -223,7 +223,6 @@ def all_distributions(max_total: int, max_possible: int):
 # the package did before it indexed the norm; tests require the package to
 # agree with them.
 
-_FENCE = re.compile(r"^---\s*$")
 # one line's header, tried on every body line; the package scans for headers
 # in one multi-line pass instead
 _HEADER = re.compile(r"^(#{1,6}) (.*?\S)\s*$")
@@ -410,27 +409,64 @@ def oracle_type_document(doc, composite, query: str, k: int, alpha: float, tau: 
     return query_node, types, pairs, unmatched
 
 
+def oracle_is_fence(line: str) -> bool:
+    """Whether one line, its line break kept or not, is a front-matter
+    fence: "---", then nothing but whitespace."""
+    return line[:3] == "---" and not line[3:].strip()
+
+
 def oracle_split_front_matter(text: str) -> tuple[str, int]:
     """_split_front_matter, without its warning, splitting every text into
-    lines before it looks for the opening fence."""
+    lines and testing them one by one, from the first, for a fence; the
+    block holds the lines between the first two fences, breaks kept."""
     lines = text.splitlines(keepends=True)
-    if not lines or not _FENCE.match(lines[0].rstrip("\n")):
+    if not lines or not oracle_is_fence(lines[0]):
         return "", 0
     offset = len(lines[0])
     block: list[str] = []
     for line in lines[1:]:
-        if _FENCE.match(line.rstrip("\n")):
+        if oracle_is_fence(line):
             return "".join(block), offset + len(line)
         block.append(line)
         offset += len(line)
     return "", 0
 
 
+_KEY_START = frozenset(string.ascii_letters + "_")
+_KEY_REST = _KEY_START | frozenset(string.digits + " -")
+
+
+def oracle_parse_metadata(front_matter: str, source_path: str = "") -> DocumentMetadata:
+    """parse_metadata, without its warning, one line at a time and without
+    a regex: a line is cut at its first colon, and the part before must be
+    a letter or "_", then letters, digits, "_", " " or "-". A later title
+    replaces an earlier one, a blank one gives None, and the tags of every
+    content_types and special_content line are gathered in sets."""
+    title = None
+    tags: dict[str, set[str]] = {"content_types": set(), "special_content": set()}
+    for line in front_matter.splitlines():
+        line = line.strip()
+        key, colon, value = line.partition(":")
+        if not colon or not key or key[0] not in _KEY_START or not set(key) <= _KEY_REST:
+            continue  # a blank or malformed line
+        key = key.strip().lower()
+        if key == "title":
+            title = value.strip() or None
+        elif key in tags:
+            tags[key] |= {oracle_normalize(part) for part in value.split(",")} - {""}
+    return DocumentMetadata(
+        title=title,
+        content_types=frozenset(tags["content_types"]),
+        special_content=frozenset(tags["special_content"]),
+        source_path=source_path,
+    )
+
+
 def oracle_parse_document(text: str, doc_id: str, source_path: str = "") -> OracleDocument:
     """parse_document with the header pattern tried on every body line,
     building nested nodes."""
     front, body_start = oracle_split_front_matter(text)
-    metadata = parse_metadata(front, source_path)
+    metadata = oracle_parse_metadata(front, source_path)
     headers = []
     for line in text[body_start:].splitlines():
         match = _HEADER.match(line)

@@ -333,7 +333,11 @@ def test_a_repeated_alignment_scores_no_candidate_and_the_build_fills_no_alignme
     assert scored > 0
     assert counter.call_count == scored
     assert again == first
-    assert 0 < len(composite.index().alignments) <= len(probe.nodes()) - 1
+    # threshold -> anchor id -> header token sets: one entry per header
+    memo = composite.index().alignments
+    assert list(memo) == [0.5]
+    assert set(memo[0.5]) <= set(composite.forms)
+    assert 0 < sum(len(matches) for matches in memo[0.5].values()) <= len(probe.nodes()) - 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -737,6 +741,110 @@ def test_flat_document_matches_its_nested_tree(doc, other):
 
 
 queries = st.one_of(surface, st.sampled_from(["", "   ", "\t"]))
+# the vocabulary is ASCII, so each of these keeps a query's length
+case_changes = st.sampled_from((str, str.upper, str.lower, str.swapcase, str.title))
+typing_params = st.builds(
+    TypingParams,
+    k=st.integers(min_value=1, max_value=3),
+    alpha=st.sampled_from((0.0, 0.3, 0.5, 1.0)),
+    tau=st.sampled_from((0.0, 0.3, 0.5)),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    corpora,
+    st.lists(st.tuples(probe_documents, st.integers(0, 2), case_changes, typing_params), min_size=1, max_size=4),
+    st.lists(queries, min_size=1, max_size=3),
+    st.tuples(st.sampled_from(THRESHOLDS), st.sampled_from(THRESHOLDS)),
+)
+@example(
+    docs=[
+        make_doc(("Angina", ["Signs", ("Treatment", ["Drug"])]), doc_id="a"),
+        make_doc(("Angina", ["Signs", "Risk factors"]), doc_id="b"),
+    ],
+    stream=[
+        (make_doc(("Angina", ["signs", ("TREATMENT", ["Surgery"])]), doc_id="p"), 0, str.upper, TypingParams()),
+        (make_doc(("Chest pain", ["Risk factors:", "Gardening tips"]), doc_id="q"), 1, str.lower, TypingParams(1, 0.3, 0.0)),
+        (make_doc(("Angina", ["Treatment"]), doc_id="r"), 2, str, TypingParams(3, 1.0, 0.5)),
+    ],
+    pool=["Angina treatment", "RISK", "   "],
+    thresholds=(0.0, 1.0),
+)
+@example(
+    docs=[make_doc(("Angina", ["Signs", "Risk"]), doc_id="a")],
+    stream=[(make_doc(("Angina", ["Signs", "Risk factors"]), doc_id="p"), 0, str.title, TypingParams())],
+    pool=["risk factors"],
+    thresholds=(1.0, 0.0),
+)
+def test_a_stream_typed_through_one_shared_norm_matches_the_full_walk_chain(scratch, docs, stream, pool, thresholds):
+    """Documents typed one after another through one loaded norm, the
+    stream sent twice, with queries repeated in several cases and the
+    alignment threshold alternating between two values, so the label,
+    query, alignment and possible-typical memos serve later documents
+    entries that earlier ones filled; each document is typed as the
+    full-walk chain types it. A blank query is refused and memoizes
+    nothing."""
+    path = scratch / "shared.json"
+    save_composite(_fold(docs, 0.5), path)
+    shared = load_composite(path)
+    norm = shared.index()
+    for turn, (probe, pick, case, params) in enumerate(stream + stream):
+        query = case(pool[pick % len(pool)])
+        threshold = thresholds[turn % 2]
+        if not query.strip():
+            with pytest.raises(ValueError):
+                type_document(probe, shared, query, params, threshold)
+            assert query not in norm.query_sets
+            continue
+        typed, alignment = type_document(probe, shared, query, params, threshold)
+        expected = oracle_type_document(probe, shared, query, params.k, params.alpha, params.tau, threshold)
+        assert (
+            typed.query_node, dict(enumerate(t.value for t in typed.types)), alignment.pairs, alignment.unmatched
+        ) == expected
+        assert distribution(typed, shared, alignment, params).possible_typical == len(
+            oracle_possible_typical(shared, query, params.k, params.alpha, params.tau)
+        )
+    assert set(norm.alignments) <= set(thresholds)
+    assert norm.query_sets == {query: token_sets_of((query,)) for query in norm.query_sets}
+    assert all(query.strip() for query in norm.query_sets)
+
+
+def test_typing_after_a_continued_fold_matches_a_fresh_load_of_the_continued_norm(tmp_path):
+    """Documents typed against a loaded norm fill its memos; folding them
+    into the norm, as a continued build does, must leave no entry that a
+    second typing of the same documents could read back stale: it types
+    them as a fresh load of the continued norm's file does."""
+    docs = _variant_corpus(40, seed=7)
+    path, continued = tmp_path / "partial.json", tmp_path / "continued.json"
+    queries = ("angina", "Drug treatment", "RISK factors:")
+    params = TypingParams(k=1, alpha=0.5, tau=0.3)
+
+    def typing(composite, late, threshold):
+        results = []
+        for query in queries:
+            for doc in late:
+                typed, alignment = type_document(doc, composite, query, params, threshold)
+                dist = distribution(typed, composite, alignment, params)
+                results.append((typed.query_node, typed.types, alignment.pairs, alignment.unmatched, dist))
+        return results
+
+    changed = []
+    for threshold in (0.0, 0.5, 1.0):
+        for count in (1, 13):
+            save_composite(_fold(docs[:count], threshold), path)
+            composite = load_composite(path)
+            late = docs[count:]
+            before = typing(composite, late, threshold)
+            for doc in late:
+                token_sets = doc.token_sets(composite.index().label_sets)
+                _fold_document(composite, align_tree(doc, composite, threshold, token_sets=token_sets).pairs, doc, token_sets)
+            save_composite(composite, continued)
+            after = typing(composite, late, threshold)
+            assert after == typing(load_composite(continued), late, threshold)
+            changed.append((threshold, count, after != before))
+    # the folds change what typing gives, so a stale memo would show
+    assert all(differs for threshold, _, differs in changed if threshold > 0), changed
 
 
 @settings(max_examples=120, deadline=None)
@@ -973,6 +1081,90 @@ def test_summary_bullets_partition_the_document_set(norm_docs, docs, query, alph
     assert sorted(members) == sorted(doc.doc_id for doc in docs)
     assert len(s.plan.categories) == len(s.realized)
     assert all(line.startswith("- ") for line in summary_lines(s.realized))
+
+
+def _document_blocks(lines: list[str]) -> dict[str, list[str]]:
+    """Each document's trace block, by doc id: its "document:" line and the
+    lines up to the next document's or the plan's."""
+    blocks: dict[str, list[str]] = {}
+    block = None
+    for line in lines:
+        if line.startswith("plan:"):
+            break
+        if line.startswith("document: "):
+            block = blocks[line[len("document: "):]] = []
+        if block is not None:
+            block.append(line)
+    return blocks
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    _trace_documents(),
+    _trace_documents((1, 5)),
+    surface | st.sampled_from(["gardening", "???"]),
+    st.sampled_from(THRESHOLDS),
+    typing_params,
+)
+def test_a_documents_trace_block_is_the_same_inside_its_set_and_alone(norm_docs, docs, query, threshold, params):
+    """Typed against one norm, whose memos every run shares, a document's
+    block is the same whether it is summarized with the rest of its set or
+    alone, and the set's trace is the same before and after the lone runs."""
+    composite = build_composite(CorpusSet(docs=norm_docs, origin="mem"), threshold)
+
+    def trace(subset):
+        s = summarize(
+            subset, composite, query, params, default_lexicon(),
+            seed=0, limit=5, align_threshold=threshold, extract_exists=False,
+        )
+        return render_trace(s)
+
+    in_set = trace(docs)
+    blocks = _document_blocks(in_set)
+    assert list(blocks) == [doc.doc_id for doc in docs]
+    for doc in docs:
+        assert _document_blocks(trace([doc])) == {doc.doc_id: blocks[doc.doc_id]}
+    assert trace(docs) == in_set
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    corpora,
+    summarized_sets(),
+    surface,
+    case_changes,
+    st.sampled_from(THRESHOLDS),
+    typing_params,
+    st.integers(min_value=0, max_value=3),
+)
+def test_the_query_case_changes_only_the_lines_that_echo_the_query(norm_docs, docs, query, case, threshold, params, seed):
+    """The same documents summarized against one norm for a query and for
+    the query in other letter cases give traces of the same lines, but for
+    the query line and the sentence, bullet and summary lines, which differ
+    only in letter case and only inside an echo of the query."""
+    composite = _fold(norm_docs, 0.5)
+    traces = []
+    for spelled in (query, case(query)):
+        s = summarize(
+            docs, composite, spelled, params, default_lexicon(),
+            seed=seed, limit=5, align_threshold=threshold, extract_exists=False,
+        )
+        traces.append(render_trace(s))
+    first, other = traces
+    assert len(first) == len(other)
+    folded = query.casefold()
+    summary = first.index("summary:")
+    differing = set()
+    for number, (a, b) in enumerate(zip(first, other)):
+        if a == b:
+            continue
+        differing.add("summary" if number > summary else a.split(":")[0].strip())
+        assert len(a) == len(b) and a.casefold() == b.casefold(), (a, b)
+        echoes = [start for start in range(len(a)) if a.casefold().startswith(folded, start)]
+        for index in (index for index, (x, y) in enumerate(zip(a, b)) if x != y):
+            assert any(start <= index < start + len(query) for start in echoes), (a, b, index)
+    assert differing <= {"query", "sentence", "bullet", "summary"}
+    assert ("query" in differing) == (case(query) != query)
 
 
 def test_trace_lines_cover_unmatched_nodes_shared_norm_nodes_and_unmatched_queries():

@@ -7,7 +7,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from topicsift import (
@@ -23,7 +23,13 @@ from topicsift import ingest
 from topicsift.model import LINE_BREAKS, brief_repr
 
 from conftest import write_corpus
-from oracles import nested, oracle_load_corpus
+from oracles import (
+    nested,
+    oracle_load_corpus,
+    oracle_parse_document,
+    oracle_parse_metadata,
+    oracle_split_front_matter,
+)
 
 
 def labels(doc):
@@ -135,6 +141,69 @@ def test_unterminated_fence_warning_names_the_source_path(caplog):
     with caplog.at_level(logging.WARNING):
         parse_document("---\n# H\n", "d.md", source_path="corpus/d.md")
     assert "unterminated front-matter fence in corpus/d.md" in caplog.text
+
+
+# the lines a front-matter block is made of: fences, lines that are almost
+# fences, blank and tab lines, metadata lines with repeated, blank, spaced
+# and unknown keys, and malformed lines
+front_lines = st.sampled_from([
+    "---", "--- ", "---\t", "----", "-- -", " ---", "", "\t", " \t ",
+    "title: T", "title: Other", "title:", "Title  :\tSpaced ", "content_types: figures, Tables.",
+    "content_types: video", "special_content: credit hours, ", "special_content:", "key: value",
+    "author: someone", "not a metadata line", "9key: x", ": no key", "# Header",
+])
+front_texts = st.tuples(
+    st.sampled_from(["", "---\n", "--- \n"]), st.lists(front_lines, max_size=10), st.sampled_from(["", "\n"])
+).map(lambda parts: parts[0] + "\n".join(parts[1]) + parts[2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(front_texts)
+@example("---")
+@example("---\n---")
+@example("---\n---\n---\ntitle: Inside\n---\n")
+@example("---\ntitle: First\ntitle: Last\n---\n")
+@example("---\ntitle: First\ntitle:\n---\n# H\n")
+@example("---\ncontent_types: video\nspecial_content: quiz\ncontent_types: figures, Tables.\nspecial_content: credit hours\n---\n")
+@example("---\t\n\t\n\ntitle: T\n---  \n")
+def test_one_match_front_matter_matches_the_per_line_oracles(text):
+    """The fences, the block between them and the metadata read from it, as
+    the per-line fence finder and the regex-free metadata reader give them;
+    a block opens on the first line and closes at the next fence."""
+    front, body_start = ingest._split_front_matter(text, "d.md")
+    block, expected_start = oracle_split_front_matter(text)
+    # the package's block starts at the break that ends the opening fence's
+    # line, and its body at the break that ends the closing fence's
+    assert front == ("\n" + block if expected_start else "")
+    assert expected_start == body_start + (expected_start > 0 and text.startswith("\n", body_start))
+    assert parse_metadata(front, "d.md") == oracle_parse_metadata(front, "d.md") == oracle_parse_metadata(block, "d.md")
+    assert parse_document(text, "d.md").metadata == oracle_parse_document(text, "d.md").metadata
+
+
+def test_front_matter_gathers_repeated_tags_and_takes_the_last_title():
+    meta = parse_metadata(
+        "title: First\ncontent_types: video\nspecial_content: quiz\ncontent_types: figures, Tables.\n"
+        "special_content: credit hours, quiz\ntitle: Last"
+    )
+    assert meta == DocumentMetadata("Last", frozenset({"video", "figures", "tables"}), frozenset({"quiz", "credit hours"}))
+    assert parse_metadata("title: First\ntitle:").title is None
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "---\nnot a metadata line\ntitle: T\n---\n# H\n",
+            "skipping malformed metadata line 'not a metadata line' in corpus/d.md",
+        ),
+        ("---\ntitle: T\n\t\n-- -\n# H\n", "unterminated front-matter fence in corpus/d.md; treating file as plain body"),
+    ],
+)
+def test_a_front_matter_fault_warns_once(caplog, text, message):
+    with caplog.at_level(logging.WARNING):
+        doc = parse_document(text, "d.md", source_path="corpus/d.md")
+    assert [r.getMessage() for r in caplog.records] == [message]
+    assert doc.metadata == oracle_parse_document(text, "d.md", "corpus/d.md").metadata
 
 
 def test_hash_without_space_is_not_a_header():
