@@ -56,20 +56,19 @@ identical norms, in one f-string per node; within one call it formats each
 distinct support's typicality and each distinct non-zero position once.
 ``load_composite`` reads a file's nodes in one loop, in pre-order, straight
 into the norm's fields: every node is checked before its children, and the
-first fault in that order is the one named. A ``forms`` list of one form,
-which most nodes hold, goes through the same checks, in the same order and
-with the same messages, on that one string, and is stored as ``(form,)``:
-one form has nothing to join or deduplicate. A longer list keeps the first
-spelling of each fold key (``model.fold``) and drops the rest, as a build's
-``CompositeIndex.merge_label`` does. A node more than half the recursion
-limit below the root makes the file "nested too deeply", which leaves the
-writer, which recurses once per level, half the stack. Each sibling list is
-sorted by position once, stably, after the loop. Loading builds no index;
-it is built on the first lookup.
+first fault in that order is the one named. Every ``forms`` value takes the
+same checks in the same order: a non-empty list, each form a non-blank
+string, and, when the joined forms are not ASCII, each form valid UTF-8. A
+list of one form, which most nodes hold, is stored as it is; a longer one
+keeps the first spelling of each fold key (``model.fold``) and drops the
+rest, as a build's ``CompositeIndex.merge_label`` does. A node more than
+half the recursion limit below the root makes the file "nested too deeply",
+which leaves the writer, which recurses once per level, half the stack. Each
+sibling list is sorted by position once, stably, after the loop. Loading
+builds no index; it is built on the first lookup.
 """
 from __future__ import annotations
 
-import json
 import sys
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -334,8 +333,8 @@ def save_composite(composite: CompositeTopicTree, path: str | Path) -> None:
     typicality_text: dict[int, str] = {}
     position_text: dict[float, str] = {}
     out: list[str] = [
-        f'{{\n  "version": {json.dumps(SCHEMA_VERSION)},\n'
-        f'  "domain_genre": {json.dumps(composite.domain_genre, ensure_ascii=False)},\n'
+        f'{{\n  "version": {encode_basestring(SCHEMA_VERSION)},\n'
+        f'  "domain_genre": {encode_basestring(composite.domain_genre)},\n'
         f'  "doc_count": {doc_count},\n  "root":\n'
     ]
 
@@ -375,6 +374,9 @@ def save_composite(composite: CompositeTopicTree, path: str | Path) -> None:
             out.append(f"\n{inner}]\n{indent}}}")
 
     emit(composite.root, "  ", "")
+    # emit reaches itself through its closure cell: emptying the cell lets
+    # reference counting free it and out, with no work for the cyclic collector
+    del emit
     out.append("\n}\n")
     Path(path).write_bytes("".join(out).encode("utf-8"))
 
@@ -430,22 +432,18 @@ def load_composite(path: str | Path) -> CompositeTopicTree:
         if node_id in labels:
             raise CompositeSchemaError(f"duplicate node id {node_id}")
         forms = node.get("forms")
-        if type(forms) is list and len(forms) == 1:
-            # most nodes have one spelling: nothing to join or deduplicate
-            form = forms[0]
-            if not (type(form) is str and form.strip()):
+        if type(forms) is not list or not forms:
+            raise CompositeSchemaError(f"node {node_id}: forms must be a non-empty list of strings")
+        for form in forms:
+            if type(form) is not str or not form.strip():
                 raise CompositeSchemaError(f"node {node_id}: forms must be a non-empty list of strings")
-            if not form.isascii():
+        if not "".join(forms).isascii():
+            # a JSON escape can carry a lone surrogate, which the norm file
+            # and the trace, both UTF-8, cannot hold; line breaks load
+            for form in forms:
                 check_utf8(form, f"node {node_id}: form", CompositeSchemaError)
-            label = (form,)
-        else:
-            if not (type(forms) is list and forms and all(type(f) is str and f.strip() for f in forms)):
-                raise CompositeSchemaError(f"node {node_id}: forms must be a non-empty list of strings")
-            if not "".join(forms).isascii():
-                # a JSON escape can carry a lone surrogate, which the norm
-                # file and the trace, both UTF-8, cannot hold; line breaks load
-                for form in forms:
-                    check_utf8(form, f"node {node_id}: form", CompositeSchemaError)
+        label = tuple(forms)
+        if len(forms) > 1:
             # one spelling per fold key, the first kept, as merge_label keeps them
             unique: dict[str, str] = {}
             for form in forms:

@@ -91,6 +91,11 @@ def parse_metadata(front_matter: str, source_path: str = "") -> DocumentMetadata
     Unknown keys are ignored; malformed lines are skipped with a warning,
     never fatally. An empty block yields all-empty metadata.
     """
+    return _read_metadata(front_matter, source_path, source_path or "<text>")
+
+
+def _read_metadata(front_matter: str, source_path: str, source: str) -> DocumentMetadata:
+    """``parse_metadata``, naming source in its warnings."""
     title: str | None = None
     content_types: list[str] = []
     special_content: list[str] = []
@@ -102,7 +107,6 @@ def parse_metadata(front_matter: str, source_path: str = "") -> DocumentMetadata
         if match is None:
             import logging  # imported only to warn, so importing the package skips it
 
-            source = source_path or "<text>"
             logging.getLogger(__name__).warning("skipping malformed metadata line %r in %s", raw, source)
             continue
         # the line is stripped and the pattern takes the whitespace after
@@ -156,8 +160,10 @@ def parse_document(text: str, doc_id: str, source_path: str = "") -> DocumentTop
         if mark in text:
             text = "\n".join(text.splitlines())
             break
-    front, body_start = _split_front_matter(text, source_path or doc_id)
-    metadata = parse_metadata(front, source_path)
+    # warnings name the file, or the doc id of a text parsed without one
+    source = source_path or doc_id
+    front, body_start = _split_front_matter(text, source)
+    metadata = _read_metadata(front, source_path, source)
     # (marks, label) per header; the "\n" put in front shifts every offset
     # by one, so the scan starts at the break before the body's first line
     headers = _HEADER.findall("\n" + text, body_start)

@@ -235,9 +235,18 @@ def oracle_fold(text: str) -> str:
     return _WS_RUN.sub(" ", text).strip().casefold()
 
 
+# each string's normal form, kept for the session: the oracle root gains a
+# form per document title, and alignment scores the root's forms again for
+# every top-level header of every document
+_NORMAL_FORMS: dict[str, str] = {}
+
+
 def oracle_normalize(text: str) -> str:
     """oracle_fold, then strip any trailing run of punctuation and whitespace."""
-    return _TRAILING_PUNCT.sub("", oracle_fold(text))
+    normal = _NORMAL_FORMS.get(text)
+    if normal is None:
+        normal = _NORMAL_FORMS[text] = _TRAILING_PUNCT.sub("", oracle_fold(text))
+    return normal
 
 
 def oracle_merge_forms(*forms: str) -> tuple[str, ...]:

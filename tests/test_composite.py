@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import math
 import random
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from topicsift import (
     CompositeSchemaError,
+    CompositeTopicTree,
     CorpusSet,
     DocumentMetadata,
     DocumentTopicTree,
@@ -374,6 +376,34 @@ def test_loading_and_saving_a_golden_norm_gives_its_bytes(tmp_path, name):
     assert path.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+def test_save_composite_leaves_no_reference_cycle(tmp_path):
+    """The CLI pauses the cyclic collector for a command, so a save frees
+    what it made by reference counting alone, and writes the same bytes."""
+    composite = load_composite(GOLDEN / "angina_composite.json")
+    path = tmp_path / "composite.json"
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        save_composite(composite, path)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    assert path.read_bytes() == (GOLDEN / "angina_composite.json").read_bytes()
+
+
+def test_the_domain_genre_is_written_as_json_dumps_writes_it(tmp_path):
+    """A quote, a backslash, a tab, a non-ASCII letter and U+2028, which JSON
+    leaves unescaped: the header line is json.dumps's, byte for byte. The
+    norm is made by hand, as a build and a load refuse the line break."""
+    genre = 'a "quoted" \\ back\tslash caf\u00e9\u2028next'
+    path = tmp_path / "composite.json"
+    save_composite(CompositeTopicTree(genre, 1, 0, {0: ("Root",)}, {0: None}, {0: 1}, {0: 0.0}, {0: []}), path)
+    header = path.read_bytes().split(b"\n")[2]
+    assert header == f'  "domain_genre": {json.dumps(genre, ensure_ascii=False)},'.encode("utf-8")
+
+
 def _minimal_payload(**overrides):
     payload = {
         "version": "1",
@@ -638,16 +668,43 @@ def test_load_composite_equals_the_recursive_parser(nodes, data, doc_count, faul
         assert _loaded_norm(_package_text, path) == expected
 
 
-@pytest.mark.parametrize("forms", _FAULTS["forms"], ids=repr)
-def test_each_forms_value_loads_as_the_recursive_parser_loads_it(tmp_path, forms):
+_NOT_A_LIST = "node 20000002: forms must be a non-empty list of strings"
+# forms values pinned to the message they raise at the third node: not a
+# list, and each bad form alone, first and second
+_PINNED_FORMS = [
+    ([], _NOT_A_LIST),
+    (None, _NOT_A_LIST),
+    ("Topic", _NOT_A_LIST),
+    *(
+        (forms, message)
+        for bad, message in (
+            (3, _NOT_A_LIST),
+            (" ", _NOT_A_LIST),
+            ("\ud800", "node 20000002: form '\\ud800' holds text that is not valid UTF-8"),
+        )
+        for forms in ([bad], [bad, "Topic"], ["Topic", bad])
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "forms, message",
+    [pytest.param(forms, None, id=repr(forms)) for forms in _FAULTS["forms"] if forms not in [f for f, _ in _PINNED_FORMS]]
+    + [pytest.param(forms, message, id=repr(forms)) for forms, message in _PINNED_FORMS],
+)
+def test_each_forms_value_loads_as_the_recursive_parser_loads_it(tmp_path, forms, message):
     """Every drawn forms value, at a child after a valid sibling: the same
-    first fault and message as the recursive parser, or the same norm. The
-    loader takes a list of one form through its own path."""
+    first fault and message as the recursive parser, or the same norm. Every
+    forms value, of one form or several, takes the loader's one path; a
+    pinned value raises its pinned message."""
     payload, items = _norm_payload([(0, ["Root"], 0.0, 2), (1, ["Kept"], 0.5, 1), (2, ["Topic"], 1.0, 2)], [0, 0], 2)
     items[2]["forms"] = forms
     path = tmp_path / "norm.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
-    assert _loaded_norm(_package_text, path) == _loaded_norm(_oracle_text, path)
+    loaded = _loaded_norm(_package_text, path)
+    assert loaded == _loaded_norm(_oracle_text, path)
+    if message is not None:
+        assert loaded == ("error", message)
 
 
 def _assert_nodes_are_the_saved_nodes(composite, path):

@@ -189,21 +189,22 @@ def test_front_matter_gathers_repeated_tags_and_takes_the_last_title():
     assert parse_metadata("title: First\ntitle:").title is None
 
 
+@pytest.mark.parametrize("source_path, source", [("corpus/d.md", "corpus/d.md"), ("", "d.md")])
 @pytest.mark.parametrize(
     "text, message",
     [
-        (
-            "---\nnot a metadata line\ntitle: T\n---\n# H\n",
-            "skipping malformed metadata line 'not a metadata line' in corpus/d.md",
-        ),
-        ("---\ntitle: T\n\t\n-- -\n# H\n", "unterminated front-matter fence in corpus/d.md; treating file as plain body"),
+        ("---\nnot a metadata line\ntitle: T\n---\n# H\n", "skipping malformed metadata line 'not a metadata line' in {}"),
+        ("---\ntitle: T\n\t\n-- -\n# H\n", "unterminated front-matter fence in {}; treating file as plain body"),
     ],
 )
-def test_a_front_matter_fault_warns_once(caplog, text, message):
+def test_a_front_matter_fault_warns_once(caplog, text, message, source_path, source):
+    """Each fault warns once, naming the file, or the doc id of a text parsed
+    without a source path; the metadata keeps the source path as given."""
     with caplog.at_level(logging.WARNING):
-        doc = parse_document(text, "d.md", source_path="corpus/d.md")
-    assert [r.getMessage() for r in caplog.records] == [message]
-    assert doc.metadata == oracle_parse_document(text, "d.md", "corpus/d.md").metadata
+        doc = parse_document(text, "d.md", source_path=source_path)
+    assert [r.getMessage() for r in caplog.records] == [message.format(source)]
+    assert doc.metadata == oracle_parse_document(text, "d.md", source_path).metadata
+    assert doc.metadata.source_path == source_path
 
 
 def test_hash_without_space_is_not_a_header():
