@@ -21,7 +21,11 @@ the lower position, then the lower id. Scoring reads the norm's index
 
 - a candidate that holds one of the header's token sets scores 1.0, the best
   there is, so when the anchor or one of its children holds one, the lowest
-  (position, id) among those holders wins and nothing is scored;
+  (position, id) among those holders wins and nothing is scored. The
+  children holding a set are found among those posted under any one of its
+  tokens (``CompositeIndex.children_by_token``, the one posting map per
+  parent), the anchor through its own token sets
+  (``CompositeIndex.holds``);
 - otherwise, above a threshold of 0, only the anchor and the children that
   share a token with the header are scored: any other child scores 0. At a
   threshold of exactly 0 every child of the anchor is scored;
@@ -179,18 +183,22 @@ def _best_match(
 ) -> int | None:
     """The id of the composite node a header with these token sets matches
     under the anchor (the anchor itself or one of its children), or None."""
-    positions = norm.positions
+    positions, sets_of = norm.positions, norm.token_sets
+    postings = norm.children_by_token.get(anchor_id, _NONE_POSTED)
     # a candidate holding one of the header's token sets scores 1.0, which
-    # no other can beat: the lowest (position, id) among those wins
-    held_below = norm.children_by_set.get(anchor_id, _NONE_POSTED)
-    held_beside = norm.children_by_set[norm.parents[anchor_id]]
+    # no other can beat: the lowest (position, id) among those wins. A child
+    # is posted under every token of each set it holds, so the postings of
+    # any one token of a set list every child holding it
     exact: tuple[float, int] | None = None
     for tokens in token_sets:
-        for candidate_id in held_below.get(tokens, ()):
-            key = (positions[candidate_id], candidate_id)
-            if exact is None or key < exact:
-                exact = key
-        if anchor_id in held_beside.get(tokens, ()):
+        for token in tokens:
+            break
+        for candidate_id in postings.get(token, ()):
+            if tokens in sets_of[candidate_id]:
+                key = (positions[candidate_id], candidate_id)
+                if exact is None or key < exact:
+                    exact = key
+        if norm.holds(anchor_id, tokens):
             key = (positions[anchor_id], anchor_id)
             if exact is None or key < exact:
                 exact = key
@@ -198,13 +206,12 @@ def _best_match(
         return exact[1]
     if threshold > 0.0:
         candidates = {anchor_id}
-        postings = norm.children_by_token.get(anchor_id, _NONE_POSTED)
         for tokens in token_sets:
             for token in tokens:
                 candidates.update(postings.get(token, ()))
     else:
         candidates = {anchor_id, *norm.children[anchor_id]}
-    sets_of, set_postings = norm.token_sets, norm.set_postings
+    set_postings = norm.set_postings
     best_key: tuple[float, float, int] | None = None
     for candidate_id in candidates:
         sets = sets_of[candidate_id]

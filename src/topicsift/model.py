@@ -398,26 +398,25 @@ class CompositeIndex:
     Reads the norm's own per-id fields (``forms``, ``parents``,
     ``positions`` and ``children`` are the tree's dicts, not copies) and
     holds id -> the label's token sets, the next free id (one past the
-    largest) and, per parent, two posting maps over its children:
+    largest) and, per parent, one posting map over its children:
     ``children_by_token`` maps token -> ids of the children whose label has
-    that token, and ``children_by_set`` maps token set -> ids of the
-    children whose label holds that very set (the root's own sets are under
-    the parent None). Siblings rarely hold one identical set, as a header
-    that has an exact holder among the candidates matches it, so those
-    lists are short. For each label of more than one token set, such as the
-    root's, which gains one per distinct document title, ``set_postings``
-    maps token -> indices of that label's sets holding it, so a header is
-    scored only over the sets it shares a token with; every other set
-    scores 0.
+    that token. A child is listed once under each token of every set it
+    holds, and no set is empty, so the postings of any one token of a set
+    list every child that holds that set. For each label of more than one
+    token set, such as the root's, which gains one per distinct document
+    title, ``set_postings`` maps token -> indices of that label's sets
+    holding it, so a header is scored only over the sets it shares a token
+    with, every other set scoring 0, and ``holds`` finds a set among the
+    label's by one of its tokens, not by a scan of all of them.
 
     From the first time a document brings a node a spelling other than
     its own, ``merge_label`` keeps two sets for it: every raw spelling
     merged into it so far (``spellings``, its label's forms among them) and
     the fold keys of its label's forms (``fold_keys``). A spelling seen
     before is found in the first without folding; a new one is folded once
-    and looked up in the second. A new token set is looked up in
-    ``children_by_set``. The fold, for a node it inserts, and
-    ``merge_label`` post a node's new token sets through one routine,
+    and looked up in the second. A new token set is looked up among the
+    node's own ``token_sets`` (``holds``). The fold, for a node it inserts,
+    and ``merge_label`` post a node's new token sets through one routine,
     ``post``.
 
     Two memos hold results derived from the tree, so a norm loaded once
@@ -451,7 +450,6 @@ class CompositeIndex:
         self.next_id = max(tree.forms) + 1
         self.token_sets: dict[int, tuple[frozenset[str], ...]] = {}
         self.children_by_token: dict[int, dict[str, list[int]]] = {}
-        self.children_by_set: dict[int | None, dict[frozenset[str], list[int]]] = {}
         self.set_postings: dict[int, dict[str, list[int]]] = {}
         self.spellings: dict[int, set[str]] = {}
         self.fold_keys: dict[int, set[str]] = {}
@@ -471,25 +469,15 @@ class CompositeIndex:
 
     def post(self, node_id: int, new_sets: tuple[frozenset[str], ...]) -> None:
         """Give a node the token sets new_sets, none of which it holds yet,
-        and post them: under each set in its parent's set holders, under each
-        token its label did not have yet in its parent's token postings, and,
-        once it holds more than one set, under each token in its own set
-        postings.
+        and post them: under each token its label did not have yet in its
+        parent's token postings and, once it holds more than one set, under
+        each token in its own set postings.
 
         A posting map or list is made only for its first entry, and a list
         then holds just that entry: most hold one id, and an appended empty
         list would reserve room for four."""
         old_sets = self.token_sets.get(node_id, ())
         parent_id = self.parents[node_id]
-        holders = self.children_by_set.get(parent_id)
-        if holders is None:
-            holders = self.children_by_set[parent_id] = {}
-        for tokens in new_sets:
-            ids = holders.get(tokens)
-            if ids is None:
-                holders[tokens] = [node_id]
-            else:
-                ids.append(node_id)
         if parent_id is not None:
             had = self.set_postings.get(node_id) or (old_sets[0] if old_sets else ())
             postings = self.children_by_token.get(parent_id)
@@ -517,6 +505,18 @@ class CompositeIndex:
                     else:
                         offsets.append(offset)
 
+    def holds(self, node_id: int, tokens: frozenset[str]) -> bool:
+        """Whether the node's label holds the token set tokens. A label of
+        several sets is searched only among its sets that hold one token of
+        tokens, through its set postings, so the root, which gains a set per
+        distinct document title, is not scanned."""
+        sets = self.token_sets[node_id]
+        by_token = self.set_postings.get(node_id)
+        if by_token is not None:
+            for token in tokens:
+                return tokens in map(sets.__getitem__, by_token.get(token, ()))
+        return tokens in sets
+
     def merge_label(self, node_id: int, spelling: str, token_sets: tuple[frozenset[str], ...]) -> None:
         """Give a node a document's spelling, unless it holds one of the same
         fold key, and post the spelling's token sets (token_sets) it lacks.
@@ -525,8 +525,8 @@ class CompositeIndex:
         holds: a node spelled only this way is skipped without folding, a
         spelling the node's spelling set holds is skipped without folding,
         and any other is folded once, added to that set and looked up among
-        the node's fold keys; its token sets are looked up among the sets
-        its parent's children hold. Nothing is scanned for.
+        the node's fold keys; its token sets are looked up among the node's
+        own through ``holds``.
         """
         seen = self.spellings.get(node_id)
         if seen is None:
@@ -546,8 +546,7 @@ class CompositeIndex:
         keys.add(key)
         # valid by construction: a non-blank spelling with a new fold key
         self.forms[node_id] += (spelling,)
-        holders = self.children_by_set[self.parents[node_id]]
-        new_sets = tuple(tokens for tokens in token_sets if node_id not in holders.get(tokens, ()))
+        new_sets = tuple(tokens for tokens in token_sets if not self.holds(node_id, tokens))
         if new_sets:
             self.post(node_id, new_sets)
 

@@ -5,10 +5,14 @@ possible-typical set, the built norm and the rendered trace must agree
 exactly, also after folds change the norm."""
 from __future__ import annotations
 
+import contextlib
+import io
+import pathlib
 import random
 import re
 import string
 import sys
+import tempfile
 from unittest import mock
 
 import pytest
@@ -28,6 +32,7 @@ from topicsift import (
     align_tree,
     assign_types,
     build_composite,
+    cli,
     default_lexicon,
     distribution,
     load_composite,
@@ -149,15 +154,19 @@ def scratch(tmp_path_factory):
 
 def _index_contents(index: CompositeIndex):
     """What a fresh index over the same norm must hold too; the state only
-    folds fill is checked against the norm here."""
+    folds fill is checked against the norm here, and so is what the
+    exact-holder lookup relies on: every token of every set a child holds
+    lists that child, once, under its parent."""
     postings = {
         parent: {token: sorted(ids) for token, ids in by_token.items()}
         for parent, by_token in index.children_by_token.items()
     }
-    holders = {
-        parent: {tokens: sorted(ids) for tokens, ids in by_set.items()}
-        for parent, by_set in index.children_by_set.items()
-    }
+    for node_id, sets in index.token_sets.items():
+        assert all(sets)
+        parent = index.parents[node_id]
+        if parent is not None:
+            by_token = index.children_by_token[parent]
+            assert all(by_token[token].count(node_id) == 1 for tokens in sets for token in tokens)
     set_postings = {
         node_id: {token: sorted(offsets) for token, offsets in by_token.items()}
         for node_id, by_token in index.set_postings.items()
@@ -170,7 +179,7 @@ def _index_contents(index: CompositeIndex):
     for node_id, seen in index.spellings.items():
         assert seen.issuperset(index.forms[node_id])
         assert {fold(spelling) for spelling in seen} <= index.fold_keys[node_id]
-    return index.next_id, index.token_sets, postings, holders, set_postings
+    return index.next_id, index.token_sets, postings, set_postings
 
 
 @settings(max_examples=200, deadline=None)
@@ -309,6 +318,39 @@ def test_a_header_sharing_no_token_with_its_candidates_matches_nothing():
         alignment = align_tree(probe, composite, threshold)
         assert (alignment.pairs, alignment.unmatched) == oracle_align_tree(probe, composite, threshold)
     assert align_tree(probe, composite, 1e-9).unmatched == {1, 3}
+
+
+def test_exact_holders_that_tie_fall_to_the_lowest_position_then_id(scratch):
+    """Several candidates hold a header's token set: the lowest (position,
+    id) among them wins, whichever the postings list first. The first
+    document repeats "Symptoms" under the root; three more send their
+    "Symptoms" to the first copy (node 1), whose mean position then passes
+    the second copy's (node 5), though node 1 stays first in the root's
+    postings. A probe header spelled as its anchor, the root or a header
+    whose child it is across a skipped level, is held by the anchor and by a
+    later child of it; the anchor wins on position."""
+    first = make_doc(("Angina", ["Symptoms", ("Treatment", ["Drugs", "Treatment"]), "Symptoms", "Angina"]), doc_id="a")
+    later = [make_doc(("Angina", ["Drugs", "Symptoms"]), doc_id=f"b{number}") for number in range(3)]
+    probe = parse_document("# Angina\n## Symptoms\n## Angina\n## Treatment\n#### Treatment\n", "probe")
+    assert probe.labels == ["Angina", "Symptoms", "Angina", "Treatment", "Treatment"]
+    assert probe.parents == [-1, 0, 0, 0, 3] and probe.depths[4] == probe.depths[3] + 1
+    for threshold in (0.0, 0.5, 1.0):
+        docs = [first, *later]
+        composite = _fold(docs, threshold)
+        assert _saved(composite, scratch) == _oracle_saved(oracle_build_composite(docs, threshold, "mem"))
+        index = composite.index()
+        assert index.children_by_token[0]["symptoms"] == [1, 5]
+        assert composite.positions[1] > composite.positions[5]
+        assert composite.positions[2] < composite.positions[4]
+        expected = oracle_align_tree(probe, composite, threshold)
+        assert expected == ({0: 0, 1: 5, 2: 0, 3: 2, 4: 2}, set())
+        unmemoized = align_tree(probe, composite, threshold, _memoize=False)
+        assert (unmemoized.pairs, unmemoized.unmatched) == expected
+        assert index.alignments == {}
+        for _ in range(2):
+            alignment = align_tree(probe, composite, threshold)
+            assert (alignment.pairs, alignment.unmatched) == expected
+        assert sum(len(matches) for matches in index.alignments[threshold].values()) == 4
 
 
 def test_a_repeated_alignment_scores_no_candidate_and_the_build_fills_no_alignment_memo():
@@ -632,17 +674,21 @@ def test_labels_with_many_spellings_build_like_the_full_walk(scratch):
 def test_save_load_and_continue_equals_a_full_build(tmp_path, scratch):
     """Building the first n documents, saving, loading and folding the rest
     into the loaded norm writes the file one build over every document
-    writes."""
+    writes. The loaded norm's index holds what the built one's does, and
+    stays as a fresh one would be as the rest is folded in."""
     docs = _variant_corpus(40, seed=7)
     path = tmp_path / "partial.json"
     for threshold in (0.0, 0.5, 1.0):
         expected = _saved(_fold(docs, threshold), scratch)
         for count in (1, 13, 27, 39):
-            save_composite(_fold(docs[:count], threshold), path)
+            built = _fold(docs[:count], threshold)
+            save_composite(built, path)
             composite = load_composite(path)
+            assert _index_contents(composite.index()) == _index_contents(built.index())
             for doc in docs[count:]:
                 token_sets = doc.token_sets(composite.index().label_sets)
                 _fold_document(composite, align_tree(doc, composite, threshold, token_sets=token_sets).pairs, doc, token_sets)
+            assert _index_contents(composite.index()) == _index_contents(CompositeIndex(composite))
             assert _saved(composite, scratch) == expected
 
 
@@ -1193,3 +1239,67 @@ def test_trace_lines_cover_unmatched_nodes_shared_norm_nodes_and_unmatched_queri
     assert sum(" composite=1 " in line for line in node_lines) == 2  # Signs in a.md and b.md
     assert any(" depth=3 " in line for line in node_lines)
     assert any('label="Diet \\\\ é\u2028\ud800"' in line for line in node_lines)
+
+
+@st.composite
+def markdown_texts(draw, max_size=5):
+    """One to max_size header-marked texts over the shared vocabulary, each
+    with or without a level-1 header; without one, the document's root is
+    labeled with its file name."""
+    texts = []
+    for _ in range(draw(st.integers(1, max_size))):
+        title = draw(st.none() | surface)
+        headers = draw(st.lists(st.tuples(st.integers(2, 6), surface), max_size=8))
+        lines = [] if title is None else [f"# {title}"]
+        texts.append("\n".join(lines + [f"{'#' * level} {label}" for level, label in headers]) + "\n")
+    return texts
+
+
+def _cli_stdout(*args) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(list(args)) == 0
+    return out.getvalue()
+
+
+def _categories(trace: str) -> dict[str, str]:
+    """Each document's category, by doc id, from a trace."""
+    categories, document = {}, None
+    for line in trace.splitlines():
+        if line.startswith("document: "):
+            document = line[len("document: "):]
+        elif line.startswith("  category: "):
+            categories[document] = line[len("  category: "):]
+    return categories
+
+
+@settings(max_examples=20, deadline=None)
+@given(markdown_texts(), markdown_texts(6), words, st.sampled_from((0.0, 0.5, 1.0)), st.sampled_from((0.3, 0.5, 1.0)))
+def test_renaming_files_in_name_order_keeps_categories(reference, texts, query, threshold, alpha):
+    """Renaming the documents of a summarized directory, so that their name
+    order stays the same and no name holds another, keeps every document's
+    category, and the trace then differs only in the names: mapped back to
+    the old names, it is the old trace byte for byte. A file name is a doc
+    id, and the title and root label of a document with no level-1 header."""
+    old_names = [f"doc-{number:04}.md" for number in range(len(texts))]
+    new_names = [f"file-{number:04}.md" for number in range(len(texts))]
+    with tempfile.TemporaryDirectory() as work:
+        work = pathlib.Path(work)
+        for part, names, part_texts in (
+            ("reference", [f"ref-{number:04}.md" for number in range(len(reference))], reference),
+            ("old", old_names, texts),
+            ("new", new_names, texts),
+        ):
+            (work / part).mkdir()
+            for name, text in zip(names, part_texts):
+                (work / part / name).write_text(text, encoding="utf-8")
+        norm = str(work / "norm.json")
+        _cli_stdout("build", str(work / "reference"), norm, "--align-threshold", str(threshold))
+        flags = ("--composite", norm, "--query", query, "--alpha", str(alpha), "--align-threshold", str(threshold), "--format", "trace")
+        old = _cli_stdout("summarize", str(work / "old"), *flags)
+        new = _cli_stdout("summarize", str(work / "new"), *flags)
+    assert list(_categories(old)) == old_names and list(_categories(new)) == new_names
+    assert list(_categories(new).values()) == list(_categories(old).values())
+    for old_name, new_name in zip(old_names, new_names):
+        new = new.replace(new_name, old_name)
+    assert new == old
